@@ -45,6 +45,23 @@ def bank(residual_records):
 
 
 @pytest.fixture(scope="session")
+def tiny_records():
+    """Small residual corpus: a 160x128x10 clip coded at QPs 27 and 37."""
+    planes = video.synthesize_luma_clip(160, 128, 10, seed=21)
+    return pipeline.extract_residuals([planes], qps=(27, 37))
+
+
+@pytest.fixture(scope="session")
+def tiny_bank(tiny_records):
+    return pipeline.train_kernel_bank(tiny_records, samples_per_kernel=300, seed=1)
+
+
+@pytest.fixture(scope="session")
+def tiny_clip():
+    return video.synthesize_luma_clip(64, 48, 3, seed=22)
+
+
+@pytest.fixture(scope="session")
 def clip_files(tmp_path_factory, clip_a_planes, clip_b_planes):
     d = tmp_path_factory.mktemp("clips")
     paths = {}

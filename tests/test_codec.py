@@ -66,18 +66,6 @@ def test_level_bit_cost_batched():
         assert codec.level_bit_cost(row) == cost
 
 
-@pytest.fixture(scope="module")
-def tiny_bank():
-    planes = video.synthesize_luma_clip(160, 128, 10, seed=21)
-    records = extract_residuals([planes], qps=(27, 37))
-    return train_kernel_bank(records, samples_per_kernel=300, seed=1)
-
-
-@pytest.fixture(scope="module")
-def tiny_clip():
-    return video.synthesize_luma_clip(64, 48, 3, seed=22)
-
-
 @pytest.mark.parametrize("strategy", codec.STRATEGIES)
 def test_encode_decode_mirror(strategy, tiny_bank, tiny_clip):
     cfg = codec.StrategyConfig(strategy, tiny_bank)

@@ -1,0 +1,90 @@
+"""Golden digests: the codec's behaviour pinned as SHA-256 of its outputs.
+
+A change that is meant to leave behaviour alone (a refactor, a speed-up)
+must keep every digest here.  A change that alters streams, corpora, banks
+or predictions on purpose re-pins the affected digests and says so.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from saabcodec import codec, intra, pipeline
+
+STREAMS = {
+    ("dct_only", 22): "cf69e2d1a5df785f05b849dbc5cf84243c414ae42a33d0b864ebc257b59e06c0",
+    ("dct_only", 37): "8ff41ffedfc1d00917c466a160abfc6d344e9267f0d6fdd48c977f9d8bb576b7",
+    ("s1", 22): "cdbbca93c79549f7f40b17f8ed6c5bdfab14fef943a5ee968958618dc6dd2826",
+    ("s1", 37): "d50822fb1fd4dd2bfb54e653687df9ea05dff269085b105c7e0577282e8a77cf",
+    ("s2", 22): "3f1c28a0150a4ca770964ded9968d6d4ee0c272bdb8873999208e83e3e8369e0",
+    ("s2", 37): "316cbc84ff890d41e6ecc1974eb99ab470f29fb855c7eeb8410791344947e74c",
+    ("s3", 22): "c62a088b797f1ed56f3cb71e80d09300022e01a16f534d6a8edf2a44bc6749e5",
+    ("s3", 37): "f85230f89e8f697bd242015272e34c909b70615c826a82747b9ca0ecc844b238",
+}
+BANK_DIGEST = "7fe1dc5ac5d54196ca550cc47245c08d"
+CORPUS = "00decbe824b83f65ac5a0589eaaf6772af1e89c4a35c81bc51a4543a4f4ccc81"
+REFERENCES = "a9bbaa64d41b07770f50bd72e9e874f0c3f9373c1298f46925b87327b51fccf2"
+# predict_block over every mode of a set equals that set's predict_all_modes
+# output, so both predictor tests pin the same digest.
+PREDICTIONS = "248563641121007eb49004857da3b4e60e94541751457054a4623c87a21c090c"
+
+N_SETS = 200
+
+
+def _sha(chunks):
+    h = hashlib.sha256()
+    for c in chunks:
+        h.update(np.ascontiguousarray(c, dtype="<i4").tobytes())
+    return h.hexdigest()
+
+
+def _random_reference_sets():
+    """Four independent random 17-sample arrays per set, so every table
+    entry of the predictor (both corner copies included) is exercised."""
+    rng = np.random.default_rng(2024)
+    return [
+        tuple(rng.integers(0, 256, size=17).astype(np.int32) for _ in range(4))
+        for _ in range(N_SETS)
+    ]
+
+
+@pytest.mark.parametrize("strategy,qp", sorted(STREAMS))
+def test_stream_digest(strategy, qp, tiny_bank, tiny_clip):
+    cfg = codec.StrategyConfig(strategy, tiny_bank)
+    stream, _ = codec.encode_sequence(tiny_clip, qp, cfg)
+    assert hashlib.sha256(stream).hexdigest() == STREAMS[(strategy, qp)]
+
+
+def test_bank_digest(tiny_bank):
+    assert tiny_bank.digest().hex() == BANK_DIGEST
+
+
+def test_corpus_digest(tmp_path, tiny_records):
+    path = tmp_path / "corpus.bin"
+    pipeline.save_residual_corpus(str(path), tiny_records)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CORPUS
+
+
+def test_reference_digest():
+    rng = np.random.default_rng(2025)
+    chunks = []
+    for _ in range(N_SETS):
+        recon = rng.integers(0, 256, size=(40, 56)).astype(np.int32)
+        bx, by = int(rng.integers(0, 7)), int(rng.integers(0, 5))
+        chunks.extend(intra.build_references(recon, bx, by, 7, 5))
+    assert _sha(chunks) == REFERENCES
+
+
+def test_predict_all_modes_digest():
+    chunks = [intra.predict_all_modes(*refs) for refs in _random_reference_sets()]
+    assert _sha(chunks) == PREDICTIONS
+
+
+def test_predict_block_digest():
+    chunks = [
+        intra.predict_block(*refs, mode)
+        for refs in _random_reference_sets()
+        for mode in range(35)
+    ]
+    assert _sha(chunks) == PREDICTIONS

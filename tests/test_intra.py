@@ -9,20 +9,6 @@ def _random_surface(rng, h=40, w=56):
     return rng.integers(0, 256, size=(h, w)).astype(np.int32)
 
 
-def test_batched_matches_scalar_predictor():
-    rng = np.random.default_rng(0)
-    for _ in range(60):
-        recon = _random_surface(rng)
-        bx = int(rng.integers(0, 7))
-        by = int(rng.integers(0, 5))
-        refs = intra.build_references(recon, bx, by, 7, 5)
-        batch = intra.predict_all_modes(*refs)
-        for mode in range(35):
-            assert np.array_equal(batch[mode], intra.predict_block(*refs, mode)), (
-                f"mode {mode} at block ({bx}, {by})"
-            )
-
-
 def test_no_neighbors_gives_flat_128():
     recon = np.zeros((16, 16), dtype=np.int32)
     refs = intra.build_references(recon, 0, 0, 2, 2)
