@@ -8,35 +8,39 @@ from .errors import BitstreamError
 class BitWriter:
     def __init__(self):
         self._buf = bytearray()
-        self._acc = 0
+        self._acc = 0  # the pending bits past the last whole byte
         self._n = 0
 
     @property
     def bit_length(self):
         return 8 * len(self._buf) + self._n
 
+    def _put(self, value, n):
+        acc = (self._acc << n) | value
+        n += self._n
+        whole = n >> 3
+        if whole:
+            n -= whole << 3
+            self._buf += (acc >> n).to_bytes(whole, "big")
+            acc &= (1 << n) - 1
+        self._acc = acc
+        self._n = n
+
     def write_bit(self, bit):
-        self._acc = (self._acc << 1) | (1 if bit else 0)
-        self._n += 1
-        if self._n == 8:
-            self._buf.append(self._acc)
-            self._acc = 0
-            self._n = 0
+        self._put(1 if bit else 0, 1)
 
     def write_bits(self, value, n):
         value = int(value)
-        if value < 0 or (n < 64 and value >> n):
+        if value < 0 or value >> n:
             raise BitstreamError(f"value {value} does not fit in {n} bits")
-        for i in range(n - 1, -1, -1):
-            self.write_bit((value >> i) & 1)
+        self._put(value, n)
 
     def write_ue(self, value):
         """Order-0 exp-Golomb: value v >= 0 coded as (b-1) zeros then v+1 in b bits."""
+        if value < 0:
+            raise BitstreamError(f"exp-Golomb value {value} is negative")
         n = int(value) + 1
-        b = n.bit_length()
-        for _ in range(b - 1):
-            self.write_bit(0)
-        self.write_bits(n, b)
+        self._put(n, 2 * n.bit_length() - 1)
 
     def getvalue(self):
         """Byte-aligned contents; pads the tail with zero bits."""

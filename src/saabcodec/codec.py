@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitstream import BitReader, BitWriter, ue_bit_length
+from .bitstream import BitReader, BitWriter
 from .errors import BitstreamError, InvalidInputError
 from .intra import build_references, predict_all_modes, predict_block
 from .linalg import VEC_LEN
@@ -40,6 +40,10 @@ from .transforms import DCT_64
 
 BLOCK = 8
 MODE_BITS = 6
+MAX_QP = 51
+# Blocks per encode_block call.  Fixed: it bounds the memory of the
+# batch's candidate arrays, and batching never changes the output.
+BATCH_BLOCKS = 16
 
 STRATEGIES = ("dct_only", "s1", "s2", "s3")
 _STRATEGY_CODES = {name: i for i, name in enumerate(STRATEGIES)}
@@ -66,7 +70,7 @@ def quantize(coeffs, q_step, deadzone=1.0 / 3.0):
     if q_step <= 0:
         raise InvalidInputError("q_step must be positive")
     y = np.asarray(coeffs, dtype=np.float64)
-    return (np.sign(y) * np.floor(np.abs(y) / q_step + deadzone)).astype(np.int64)
+    return np.copysign(np.floor(np.abs(y) / q_step + deadzone), y).astype(np.int64)
 
 
 def dequantize(levels, q_step):
@@ -75,26 +79,27 @@ def dequantize(levels, q_step):
     return np.asarray(levels, dtype=np.float64) * q_step
 
 
-def rd_cost(bits, sse, lam):
-    return sse + lam * bits
-
-
 def encode_levels(bw, levels_scan):
     """Entropy-code 64 levels (already in scan order) into the writer."""
-    nz = np.nonzero(levels_scan)[0]
+    nz = np.flatnonzero(levels_scan)
     if nz.size == 0:
         bw.write_bit(0)
         return
-    bw.write_bit(1)
     last = int(nz[-1])
-    bw.write_bits(last, 6)
+    levels = np.asarray(levels_scan)[: last + 1].tolist()
+    code, n = 1 << 6 | last, 7
     for pos in range(last, -1, -1):
-        lv = int(levels_scan[pos])
+        lv = levels[pos]
         if pos != last:
-            bw.write_bit(lv != 0)
-        if lv != 0:
-            bw.write_ue(abs(lv) - 1)
-            bw.write_bit(lv < 0)
+            code = code << 1 | (lv != 0)
+            n += 1
+        if lv:
+            # ue(|lv| - 1) is |lv| in 2b - 1 bits, then the sign bit.
+            mag = abs(lv)
+            b = mag.bit_length()
+            code = code << 2 * b | mag << 1 | (lv < 0)
+            n += 2 * b
+    bw.write_bits(code, n)
 
 
 def decode_levels(br):
@@ -110,17 +115,21 @@ def decode_levels(br):
     return levels
 
 
+_POSITIONS_1 = np.arange(1, VEC_LEN + 1, dtype=np.int32)
+
+
 def level_bit_cost(levels_scan):
-    """Exact bit count of encode_levels, vectorized over (n, 64) level arrays."""
-    arr = np.asarray(levels_scan, dtype=np.int64)
+    """Exact bit count of encode_levels, vectorized over (n, 64) level arrays.
+
+    A significant level l costs ue_bit_length(|l| - 1) + 1 sign bit, which
+    is 2 * bit_length(|l|): frexp's exponent is that bit length, and it is
+    0 for a zero level.
+    """
+    arr = np.asarray(levels_scan)
     single = arr.ndim == 1
-    lv = np.atleast_2d(arr)
-    sig = lv != 0
-    any_nz = sig.any(axis=1)
-    last = (VEC_LEN - 1) - np.argmax(sig[:, ::-1], axis=1)
-    mag_bits = np.where(sig, ue_bit_length(np.abs(lv) - sig) + 1, 0)
-    payload = 6 + last + mag_bits.sum(axis=1)
-    cost = 1 + np.where(any_nz, payload, 0)
+    exp = np.frexp(np.abs(np.atleast_2d(arr)).astype(np.float64))[1]
+    last_1 = np.max((exp > 0) * _POSITIONS_1, axis=1)  # last position + 1, 0 if none
+    cost = np.where(last_1 > 0, 6 + last_1 + 2 * exp.sum(axis=1), 1)
     return int(cost[0]) if single else cost
 
 
@@ -209,91 +218,107 @@ def _reconstruct_block(pred64, levels_scan, uses_saab, kernel_matrix, q_step):
     return np.clip(np.rint(pred64 + xhat), 0, 255).astype(np.int32)
 
 
-def encode_block(original, recon, pos, qp, cfg):
-    """RD-optimal mode and transform choice for one block.
+def _candidate_costs(res, preds, orig, q, lam, matrices, allowed, head_bits):
+    """Levels and J of one transform's candidates, (modes, blocks) first.
 
-    `recon` is the frame reconstruction surface with causal neighbors
-    filled; `pos` is the (bx, by) block grid position.  Returns
-    (CodedBlock, reconstructed 8x8 int array, BlockRecord); the caller
-    stores the reconstruction and serializes the CodedBlock.
+    `matrices` is (64, 64) or a per-mode (35, 64, 64) stack of analysis
+    kernels; DCT levels are zigzag-scanned, learned-kernel levels are not.
     """
-    bx, by = pos
-    h, w = recon.shape
-    refs = build_references(recon, bx, by, w // BLOCK, h // BLOCK)
-    preds = predict_all_modes(*refs)
-    orig = np.asarray(original, dtype=np.int32)
-    res = (orig - preds).reshape(N_MODES, VEC_LEN).astype(np.float64)
+    if matrices.ndim == 2:
+        lv = quantize(res @ matrices.T, q)[..., ZIGZAG]
+        xhat = dequantize(lv, q)[..., INV_ZIGZAG] @ matrices
+    else:
+        lv = quantize(res @ matrices.transpose(0, 2, 1), q)
+        xhat = dequantize(lv, q) @ matrices
+    bits = head_bits[:, None] + level_bit_cost(lv.reshape(-1, VEC_LEN)).reshape(lv.shape[:2])
+    rec = np.clip(np.rint(preds + xhat), 0, 255)
+    sse = np.sum((orig - rec) ** 2, axis=-1)
+    j = np.where(allowed[:, None], sse + lam * bits, np.inf)
+    return lv, bits, j
 
+
+def encode_block(original, recon, pos, qp, cfg, keep_residuals=False):
+    """RD-optimal mode and transform choice for a batch of blocks.
+
+    `original` and `recon` are (frames, h, w) stacks of source planes and
+    reconstruction surfaces, the latter with every block the batch
+    references already filled; `pos` holds (frame, bx, by) index arrays of
+    at most BATCH_BLOCKS blocks that do not reference each other.  Returns
+    (list of CodedBlock, (n, 8, 8) reconstructions, list of BlockRecord);
+    the caller stores the reconstructions and serializes the CodedBlocks.
+    BlockRecord.residual is filled only when `keep_residuals` is set.
+    """
+    frame, bx, by = pos
+    _, h, w = recon.shape
+    refs = build_references(recon, bx, by, w // BLOCK, h // BLOCK, frame=frame)
+    preds = predict_all_modes(*refs).reshape(len(bx), N_MODES, VEC_LEN)
+    rows = (by * BLOCK)[:, None, None] + np.arange(BLOCK)[:, None]
+    cols = (bx * BLOCK)[:, None, None] + np.arange(BLOCK)
+    orig = original[frame[:, None, None], rows, cols].reshape(len(bx), VEC_LEN)
+
+    # Candidate arrays are (modes, blocks, 64): mode-major rows.
+    preds_m = preds.transpose(1, 0, 2)
+    res = (orig - preds_m).astype(np.float64)
     q = qp_to_qstep(qp)
     lam = qp_to_lambda(qp)
-    flag_bits = cfg.flag.astype(np.int64)
-    head_bits = MODE_BITS + flag_bits
-
-    # DCT candidates.
-    lv_dct = quantize(res @ DCT_64.T, q)[:, ZIGZAG]
-    bits_dct = head_bits + level_bit_cost(lv_dct)
-    rec_dct = np.clip(
-        np.rint(preds.reshape(N_MODES, VEC_LEN) + dequantize(lv_dct, q)[:, INV_ZIGZAG] @ DCT_64),
-        0,
-        255,
+    head_bits = MODE_BITS + cfg.flag.astype(np.int64)
+    lv_dct, bits_dct, j_dct = _candidate_costs(
+        res, preds_m, orig, q, lam, DCT_64, cfg.dct_ok, head_bits
     )
-    sse_dct = np.sum((orig.reshape(VEC_LEN) - rec_dct) ** 2, axis=1)
-    j_dct = np.where(cfg.dct_ok, sse_dct + lam * bits_dct, np.inf)
-
-    # Learned-kernel candidates.
     if cfg.saab_matrices is not None and cfg.saab_ok.any():
-        y_saab = np.einsum("mij,mj->mi", cfg.saab_matrices, res)
-        lv_saab = quantize(y_saab, q)
-        bits_saab = head_bits + level_bit_cost(lv_saab)
-        rec_saab = np.clip(
-            np.rint(
-                preds.reshape(N_MODES, VEC_LEN)
-                + np.einsum("mji,mj->mi", cfg.saab_matrices, dequantize(lv_saab, q))
-            ),
-            0,
-            255,
+        lv_saab, bits_saab, j_saab = _candidate_costs(
+            res, preds_m, orig, q, lam, cfg.saab_matrices, cfg.saab_ok, head_bits
         )
-        sse_saab = np.sum((orig.reshape(VEC_LEN) - rec_saab) ** 2, axis=1)
-        j_saab = np.where(cfg.saab_ok, sse_saab + lam * bits_saab, np.inf)
     else:
-        lv_saab = None
-        j_saab = np.full(N_MODES, np.inf)
+        lv_saab = bits_saab = None
+        j_saab = np.full_like(j_dct, np.inf)
 
-    # Flattened candidate order [DCT modes..., kernel modes...]: argmin takes
-    # the first minimum, which encodes the DCT-first / lower-mode tie-break.
-    j_all = np.concatenate([j_dct, j_saab])
-    best = int(np.argmin(j_all))
-    uses_saab = best >= N_MODES
-    mode = best % N_MODES
+    # Flattened candidate order [DCT modes..., kernel modes...] per block:
+    # argmin takes the first minimum, which encodes the DCT-first /
+    # lower-mode tie-break.
+    j_all = np.concatenate([j_dct, j_saab]).T
+    best = np.argmin(j_all, axis=1)
 
-    if uses_saab:
-        levels = lv_saab[mode]
-        bits = int(bits_saab[mode])
-        kernel_matrix = cfg.saab_matrices[mode]
-    else:
-        levels = lv_dct[mode]
-        bits = int(bits_dct[mode])
-        kernel_matrix = None
-
-    rec = _reconstruct_block(
-        preds[mode].reshape(VEC_LEN), levels, uses_saab, kernel_matrix, q
-    ).reshape(BLOCK, BLOCK)
-    sse = float(np.sum((orig - rec) ** 2))
-    coded = CodedBlock(
-        mode=mode,
-        transform_flag=(1 if uses_saab else 0) if cfg.flag_present(mode) else None,
-        levels=levels,
-        uses_saab=uses_saab,
-    )
-    record = BlockRecord(
-        mode=mode, transform="saab" if uses_saab else "dct", bits=bits, sse=sse
-    )
-    # Exposed for dominance checks: J of the chosen candidate and of the DCT
-    # candidate in the same pass.
-    record.j_chosen = float(j_all[best])
-    record.j_dct = float(j_dct[mode]) if cfg.dct_ok[mode] else math.inf
-    record.residual = (orig - preds[mode]).astype(np.int16)
-    return coded, rec, record
+    coded_list, recs, records = [], np.empty((len(bx), BLOCK, BLOCK), dtype=np.int32), []
+    for i, b in enumerate(best.tolist()):
+        uses_saab = b >= N_MODES
+        mode = b % N_MODES
+        if uses_saab:
+            levels = lv_saab[mode, i].copy()
+            bits = int(bits_saab[mode, i])
+            kernel_matrix = cfg.saab_matrices[mode]
+        else:
+            levels = lv_dct[mode, i].copy()
+            bits = int(bits_dct[mode, i])
+            kernel_matrix = None
+        rec = _reconstruct_block(preds[i, mode], levels, uses_saab, kernel_matrix, q)
+        recs[i] = rec.reshape(BLOCK, BLOCK)
+        coded_list.append(
+            CodedBlock(
+                mode=mode,
+                transform_flag=(1 if uses_saab else 0) if cfg.flag_present(mode) else None,
+                levels=levels,
+                uses_saab=uses_saab,
+            )
+        )
+        # j_chosen and j_dct (the DCT candidate of the same mode, same pass)
+        # are exposed for dominance checks.
+        records.append(
+            BlockRecord(
+                mode=mode,
+                transform="saab" if uses_saab else "dct",
+                bits=bits,
+                sse=float(np.sum((orig[i] - rec) ** 2)),
+                j_chosen=float(j_all[i, b]),
+                j_dct=float(j_dct[mode, i]) if cfg.dct_ok[mode] else math.inf,
+                residual=(
+                    (orig[i] - preds[i, mode]).astype(np.int16).reshape(BLOCK, BLOCK)
+                    if keep_residuals
+                    else None
+                ),
+            )
+        )
+    return coded_list, recs, records
 
 
 def _write_coded_block(bw, coded):
@@ -301,6 +326,31 @@ def _write_coded_block(bw, coded):
     if coded.transform_flag is not None:
         bw.write_bit(coded.transform_flag)
     encode_levels(bw, coded.levels)
+
+
+def _check_qp(qp):
+    if isinstance(qp, bool) or not isinstance(qp, (int, np.integer)) or not 0 <= qp <= MAX_QP:
+        raise InvalidInputError(f"QP must be an integer in 0..{MAX_QP}, got {qp!r}")
+
+
+def _wavefront_batches(n_frames, blocks_w, blocks_h):
+    """(frame, bx, by) index arrays of at most BATCH_BLOCKS blocks each.
+
+    Blocks of one wave w = bx + 2 * by reference only blocks of earlier
+    waves (left, top-left, top and top-right neighbours), and frames are
+    independent intra pictures, so a wave of all frames can be coded as
+    one set once the earlier waves are reconstructed.
+    """
+    for wave in range(blocks_w + 2 * (blocks_h - 1)):
+        by = np.arange(blocks_h)
+        bx = wave - 2 * by
+        on_grid = (bx >= 0) & (bx < blocks_w)
+        bx, by = bx[on_grid], by[on_grid]
+        frame = np.repeat(np.arange(n_frames), bx.size)
+        bx, by = np.tile(bx, n_frames), np.tile(by, n_frames)
+        for start in range(0, frame.size, BATCH_BLOCKS):
+            batch = slice(start, start + BATCH_BLOCKS)
+            yield frame[batch], bx[batch], by[batch]
 
 
 def encode_sequence(planes, qp, cfg, collect_residuals=None, source_id=0, recon_out=None):
@@ -311,33 +361,50 @@ def encode_sequence(planes, qp, cfg, collect_residuals=None, source_id=0, recon_
     (used by the training pipeline).  When `recon_out` is a list, the
     encoder's own reconstruction planes are appended (uint8), which must
     match the decoder output bit-exactly.
+
+    The RD search runs over wavefront batches of all frames; the blocks are
+    then serialized, and residuals collected, in raster order per frame.
     """
     if not planes:
         raise InvalidInputError("no frames to encode")
+    _check_qp(qp)
     h, w = planes[0].shape
     if h % BLOCK or w % BLOCK:
         raise InvalidInputError("plane dimensions must be multiples of 8")
+    if any(plane.shape != (h, w) for plane in planes):
+        raise InvalidInputError("all frames must share dimensions")
+    blocks_w, blocks_h = w // BLOCK, h // BLOCK
+    original = np.stack(planes).astype(np.int32)
+    recon = np.zeros_like(original)
+    coded = np.empty((len(planes), blocks_h, blocks_w), dtype=object)
+    records = np.empty_like(coded)
+    keep_residuals = collect_residuals is not None
+    for pos in _wavefront_batches(len(planes), blocks_w, blocks_h):
+        coded_list, recs, record_list = encode_block(
+            original, recon, pos, qp, cfg, keep_residuals
+        )
+        for f, bx, by, c, rec, record in zip(*pos, coded_list, recs, record_list):
+            recon[f, by * BLOCK : (by + 1) * BLOCK, bx * BLOCK : (bx + 1) * BLOCK] = rec
+            coded[f, by, bx] = c
+            records[f, by, bx] = record
+
     bw = BitWriter()
     stats_list = []
-    for frame_index, plane in enumerate(planes):
-        if plane.shape != (h, w):
-            raise InvalidInputError("all frames must share dimensions")
-        recon = np.zeros((h, w), dtype=np.int32)
+    for frame_index in range(len(planes)):
         stats = FrameStats()
-        for by in range(h // BLOCK):
-            for bx in range(w // BLOCK):
-                orig = plane[by * BLOCK : (by + 1) * BLOCK, bx * BLOCK : (bx + 1) * BLOCK]
+        for by in range(blocks_h):
+            for bx in range(blocks_w):
+                c = coded[frame_index, by, bx]
+                record = records[frame_index, by, bx]
                 before = bw.bit_length
-                coded, rec, record = encode_block(orig, recon, (bx, by), qp, cfg)
-                _write_coded_block(bw, coded)
+                _write_coded_block(bw, c)
                 record.bits = bw.bit_length - before
-                recon[by * BLOCK : (by + 1) * BLOCK, bx * BLOCK : (bx + 1) * BLOCK] = rec
                 stats.blocks.append(record)
                 stats.total_bits += record.bits
                 stats.sse += record.sse
                 stats.n_total += 1
-                stats.n_saab += 1 if coded.uses_saab else 0
-                if collect_residuals is not None:
+                stats.n_saab += 1 if c.uses_saab else 0
+                if keep_residuals:
                     collect_residuals.append(
                         {
                             "residual": record.residual,
@@ -357,7 +424,7 @@ def encode_sequence(planes, qp, cfg, collect_residuals=None, source_id=0, recon_
         )
         stats_list.append(stats)
         if recon_out is not None:
-            recon_out.append(recon.astype(np.uint8))
+            recon_out.append(recon[frame_index].astype(np.uint8))
     header = _HEADER.pack(
         STREAM_MAGIC,
         STREAM_VERSION,
@@ -389,7 +456,7 @@ def decode_sequence(data, bank=None):
     magic, version, strategy_code, qp, _, w, h, n_frames, digest = _HEADER.unpack_from(data)
     if version != STREAM_VERSION:
         raise BitstreamError(f"unsupported stream version {version}")
-    strategy = STRATEGIES[strategy_code]
+    strategy = _strategy_from_code(strategy_code)
     if strategy != "dct_only":
         if bank is None:
             raise InvalidInputError("stream requires a kernel bank")
@@ -427,6 +494,12 @@ def decode_sequence(data, bank=None):
     return planes, dstats
 
 
+def _strategy_from_code(code):
+    if code >= len(STRATEGIES):
+        raise BitstreamError(f"unknown strategy code {code}")
+    return STRATEGIES[code]
+
+
 def stream_info(data):
     """Parse the header of a bitstream without decoding the payload."""
     if len(data) < _HEADER.size or data[:4] != STREAM_MAGIC:
@@ -434,7 +507,7 @@ def stream_info(data):
     magic, version, strategy_code, qp, _, w, h, n_frames, digest = _HEADER.unpack_from(data)
     return {
         "version": version,
-        "strategy": STRATEGIES[strategy_code],
+        "strategy": _strategy_from_code(strategy_code),
         "qp": qp,
         "width": w,
         "height": h,

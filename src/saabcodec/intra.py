@@ -8,7 +8,13 @@ bit-identical by construction.
 Reference layout: `above` has 17 entries (corner, 8 top, 8 top-right);
 `left` has 17 entries (corner, 8 left, 8 below-left).  Unavailable samples
 are substituted by scanning from the bottom-left end, per the standard.
+
+Every mode is one integer weight table row set: a prediction sample is
+(sum of weights x the 68 reference samples [above, left, above_f, left_f]
++ rounding) >> shift, followed by the DC and mode-10/26 edge fix-ups.
 """
+
+import functools
 
 import numpy as np
 
@@ -17,6 +23,8 @@ from .modes import N_MODES
 
 N = 8
 _LOG2N = 3
+_REF = 2 * N + 1  # samples per reference array
+_SCAN = 4 * N + 1  # scan line: below-left bottom .. corner .. top-right end
 
 # intraPredAngle for modes 2..34
 _ANGLES = np.array(
@@ -27,6 +35,9 @@ _ANGLES = np.array(
 # invAngle for angles -2,-5,-9,-13,-17,-21,-26,-32
 _INV_ANGLES = {-2: -4096, -5: -1638, -9: -910, -13: -630, -17: -482,
                -21: -390, -26: -315, -32: -256}
+
+# Offsets of the four arrays in the stacked 68-sample reference vector.
+_ABOVE, _LEFT, _ABOVE_F, _LEFT_F = 0, _REF, 2 * _REF, 3 * _REF
 
 
 def _mode_angle(mode):
@@ -42,206 +53,197 @@ def smoothing_enabled(mode):
     return min(abs(mode - 10), abs(mode - 26)) > 7
 
 
-def build_references(recon, bx, by, blocks_w, blocks_h):
+def _scan_sources(has_left, has_top, has_top_right):
+    """(dy, dx) from the block origin of each scan-line sample after
+    substitution, or None for every sample when no neighbour exists.
+
+    Below-left samples are never coded yet in raster block order, so they
+    are always unavailable.
+    """
+    src = [None] * _SCAN
+    if has_left:
+        for i in range(N, 2 * N):
+            src[i] = (2 * N - 1 - i, -1)
+    if has_left and has_top:
+        src[2 * N] = (-1, -1)
+    if has_top:
+        for i in range(2 * N + 1, 3 * N + 1):
+            src[i] = (-1, i - 2 * N - 1)
+    if has_top_right:
+        for i in range(3 * N + 1, _SCAN):
+            src[i] = (-1, i - 2 * N - 1)
+    first = next((s for s in src if s is not None), None)
+    if first is None:
+        return [None] * _SCAN
+    if src[0] is None:
+        src[0] = first
+    for i in range(1, _SCAN):
+        if src[i] is None:
+            src[i] = src[i - 1]
+    return src
+
+
+@functools.lru_cache(maxsize=16)
+def _reference_table(blocks_w, blocks_h, width):
+    """Per-position index table (blocks_h * blocks_w, 33): the flat index,
+    in a frame of row stride `width`, of each scan-line sample after
+    substitution.  Position 0 has no neighbours; its entries are unused."""
+    cases = {}
+    table = np.zeros((blocks_h, blocks_w, _SCAN), dtype=np.intp)
+    for by in range(blocks_h):
+        for bx in range(blocks_w):
+            key = (bx > 0, by > 0, by > 0 and bx + 1 < blocks_w)
+            if key not in cases:
+                src = _scan_sources(*key)
+                cases[key] = None if src[0] is None else np.array(src).T
+            if cases[key] is not None:
+                dy, dx = cases[key]
+                table[by, bx] = (by * N + dy) * width + bx * N + dx
+    table.flags.writeable = False  # shared by every caller through the cache
+    return table.reshape(-1, _SCAN)
+
+
+# Scan-line positions, in the [line, smoothed line] pair, of the stacked
+# reference vector [above, left, above_f, left_f]: `above` is corner, top,
+# top-right; `left` is corner, left, below-left.
+_ABOVE_ORDER = np.arange(2 * N, _SCAN)
+_LEFT_ORDER = np.arange(2 * N, -1, -1)
+_REF_ORDER = np.concatenate([_ABOVE_ORDER, _LEFT_ORDER, _ABOVE_ORDER + _SCAN, _LEFT_ORDER + _SCAN])
+
+
+def build_references(recon, bx, by, blocks_w, blocks_h, frame=0):
     """Reference sample arrays for the block at grid position (bx, by).
 
     `recon` is the frame-sized reconstruction surface filled in raster block
-    order.  Returns (above, left, above_f, left_f) as int32 arrays of length
-    17 each, the latter two smoothed with the [1 2 1] filter.
+    order, or a (frames, h, w) stack of them with `frame` selecting one.
+    Returns (above, left, above_f, left_f) as int32 arrays of length 17
+    each, the latter two smoothed with the [1 2 1] filter.  `bx`, `by` and
+    `frame` may be integer arrays of one shape; each returned array then
+    has that shape plus a last axis of 17.
     """
-    if not (0 <= bx < blocks_w and 0 <= by < blocks_h):
-        raise InvalidInputError(f"block position ({bx}, {by}) off the grid")
-    x0 = bx * N
-    y0 = by * N
+    try:
+        pos = np.ravel_multi_index((by, bx), (blocks_h, blocks_w))
+    except ValueError:
+        raise InvalidInputError(f"block position ({bx}, {by}) off the grid") from None
+    h, w = recon.shape[-2:]
+    idx = _reference_table(blocks_w, blocks_h, w)[pos] + np.asarray(frame)[..., None] * (h * w)
+    line = recon.reshape(-1)[idx].astype(np.int32, copy=False)
+    line[pos == 0] = 128
 
-    # Scan-ordered reference list: below-left bottom .. corner .. top-right end.
-    refs = np.zeros(4 * N + 1, dtype=np.int32)
-    avail = np.zeros(4 * N + 1, dtype=bool)
-
-    # Below-left (rows y0+15 .. y0+8 of column x0-1): never coded yet in
-    # raster block order, so always unavailable.
-    # Left (rows y0+7 .. y0 of column x0-1).
-    if bx > 0:
-        refs[N : 2 * N] = recon[y0 + N - 1 : y0 - 1 if y0 > 0 else None : -1, x0 - 1]
-        avail[N : 2 * N] = True
-    # Corner.
-    if bx > 0 and by > 0:
-        refs[2 * N] = recon[y0 - 1, x0 - 1]
-        avail[2 * N] = True
-    # Top.
-    if by > 0:
-        refs[2 * N + 1 : 3 * N + 1] = recon[y0 - 1, x0 : x0 + N]
-        avail[2 * N + 1 : 3 * N + 1] = True
-    # Top-right: coded in the previous block row when it exists.
-    if by > 0 and bx + 1 < blocks_w:
-        refs[3 * N + 1 :] = recon[y0 - 1, x0 + N : x0 + 2 * N]
-        avail[3 * N + 1 :] = True
-
-    if not avail.any():
-        refs[:] = 128
-    else:
-        if not avail[0]:
-            refs[0] = refs[np.nonzero(avail)[0][0]]
-            avail[0] = True
-        for i in range(1, refs.size):
-            if not avail[i]:
-                refs[i] = refs[i - 1]
-
-    left = refs[2 * N : N - 1 : -1].copy()  # corner, left 0..7, below-left 0..7
-    left = np.concatenate([left, refs[N - 1 :: -1]])
-    above = refs[2 * N :].copy()  # corner, top 0..7, top-right 0..7
-
-    filt = np.concatenate([left[:0:-1], above])  # full scan line for filtering
-    sm = filt.copy()
-    sm[1:-1] = (filt[:-2] + 2 * filt[1:-1] + filt[2:] + 2) >> 2
-    left_f = np.concatenate([[sm[2 * N]], sm[2 * N - 1 :: -1]])
-    above_f = sm[2 * N :].copy()
-    return above, left, above_f, left_f
+    sm = line.copy()
+    sm[..., 1:-1] = (line[..., :-2] + 2 * line[..., 1:-1] + line[..., 2:] + 2) >> 2
+    refs = np.concatenate([line, sm], axis=-1)[..., _REF_ORDER]
+    return refs[..., :_REF], refs[..., _REF : 2 * _REF], refs[..., 2 * _REF : 3 * _REF], refs[..., 3 * _REF :]
 
 
-def _predict_planar(above, left):
-    t = above[1 : N + 1]
-    l = left[1 : N + 1]
-    tr = above[N + 1]
-    bl = left[N + 1]
-    x = np.arange(N, dtype=np.int32)
-    y = np.arange(N, dtype=np.int32).reshape(-1, 1)
-    horiz = (N - 1 - x) * l.reshape(-1, 1) + (x + 1) * tr
-    vert = (N - 1 - y) * t + (y + 1) * bl
-    return (horiz + vert + N) >> (_LOG2N + 1)
-
-
-def _predict_dc(above, left):
-    t = above[1 : N + 1]
-    l = left[1 : N + 1]
-    dc = (int(t.sum()) + int(l.sum()) + N) >> (_LOG2N + 1)
-    pred = np.full((N, N), dc, dtype=np.int32)
-    # Luma edge filtering for block sizes below 32.
-    pred[0, 1:] = (t[1:] + 3 * dc + 2) >> 2
-    pred[1:, 0] = (l[1:] + 3 * dc + 2) >> 2
-    pred[0, 0] = (l[0] + 2 * dc + t[0] + 2) >> 2
-    return pred
-
-
-def _angular_ref(main, side, angle):
-    """Extended main reference indexed ref[x+N] for x in [-N, 2N]."""
-    ref = np.zeros(3 * N + 1, dtype=np.int32)
-    ref[N : 3 * N + 1] = main  # main[0] = corner at x = 0
+def _angular_taps(mode):
+    """Reference-vector index of each extended main-reference entry
+    ref[x + N], x in [-N, 2N], for one angular mode (-1 where unused)."""
+    angle = _mode_angle(mode)
+    smooth = smoothing_enabled(mode)
+    main, side = (_ABOVE, _LEFT) if mode >= 18 else (_LEFT, _ABOVE)
+    if smooth:
+        main, side = main + 2 * _REF, side + 2 * _REF
+    taps = np.full(3 * N + 1, -1, dtype=np.intp)
+    taps[N:] = main + np.arange(2 * N + 1)  # main[0] = corner at x = 0
     if angle < 0:
         inv = _INV_ANGLES[angle]
-        lower = (N * angle) >> 5
-        for x in range(-1, lower - 1, -1):
-            ref[x + N] = side[(x * inv + 128) >> 8]
-    return ref
+        for x in range(-1, ((N * angle) >> 5) - 1, -1):
+            taps[x + N] = side + ((x * inv + 128) >> 8)
+    return taps
 
 
-def _predict_angular_core(main, side, angle):
-    """Prediction in main-direction coordinates; rows step along the angle."""
-    ref = _angular_ref(main, side, angle)
-    pred = np.zeros((N, N), dtype=np.int32)
-    x = np.arange(N, dtype=np.int32)
-    for y in range(N):
-        pos = (y + 1) * angle
-        idx = pos >> 5
-        fact = pos & 31
-        base = x + idx + 1 + N
-        if fact:
-            pred[y] = (ref[base] * (32 - fact) + ref[base + 1] * fact + 16) >> 5
-        else:
-            pred[y] = ref[base]
-    return pred
-
-
-def _build_tables():
-    """Gather tables for the batched all-mode predictor.
-
-    For each angular mode m (2..34) and pixel (y, x) in main-direction
-    coordinates, the prediction is a 1/32-pel interpolation between two
-    entries of an extended reference line.  All indices and weights depend
-    only on the mode, so they are precomputed once.
-    """
-    n_ang = N_MODES - 2
-    main_src = np.zeros(n_ang, dtype=np.intp)
-    side_src = np.zeros(n_ang, dtype=np.intp)
-    idx0 = np.zeros((n_ang, N, N), dtype=np.intp)
-    idx1 = np.zeros((n_ang, N, N), dtype=np.intp)
-    fact = np.zeros((n_ang, N, 1), dtype=np.int32)
-    neg_idx = np.zeros((n_ang, N), dtype=np.intp)
-    neg_mask = np.zeros((n_ang, N), dtype=bool)
-    x = np.arange(N, dtype=np.intp)
+def _build_weights():
+    """Integer weights (35, 64, 68), rounding offsets and shifts (35, 1)."""
+    w = np.zeros((N_MODES, N, N, 4 * _REF), dtype=np.int64)
+    shift = np.full((N_MODES, 1), 5, dtype=np.int32)
+    y = np.arange(N).reshape(-1, 1)
+    x = np.arange(N)
+    # Planar on the smoothed references.
+    for yy in range(N):
+        for xx in range(N):
+            pw = w[0, yy, xx]
+            pw[_LEFT_F + 1 + yy] += N - 1 - xx
+            pw[_ABOVE_F + N + 1] += xx + 1
+            pw[_ABOVE_F + 1 + xx] += N - 1 - yy
+            pw[_LEFT_F + N + 1] += yy + 1
+    shift[0] = _LOG2N + 1
+    # DC interior value; the edge samples are fixed up afterwards.
+    w[1, :, :, _ABOVE + 1 : _ABOVE + N + 1] = 1
+    w[1, :, :, _LEFT + 1 : _LEFT + N + 1] = 1
+    shift[1] = _LOG2N + 1
+    # Angular: two-tap 1/32-pel interpolation along the extended reference,
+    # rows stepping along the angle in main-direction coordinates.
     for mode in range(2, N_MODES):
-        m = mode - 2
-        angle = _mode_angle(mode)
-        smooth = smoothing_enabled(mode)
-        above_main = mode >= 18
-        # source order in the stacked array: above, left, above_f, left_f
-        main_src[m] = (0 if above_main else 1) + (2 if smooth else 0)
-        side_src[m] = (1 if above_main else 0) + (2 if smooth else 0)
-        for y in range(N):
-            pos = (y + 1) * angle
-            fact[m, y, 0] = pos & 31
-            idx0[m, y] = x + (pos >> 5) + 1 + N
-        idx1[m] = idx0[m] + (fact[m] != 0).reshape(N, 1)
-        if angle < 0:
-            inv = _INV_ANGLES[angle]
-            lower = (N * angle) >> 5
-            for xx in range(-1, lower - 1, -1):
-                neg_idx[m, xx + N] = (xx * inv + 128) >> 8
-                neg_mask[m, xx + N] = True
-    return main_src, side_src, idx0, idx1, fact, neg_idx, neg_mask
+        taps = _angular_taps(mode)
+        pos = (y + 1) * _mode_angle(mode)
+        fact = pos & 31
+        base = x + (pos >> 5) + 1 + N
+        core = np.zeros((N, N, 4 * _REF), dtype=np.int64)
+        for yy in range(N):
+            for xx in range(N):
+                core[yy, xx, taps[base[yy, xx]]] += 32 - fact[yy, 0]
+                if fact[yy, 0]:
+                    core[yy, xx, taps[base[yy, xx] + 1]] += fact[yy, 0]
+        w[mode] = core if mode >= 18 else core.transpose(1, 0, 2)
+    return w.reshape(N_MODES, N * N, 4 * _REF), (1 << shift) >> 1, shift
 
 
-_MAIN_SRC, _SIDE_SRC, _IDX0, _IDX1, _FACT, _NEG_IDX, _NEG_MASK = _build_tables()
-_REF_LEN = 3 * N + 1
-_ROW_OFFS = (np.arange(N_MODES - 2, dtype=np.intp) * _REF_LEN).reshape(-1, 1, 1)
+_WEIGHTS, _ROUND, _SHIFT = _build_weights()
+# Every product and sum is an integer below 2**24, so a float64 matmul is exact.
+_WEIGHTS_T = np.ascontiguousarray(_WEIGHTS.reshape(-1, 4 * _REF).T, dtype=np.float64)
+
+
+def _dc_edges(pred, above, left):
+    dc = pred[..., 1, 1:2].copy()
+    t = above[..., 1 : N + 1]
+    l = left[..., 1 : N + 1]
+    pred[..., 0, 1:] = (t[..., 1:] + 3 * dc + 2) >> 2
+    pred[..., 1:, 0] = (l[..., 1:] + 3 * dc + 2) >> 2
+    pred[..., 0, 0] = (l[..., 0] + 2 * dc[..., 0] + t[..., 0] + 2) >> 2
+
+
+def _horizontal_edge(pred, above, left):
+    row = left[..., 1:2] + ((above[..., 1 : N + 1] - above[..., :1]) >> 1)
+    pred[..., 0, :] = np.clip(row, 0, 255)
+
+
+def _vertical_edge(pred, above, left):
+    col = above[..., 1:2] + ((left[..., 1 : N + 1] - above[..., :1]) >> 1)
+    pred[..., :, 0] = np.clip(col, 0, 255)
+
+
+_EDGE_FIXUPS = {1: _dc_edges, 10: _horizontal_edge, 26: _vertical_edge}
+
+
+def _apply_table(refs, modes):
+    """Table rows of `modes` (a slice) applied to the stacked references."""
+    above, left = (np.asarray(r, dtype=np.int32) for r in refs[:2])
+    stacked = np.concatenate(refs, axis=-1).astype(np.float64)
+    cols = slice(modes.start * N * N, modes.stop * N * N)
+    acc = (stacked @ _WEIGHTS_T[:, cols]).astype(np.int32)
+    acc = acc.reshape(acc.shape[:-1] + (-1, N * N))
+    preds = ((acc + _ROUND[modes]) >> _SHIFT[modes]).reshape(acc.shape[:-1] + (N, N))
+    for mode, fix in _EDGE_FIXUPS.items():
+        if modes.start <= mode < modes.stop:
+            fix(preds[..., mode - modes.start, :, :], above, left)
+    return preds
 
 
 def predict_all_modes(above, left, above_f, left_f):
     """All 35 predictions at once as a (35, 8, 8) int32 array.
 
-    Bit-identical to calling predict_block per mode; used by the encoder's
-    candidate search.
+    The reference arrays may carry leading batch axes, as build_references
+    returns them for arrays of positions; the result then has the same
+    leading axes.  Used by the encoder's candidate search.
     """
-    preds = np.empty((N_MODES, N, N), dtype=np.int32)
-    preds[0] = _predict_planar(above_f, left_f)
-    preds[1] = _predict_dc(above, left)
-    sources = np.stack([above, left, above_f, left_f]).astype(np.int32)
-    refs = np.zeros((N_MODES - 2, _REF_LEN), dtype=np.int32)
-    refs[:, N:] = sources[_MAIN_SRC]
-    neg = sources[_SIDE_SRC[:, None], _NEG_IDX]
-    refs[:, :N][_NEG_MASK] = neg[_NEG_MASK]
-    flat = refs.ravel()
-    g0 = flat[_ROW_OFFS + _IDX0]
-    g1 = flat[_ROW_OFFS + _IDX1]
-    p = (g0 * (32 - _FACT) + g1 * _FACT + 16) >> 5
-    p[:16] = p[:16].transpose(0, 2, 1)  # horizontal modes 2..17
-    preds[2:] = p
-    preds[10, 0, :] = np.clip(left[1] + ((above[1 : N + 1] - above[0]) >> 1), 0, 255)
-    preds[26, :, 0] = np.clip(above[1] + ((left[1 : N + 1] - above[0]) >> 1), 0, 255)
-    return preds
+    return _apply_table((above, left, above_f, left_f), slice(0, N_MODES))
 
 
 def predict_block(above, left, above_f, left_f, mode):
-    """Predict one 8x8 block in [0, 255].  Reference arrays as produced by
+    """Predict one 8x8 block in [0, 255]: the one-mode row set of the table
+    predict_all_modes applies.  Reference arrays as produced by
     build_references."""
     if not 0 <= mode < N_MODES:
         raise InvalidInputError(f"intra mode {mode} out of range")
-    if mode == 0:
-        return _predict_planar(above_f, left_f).astype(np.int32)
-    if mode == 1:
-        return _predict_dc(above, left)
-    smooth = smoothing_enabled(mode)
-    a = above_f if smooth else above
-    l = left_f if smooth else left
-    angle = _mode_angle(mode)
-    if mode >= 18:
-        pred = _predict_angular_core(a, l, angle)
-        if mode == 26:
-            col = above[1] + ((left[1 : N + 1] - above[0]) >> 1)
-            pred[:, 0] = np.clip(col, 0, 255)
-    else:
-        pred = _predict_angular_core(l, a, angle).T
-        if mode == 10:
-            row = left[1] + ((above[1 : N + 1] - above[0]) >> 1)
-            pred[0, :] = np.clip(row, 0, 255)
-    return pred
+    return _apply_table((above, left, above_f, left_f), slice(mode, mode + 1))[..., 0, :, :]

@@ -21,6 +21,11 @@ BANK_MAGIC = b"SBNK"
 KERNEL_MAGIC = b"SKRN"
 BANK_VERSION = 1
 
+# Bank header after the magic: version, kernel count, meta length.
+_BANK_HEADER = struct.Struct("<III")
+# Kernel record header after the magic: kind code, decimal digits, group length.
+_KERNEL_HEADER = struct.Struct("<BhB")
+
 _KIND_CODES = {"dct": 0, "klt": 1, "saab1": 2}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
@@ -30,9 +35,7 @@ def kernel_to_bytes(kernel):
         raise InvalidInputError(f"cannot serialize kernel kind {kernel.kind!r}")
     group = tuple(kernel.trained_mode_group)
     digits = -1 if kernel.decimal_digits is None else kernel.decimal_digits
-    head = KERNEL_MAGIC + struct.pack(
-        "<BhB", _KIND_CODES[kernel.kind], digits, len(group)
-    )
+    head = KERNEL_MAGIC + _KERNEL_HEADER.pack(_KIND_CODES[kernel.kind], digits, len(group))
     head += bytes(group)
     body = kernel.matrix.astype("<f8").tobytes() + kernel.bias.astype("<f8").tobytes()
     return head + body
@@ -41,8 +44,8 @@ def kernel_to_bytes(kernel):
 def kernel_from_bytes(buf, offset=0):
     if buf[offset : offset + 4] != KERNEL_MAGIC:
         raise InvalidInputError("bad kernel record magic")
-    kind_code, digits, group_len = struct.unpack_from("<BhB", buf, offset + 4)
-    offset += 8
+    kind_code, digits, group_len = _KERNEL_HEADER.unpack_from(buf, offset + 4)
+    offset += 4 + _KERNEL_HEADER.size
     group = tuple(buf[offset : offset + group_len])
     offset += group_len
     matrix = np.frombuffer(buf, dtype="<f8", count=VEC_LEN * VEC_LEN, offset=offset)
@@ -75,7 +78,7 @@ class KernelBank:
         meta["apply_map"] = list(self.table.apply_map)
         meta["train_groups"] = [sorted(g) for g in self.table.train_groups]
         meta_bytes = json.dumps(meta, sort_keys=True).encode()
-        out = BANK_MAGIC + struct.pack("<III", BANK_VERSION, len(self.kernels), len(meta_bytes))
+        out = BANK_MAGIC + _BANK_HEADER.pack(BANK_VERSION, len(self.kernels), len(meta_bytes))
         out += meta_bytes
         for kernel in self.kernels:
             out += kernel_to_bytes(kernel)
@@ -85,10 +88,10 @@ class KernelBank:
     def from_bytes(cls, buf):
         if buf[:4] != BANK_MAGIC:
             raise InvalidInputError("not a kernel bank file")
-        version, count, meta_len = struct.unpack_from("<III", buf, 4)
+        version, count, meta_len = _BANK_HEADER.unpack_from(buf, 4)
         if version != BANK_VERSION:
             raise InvalidInputError(f"unsupported bank version {version}")
-        offset = 16
+        offset = 4 + _BANK_HEADER.size
         meta = json.loads(buf[offset : offset + meta_len].decode())
         offset += meta_len
         kernels = []

@@ -102,17 +102,20 @@ def _jacobi_sweeps(a, tol_factor=1e-12, max_sweeps=100):
     return np.diag(a).copy(), v
 
 
+def apply_sign_convention(rows):
+    """Copy of `rows` with each row negated where needed so that its first
+    entry with |entry| > 1e-12 is positive."""
+    rows = np.array(rows, dtype=np.float64)
+    big = np.abs(rows) > _SIGN_EPS
+    lead = rows[np.arange(rows.shape[0]), np.argmax(big, axis=1)]
+    rows[big.any(axis=1) & (lead < 0.0)] *= -1.0
+    return rows
+
+
 def _order_and_sign(values, vectors_cols):
     """Sort eigenpairs descending (stable on ties) and fix vector signs."""
     order = np.argsort(-values, kind="stable")
-    values = values[order]
-    rows = vectors_cols.T[order].copy()
-    for k in range(rows.shape[0]):
-        row = rows[k]
-        nz = np.nonzero(np.abs(row) > _SIGN_EPS)[0]
-        if nz.size and row[nz[0]] < 0.0:
-            rows[k] = -row
-    return values, rows
+    return values[order], apply_sign_convention(vectors_cols.T[order])
 
 
 def eig_symmetric(m):

@@ -32,9 +32,6 @@ class ModeGroupTable:
     def kernel_for_mode(self, mode):
         return self.apply_map[mode]
 
-    def modes_for_kernel(self, kernel_index):
-        return self.train_groups[kernel_index]
-
 
 _APPLY_MAP = {
     0: 0, 1: 1,

@@ -20,6 +20,7 @@ from .errors import InsufficientDataError, InvalidInputError
 from .linalg import (
     BLOCK_SIZE,
     VEC_LEN,
+    apply_sign_convention,
     covariance,
     dc_complement_basis,
     eig_symmetric,
@@ -63,10 +64,6 @@ class SaabKernel:
         return np.max(np.abs(g - np.eye(self.matrix.shape[0])))
 
 
-def dct_kernel():
-    return SaabKernel(matrix=DCT_64.copy(), bias=np.zeros(VEC_LEN), kind=KIND_DCT)
-
-
 def _as_sample_matrix(samples):
     """Stack ResidualBlocks (or 64-vectors) into a (T, 64) float array."""
     rows = []
@@ -81,15 +78,6 @@ def _as_sample_matrix(samples):
     if not np.all(np.isfinite(d)):
         raise InvalidInputError("non-finite sample values")
     return d
-
-
-def _apply_sign_convention(rows, eps=1e-12):
-    rows = rows.copy()
-    for k in range(rows.shape[0]):
-        nz = np.nonzero(np.abs(rows[k]) > eps)[0]
-        if nz.size and rows[k][nz[0]] < 0.0:
-            rows[k] = -rows[k]
-    return rows
 
 
 def _learn_one_stage(d):
@@ -108,7 +96,7 @@ def _learn_one_stage(d):
     basis = dc_complement_basis(k)
     c_sub = basis @ covariance(z) @ basis.T
     eig = eig_symmetric(c_sub)
-    ac_rows = _apply_sign_convention(eig.eigenvectors @ basis)
+    ac_rows = apply_sign_convention(eig.eigenvectors @ basis)
     matrix = np.vstack([a0, ac_rows])
     bias = np.full(k, bias_value)
     bias[0] = 0.0

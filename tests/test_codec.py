@@ -135,3 +135,32 @@ def test_reconstruction_in_range(tiny_bank, tiny_clip):
     decoded, _ = codec.decode_sequence(stream, tiny_bank)
     for p in decoded:
         assert p.min() >= 0 and p.max() <= 255
+
+
+@pytest.mark.parametrize("qp", [-1, 52, 255, 256, 22.0, True])
+def test_bad_qp_rejected(qp, tiny_clip):
+    with pytest.raises(InvalidInputError):
+        codec.encode_sequence(tiny_clip, qp, codec.StrategyConfig("dct_only"))
+
+
+@pytest.mark.parametrize("code", [4, 255])
+def test_bad_strategy_code_rejected(code, tiny_clip):
+    stream, _ = codec.encode_sequence(tiny_clip[:1], 37, codec.StrategyConfig("dct_only"))
+    bad = stream[:5] + bytes([code]) + stream[6:]
+    with pytest.raises(BitstreamError):
+        codec.decode_sequence(bad)
+    with pytest.raises(BitstreamError):
+        codec.stream_info(bad)
+
+
+def test_residuals_kept_only_when_collected(tiny_clip):
+    cfg = codec.StrategyConfig("dct_only")
+    _, stats = codec.encode_sequence(tiny_clip, 37, cfg)
+    assert all(b.residual is None for s in stats for b in s.blocks)
+    collected = []
+    _, stats = codec.encode_sequence(tiny_clip, 37, cfg, collect_residuals=collected)
+    blocks = [b for s in stats for b in s.blocks]
+    assert len(collected) == len(blocks)
+    for entry, block in zip(collected, blocks):
+        assert entry["residual"] is block.residual
+        assert block.residual.dtype == np.int16 and block.residual.shape == (8, 8)
