@@ -70,7 +70,9 @@ def quantize(coeffs, q_step, deadzone=1.0 / 3.0):
     if q_step <= 0:
         raise InvalidInputError("q_step must be positive")
     y = np.asarray(coeffs, dtype=np.float64)
-    return np.copysign(np.floor(np.abs(y) / q_step + deadzone), y).astype(np.int64)
+    mag = np.abs(y) / q_step + deadzone
+    np.floor(mag, out=mag)
+    return np.copysign(mag, y, out=mag).astype(np.int64)
 
 
 def dequantize(levels, q_step):
@@ -127,7 +129,8 @@ def level_bit_cost(levels_scan):
     """
     arr = np.asarray(levels_scan)
     single = arr.ndim == 1
-    exp = np.frexp(np.abs(np.atleast_2d(arr)).astype(np.float64))[1]
+    mag = np.abs(np.atleast_2d(arr)).astype(np.float64)
+    exp = np.frexp(mag, out=(mag, None))[1]
     last_1 = np.max((exp > 0) * _POSITIONS_1, axis=1)  # last position + 1, 0 if none
     cost = np.where(last_1 > 0, 6 + last_1 + 2 * exp.sum(axis=1), 1)
     return int(cost[0]) if single else cost
@@ -231,8 +234,13 @@ def _candidate_costs(res, preds, orig, q, lam, matrices, allowed, head_bits):
         lv = quantize(res @ matrices.transpose(0, 2, 1), q)
         xhat = dequantize(lv, q) @ matrices
     bits = head_bits[:, None] + level_bit_cost(lv.reshape(-1, VEC_LEN)).reshape(lv.shape[:2])
-    rec = np.clip(np.rint(preds + xhat), 0, 255)
-    sse = np.sum((orig - rec) ** 2, axis=-1)
+    # Reconstruction error, in place: the candidate arrays dominate memory.
+    err = xhat
+    err += preds
+    np.rint(err, out=err)
+    np.clip(err, 0, 255, out=err)
+    err -= orig
+    sse = np.sum(np.square(err, out=err), axis=-1)
     j = np.where(allowed[:, None], sse + lam * bits, np.inf)
     return lv, bits, j
 
@@ -241,7 +249,7 @@ def encode_block(original, recon, pos, qp, cfg, keep_residuals=False):
     """RD-optimal mode and transform choice for a batch of blocks.
 
     `original` and `recon` are (frames, h, w) stacks of source planes and
-    reconstruction surfaces, the latter with every block the batch
+    uint8 reconstruction surfaces, the latter with every block the batch
     references already filled; `pos` holds (frame, bx, by) index arrays of
     at most BATCH_BLOCKS blocks that do not reference each other.  Returns
     (list of CodedBlock, (n, 8, 8) reconstructions, list of BlockRecord);
@@ -254,7 +262,7 @@ def encode_block(original, recon, pos, qp, cfg, keep_residuals=False):
     preds = predict_all_modes(*refs).reshape(len(bx), N_MODES, VEC_LEN)
     rows = (by * BLOCK)[:, None, None] + np.arange(BLOCK)[:, None]
     cols = (bx * BLOCK)[:, None, None] + np.arange(BLOCK)
-    orig = original[frame[:, None, None], rows, cols].reshape(len(bx), VEC_LEN)
+    orig = original[frame[:, None, None], rows, cols].reshape(len(bx), VEC_LEN).astype(np.int32)
 
     # Candidate arrays are (modes, blocks, 64): mode-major rows.
     preds_m = preds.transpose(1, 0, 2)
@@ -312,7 +320,7 @@ def encode_block(original, recon, pos, qp, cfg, keep_residuals=False):
                 j_chosen=float(j_all[i, b]),
                 j_dct=float(j_dct[mode, i]) if cfg.dct_ok[mode] else math.inf,
                 residual=(
-                    (orig[i] - preds[i, mode]).astype(np.int16).reshape(BLOCK, BLOCK)
+                    (orig[i] - preds[i, mode]).reshape(BLOCK, BLOCK).astype(np.int16)
                     if keep_residuals
                     else None
                 ),
@@ -374,8 +382,8 @@ def encode_sequence(planes, qp, cfg, collect_residuals=None, source_id=0, recon_
     if any(plane.shape != (h, w) for plane in planes):
         raise InvalidInputError("all frames must share dimensions")
     blocks_w, blocks_h = w // BLOCK, h // BLOCK
-    original = np.stack(planes).astype(np.int32)
-    recon = np.zeros_like(original)
+    original = np.stack(planes)
+    recon = np.zeros(original.shape, dtype=np.uint8)
     coded = np.empty((len(planes), blocks_h, blocks_w), dtype=object)
     records = np.empty_like(coded)
     keep_residuals = collect_residuals is not None
@@ -424,7 +432,7 @@ def encode_sequence(planes, qp, cfg, collect_residuals=None, source_id=0, recon_
         )
         stats_list.append(stats)
         if recon_out is not None:
-            recon_out.append(recon[frame_index].astype(np.uint8))
+            recon_out.append(recon[frame_index])
     header = _HEADER.pack(
         STREAM_MAGIC,
         STREAM_VERSION,
@@ -451,23 +459,21 @@ def decode_sequence(data, bank=None):
     Returns (planes, DecodeStats).  Raises BitstreamError on truncation and
     InvalidInputError when the embedded kernel-bank digest does not match.
     """
-    if len(data) < _HEADER.size or data[:4] != STREAM_MAGIC:
-        raise BitstreamError("not a saabcodec bitstream")
-    magic, version, strategy_code, qp, _, w, h, n_frames, digest = _HEADER.unpack_from(data)
-    if version != STREAM_VERSION:
-        raise BitstreamError(f"unsupported stream version {version}")
-    strategy = _strategy_from_code(strategy_code)
+    info = stream_info(data)
+    if info["version"] != STREAM_VERSION:
+        raise BitstreamError(f"unsupported stream version {info['version']}")
+    strategy, qp, w, h = info["strategy"], info["qp"], info["width"], info["height"]
     if strategy != "dct_only":
         if bank is None:
             raise InvalidInputError("stream requires a kernel bank")
-        if bank.digest() != digest:
+        if bank.digest().hex() != info["digest"]:
             raise InvalidInputError("kernel bank digest mismatch")
     cfg = StrategyConfig(strategy, bank if strategy != "dct_only" else None)
     q = qp_to_qstep(qp)
     br = BitReader(data[_HEADER.size :])
     planes = []
     dstats = DecodeStats()
-    for _ in range(n_frames):
+    for _ in range(info["frames"]):
         recon = np.zeros((h, w), dtype=np.int32)
         for by in range(h // BLOCK):
             for bx in range(w // BLOCK):
@@ -494,20 +500,22 @@ def decode_sequence(data, bank=None):
     return planes, dstats
 
 
-def _strategy_from_code(code):
-    if code >= len(STRATEGIES):
-        raise BitstreamError(f"unknown strategy code {code}")
-    return STRATEGIES[code]
-
-
 def stream_info(data):
-    """Parse the header of a bitstream without decoding the payload."""
+    """Parse the header of a bitstream without decoding the payload.
+
+    Raises BitstreamError when the data is not a saabcodec stream or names
+    a strategy or QP the codec does not have.
+    """
     if len(data) < _HEADER.size or data[:4] != STREAM_MAGIC:
         raise BitstreamError("not a saabcodec bitstream")
     magic, version, strategy_code, qp, _, w, h, n_frames, digest = _HEADER.unpack_from(data)
+    if strategy_code >= len(STRATEGIES):
+        raise BitstreamError(f"unknown strategy code {strategy_code}")
+    if qp > MAX_QP:
+        raise BitstreamError(f"QP {qp} out of range")
     return {
         "version": version,
-        "strategy": _strategy_from_code(strategy_code),
+        "strategy": STRATEGIES[strategy_code],
         "qp": qp,
         "width": w,
         "height": h,

@@ -154,44 +154,45 @@ def _angular_taps(mode):
 
 
 def _build_weights():
-    """Integer weights (35, 64, 68), rounding offsets and shifts (35, 1)."""
-    w = np.zeros((N_MODES, N, N, 4 * _REF), dtype=np.int64)
+    """Weights (68, 35 * 64): column mode * 64 + pixel holds that prediction
+    sample's integer weights on the 68 stacked reference samples; plus
+    per-mode rounding offsets and shifts (35, 1).
+
+    Every product and sum is an integer below 2**24, so applying the table
+    as a float64 matmul is exact.
+    """
+    w = np.zeros((4 * _REF, N_MODES, N, N))
     shift = np.full((N_MODES, 1), 5, dtype=np.int32)
-    y = np.arange(N).reshape(-1, 1)
-    x = np.arange(N)
     # Planar on the smoothed references.
-    for yy in range(N):
-        for xx in range(N):
-            pw = w[0, yy, xx]
-            pw[_LEFT_F + 1 + yy] += N - 1 - xx
-            pw[_ABOVE_F + N + 1] += xx + 1
-            pw[_ABOVE_F + 1 + xx] += N - 1 - yy
-            pw[_LEFT_F + N + 1] += yy + 1
+    for y in range(N):
+        for x in range(N):
+            w[_LEFT_F + 1 + y, 0, y, x] += N - 1 - x
+            w[_ABOVE_F + N + 1, 0, y, x] += x + 1
+            w[_ABOVE_F + 1 + x, 0, y, x] += N - 1 - y
+            w[_LEFT_F + N + 1, 0, y, x] += y + 1
     shift[0] = _LOG2N + 1
     # DC interior value; the edge samples are fixed up afterwards.
-    w[1, :, :, _ABOVE + 1 : _ABOVE + N + 1] = 1
-    w[1, :, :, _LEFT + 1 : _LEFT + N + 1] = 1
+    w[_ABOVE + 1 : _ABOVE + N + 1, 1] = 1
+    w[_LEFT + 1 : _LEFT + N + 1, 1] = 1
     shift[1] = _LOG2N + 1
     # Angular: two-tap 1/32-pel interpolation along the extended reference,
-    # rows stepping along the angle in main-direction coordinates.
+    # rows stepping along the angle in main-direction coordinates, which are
+    # transposed for the horizontal modes 2..17.
     for mode in range(2, N_MODES):
         taps = _angular_taps(mode)
-        pos = (y + 1) * _mode_angle(mode)
-        fact = pos & 31
-        base = x + (pos >> 5) + 1 + N
-        core = np.zeros((N, N, 4 * _REF), dtype=np.int64)
-        for yy in range(N):
-            for xx in range(N):
-                core[yy, xx, taps[base[yy, xx]]] += 32 - fact[yy, 0]
-                if fact[yy, 0]:
-                    core[yy, xx, taps[base[yy, xx] + 1]] += fact[yy, 0]
-        w[mode] = core if mode >= 18 else core.transpose(1, 0, 2)
-    return w.reshape(N_MODES, N * N, 4 * _REF), (1 << shift) >> 1, shift
+        for y in range(N):
+            pos = (y + 1) * _mode_angle(mode)
+            fact = pos & 31
+            for x in range(N):
+                pixel = (mode, y, x) if mode >= 18 else (mode, x, y)
+                base = x + (pos >> 5) + 1 + N
+                w[(taps[base],) + pixel] += 32 - fact
+                if fact:
+                    w[(taps[base + 1],) + pixel] += fact
+    return w.reshape(4 * _REF, -1), (1 << shift) >> 1, shift
 
 
 _WEIGHTS, _ROUND, _SHIFT = _build_weights()
-# Every product and sum is an integer below 2**24, so a float64 matmul is exact.
-_WEIGHTS_T = np.ascontiguousarray(_WEIGHTS.reshape(-1, 4 * _REF).T, dtype=np.float64)
 
 
 def _dc_edges(pred, above, left):
@@ -221,7 +222,7 @@ def _apply_table(refs, modes):
     above, left = (np.asarray(r, dtype=np.int32) for r in refs[:2])
     stacked = np.concatenate(refs, axis=-1).astype(np.float64)
     cols = slice(modes.start * N * N, modes.stop * N * N)
-    acc = (stacked @ _WEIGHTS_T[:, cols]).astype(np.int32)
+    acc = (stacked @ _WEIGHTS[:, cols]).astype(np.int32)
     acc = acc.reshape(acc.shape[:-1] + (-1, N * N))
     preds = ((acc + _ROUND[modes]) >> _SHIFT[modes]).reshape(acc.shape[:-1] + (N, N))
     for mode, fix in _EDGE_FIXUPS.items():
