@@ -251,9 +251,9 @@ def encode_block(original, recon, pos, qp, cfg, keep_residuals=False):
     `original` and `recon` are (frames, h, w) stacks of source planes and
     uint8 reconstruction surfaces, the latter with every block the batch
     references already filled; `pos` holds (frame, bx, by) index arrays of
-    at most BATCH_BLOCKS blocks that do not reference each other.  Returns
-    (list of CodedBlock, (n, 8, 8) reconstructions, list of BlockRecord);
-    the caller stores the reconstructions and serializes the CodedBlocks.
+    at most BATCH_BLOCKS blocks that do not reference each other.  Stores
+    each block's reconstruction in `recon` and returns one (CodedBlock,
+    BlockRecord) pair per block; the caller serializes the CodedBlocks.
     BlockRecord.residual is filled only when `keep_residuals` is set.
     """
     frame, bx, by = pos
@@ -287,46 +287,36 @@ def encode_block(original, recon, pos, qp, cfg, keep_residuals=False):
     j_all = np.concatenate([j_dct, j_saab]).T
     best = np.argmin(j_all, axis=1)
 
-    coded_list, recs, records = [], np.empty((len(bx), BLOCK, BLOCK), dtype=np.int32), []
+    blocks = []
     for i, b in enumerate(best.tolist()):
         uses_saab = b >= N_MODES
         mode = b % N_MODES
-        if uses_saab:
-            levels = lv_saab[mode, i].copy()
-            bits = int(bits_saab[mode, i])
-            kernel_matrix = cfg.saab_matrices[mode]
-        else:
-            levels = lv_dct[mode, i].copy()
-            bits = int(bits_dct[mode, i])
-            kernel_matrix = None
+        lv, bits = (lv_saab, bits_saab) if uses_saab else (lv_dct, bits_dct)
+        levels = lv[mode, i].copy()
+        kernel_matrix = cfg.saab_matrices[mode] if uses_saab else None
         rec = _reconstruct_block(preds[i, mode], levels, uses_saab, kernel_matrix, q)
-        recs[i] = rec.reshape(BLOCK, BLOCK)
-        coded_list.append(
-            CodedBlock(
-                mode=mode,
-                transform_flag=(1 if uses_saab else 0) if cfg.flag_present(mode) else None,
-                levels=levels,
-                uses_saab=uses_saab,
-            )
+        y0, x0 = by[i] * BLOCK, bx[i] * BLOCK
+        recon[frame[i], y0 : y0 + BLOCK, x0 : x0 + BLOCK] = rec.reshape(BLOCK, BLOCK)
+        coded = CodedBlock(
+            mode=mode,
+            transform_flag=(1 if uses_saab else 0) if cfg.flag_present(mode) else None,
+            levels=levels,
+            uses_saab=uses_saab,
         )
         # j_chosen and j_dct (the DCT candidate of the same mode, same pass)
         # are exposed for dominance checks.
-        records.append(
-            BlockRecord(
-                mode=mode,
-                transform="saab" if uses_saab else "dct",
-                bits=bits,
-                sse=float(np.sum((orig[i] - rec) ** 2)),
-                j_chosen=float(j_all[i, b]),
-                j_dct=float(j_dct[mode, i]) if cfg.dct_ok[mode] else math.inf,
-                residual=(
-                    (orig[i] - preds[i, mode]).reshape(BLOCK, BLOCK).astype(np.int16)
-                    if keep_residuals
-                    else None
-                ),
-            )
+        record = BlockRecord(
+            mode=mode,
+            transform="saab" if uses_saab else "dct",
+            bits=int(bits[mode, i]),
+            sse=float(np.sum((orig[i] - rec) ** 2)),
+            j_chosen=float(j_all[i, b]),
+            j_dct=float(j_dct[mode, i]) if cfg.dct_ok[mode] else math.inf,
         )
-    return coded_list, recs, records
+        if keep_residuals:
+            record.residual = (orig[i] - preds[i, mode]).reshape(BLOCK, BLOCK).astype(np.int16)
+        blocks.append((coded, record))
+    return blocks
 
 
 def _write_coded_block(bw, coded):
@@ -334,11 +324,6 @@ def _write_coded_block(bw, coded):
     if coded.transform_flag is not None:
         bw.write_bit(coded.transform_flag)
     encode_levels(bw, coded.levels)
-
-
-def _check_qp(qp):
-    if isinstance(qp, bool) or not isinstance(qp, (int, np.integer)) or not 0 <= qp <= MAX_QP:
-        raise InvalidInputError(f"QP must be an integer in 0..{MAX_QP}, got {qp!r}")
 
 
 def _wavefront_batches(n_frames, blocks_w, blocks_h):
@@ -375,7 +360,8 @@ def encode_sequence(planes, qp, cfg, collect_residuals=None, source_id=0, recon_
     """
     if not planes:
         raise InvalidInputError("no frames to encode")
-    _check_qp(qp)
+    if isinstance(qp, bool) or not isinstance(qp, (int, np.integer)) or not 0 <= qp <= MAX_QP:
+        raise InvalidInputError(f"QP must be an integer in 0..{MAX_QP}, got {qp!r}")
     h, w = planes[0].shape
     if h % BLOCK or w % BLOCK:
         raise InvalidInputError("plane dimensions must be multiples of 8")
@@ -384,17 +370,11 @@ def encode_sequence(planes, qp, cfg, collect_residuals=None, source_id=0, recon_
     blocks_w, blocks_h = w // BLOCK, h // BLOCK
     original = np.stack(planes)
     recon = np.zeros(original.shape, dtype=np.uint8)
-    coded = np.empty((len(planes), blocks_h, blocks_w), dtype=object)
-    records = np.empty_like(coded)
     keep_residuals = collect_residuals is not None
+    blocks = {}  # (frame, bx, by) -> (CodedBlock, BlockRecord)
     for pos in _wavefront_batches(len(planes), blocks_w, blocks_h):
-        coded_list, recs, record_list = encode_block(
-            original, recon, pos, qp, cfg, keep_residuals
-        )
-        for f, bx, by, c, rec, record in zip(*pos, coded_list, recs, record_list):
-            recon[f, by * BLOCK : (by + 1) * BLOCK, bx * BLOCK : (bx + 1) * BLOCK] = rec
-            coded[f, by, bx] = c
-            records[f, by, bx] = record
+        coded = encode_block(original, recon, pos, qp, cfg, keep_residuals)
+        blocks.update(zip(zip(*(p.tolist() for p in pos)), coded))
 
     bw = BitWriter()
     stats_list = []
@@ -402,8 +382,7 @@ def encode_sequence(planes, qp, cfg, collect_residuals=None, source_id=0, recon_
         stats = FrameStats()
         for by in range(blocks_h):
             for bx in range(blocks_w):
-                c = coded[frame_index, by, bx]
-                record = records[frame_index, by, bx]
+                c, record = blocks[frame_index, bx, by]
                 before = bw.bit_length
                 _write_coded_block(bw, c)
                 record.bits = bw.bit_length - before
@@ -504,7 +483,7 @@ def stream_info(data):
     """Parse the header of a bitstream without decoding the payload.
 
     Raises BitstreamError when the data is not a saabcodec stream or names
-    a strategy or QP the codec does not have.
+    a strategy, QP or frame size the codec cannot have written.
     """
     if len(data) < _HEADER.size or data[:4] != STREAM_MAGIC:
         raise BitstreamError("not a saabcodec bitstream")
@@ -513,6 +492,8 @@ def stream_info(data):
         raise BitstreamError(f"unknown strategy code {strategy_code}")
     if qp > MAX_QP:
         raise BitstreamError(f"QP {qp} out of range")
+    if w % BLOCK or h % BLOCK:
+        raise BitstreamError(f"frame size {w}x{h} is not a multiple of {BLOCK}")
     return {
         "version": version,
         "strategy": STRATEGIES[strategy_code],

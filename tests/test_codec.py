@@ -143,9 +143,10 @@ def test_bad_qp_rejected(qp, tiny_clip):
         codec.encode_sequence(tiny_clip, qp, codec.StrategyConfig("dct_only"))
 
 
-@pytest.mark.parametrize("offset,value", [(5, 4), (5, 255), (6, 52), (6, 255)])
-def test_bad_strategy_code_or_qp_rejected(offset, value, tiny_clip):
-    # header byte 5 is the strategy code, byte 6 the QP
+@pytest.mark.parametrize("offset,value", [(5, 4), (5, 255), (6, 52), (6, 255), (8, 33)])
+def test_bad_header_field_rejected(offset, value, tiny_clip):
+    # header byte 5 is the strategy code, byte 6 the QP, byte 8 the low
+    # byte of the width
     stream, _ = codec.encode_sequence(tiny_clip[:1], 37, codec.StrategyConfig("dct_only"))
     bad = stream[:offset] + bytes([value]) + stream[offset + 1 :]
     with pytest.raises(BitstreamError):
