@@ -10,7 +10,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from saabcodec import codec, intra, pipeline
+from saabcodec import codec, intra, pipeline, video
+from saabcodec.analysis import ClipSpec, ExperimentManifest, run_experiment
 
 STREAMS = {
     ("dct_only", 22): "cf69e2d1a5df785f05b849dbc5cf84243c414ae42a33d0b864ebc257b59e06c0",
@@ -28,6 +29,13 @@ REFERENCES = "a9bbaa64d41b07770f50bd72e9e874f0c3f9373c1298f46925b87327b51fccf2"
 # predict_block over every mode of a set equals that set's predict_all_modes
 # output, so both predictor tests pin the same digest.
 PREDICTIONS = "248563641121007eb49004857da3b4e60e94541751457054a4623c87a21c090c"
+# The deterministic tables of run_experiment over tiny_clip, QPs 22-37,
+# dct_only + s1-s3 (timing.csv and report.json hold wall times).
+EXPERIMENT_CSVS = {
+    "rd_points.csv": "a12509014ca99e15448a70f11b41a2371a904254601e227adaf7c3162524ce29",
+    "bd_summary.csv": "e3b8c08858afe68dd844ceb0171d01c44d8499d40ee0402b3bec5bb94c5e3e71",
+    "usage.csv": "4f2f843f3ec17028fe5caf682d2c2891399df78b453a517978a0423c89bb9897",
+}
 
 N_SETS = 200
 
@@ -47,6 +55,22 @@ def _random_reference_sets():
         tuple(rng.integers(0, 256, size=17).astype(np.int32) for _ in range(4))
         for _ in range(N_SETS)
     ]
+
+
+@pytest.fixture(scope="module")
+def experiment_dir(tmp_path_factory, tiny_clip, tiny_bank):
+    out = tmp_path_factory.mktemp("tiny_experiment")
+    clip_path = str(out / "tiny.yuv")
+    video.write_yuv(clip_path, tiny_clip)
+    h, w = tiny_clip[0].shape
+    manifest = ExperimentManifest(
+        clips=(ClipSpec(name="tiny", path=clip_path, width=w, height=h),),
+        qps=(22, 27, 32, 37),
+        strategies=("s1", "s2", "s3"),
+        timing_runs=1,
+    )
+    run_experiment(manifest, str(out), bank=tiny_bank)
+    return out
 
 
 @pytest.mark.parametrize("strategy,qp", sorted(STREAMS))
@@ -88,3 +112,8 @@ def test_predict_block_digest():
         for mode in range(35)
     ]
     assert _sha(chunks) == PREDICTIONS
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENT_CSVS))
+def test_experiment_csv_digest(name, experiment_dir):
+    assert hashlib.sha256((experiment_dir / name).read_bytes()).hexdigest() == EXPERIMENT_CSVS[name]
