@@ -1,7 +1,7 @@
 """Transform-coding laboratory: mode-dependent Saab transforms inside a
 simplified 8x8 intra codec, with DCT as anchor and RD analysis tooling."""
 
-from .codec import STRATEGIES, StrategyConfig, decode_sequence, encode_frame, encode_sequence
+from .codec import STRATEGIES, StrategyConfig, decode_sequence, encode_sequence
 from .errors import SaabCodecError
 from .kernelio import KernelBank
 from .modes import canonical_mode_group_table
@@ -31,7 +31,6 @@ __all__ = [
     "dct_forward",
     "dct_inverse",
     "decode_sequence",
-    "encode_frame",
     "encode_sequence",
     "extract_residuals",
     "learn_klt",

@@ -10,6 +10,8 @@ import os
 import statistics
 import time
 from dataclasses import dataclass
+from functools import partial
+from itertools import compress
 
 import numpy as np
 
@@ -146,25 +148,23 @@ def transform_comparison_report(train_blocks, eval_blocks):
 
     train = np.asarray(train_blocks, dtype=np.float64)
     ev = np.asarray(eval_blocks, dtype=np.float64)
-    klt = learn_klt(train)
-    saab1 = learn_saab1(train)
-    saab2 = learn_saab2(train)
-    flat = ev.reshape(ev.shape[0], -1)
-    coeffs = {
-        "dct": np.array([dct_forward(b) for b in flat]),
-        "klt": np.array([saab_forward(klt, b) for b in flat]),
-        "saab1": np.array([saab_forward(saab1, b) for b in flat]),
-        "saab2": np.array([saab2_forward(saab2, b) for b in flat]),
+    forwards = {
+        "dct": dct_forward,
+        "klt": partial(saab_forward, learn_klt(train)),
+        "saab1": partial(saab_forward, learn_saab1(train)),
+        "saab2": partial(saab2_forward, learn_saab2(train)),
     }
     var = residual_sample_variance(ev)
     report = {"input_variance": var, "sample_count": int(ev.shape[0]), "transforms": {}}
-    for name, y in coeffs.items():
+    for name, forward in forwards.items():
+        y = forward(ev)
         curve = energy_compaction(y, var)
         report["transforms"][name] = {
             "compaction": curve.values,
             "position_order": curve.position_order,
             "decorrelation_cost": decorrelation_cost(y),
         }
+        del y  # one transform's coefficients alive at a time
     return report
 
 
@@ -177,20 +177,14 @@ def rd_model_report(records, bank, qp):
     residuals are skipped.
     """
     params = RDModelParams.from_qp(qp)
-    by_mode = {}
-    for r in records:
-        by_mode.setdefault(r.mode, []).append(r.residual)
+    modes = np.array([r.mode for r in records], dtype=np.int64)
+    residuals = [r.residual for r in records]
     per_mode = {}
-    for mode in sorted(by_mode):
-        blocks = np.asarray(by_mode[mode], dtype=np.float64)
-        if blocks.shape[0] < 2:
-            continue
-        flat = blocks.reshape(blocks.shape[0], -1)
-        kernel = bank.kernel_for_mode(mode)
-        y_saab = flat @ kernel.matrix.T
-        y_dct = np.array([dct_forward(b) for b in flat])
-        cmp_ = compare_transforms(coeff_stats(y_saab), coeff_stats(y_dct), params)
-        per_mode[mode] = cmp_
+    for mode in np.flatnonzero(np.bincount(modes) >= 2).tolist():
+        # one mode's blocks and one transform's coefficients alive at a time
+        blocks = np.array(list(compress(residuals, modes == mode)))
+        saab = coeff_stats(saab_forward(bank.kernel_for_mode(mode), blocks))
+        per_mode[mode] = compare_transforms(saab, coeff_stats(dct_forward(blocks)), params)
     if not per_mode:
         raise InsufficientDataError("no mode had at least 2 residuals")
     return {

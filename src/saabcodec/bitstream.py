@@ -1,7 +1,5 @@
 """MSB-first bit packing with order-0 exp-Golomb codes."""
 
-import numpy as np
-
 from .errors import BitstreamError
 
 
@@ -35,13 +33,6 @@ class BitWriter:
             raise BitstreamError(f"value {value} does not fit in {n} bits")
         self._put(value, n)
 
-    def write_ue(self, value):
-        """Order-0 exp-Golomb: value v >= 0 coded as (b-1) zeros then v+1 in b bits."""
-        if value < 0:
-            raise BitstreamError(f"exp-Golomb value {value} is negative")
-        n = int(value) + 1
-        self._put(n, 2 * n.bit_length() - 1)
-
     def getvalue(self):
         """Byte-aligned contents; pads the tail with zero bits."""
         out = bytearray(self._buf)
@@ -74,16 +65,10 @@ class BitReader:
         return v
 
     def read_ue(self):
+        """Order-0 exp-Golomb: value v >= 0 is (b-1) zeros then v+1 in b bits."""
         zeros = 0
         while self.read_bit() == 0:
             zeros += 1
             if zeros > 64:
                 raise BitstreamError("runaway exp-Golomb prefix", bit_offset=self._pos)
         return ((1 << zeros) | self.read_bits(zeros)) - 1
-
-
-def ue_bit_length(values):
-    """Vectorized code length of write_ue for non-negative integers."""
-    n = np.asarray(values, dtype=np.int64) + 1
-    _, exp = np.frexp(n.astype(np.float64))
-    return 2 * (exp - 1) + 1

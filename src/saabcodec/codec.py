@@ -21,7 +21,10 @@ coded-block flag; if set, 6-bit last significant position and, scanning
 from that position down to 0, a significance bit (implied at the last
 position) plus exp-Golomb(magnitude-1) and a sign bit for significant
 levels.  DCT levels are scanned in zigzag order, learned-kernel levels in
-coefficient order.
+coefficient order.  Level magnitudes are below 2**12, and the decoder
+rejects larger ones: an orthonormal transform keeps |coefficient| <= 8 * 255
+for an 8x8 residual in [-255, 255], and the quantizer step is at least
+2**(-2/3) (QP 0), so |level| <= 3238.
 """
 
 import math
@@ -41,6 +44,7 @@ from .transforms import DCT_64
 BLOCK = 8
 MODE_BITS = 6
 MAX_QP = 51
+_LEVEL_LIMIT = 1 << 12  # |level| < 2**12, see the module docstring
 # Blocks per encode_block call.  Fixed: it bounds the memory of the
 # batch's candidate arrays, and batching never changes the output.
 BATCH_BLOCKS = 16
@@ -113,6 +117,8 @@ def decode_levels(br):
         sig = 1 if pos == last else br.read_bit()
         if sig:
             mag = br.read_ue() + 1
+            if mag >= _LEVEL_LIMIT:
+                raise BitstreamError(f"level magnitude {mag} out of range", bit_offset=br.position)
             levels[pos] = -mag if br.read_bit() else mag
     return levels
 
@@ -123,9 +129,9 @@ _POSITIONS_1 = np.arange(1, VEC_LEN + 1, dtype=np.int32)
 def level_bit_cost(levels_scan):
     """Exact bit count of encode_levels, vectorized over (n, 64) level arrays.
 
-    A significant level l costs ue_bit_length(|l| - 1) + 1 sign bit, which
-    is 2 * bit_length(|l|): frexp's exponent is that bit length, and it is
-    0 for a zero level.
+    A significant level l costs its exp-Golomb code ue(|l| - 1) plus a sign
+    bit, 2 * bit_length(|l|) bits: frexp's exponent is that bit length, and
+    it is 0 for a zero level.
     """
     arr = np.asarray(levels_scan)
     single = arr.ndim == 1
@@ -363,8 +369,8 @@ def encode_sequence(planes, qp, cfg, collect_residuals=None, source_id=0, recon_
     if isinstance(qp, bool) or not isinstance(qp, (int, np.integer)) or not 0 <= qp <= MAX_QP:
         raise InvalidInputError(f"QP must be an integer in 0..{MAX_QP}, got {qp!r}")
     h, w = planes[0].shape
-    if h % BLOCK or w % BLOCK:
-        raise InvalidInputError("plane dimensions must be multiples of 8")
+    if not h or not w or h % BLOCK or w % BLOCK:
+        raise InvalidInputError("plane dimensions must be positive multiples of 8")
     if any(plane.shape != (h, w) for plane in planes):
         raise InvalidInputError("all frames must share dimensions")
     blocks_w, blocks_h = w // BLOCK, h // BLOCK
@@ -426,17 +432,12 @@ def encode_sequence(planes, qp, cfg, collect_residuals=None, source_id=0, recon_
     return header + bw.getvalue(), stats_list
 
 
-def encode_frame(plane, qp, cfg):
-    """Single-frame convenience wrapper around encode_sequence."""
-    stream, stats = encode_sequence([plane], qp, cfg)
-    return stream, stats[0]
-
-
 def decode_sequence(data, bank=None):
     """Decode a bitstream back to luma planes.
 
-    Returns (planes, DecodeStats).  Raises BitstreamError on truncation and
-    InvalidInputError when the embedded kernel-bank digest does not match.
+    Returns (planes, DecodeStats).  Raises BitstreamError on truncation or
+    bytes past the last block's (zero-padded) byte, and InvalidInputError
+    when the embedded kernel-bank digest does not match.
     """
     info = stream_info(data)
     if info["version"] != STREAM_VERSION:
@@ -476,6 +477,8 @@ def decode_sequence(data, bank=None):
                 dstats.n_total += 1
                 dstats.n_saab += 1 if uses_saab else 0
         planes.append(recon.astype(np.uint8))
+    if len(data) - _HEADER.size != (br.position + 7) // 8:
+        raise BitstreamError("trailing bytes after the last block", bit_offset=br.position)
     return planes, dstats
 
 
@@ -483,7 +486,7 @@ def stream_info(data):
     """Parse the header of a bitstream without decoding the payload.
 
     Raises BitstreamError when the data is not a saabcodec stream or names
-    a strategy, QP or frame size the codec cannot have written.
+    a strategy, QP, frame size or frame count the codec cannot have written.
     """
     if len(data) < _HEADER.size or data[:4] != STREAM_MAGIC:
         raise BitstreamError("not a saabcodec bitstream")
@@ -492,8 +495,10 @@ def stream_info(data):
         raise BitstreamError(f"unknown strategy code {strategy_code}")
     if qp > MAX_QP:
         raise BitstreamError(f"QP {qp} out of range")
-    if w % BLOCK or h % BLOCK:
-        raise BitstreamError(f"frame size {w}x{h} is not a multiple of {BLOCK}")
+    if not w or not h or w % BLOCK or h % BLOCK:
+        raise BitstreamError(f"frame size {w}x{h} is not a positive multiple of {BLOCK}")
+    if not n_frames:
+        raise BitstreamError("stream has no frames")
     return {
         "version": version,
         "strategy": STRATEGIES[strategy_code],

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .linalg import VEC_LEN
-from .modes import ModeGroupTable, N_KERNELS, canonical_mode_group_table
+from .modes import ModeGroupTable, N_KERNELS, N_MODES, canonical_mode_group_table
 from .transforms import SaabKernel, round_kernel
 
 BANK_MAGIC = b"SBNK"
@@ -25,6 +25,7 @@ BANK_VERSION = 1
 _BANK_HEADER = struct.Struct("<III")
 # Kernel record header after the magic: kind code, decimal digits, group length.
 _KERNEL_HEADER = struct.Struct("<BhB")
+_KERNEL_BODY_BYTES = (VEC_LEN * VEC_LEN + VEC_LEN) * 8  # matrix and bias, <f8
 
 _KIND_CODES = {"dct": 0, "klt": 1, "saab1": 2}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
@@ -42,12 +43,16 @@ def kernel_to_bytes(kernel):
 
 
 def kernel_from_bytes(buf, offset=0):
-    if buf[offset : offset + 4] != KERNEL_MAGIC:
-        raise InvalidInputError("bad kernel record magic")
+    if buf[offset : offset + 4] != KERNEL_MAGIC or len(buf) < offset + 4 + _KERNEL_HEADER.size:
+        raise InvalidInputError("bad kernel record magic or truncated record")
     kind_code, digits, group_len = _KERNEL_HEADER.unpack_from(buf, offset + 4)
+    if kind_code not in _KIND_NAMES:
+        raise InvalidInputError(f"unknown kernel kind code {kind_code}")
     offset += 4 + _KERNEL_HEADER.size
     group = tuple(buf[offset : offset + group_len])
     offset += group_len
+    if len(buf) < offset + _KERNEL_BODY_BYTES:
+        raise InvalidInputError("truncated kernel record")
     matrix = np.frombuffer(buf, dtype="<f8", count=VEC_LEN * VEC_LEN, offset=offset)
     offset += VEC_LEN * VEC_LEN * 8
     bias = np.frombuffer(buf, dtype="<f8", count=VEC_LEN, offset=offset)
@@ -86,13 +91,16 @@ class KernelBank:
 
     @classmethod
     def from_bytes(cls, buf):
-        if buf[:4] != BANK_MAGIC:
+        offset = 4 + _BANK_HEADER.size
+        if len(buf) < offset or buf[:4] != BANK_MAGIC:
             raise InvalidInputError("not a kernel bank file")
         version, count, meta_len = _BANK_HEADER.unpack_from(buf, 4)
         if version != BANK_VERSION:
             raise InvalidInputError(f"unsupported bank version {version}")
-        offset = 4 + _BANK_HEADER.size
-        meta = json.loads(buf[offset : offset + meta_len].decode())
+        try:
+            meta = json.loads(buf[offset : offset + meta_len].decode())
+        except ValueError as e:  # bad UTF-8 or bad JSON
+            raise InvalidInputError(f"unreadable bank metadata: {e}") from e
         offset += meta_len
         kernels = []
         for _ in range(count):
@@ -120,7 +128,7 @@ class KernelBank:
     @classmethod
     def load(cls, path):
         with open(path, "rb") as f:
-            return cls.from_bytes(f.read())
+            return cls.from_bytes(f.read()).validate()
 
     def rounded(self, decimal_digits):
         """Bank with every kernel's matrix and bias rounded to d decimal digits."""
@@ -149,9 +157,14 @@ class KernelBank:
                 f.write("bias " + " ".join(f"{v:.17g}" for v in k.bias) + "\n")
 
     def validate(self):
+        """Return self, or raise InvalidInputError unless the bank has 24
+        64x64 kernels and its table maps every mode to one of them."""
         if len(self.kernels) != N_KERNELS:
             raise InvalidInputError(f"expected {N_KERNELS} kernels, got {len(self.kernels)}")
         for k in self.kernels:
             if k.matrix.shape != (VEC_LEN, VEC_LEN):
                 raise InvalidInputError("bad kernel matrix shape")
+        apply_map = self.table.apply_map
+        if len(apply_map) != N_MODES or not set(apply_map) <= set(range(N_KERNELS)):
+            raise InvalidInputError("mode table does not map every mode to a kernel")
         return self

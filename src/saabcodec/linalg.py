@@ -20,22 +20,6 @@ VEC_LEN = BLOCK_SIZE * BLOCK_SIZE
 _SIGN_EPS = 1e-12
 
 
-def flatten_block(block):
-    """Flatten an 8x8 block to a length-64 vector in raster (lexicographic) order."""
-    arr = np.asarray(block, dtype=np.float64)
-    if arr.shape != (BLOCK_SIZE, BLOCK_SIZE):
-        raise InvalidInputError(f"expected 8x8 block, got shape {arr.shape}")
-    return arr.reshape(VEC_LEN)
-
-
-def unflatten_block(vec):
-    """Inverse of flatten_block."""
-    arr = np.asarray(vec, dtype=np.float64)
-    if arr.shape != (VEC_LEN,):
-        raise InvalidInputError(f"expected length-{VEC_LEN} vector, got shape {arr.shape}")
-    return arr.reshape(BLOCK_SIZE, BLOCK_SIZE)
-
-
 def covariance(samples):
     """Second-moment matrix C = (1/T) * sum(z z^T) over the sample vectors.
 

@@ -14,7 +14,7 @@ import numpy as np
 from .codec import StrategyConfig, encode_sequence
 from .errors import InvalidInputError, StarvedGroupError
 from .kernelio import KernelBank
-from .modes import N_KERNELS, canonical_mode_group_table
+from .modes import N_KERNELS, N_MODES, canonical_mode_group_table
 from .transforms import learn_saab1
 from .video import read_yuv
 
@@ -86,17 +86,23 @@ def save_residual_corpus(path, records):
 
 
 def load_residual_corpus(path):
+    """Read a corpus file; InvalidInputError unless it is exactly its header
+    and records and every record's mode exists."""
     with open(path, "rb") as f:
         buf = f.read()
-    if buf[:4] != CORPUS_MAGIC:
+    if len(buf) < 12 or buf[:4] != CORPUS_MAGIC:
         raise InvalidInputError("not a residual corpus file")
     version, count = struct.unpack_from("<II", buf, 4)
     if version != CORPUS_VERSION:
         raise InvalidInputError(f"unsupported corpus version {version}")
+    if len(buf) != 12 + count * (_RECORD.size + 128):
+        raise InvalidInputError(f"corpus size {len(buf)} does not match its {count} records")
     offset = 12
     records = []
     for _ in range(count):
         mode, qp, source, frame, x, y = _RECORD.unpack_from(buf, offset)
+        if mode >= N_MODES:
+            raise InvalidInputError(f"corpus record at byte {offset} has mode {mode}")
         offset += _RECORD.size
         residual = np.frombuffer(buf, dtype="<i2", count=64, offset=offset).reshape(8, 8)
         offset += 128
@@ -124,21 +130,20 @@ def train_kernel_bank(
     """
     if table is None:
         table = canonical_mode_group_table()
-    pools = {k: [] for k in range(N_KERNELS)}
-    for r in records:
-        for k in range(N_KERNELS):
-            if r.mode in table.train_groups[k]:
-                pools[k].append(r.residual)
+    modes = np.array([r.mode for r in records])
+    groups = [list(table.train_groups[k]) for k in range(N_KERNELS)]
     starved = {
         k: table.train_groups[k]
         for k in range(N_KERNELS)
-        if len(pools[k]) < MIN_GROUP_SAMPLES
+        if np.count_nonzero(np.isin(modes, groups[k])) < MIN_GROUP_SAMPLES
     }
     if starved:
         raise StarvedGroupError(starved)
+    residuals = np.array([r.residual for r in records])  # int16, as recorded
     kernels = []
     for k in range(N_KERNELS):
-        pool = np.asarray(pools[k], dtype=np.float64).reshape(len(pools[k]), 64)
+        # the mask keeps record order, which the seeded subsample depends on
+        pool = residuals[np.isin(modes, groups[k])]
         if pool.shape[0] > samples_per_kernel:
             rng = np.random.default_rng([seed, k])
             idx = np.sort(rng.choice(pool.shape[0], size=samples_per_kernel, replace=False))

@@ -6,6 +6,10 @@ kernel, PCA-derived AC kernels, shared positive AC bias), and the cascaded
 two-stage Saab variant (16-dim over 4x4 sub-blocks, then per-channel 4-dim
 over the 2x2 grid of stage-1 outputs).
 
+Every forward and inverse function takes one length-64 vector or any stack
+of them, (..., 64), and returns the same shape; the forward functions also
+take 8x8 blocks, (..., 8, 8).  A whole residual set is one matrix product.
+
 Bias handling has two modes.  ``raw`` adds the learned bias to every AC
 output, matching the original construction; ``centered`` drops the bias so
 coefficients are zero-offset, which is what the codec quantizes.  The two
@@ -24,8 +28,6 @@ from .linalg import (
     covariance,
     dc_complement_basis,
     eig_symmetric,
-    flatten_block,
-    unflatten_block,
 )
 
 BIAS_MODES = ("raw", "centered")
@@ -64,17 +66,24 @@ class SaabKernel:
         return np.max(np.abs(g - np.eye(self.matrix.shape[0])))
 
 
+def _as_vectors(x, blocks=False):
+    """`x` as a float64 (..., 64) array; with `blocks`, trailing 8x8 block
+    axes are flattened in raster order first."""
+    try:
+        x = np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError) as e:  # ragged or non-numeric input
+        raise InvalidInputError(f"not a numeric array: {e}") from e
+    if blocks and x.shape[-2:] == (BLOCK_SIZE, BLOCK_SIZE):
+        x = x.reshape(x.shape[:-2] + (VEC_LEN,))
+    if x.ndim == 0 or x.shape[-1] != VEC_LEN:
+        want = "(..., 64) vectors or (..., 8, 8) blocks" if blocks else "(..., 64) vectors"
+        raise InvalidInputError(f"expected {want}, got shape {x.shape}")
+    return x
+
+
 def _as_sample_matrix(samples):
-    """Stack ResidualBlocks (or 64-vectors) into a (T, 64) float array."""
-    rows = []
-    for s in samples:
-        arr = np.asarray(s, dtype=np.float64)
-        if arr.shape == (BLOCK_SIZE, BLOCK_SIZE):
-            arr = arr.reshape(VEC_LEN)
-        if arr.shape != (VEC_LEN,):
-            raise InvalidInputError(f"bad sample shape {arr.shape}")
-        rows.append(arr)
-    d = np.array(rows, dtype=np.float64)
+    """Stack 8x8 blocks or 64-vectors into a (T, 64) float array."""
+    d = _as_vectors(samples, blocks=True).reshape(-1, VEC_LEN)
     if not np.all(np.isfinite(d)):
         raise InvalidInputError("non-finite sample values")
     return d
@@ -132,35 +141,23 @@ def learn_klt(samples, trained_mode_group=()):
     )
 
 
-def _coerce_input(kernel, block):
-    x = np.asarray(block, dtype=np.float64)
-    k = kernel.matrix.shape[0]
-    if x.shape == (BLOCK_SIZE, BLOCK_SIZE) and k == VEC_LEN:
-        x = x.reshape(VEC_LEN)
-    if x.shape != (k,):
-        raise InvalidInputError(f"input shape {x.shape} does not match kernel size {k}")
-    return x
-
-
 def saab_forward(kernel, block, bias_mode="centered"):
-    """Transform one block.  Returns the length-64 coefficient vector."""
+    """Transform (..., 64) vectors or (..., 8, 8) blocks into (..., 64)
+    coefficient vectors."""
     _check_bias_mode(bias_mode)
-    x = _coerce_input(kernel, block)
-    y = kernel.matrix @ x
+    y = _as_vectors(block, blocks=True) @ kernel.matrix.T
     if bias_mode == "raw":
-        y = y + kernel.bias
+        y += kernel.bias
     return y
 
 
 def saab_inverse(kernel, coeffs, bias_mode="centered"):
-    """Invert saab_forward.  Returns block samples as a flat float vector."""
+    """Invert saab_forward.  Returns (..., 64) flat block samples."""
     _check_bias_mode(bias_mode)
-    y = np.asarray(coeffs, dtype=np.float64)
-    if y.shape != (kernel.matrix.shape[0],):
-        raise InvalidInputError(f"coefficient shape {y.shape} does not match kernel")
+    y = _as_vectors(coeffs)
     if bias_mode == "raw":
         y = y - kernel.bias
-    return kernel.matrix.T @ y
+    return y @ kernel.matrix
 
 
 def _check_bias_mode(bias_mode):
@@ -169,19 +166,11 @@ def _check_bias_mode(bias_mode):
 
 
 def dct_forward(block):
-    x = np.asarray(block, dtype=np.float64)
-    if x.shape == (BLOCK_SIZE, BLOCK_SIZE):
-        x = x.reshape(VEC_LEN)
-    if x.shape != (VEC_LEN,):
-        raise InvalidInputError(f"expected an 8x8 block or 64 samples, got shape {x.shape}")
-    return DCT_64 @ x
+    return _as_vectors(block, blocks=True) @ DCT_64.T
 
 
 def dct_inverse(coeffs):
-    y = np.asarray(coeffs, dtype=np.float64)
-    if y.shape != (VEC_LEN,):
-        raise InvalidInputError(f"expected 64 coefficients, got shape {y.shape}")
-    return DCT_64.T @ y
+    return _as_vectors(coeffs) @ DCT_64
 
 
 def round_kernel(kernel, decimal_digits):
@@ -214,25 +203,18 @@ _GRID = 4  # 2x2 grid of sub-blocks
 
 
 def _split_subblocks(x64):
-    """(...,64) raster block -> (...,4,16): 2x2 grid of raster 4x4 sub-blocks."""
-    b = x64.reshape(x64.shape[:-1] + (BLOCK_SIZE, BLOCK_SIZE))
-    parts = []
-    for gy in range(2):
-        for gx in range(2):
-            sub = b[..., gy * _SUB : (gy + 1) * _SUB, gx * _SUB : (gx + 1) * _SUB]
-            parts.append(sub.reshape(sub.shape[:-2] + (_SUB_LEN,)))
-    return np.stack(parts, axis=-2)
+    """(...,64) raster block -> (...,4,16): 2x2 grid of raster 4x4 sub-blocks,
+    sub-block index gy*2+gx."""
+    lead = x64.shape[:-1]
+    b = x64.reshape(lead + (2, _SUB, 2, _SUB))  # (gy, row, gx, col)
+    return b.swapaxes(-3, -2).reshape(lead + (_GRID, _SUB_LEN))
 
 
 def _merge_subblocks(subs):
     """Inverse of _split_subblocks."""
-    out = np.zeros(subs.shape[:-2] + (BLOCK_SIZE, BLOCK_SIZE))
-    for i in range(_GRID):
-        gy, gx = divmod(i, 2)
-        out[..., gy * _SUB : (gy + 1) * _SUB, gx * _SUB : (gx + 1) * _SUB] = subs[
-            ..., i, :
-        ].reshape(subs.shape[:-2] + (_SUB, _SUB))
-    return out.reshape(out.shape[:-2] + (VEC_LEN,))
+    lead = subs.shape[:-2]
+    b = subs.reshape(lead + (2, 2, _SUB, _SUB))  # (gy, gx, row, col)
+    return b.swapaxes(-3, -2).reshape(lead + (VEC_LEN,))
 
 
 @dataclass(frozen=True)
@@ -249,11 +231,11 @@ class TwoStageSaabKernel:
     kind: str = field(default=KIND_SAAB2)
 
     def orthonormality_error(self):
-        err = np.max(np.abs(self.stage1_matrix @ self.stage1_matrix.T - np.eye(_SUB_LEN)))
-        for c in range(_SUB_LEN):
-            m = self.stage2_matrices[c]
-            err = max(err, np.max(np.abs(m @ m.T - np.eye(_GRID))))
-        return err
+        m1, m2 = self.stage1_matrix, self.stage2_matrices
+        return max(
+            np.max(np.abs(m1 @ m1.T - np.eye(_SUB_LEN))),
+            np.max(np.abs(m2 @ m2.swapaxes(-1, -2) - np.eye(_GRID))),
+        )
 
 
 def learn_saab2(samples, trained_mode_group=()):
@@ -282,37 +264,27 @@ def learn_saab2(samples, trained_mode_group=()):
 
 
 def saab2_forward(kernel, block, bias_mode="centered"):
+    """Transform (..., 64) vectors or (..., 8, 8) blocks into (..., 64)
+    coefficient vectors."""
     _check_bias_mode(bias_mode)
-    x = np.asarray(block, dtype=np.float64)
-    if x.shape == (BLOCK_SIZE, BLOCK_SIZE):
-        x = x.reshape(VEC_LEN)
-    if x.shape != (VEC_LEN,):
-        raise InvalidInputError(f"bad block shape {x.shape}")
-    subs = _split_subblocks(x)  # (4, 16)
-    y1 = subs @ kernel.stage1_matrix.T
+    y1 = _split_subblocks(_as_vectors(block, blocks=True)) @ kernel.stage1_matrix.T
     if bias_mode == "raw":
-        y1 = y1 + kernel.stage1_bias
-    out = np.empty(VEC_LEN)
-    for c in range(_SUB_LEN):
-        y2 = kernel.stage2_matrices[c] @ y1[:, c]
-        if bias_mode == "raw":
-            y2 = y2 + kernel.stage2_biases[c]
-        out[c * _GRID : (c + 1) * _GRID] = y2
-    return out
+        y1 += kernel.stage1_bias
+    # stage 2: kernel c maps channel c's four grid values y1[..., :, c]; (..., 16, 4)
+    y2 = np.einsum("cjg,...gc->...cj", kernel.stage2_matrices, y1)
+    if bias_mode == "raw":
+        y2 += kernel.stage2_biases
+    return y2.reshape(y2.shape[:-2] + (VEC_LEN,))
 
 
 def saab2_inverse(kernel, coeffs, bias_mode="centered"):
+    """Invert saab2_forward.  Returns (..., 64) flat block samples."""
     _check_bias_mode(bias_mode)
-    y = np.asarray(coeffs, dtype=np.float64)
-    if y.shape != (VEC_LEN,):
-        raise InvalidInputError(f"expected 64 coefficients, got shape {y.shape}")
-    y1 = np.empty((_GRID, _SUB_LEN))
-    for c in range(_SUB_LEN):
-        y2 = y[c * _GRID : (c + 1) * _GRID]
-        if bias_mode == "raw":
-            y2 = y2 - kernel.stage2_biases[c]
-        y1[:, c] = kernel.stage2_matrices[c].T @ y2
+    y = _as_vectors(coeffs)
+    y2 = y.reshape(y.shape[:-1] + (_SUB_LEN, _GRID))
     if bias_mode == "raw":
-        y1 = y1 - kernel.stage1_bias
-    subs = y1 @ kernel.stage1_matrix
-    return _merge_subblocks(subs)
+        y2 = y2 - kernel.stage2_biases
+    y1 = np.einsum("cjg,...cj->...gc", kernel.stage2_matrices, y2)
+    if bias_mode == "raw":
+        y1 -= kernel.stage1_bias
+    return _merge_subblocks(y1 @ kernel.stage1_matrix)

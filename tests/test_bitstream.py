@@ -1,7 +1,6 @@
-import numpy as np
 import pytest
 
-from saabcodec.bitstream import BitReader, BitWriter, ue_bit_length
+from saabcodec.bitstream import BitReader, BitWriter
 from saabcodec.errors import BitstreamError
 
 
@@ -19,24 +18,6 @@ def test_write_bits_msb_first():
     bw.write_bits(0b101101, 6)
     br = BitReader(bw.getvalue())
     assert br.read_bits(6) == 0b101101
-
-
-def test_ue_roundtrip():
-    bw = BitWriter()
-    values = list(range(0, 200)) + [1000, 65535]
-    for v in values:
-        bw.write_ue(v)
-    br = BitReader(bw.getvalue())
-    assert [br.read_ue() for _ in values] == values
-
-
-def test_ue_bit_length_matches_writer():
-    values = np.array(list(range(0, 300)) + [2**20])
-    lens = ue_bit_length(values)
-    for v, n in zip(values, lens):
-        bw = BitWriter()
-        bw.write_ue(int(v))
-        assert bw.bit_length == n, f"ue({v})"
 
 
 def test_truncated_read_raises():

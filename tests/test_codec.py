@@ -1,10 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from saabcodec import codec, video
+from saabcodec import codec
 from saabcodec.bitstream import BitReader, BitWriter
 from saabcodec.errors import BitstreamError, InvalidInputError
-from saabcodec.pipeline import extract_residuals, train_kernel_bank
 
 
 def test_quantizer_deadzone():
@@ -34,12 +35,15 @@ def _roundtrip_levels(levels):
 
 
 def test_level_coding_roundtrip_and_cost():
+    # Magnitudes up to the largest codable one, 2**12 - 1, so every
+    # exp-Golomb code length the decoder accepts is exercised.
     rng = np.random.default_rng(0)
     for _ in range(300):
         levels = np.zeros(64, dtype=np.int64)
         n = int(rng.integers(0, 20))
         pos = rng.choice(64, size=n, replace=False)
-        levels[pos] = rng.integers(-40, 41, size=n)
+        bits = rng.integers(1, 13, size=n)
+        levels[pos] = rng.integers(1 << (bits - 1), 1 << bits) * rng.choice([-1, 1], size=n)
         out, nbits = _roundtrip_levels(levels)
         assert np.array_equal(out, levels)
         assert nbits == codec.level_bit_cost(levels)
@@ -101,11 +105,9 @@ def test_s2_no_flag_on_excluded_modes(tiny_bank, tiny_clip):
 def test_digest_mismatch_rejected(tiny_bank, tiny_clip):
     cfg = codec.StrategyConfig("s3", tiny_bank)
     stream, _ = codec.encode_sequence(tiny_clip, 32, cfg)
-    other = train_kernel_bank(
-        extract_residuals([video.synthesize_luma_clip(160, 128, 12, seed=23)], qps=(22, 32)),
-        samples_per_kernel=300,
-        seed=2,
-    )
+    first = tiny_bank.kernels[0]
+    perturbed = replace(first, matrix=first.matrix + 1e-9)
+    other = replace(tiny_bank, kernels=(perturbed,) + tiny_bank.kernels[1:])
     with pytest.raises(InvalidInputError):
         codec.decode_sequence(stream, other)
 
@@ -137,22 +139,52 @@ def test_reconstruction_in_range(tiny_bank, tiny_clip):
         assert p.min() >= 0 and p.max() <= 255
 
 
-@pytest.mark.parametrize("qp", [-1, 52, 255, 256, 22.0, True])
-def test_bad_qp_rejected(qp, tiny_clip):
+@pytest.mark.parametrize(
+    "qp,shape",
+    [pytest.param(qp, None, id=str(qp)) for qp in (-1, 52, 255, 256, 22.0, True)]
+    + [pytest.param(22, shape, id="x".join(map(str, shape))) for shape in ((0, 8), (8, 0))],
+)
+def test_bad_qp_rejected(qp, shape, tiny_clip):
+    # `shape` replaces the clip by one plane with no rows or no columns
+    planes = tiny_clip if shape is None else [np.zeros(shape, dtype=np.uint8)]
     with pytest.raises(InvalidInputError):
-        codec.encode_sequence(tiny_clip, qp, codec.StrategyConfig("dct_only"))
+        codec.encode_sequence(planes, qp, codec.StrategyConfig("dct_only"))
 
 
-@pytest.mark.parametrize("offset,value", [(5, 4), (5, 255), (6, 52), (6, 255), (8, 33)])
+@pytest.mark.parametrize(
+    "offset,value",
+    [(5, 4), (5, 255), (6, 52), (6, 255), (8, 33), (8, 0), (10, 0), (12, 0), (None, 0)],
+)
 def test_bad_header_field_rejected(offset, value, tiny_clip):
-    # header byte 5 is the strategy code, byte 6 the QP, byte 8 the low
-    # byte of the width
+    # header byte 5 is the strategy code, byte 6 the QP, bytes 8, 10 and 12
+    # the low bytes of width, height and frame count; offset None appends a
+    # byte after the payload, which only decoding can see
     stream, _ = codec.encode_sequence(tiny_clip[:1], 37, codec.StrategyConfig("dct_only"))
-    bad = stream[:offset] + bytes([value]) + stream[offset + 1 :]
+    if offset is None:
+        bad = stream + bytes([value])
+    else:
+        bad = stream[:offset] + bytes([value]) + stream[offset + 1 :]
+        with pytest.raises(BitstreamError):
+            codec.stream_info(bad)
     with pytest.raises(BitstreamError):
         codec.decode_sequence(bad)
-    with pytest.raises(BitstreamError):
-        codec.stream_info(bad)
+
+
+@pytest.mark.parametrize("zeros", [12, 64])
+def test_oversized_level_rejected(zeros):
+    # One 8x8 block whose DC level has magnitude 2**zeros: 2**12 is the
+    # smallest magnitude the decoder rejects, 2**64 overflows int64.
+    plane = np.zeros((8, 8), dtype=np.uint8)
+    header, _ = codec.encode_sequence([plane], 37, codec.StrategyConfig("dct_only"))
+    bw = BitWriter()
+    bw.write_bits(0, codec.MODE_BITS)  # planar
+    bw.write_bits(1, 1)  # coded-block flag
+    bw.write_bits(0, 6)  # last significant position
+    bw.write_bits(0, zeros)  # ue(2**zeros - 1): prefix, then 2**zeros in zeros + 1 bits
+    bw.write_bits(1 << zeros, zeros + 1)
+    bw.write_bits(0, 1)  # sign
+    with pytest.raises(BitstreamError, match="level magnitude"):
+        codec.decode_sequence(header[: codec._HEADER.size] + bw.getvalue())
 
 
 def test_residuals_kept_only_when_collected(tiny_clip):

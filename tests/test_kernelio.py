@@ -1,7 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from saabcodec.errors import InvalidInputError
+from saabcodec import codec, pipeline
+from saabcodec.errors import InvalidInputError, SaabCodecError
 from saabcodec.kernelio import KernelBank
 
 
@@ -59,3 +64,41 @@ def test_export_text(tmp_path, bank):
     with open(path) as f:
         text = f.read()
     assert "kernel" in text.lower()
+
+
+@pytest.fixture(scope="module")
+def damage_targets(tmp_path_factory, tiny_bank, tiny_records, tiny_clip):
+    """Intact bytes of a bank, a 20-record corpus and a stream, each with the
+    loader that reads it back from a file."""
+    directory = tmp_path_factory.mktemp("damaged")
+    corpus = directory / "corpus.bin"
+    pipeline.save_residual_corpus(str(corpus), tiny_records[:20])
+    stream, _ = codec.encode_sequence(tiny_clip[:1], 22, codec.StrategyConfig("s3", tiny_bank))
+    return directory, {
+        "bank": (tiny_bank.to_bytes(), KernelBank.load),
+        "corpus": (corpus.read_bytes(), pipeline.load_residual_corpus),
+        "stream": (stream, lambda path: codec.decode_sequence(Path(path).read_bytes(), tiny_bank)),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["bank", "corpus", "stream"]), damage=st.data())
+def test_damaged_files_raise_only_typed_errors(damage_targets, kind, damage):
+    directory, targets = damage_targets
+    raw, load = targets[kind]
+    if damage.draw(st.booleans(), label="truncate"):
+        raw = raw[: damage.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        # half of the flips land in the first 400 bytes, where the headers are
+        head = 8 * min(400, len(raw))
+        bit = damage.draw(
+            st.one_of(st.integers(0, head - 1), st.integers(0, 8 * len(raw) - 1)), label="bit"
+        )
+        raw = bytearray(raw)
+        raw[bit // 8] ^= 1 << (bit % 8)
+    path = directory / f"damaged_{kind}.bin"
+    path.write_bytes(bytes(raw))
+    try:
+        load(str(path))
+    except SaabCodecError:
+        pass

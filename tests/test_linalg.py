@@ -85,9 +85,3 @@ def test_covariance_no_mean_subtraction():
     want = x.T @ x / 100
     assert np.allclose(c, 0.5 * (want + want.T))
     assert np.allclose(c, c.T)
-
-
-def test_flatten_unflatten_roundtrip():
-    rng = np.random.default_rng(4)
-    b = rng.normal(size=(8, 8))
-    assert np.array_equal(linalg.unflatten_block(linalg.flatten_block(b)), b)

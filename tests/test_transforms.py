@@ -1,8 +1,10 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from saabcodec import transforms as tf
-from saabcodec.errors import InsufficientDataError
+from saabcodec.errors import InsufficientDataError, InvalidInputError
 
 
 @pytest.fixture(scope="module")
@@ -14,6 +16,11 @@ def training_data():
 @pytest.fixture(scope="module")
 def saab1(training_data):
     return tf.learn_saab1(training_data)
+
+
+@pytest.fixture(scope="module")
+def saab2(training_data):
+    return tf.learn_saab2(training_data)
 
 
 def test_dct_matrix_orthonormal():
@@ -110,3 +117,41 @@ def test_saab2_is_energy_preserving(training_data):
     x = training_data[2]
     y = tf.saab2_forward(k2, x, bias_mode="centered")
     assert abs(np.linalg.norm(y) - np.linalg.norm(x)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "kind", ["dct", "saab-centered", "saab-raw", "saab2-centered", "saab2-raw"]
+)
+def test_batched_calls_match_single_block_calls(kind, saab1, saab2):
+    if kind == "dct":
+        fwd, inv = tf.dct_forward, tf.dct_inverse
+    else:
+        name, bias_mode = kind.split("-")
+        kernel, fwd, inv = {
+            "saab": (saab1, tf.saab_forward, tf.saab_inverse),
+            "saab2": (saab2, tf.saab2_forward, tf.saab2_inverse),
+        }[name]
+        fwd = partial(fwd, kernel, bias_mode=bias_mode)
+        inv = partial(inv, kernel, bias_mode=bias_mode)
+    rng = np.random.default_rng(8)
+    x = rng.normal(0, 25, size=(200, 64))
+
+    y = fwd(x)
+    assert y.shape == (200, 64)
+    assert np.max(np.abs(y - np.array([fwd(v) for v in x]))) < 1e-12
+    blocks = x.reshape(200, 8, 8)
+    assert np.max(np.abs(fwd(blocks) - np.array([fwd(b) for b in blocks]))) < 1e-12
+    assert np.max(np.abs(fwd(x.reshape(10, 20, 64)).reshape(200, 64) - y)) < 1e-12
+    back = inv(y)
+    assert np.max(np.abs(back - np.array([inv(v) for v in y]))) < 1e-12
+    assert np.max(np.abs(back - x)) < 1e-10
+
+    assert fwd(x[0]).shape == fwd(blocks[0]).shape == inv(y[0]).shape == (64,)
+    ragged = [np.zeros(64), np.zeros(63)]
+    for bad in (np.float64(1.0), np.zeros(63), np.zeros((5, 63)), np.zeros((8, 4)), ragged):
+        with pytest.raises(InvalidInputError):
+            fwd(bad)
+        with pytest.raises(InvalidInputError):
+            inv(bad)
+    with pytest.raises(InvalidInputError):
+        inv(blocks)  # inverses take coefficient vectors only
