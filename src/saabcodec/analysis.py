@@ -9,7 +9,7 @@ import math
 import os
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from itertools import compress
 
@@ -215,30 +215,26 @@ class ExperimentManifest:
 
     @classmethod
     def from_json(cls, path):
-        with open(path) as f:
-            raw = json.load(f)
-        clips = tuple(ClipSpec(**c) for c in raw["clips"])
-        return cls(
-            clips=clips,
-            qps=tuple(raw.get("qps", (22, 27, 32, 37))),
-            strategies=tuple(raw.get("strategies", ("s1", "s2", "s3"))),
-            bank_path=raw.get("bank_path", ""),
-            seed=int(raw.get("seed", 0)),
-            timing_runs=int(raw.get("timing_runs", 3)),
-        )
+        """Read a manifest file; a key it omits keeps the field's default.
 
-    def to_json(self, path):
-        raw = {
-            "clips": [vars(c) for c in self.clips],
-            "qps": list(self.qps),
-            "strategies": list(self.strategies),
-            "bank_path": self.bank_path,
-            "seed": self.seed,
-            "timing_runs": self.timing_runs,
-        }
-        with open(path, "w") as f:
-            json.dump(raw, f, indent=2, sort_keys=True)
-            f.write("\n")
+        Raises InvalidInputError unless the file is a JSON object whose
+        `clips` lists ClipSpec fields and whose other values convert to
+        the types of their defaults.
+        """
+        with open(path) as f:
+            try:
+                raw = json.load(f)
+                manifest = cls(clips=tuple(ClipSpec(**c) for c in raw["clips"]))
+                return replace(
+                    manifest,
+                    **{
+                        fd.name: type(getattr(manifest, fd.name))(raw[fd.name])
+                        for fd in fields(cls)
+                        if fd.name != "clips" and fd.name in raw
+                    },
+                )
+            except (KeyError, TypeError, ValueError) as e:
+                raise InvalidInputError(f"bad manifest {path}: {e!r}") from e
 
 
 def _timed(fn, runs):

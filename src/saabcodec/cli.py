@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 configuration/usage error, 3 data error
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
@@ -88,18 +89,14 @@ def cmd_synthesize(args):
 
 
 def cmd_extract_residuals(args):
-    paths_dims = []
-    frames = None
-    for spec in args.clip:
-        path, w, h, nf = _parse_clip(spec)
-        paths_dims.append((path, w, h))
-        if nf:
-            frames = nf if frames is None else min(frames, nf)
-    if args.frames:
-        frames = args.frames
-    records = pipeline.extract_residuals_from_files(paths_dims, qps=tuple(args.qp), frames=frames)
+    """Every clip is cut to --frames, else to the fewest frames any spec
+    names, else kept whole."""
+    specs = [_parse_clip(spec) for spec in args.clip]
+    frames = args.frames or min((nf for *_, nf in specs if nf), default=0)
+    clips = [_load_planes(path, w, h, frames) for path, w, h, _ in specs]
+    records = pipeline.extract_residuals(clips, qps=tuple(args.qp))
     pipeline.save_residual_corpus(args.output, records)
-    print(f"collected {len(records)} residuals from {len(paths_dims)} clip(s) -> {args.output}")
+    print(f"collected {len(records)} residuals from {len(clips)} clip(s) -> {args.output}")
     return 0
 
 
@@ -225,29 +222,24 @@ def cmd_rd_model(args):
 def cmd_experiment(args):
     manifest = analysis.ExperimentManifest.from_json(args.manifest)
     if args.timing_runs:
-        manifest = analysis.ExperimentManifest(
-            clips=manifest.clips,
-            qps=manifest.qps,
-            strategies=manifest.strategies,
-            bank_path=manifest.bank_path,
-            seed=manifest.seed,
-            timing_runs=args.timing_runs,
-        )
+        manifest = dataclasses.replace(manifest, timing_runs=args.timing_runs)
     analysis.run_experiment(manifest, args.output_dir, verbose=not args.quiet)
     print(f"experiment complete -> {args.output_dir}")
     return 0
 
 
 def _read_rd_csv(path):
-    points = []
+    """qp,rate,psnr rows; InvalidInputError for a missing column or a non-number."""
     with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            points.append(
+        try:
+            return [
                 analysis.RDPoint(
                     qp=int(row["qp"]), rate=float(row["rate"]), psnr=float(row["psnr"])
                 )
-            )
-    return points
+                for row in csv.DictReader(f)
+            ]
+        except (KeyError, TypeError, ValueError, csv.Error) as e:
+            raise InvalidInputError(f"bad RD table {path}: {e!r}") from e
 
 
 def cmd_bdrate(args):
@@ -349,7 +341,7 @@ def main(argv=None):
     except _DATA_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except (InvalidInputError, FileNotFoundError) as e:
+    except (InvalidInputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except ExperimentStageError as e:

@@ -36,15 +36,16 @@ import numpy as np
 from .bitstream import BitReader, BitWriter
 from .errors import BitstreamError, InvalidInputError
 from .intra import build_references, predict_all_modes, predict_block
-from .linalg import VEC_LEN
+from .linalg import BLOCK_SIZE as BLOCK, VEC_LEN
 from .metrics import qp_to_lambda, qp_to_qstep
 from .modes import DCT_ONLY_MODES, N_MODES
 from .transforms import DCT_64
 
-BLOCK = 8
 MODE_BITS = 6
 MAX_QP = 51
 _LEVEL_LIMIT = 1 << 12  # |level| < 2**12, see the module docstring
+_MIN_BLOCK_BITS = MODE_BITS + 1  # mode and coded-block flag
+DEADZONE = 1.0 / 3.0
 # Blocks per encode_block call.  Fixed: it bounds the memory of the
 # batch's candidate arrays, and batching never changes the output.
 BATCH_BLOCKS = 16
@@ -69,12 +70,12 @@ ZIGZAG = _zigzag_order(BLOCK)
 INV_ZIGZAG = np.argsort(ZIGZAG)
 
 
-def quantize(coeffs, q_step, deadzone=1.0 / 3.0):
-    """Uniform deadzone quantizer: sign(y) * floor(|y|/Q + f)."""
+def quantize(coeffs, q_step):
+    """Uniform deadzone quantizer: sign(y) * floor(|y|/Q + DEADZONE)."""
     if q_step <= 0:
         raise InvalidInputError("q_step must be positive")
     y = np.asarray(coeffs, dtype=np.float64)
-    mag = np.abs(y) / q_step + deadzone
+    mag = np.abs(y) / q_step + DEADZONE
     np.floor(mag, out=mag)
     return np.copysign(mag, y, out=mag).astype(np.int64)
 
@@ -142,18 +143,13 @@ def level_bit_cost(levels_scan):
     return int(cost[0]) if single else cost
 
 
-@dataclass(frozen=True)
-class CodedBlock:
-    mode: int
-    transform_flag: int | None  # None when the strategy offers no choice
-    levels: np.ndarray  # 64 levels in scan order
-    uses_saab: bool
-
-
 @dataclass
 class BlockRecord:
+    """One coded block: what the serializer writes and what the RD search saw."""
+
     mode: int
-    transform: str
+    transform: str  # "saab" or "dct"
+    levels: np.ndarray  # 64 levels in scan order
     bits: int
     sse: float
     j_chosen: float = math.inf
@@ -165,7 +161,6 @@ class BlockRecord:
 class FrameStats:
     total_bits: int = 0
     sse: float = 0.0
-    psnr: float = math.inf
     n_saab: int = 0
     n_total: int = 0
     blocks: list = field(default_factory=list)
@@ -176,7 +171,6 @@ class DecodeStats:
     n_total: int = 0
     n_saab: int = 0
     n_flag_bits: int = 0
-    n_flag_saab: int = 0
 
 
 class StrategyConfig:
@@ -209,12 +203,6 @@ class StrategyConfig:
             )
         else:
             self.saab_matrices = None
-
-    def flag_present(self, mode):
-        return bool(self.flag[mode])
-
-    def digest(self):
-        return self.bank.digest() if self.bank is not None else b"\x00" * 16
 
 
 def _reconstruct_block(pred64, levels_scan, uses_saab, kernel_matrix, q_step):
@@ -258,9 +246,9 @@ def encode_block(original, recon, pos, qp, cfg, keep_residuals=False):
     uint8 reconstruction surfaces, the latter with every block the batch
     references already filled; `pos` holds (frame, bx, by) index arrays of
     at most BATCH_BLOCKS blocks that do not reference each other.  Stores
-    each block's reconstruction in `recon` and returns one (CodedBlock,
-    BlockRecord) pair per block; the caller serializes the CodedBlocks.
-    BlockRecord.residual is filled only when `keep_residuals` is set.
+    each block's reconstruction in `recon` and returns one BlockRecord per
+    block, which the caller serializes.  BlockRecord.residual is filled only
+    when `keep_residuals` is set.
     """
     frame, bx, by = pos
     _, h, w = recon.shape
@@ -303,17 +291,12 @@ def encode_block(original, recon, pos, qp, cfg, keep_residuals=False):
         rec = _reconstruct_block(preds[i, mode], levels, uses_saab, kernel_matrix, q)
         y0, x0 = by[i] * BLOCK, bx[i] * BLOCK
         recon[frame[i], y0 : y0 + BLOCK, x0 : x0 + BLOCK] = rec.reshape(BLOCK, BLOCK)
-        coded = CodedBlock(
-            mode=mode,
-            transform_flag=(1 if uses_saab else 0) if cfg.flag_present(mode) else None,
-            levels=levels,
-            uses_saab=uses_saab,
-        )
         # j_chosen and j_dct (the DCT candidate of the same mode, same pass)
         # are exposed for dominance checks.
         record = BlockRecord(
             mode=mode,
             transform="saab" if uses_saab else "dct",
+            levels=levels,
             bits=int(bits[mode, i]),
             sse=float(np.sum((orig[i] - rec) ** 2)),
             j_chosen=float(j_all[i, b]),
@@ -321,15 +304,15 @@ def encode_block(original, recon, pos, qp, cfg, keep_residuals=False):
         )
         if keep_residuals:
             record.residual = (orig[i] - preds[i, mode]).reshape(BLOCK, BLOCK).astype(np.int16)
-        blocks.append((coded, record))
+        blocks.append(record)
     return blocks
 
 
-def _write_coded_block(bw, coded):
-    bw.write_bits(coded.mode, MODE_BITS)
-    if coded.transform_flag is not None:
-        bw.write_bit(coded.transform_flag)
-    encode_levels(bw, coded.levels)
+def _write_block(bw, record, cfg):
+    bw.write_bits(record.mode, MODE_BITS)
+    if cfg.flag[record.mode]:
+        bw.write_bit(record.transform == "saab")
+    encode_levels(bw, record.levels)
 
 
 def _wavefront_batches(n_frames, blocks_w, blocks_h):
@@ -352,17 +335,19 @@ def _wavefront_batches(n_frames, blocks_w, blocks_h):
             yield frame[batch], bx[batch], by[batch]
 
 
-def encode_sequence(planes, qp, cfg, collect_residuals=None, source_id=0, recon_out=None):
+def encode_sequence(planes, qp, cfg, keep_residuals=False, recon_out=None):
     """Encode luma planes into one self-describing bitstream.
 
-    Returns (stream bytes, list of FrameStats).  When `collect_residuals`
-    is a list, one ResidualRecord-shaped dict per coded block is appended
-    (used by the training pipeline).  When `recon_out` is a list, the
-    encoder's own reconstruction planes are appended (uint8), which must
-    match the decoder output bit-exactly.
+    Returns (stream bytes, list of FrameStats).  Each FrameStats.blocks
+    lists the frame's BlockRecords in raster order, so a record's index i
+    is the block at (i % blocks_w, i // blocks_w); with `keep_residuals`
+    each record also holds its prediction residual (used by the training
+    pipeline).  When `recon_out` is a list, the encoder's own
+    reconstruction planes are appended (uint8), which must match the
+    decoder output bit-exactly.
 
     The RD search runs over wavefront batches of all frames; the blocks are
-    then serialized, and residuals collected, in raster order per frame.
+    then serialized in raster order per frame.
     """
     if not planes:
         raise InvalidInputError("no frames to encode")
@@ -376,11 +361,10 @@ def encode_sequence(planes, qp, cfg, collect_residuals=None, source_id=0, recon_
     blocks_w, blocks_h = w // BLOCK, h // BLOCK
     original = np.stack(planes)
     recon = np.zeros(original.shape, dtype=np.uint8)
-    keep_residuals = collect_residuals is not None
-    blocks = {}  # (frame, bx, by) -> (CodedBlock, BlockRecord)
+    blocks = {}  # (frame, bx, by) -> BlockRecord
     for pos in _wavefront_batches(len(planes), blocks_w, blocks_h):
-        coded = encode_block(original, recon, pos, qp, cfg, keep_residuals)
-        blocks.update(zip(zip(*(p.tolist() for p in pos)), coded))
+        records = encode_block(original, recon, pos, qp, cfg, keep_residuals)
+        blocks.update(zip(zip(*(p.tolist() for p in pos)), records))
 
     bw = BitWriter()
     stats_list = []
@@ -388,33 +372,15 @@ def encode_sequence(planes, qp, cfg, collect_residuals=None, source_id=0, recon_
         stats = FrameStats()
         for by in range(blocks_h):
             for bx in range(blocks_w):
-                c, record = blocks[frame_index, bx, by]
+                record = blocks[frame_index, bx, by]
                 before = bw.bit_length
-                _write_coded_block(bw, c)
+                _write_block(bw, record, cfg)
                 record.bits = bw.bit_length - before
                 stats.blocks.append(record)
                 stats.total_bits += record.bits
                 stats.sse += record.sse
                 stats.n_total += 1
-                stats.n_saab += 1 if c.uses_saab else 0
-                if keep_residuals:
-                    collect_residuals.append(
-                        {
-                            "residual": record.residual,
-                            "mode": record.mode,
-                            "qp": qp,
-                            "source": source_id,
-                            "frame": frame_index,
-                            "x": bx,
-                            "y": by,
-                        }
-                    )
-        npix = h * w
-        stats.psnr = (
-            math.inf
-            if stats.sse == 0
-            else 10.0 * math.log10(255.0 * 255.0 * npix / stats.sse)
-        )
+                stats.n_saab += record.transform == "saab"
         stats_list.append(stats)
         if recon_out is not None:
             recon_out.append(recon[frame_index])
@@ -427,7 +393,7 @@ def encode_sequence(planes, qp, cfg, collect_residuals=None, source_id=0, recon_
         w,
         h,
         len(planes),
-        cfg.digest(),
+        cfg.bank.digest() if cfg.bank is not None else bytes(16),
     )
     return header + bw.getvalue(), stats_list
 
@@ -435,14 +401,16 @@ def encode_sequence(planes, qp, cfg, collect_residuals=None, source_id=0, recon_
 def decode_sequence(data, bank=None):
     """Decode a bitstream back to luma planes.
 
-    Returns (planes, DecodeStats).  Raises BitstreamError on truncation or
-    bytes past the last block's (zero-padded) byte, and InvalidInputError
-    when the embedded kernel-bank digest does not match.
+    Returns (planes, DecodeStats).  Raises BitstreamError on truncation, on
+    a payload too short for the header's block count, and on bytes or set
+    bits past the last block's final bit; InvalidInputError when the
+    embedded kernel-bank digest does not match.
     """
     info = stream_info(data)
-    if info["version"] != STREAM_VERSION:
-        raise BitstreamError(f"unsupported stream version {info['version']}")
     strategy, qp, w, h = info["strategy"], info["qp"], info["width"], info["height"]
+    n_blocks = info["frames"] * (h // BLOCK) * (w // BLOCK)
+    if 8 * (len(data) - _HEADER.size) < _MIN_BLOCK_BITS * n_blocks:
+        raise BitstreamError(f"payload too short for {n_blocks} blocks")
     if strategy != "dct_only":
         if bank is None:
             raise InvalidInputError("stream requires a kernel bank")
@@ -461,11 +429,9 @@ def decode_sequence(data, bank=None):
                 if mode >= N_MODES:
                     raise BitstreamError(f"invalid mode {mode}", bit_offset=br.position)
                 uses_saab = not cfg.dct_ok[mode]
-                if cfg.flag_present(mode):
-                    flag = br.read_bit()
+                if cfg.flag[mode]:
+                    uses_saab = bool(br.read_bit())
                     dstats.n_flag_bits += 1
-                    dstats.n_flag_saab += flag
-                    uses_saab = bool(flag)
                 levels = decode_levels(br)
                 refs = build_references(recon, bx, by, w // BLOCK, h // BLOCK)
                 pred = predict_block(*refs, mode).reshape(VEC_LEN)
@@ -479,6 +445,9 @@ def decode_sequence(data, bank=None):
         planes.append(recon.astype(np.uint8))
     if len(data) - _HEADER.size != (br.position + 7) // 8:
         raise BitstreamError("trailing bytes after the last block", bit_offset=br.position)
+    pad_mask = (1 << -br.position % 8) - 1  # the last byte's padding bits
+    if data[-1] & pad_mask:
+        raise BitstreamError("nonzero padding bits after the last block", bit_offset=br.position)
     return planes, dstats
 
 
@@ -486,11 +455,14 @@ def stream_info(data):
     """Parse the header of a bitstream without decoding the payload.
 
     Raises BitstreamError when the data is not a saabcodec stream or names
-    a strategy, QP, frame size or frame count the codec cannot have written.
+    a version, strategy, QP, frame size or frame count the codec cannot have
+    written.
     """
     if len(data) < _HEADER.size or data[:4] != STREAM_MAGIC:
         raise BitstreamError("not a saabcodec bitstream")
     magic, version, strategy_code, qp, _, w, h, n_frames, digest = _HEADER.unpack_from(data)
+    if version != STREAM_VERSION:
+        raise BitstreamError(f"unsupported stream version {version}")
     if strategy_code >= len(STRATEGIES):
         raise BitstreamError(f"unknown strategy code {strategy_code}")
     if qp > MAX_QP:

@@ -101,11 +101,15 @@ class KernelBank:
             meta = json.loads(buf[offset : offset + meta_len].decode())
         except ValueError as e:  # bad UTF-8 or bad JSON
             raise InvalidInputError(f"unreadable bank metadata: {e}") from e
+        if not isinstance(meta, dict):
+            raise InvalidInputError("bank metadata is not a JSON object")
         offset += meta_len
         kernels = []
         for _ in range(count):
             kernel, offset = kernel_from_bytes(buf, offset)
             kernels.append(kernel)
+        if offset != len(buf):
+            raise InvalidInputError(f"{len(buf) - offset} bytes after the last kernel record")
         apply_map = meta.pop("apply_map", None)
         train_groups = meta.pop("train_groups", None)
         if apply_map is not None and train_groups is not None:
@@ -141,20 +145,6 @@ class KernelBank:
             kernels=tuple(round_kernel(k, decimal_digits) for k in self.kernels),
             meta=meta,
         )
-
-    def export_text(self, path):
-        """Human-readable dump of the bank for inspection."""
-        with open(path, "w") as f:
-            f.write(f"kernel bank: {len(self.kernels)} kernels\n")
-            f.write(f"meta: {json.dumps(self.meta, sort_keys=True)}\n")
-            for i, k in enumerate(self.kernels):
-                f.write(
-                    f"\n# kernel {i} kind={k.kind} modes={sorted(k.trained_mode_group)} "
-                    f"decimal_digits={k.decimal_digits}\n"
-                )
-                for row in k.matrix:
-                    f.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-                f.write("bias " + " ".join(f"{v:.17g}" for v in k.bias) + "\n")
 
     def validate(self):
         """Return self, or raise InvalidInputError unless the bank has 24

@@ -13,11 +13,6 @@ from dataclasses import dataclass
 N_MODES = 35
 N_KERNELS = 24
 
-MODE_PLANAR = 0
-MODE_DC = 1
-MODE_HORIZONTAL = 10
-MODE_VERTICAL = 26
-
 # Modes where the substitution / partial-RDO strategies keep plain DCT.
 DCT_ONLY_MODES = frozenset(range(8, 13)) | frozenset(range(24, 29))
 

@@ -14,9 +14,9 @@ import numpy as np
 from .codec import StrategyConfig, encode_sequence
 from .errors import InvalidInputError, StarvedGroupError
 from .kernelio import KernelBank
+from .linalg import BLOCK_SIZE
 from .modes import N_KERNELS, N_MODES, canonical_mode_group_table
 from .transforms import learn_saab1
-from .video import read_yuv
 
 DEFAULT_QPS = (22, 27, 32, 37)
 DEFAULT_SAMPLES_PER_KERNEL = 80_000
@@ -38,43 +38,35 @@ class ResidualRecord:
     y: int
 
 
-def extract_residuals(clips, qps=DEFAULT_QPS, frames=None):
+def extract_residuals(clips, qps=DEFAULT_QPS):
     """Run the DCT-only encoder over luma clips and collect labelled residuals.
 
-    `clips` is a list of frame lists (as from read_yuv) or a single frame
-    list.  One record per coded block per QP.
+    `clips` is a list of frame lists (as from read_yuv); a record's source
+    is its clip's index.  One record per coded block per QP, in raster
+    order per frame.
     """
-    if clips and isinstance(clips[0], np.ndarray):
-        clips = [clips]
     cfg = StrategyConfig("dct_only")
     records = []
-    for source_id, planes in enumerate(clips):
-        if frames is not None:
-            planes = planes[:frames]
+    for source, planes in enumerate(clips):
         if not planes:
-            raise InvalidInputError(f"clip {source_id} has no frames")
+            raise InvalidInputError(f"clip {source} has no frames")
+        blocks_w = planes[0].shape[1] // BLOCK_SIZE
         for qp in qps:
-            raw = []
-            encode_sequence(planes, qp, cfg, collect_residuals=raw, source_id=source_id)
+            _, stats = encode_sequence(planes, qp, cfg, keep_residuals=True)
             records.extend(
                 ResidualRecord(
-                    residual=r["residual"],
-                    mode=r["mode"],
-                    qp=r["qp"],
-                    source=r["source"],
-                    frame=r["frame"],
-                    x=r["x"],
-                    y=r["y"],
+                    residual=b.residual,
+                    mode=b.mode,
+                    qp=qp,
+                    source=source,
+                    frame=frame,
+                    x=i % blocks_w,
+                    y=i // blocks_w,
                 )
-                for r in raw
+                for frame, fs in enumerate(stats)
+                for i, b in enumerate(fs.blocks)
             )
     return records
-
-
-def extract_residuals_from_files(paths_dims, qps=DEFAULT_QPS, frames=None):
-    """File-based wrapper: paths_dims is a list of (path, width, height)."""
-    clips = [read_yuv(path, w, h) for path, w, h in paths_dims]
-    return extract_residuals(clips, qps=qps, frames=frames)
 
 
 def save_residual_corpus(path, records):
@@ -115,21 +107,16 @@ def load_residual_corpus(path):
 
 
 def train_kernel_bank(
-    records,
-    table=None,
-    samples_per_kernel=DEFAULT_SAMPLES_PER_KERNEL,
-    seed=0,
-    decimal_digits=None,
-    provenance=None,
+    records, samples_per_kernel=DEFAULT_SAMPLES_PER_KERNEL, seed=0, decimal_digits=None
 ):
     """Learn the 24 mode-dependent kernels from a residual corpus.
 
-    Each kernel trains on residuals whose intra mode falls in its group,
-    subsampled deterministically to `samples_per_kernel`.  Raises
-    StarvedGroupError listing every group with fewer than 64 residuals.
+    Each kernel trains on residuals whose intra mode falls in its group of
+    the canonical table, subsampled deterministically to
+    `samples_per_kernel`.  Raises StarvedGroupError listing every group
+    with fewer than 64 residuals.
     """
-    if table is None:
-        table = canonical_mode_group_table()
+    table = canonical_mode_group_table()
     modes = np.array([r.mode for r in records])
     groups = [list(table.train_groups[k]) for k in range(N_KERNELS)]
     starved = {
@@ -149,8 +136,7 @@ def train_kernel_bank(
             idx = np.sort(rng.choice(pool.shape[0], size=samples_per_kernel, replace=False))
             pool = pool[idx]
         kernels.append(learn_saab1(pool, trained_mode_group=sorted(table.train_groups[k])))
-    meta = dict(provenance or {})
-    meta.update(
+    meta = dict(
         seed=seed,
         samples_per_kernel=samples_per_kernel,
         decimal_digits=decimal_digits,

@@ -32,7 +32,6 @@ from .linalg import (
 
 BIAS_MODES = ("raw", "centered")
 
-KIND_DCT = "dct"
 KIND_KLT = "klt"
 KIND_SAAB1 = "saab1"
 KIND_SAAB2 = "saab2"

@@ -9,8 +9,12 @@ import os
 import numpy as np
 
 from .errors import InvalidInputError
+from .linalg import BLOCK_SIZE as BLOCK
 
-BLOCK = 8
+
+def _check_frame_size(width, height):
+    if width < BLOCK or height < BLOCK:
+        raise InvalidInputError(f"frame size {width}x{height} is below one {BLOCK}x{BLOCK} block")
 
 
 def crop_to_block_grid(plane):
@@ -23,11 +27,11 @@ def read_yuv(path, width, height, frame_range=None):
     """Read the luma planes of an 8-bit planar 4:2:0 file.
 
     frame_range is a (start, stop) pair in display order; default all frames.
-    Raises InvalidInputError if the file size is inconsistent with the
-    dimensions or the range runs past end of file.
+    Raises InvalidInputError if a dimension is below one block, the file
+    size is inconsistent with the dimensions or the range runs past end of
+    file.
     """
-    if width <= 0 or height <= 0:
-        raise InvalidInputError("dimensions must be positive")
+    _check_frame_size(width, height)
     frame_bytes = width * height * 3 // 2
     size = os.path.getsize(path)
     if size == 0 or size % frame_bytes != 0:
@@ -67,8 +71,10 @@ def synthesize_luma_clip(width, height, frames, seed=0, motion=1.5):
 
     Mixes a smooth illumination gradient, oriented gratings whose angle
     varies across the frame (so intra prediction exercises many angular
-    modes), a few moving soft discs, and mild texture noise.
+    modes), a few moving soft discs, and mild texture noise.  Raises
+    InvalidInputError if a dimension is below one block.
     """
+    _check_frame_size(width, height)
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:height, 0:width].astype(np.float64)
     base_angle = np.pi / 5 + rng.uniform(-0.1, 0.1)

@@ -94,10 +94,18 @@ def test_manifest_json_roundtrip(tmp_path):
         seed=9,
         timing_runs=1,
     )
-    path = str(tmp_path / "manifest.json")
-    m.to_json(path)
-    back = analysis.ExperimentManifest.from_json(path)
-    assert back == m
+    path = tmp_path / "manifest.json"
+    clip = '{"name": "a", "path": "/x.yuv", "width": 64, "height": 48, "frames": 5}'
+    path.write_text(
+        f'{{"clips": [{clip}], "qps": [22, 37], "strategies": ["s3"], '
+        '"bank_path": "/bank.skb", "seed": 9, "timing_runs": 1}'
+    )
+    assert analysis.ExperimentManifest.from_json(str(path)) == m
+    # keys left out keep the dataclass defaults
+    path.write_text(f'{{"clips": [{clip}]}}')
+    assert analysis.ExperimentManifest.from_json(str(path)) == analysis.ExperimentManifest(
+        clips=m.clips
+    )
 
 
 def test_experiment_outputs(experiment_report):

@@ -108,3 +108,41 @@ def test_exit_codes(workdir, capsys):
     # missing file -> config error
     assert run(["ingest", "--input", workdir / "nope.yuv",
                 "--width", 64, "--height", 48]) == cli.EXIT_CONFIG
+
+
+_EXPERIMENT = ["experiment", "--manifest", "m.json", "--output-dir", "out"]
+_BDRATE = ["bdrate", "--anchor", "rd.csv", "--test", "rd.csv"]
+_CLIP = '{"name": "a", "path": "a.yuv", "width": 8, "height": 8'
+
+# case -> (files to create, with None for a directory; argv)
+BAD_INPUTS = {
+    "manifest-not-json": ({"m.json": "{clips"}, _EXPERIMENT),
+    "manifest-without-clips": ({"m.json": '{"qps": [22, 27, 32, 37]}'}, _EXPERIMENT),
+    "manifest-unknown-clip-key": ({"m.json": f'{{"clips": [{_CLIP}, "fps": 30}}]}}'}, _EXPERIMENT),
+    "rd-table-without-psnr": ({"rd.csv": "qp,rate\n22,100\n"}, _BDRATE),
+    "rd-table-text-rate": ({"rd.csv": "qp,rate,psnr\n22,fast,30\n"}, _BDRATE),
+    "decode-directory": ({"d": None}, ["decode", "--input", "d", "--output", "o.yuv"]),
+    "train-bank-directory": ({"d": None}, ["train-bank", "--corpus", "d", "--output", "b.skb"]),
+    "ingest-below-one-block": (
+        {"c.yuv": "\0" * 24},
+        ["ingest", "--input", "c.yuv", "--width", 4, "--height", 4],
+    ),
+    "synthesize-zero-width": (
+        {},
+        ["synthesize", "--width", 0, "--height", 8, "--frames", 1, "--output", "s.yuv"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_with_one_line_error(case, tmp_path, monkeypatch, capsys):
+    files, argv = BAD_INPUTS[case]
+    for name, text in files.items():
+        if text is None:
+            (tmp_path / name).mkdir()
+        else:
+            (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) in (cli.EXIT_CONFIG, cli.EXIT_DATA)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err

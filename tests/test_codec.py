@@ -153,21 +153,34 @@ def test_bad_qp_rejected(qp, shape, tiny_clip):
 
 @pytest.mark.parametrize(
     "offset,value",
-    [(5, 4), (5, 255), (6, 52), (6, 255), (8, 33), (8, 0), (10, 0), (12, 0), (None, 0)],
+    [(4, 2), (5, 4), (5, 255), (6, 52), (6, 255), (8, 33), (8, 0), (10, 0), (12, 0), (None, 0),
+     ("pad", 1)],
 )
 def test_bad_header_field_rejected(offset, value, tiny_clip):
-    # header byte 5 is the strategy code, byte 6 the QP, bytes 8, 10 and 12
-    # the low bytes of width, height and frame count; offset None appends a
-    # byte after the payload, which only decoding can see
+    # header byte 4 is the version, byte 5 the strategy code, byte 6 the QP,
+    # bytes 8, 10 and 12 the low bytes of width, height and frame count;
+    # offset None appends a byte after the payload and "pad" sets the last
+    # padding bit, which only decoding can see
     stream, _ = codec.encode_sequence(tiny_clip[:1], 37, codec.StrategyConfig("dct_only"))
     if offset is None:
         bad = stream + bytes([value])
+    elif offset == "pad":
+        assert stream[-1] & value == 0  # the payload ends before the last bit
+        bad = stream[:-1] + bytes([stream[-1] | value])
     else:
         bad = stream[:offset] + bytes([value]) + stream[offset + 1 :]
         with pytest.raises(BitstreamError):
             codec.stream_info(bad)
     with pytest.raises(BitstreamError):
         codec.decode_sequence(bad)
+
+
+def test_payload_shorter_than_header_blocks_rejected():
+    # 65528x65528 is a valid frame size whose 16 GiB int32 plane must not be
+    # allocated for a one-byte payload
+    header = codec._HEADER.pack(b"SBVC", 1, 0, 22, 0, 65528, 65528, 1, bytes(16))
+    with pytest.raises(BitstreamError, match="payload too short"):
+        codec.decode_sequence(header + b"\0")
 
 
 @pytest.mark.parametrize("zeros", [12, 64])
@@ -189,12 +202,11 @@ def test_oversized_level_rejected(zeros):
 
 def test_residuals_kept_only_when_collected(tiny_clip):
     cfg = codec.StrategyConfig("dct_only")
-    _, stats = codec.encode_sequence(tiny_clip, 37, cfg)
+    stream, stats = codec.encode_sequence(tiny_clip, 37, cfg)
     assert all(b.residual is None for s in stats for b in s.blocks)
-    collected = []
-    _, stats = codec.encode_sequence(tiny_clip, 37, cfg, collect_residuals=collected)
-    blocks = [b for s in stats for b in s.blocks]
-    assert len(collected) == len(blocks)
-    for entry, block in zip(collected, blocks):
-        assert entry["residual"] is block.residual
-        assert block.residual.dtype == np.int16 and block.residual.shape == (8, 8)
+    kept, stats = codec.encode_sequence(tiny_clip, 37, cfg, keep_residuals=True)
+    assert kept == stream
+    for s in stats:
+        assert len(s.blocks) == (64 // 8) * (48 // 8)
+        for block in s.blocks:
+            assert block.residual.dtype == np.int16 and block.residual.shape == (8, 8)

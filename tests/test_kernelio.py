@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saabcodec import codec, pipeline
+from saabcodec import codec, kernelio, pipeline
 from saabcodec.errors import InvalidInputError, SaabCodecError
 from saabcodec.kernelio import KernelBank
 
@@ -56,14 +56,9 @@ def test_corrupt_bank_rejected(bank):
     raw = bank.to_bytes()
     with pytest.raises(InvalidInputError):
         KernelBank.from_bytes(b"XXXX" + raw[4:])
-
-
-def test_export_text(tmp_path, bank):
-    path = str(tmp_path / "bank.txt")
-    bank.export_text(path)
-    with open(path) as f:
-        text = f.read()
-    assert "kernel" in text.lower()
+    # metadata that is JSON but not an object
+    with pytest.raises(InvalidInputError):
+        KernelBank.from_bytes(kernelio.BANK_MAGIC + kernelio._BANK_HEADER.pack(1, 0, 1) + b"1")
 
 
 @pytest.fixture(scope="module")
@@ -82,13 +77,17 @@ def damage_targets(tmp_path_factory, tiny_bank, tiny_records, tiny_clip):
 
 
 @settings(max_examples=300, deadline=None)
-@given(kind=st.sampled_from(["bank", "corpus", "stream"]), damage=st.data())
-def test_damaged_files_raise_only_typed_errors(damage_targets, kind, damage):
+@given(
+    kind=st.sampled_from(["bank", "corpus", "stream"]),
+    how=st.sampled_from(["truncate", "flip", "append", "random"]),
+    damage=st.data(),
+)
+def test_damaged_files_raise_only_typed_errors(damage_targets, kind, how, damage):
     directory, targets = damage_targets
     raw, load = targets[kind]
-    if damage.draw(st.booleans(), label="truncate"):
+    if how == "truncate":
         raw = raw[: damage.draw(st.integers(0, len(raw) - 1), label="length")]
-    else:
+    elif how == "flip":
         # half of the flips land in the first 400 bytes, where the headers are
         head = 8 * min(400, len(raw))
         bit = damage.draw(
@@ -96,8 +95,17 @@ def test_damaged_files_raise_only_typed_errors(damage_targets, kind, damage):
         )
         raw = bytearray(raw)
         raw[bit // 8] ^= 1 << (bit % 8)
+    elif how == "append":
+        raw += damage.draw(st.binary(min_size=1, max_size=64), label="tail")
+    else:
+        # the magic, so the reader gets past its first check, then noise
+        raw = raw[:4] + damage.draw(st.binary(max_size=2048), label="body")
     path = directory / f"damaged_{kind}.bin"
     path.write_bytes(bytes(raw))
+    if how == "append":
+        with pytest.raises(SaabCodecError):
+            load(str(path))
+        return
     try:
         load(str(path))
     except SaabCodecError:

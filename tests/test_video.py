@@ -66,3 +66,13 @@ def test_synthesize_deterministic():
 def test_synthesize_has_motion():
     planes = video.synthesize_luma_clip(64, 48, 3, seed=0)
     assert not np.array_equal(planes[0], planes[2])
+
+
+@pytest.mark.parametrize("width,height", [(4, 4), (0, 16), (16, 7)])
+def test_frames_below_one_block_rejected(tmp_path, width, height):
+    path = tmp_path / "small.yuv"
+    path.write_bytes(bytes(width * height * 3 // 2 or 1))
+    with pytest.raises(InvalidInputError):
+        video.read_yuv(str(path), width, height)
+    with pytest.raises(InvalidInputError):
+        video.synthesize_luma_clip(width, height, 1)
