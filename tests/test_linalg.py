@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,69 @@ def test_eig_zero_matrix():
     r = linalg.eig_symmetric(np.zeros((8, 8)))
     assert np.allclose(r.eigenvalues, 0)
     assert np.max(np.abs(r.eigenvectors @ r.eigenvectors.T - np.eye(8))) < 1e-12
+
+
+def _dense_symmetric(n, seed):
+    """Seeded symmetric matrix built without BLAS, so its bytes are the same
+    on every machine."""
+    x = np.random.default_rng([seed, n]).normal(size=(n, n))
+    return x + x.T
+
+
+def _golden_matrices():
+    blocks = np.zeros((12, 12))  # exact-zero off-diagonal blocks: skipped rotations
+    blocks[:5, :5] = _dense_symmetric(5, 11)
+    blocks[5:, 5:] = _dense_symmetric(7, 11)
+    return {
+        "dense-63": _dense_symmetric(63, 7),
+        "dense-15": _dense_symmetric(15, 7),
+        "dense-3": _dense_symmetric(3, 7),
+        "zero": np.zeros((8, 8)),
+        "diagonal": np.diag([2.0, -1.0, 2.0, 0.5, 0.0, -1.0, 3.0]),
+        "block-diagonal": blocks,
+    }
+
+
+# case -> SHA-256 of (eigenvalues, eigenvectors) as float64 bytes.  A change
+# to the solver's operations or their order shows here, and in every bank.
+EIG_DIGESTS = {
+    "dense-63": (
+        "c5bb08cf6251caa4a60b350eee43d270b71e2278b0ea90ac09217d400970f524",
+        "04e1d908924d93a89cf77124b4f50e997535aff43f42921e1be90b2d68e5b012",
+    ),
+    "dense-15": (
+        "91064c0661a93ecf9f4e4338f0e786fb3e95dc48facb0595267b7ae62fcebb80",
+        "a910586028a91137f75d05aea1615912647e1d22494fd19c029153b0975b2ae8",
+    ),
+    "dense-3": (
+        "1c195b47cdf52145d1820985e6da480c0d2efa2b22da99b67e347e3bf783a7a7",
+        "2ca78c2667f5c3e17bb80b4f729a5b4ddae3ef07c9a70e76573cb5124d1ac435",
+    ),
+    "zero": (
+        "f5a5fd42d16a20302798ef6ed309979b43003d2320d9f0e8ea9831a92759fb4b",
+        "912b8f2f0b10b7b22a7248a1909345aa185013716ca8cdd5490076f5788de980",
+    ),
+    "diagonal": (
+        "20743a0d142c17adce84b2b5ca31048932c277c0b28b7290b4677b1aad28dbb7",
+        "b439ad84807818415c773810fc86cadd1c9408a8e3b682cd6ab2f617182dad17",
+    ),
+    "block-diagonal": (
+        "4d613f8ab6b3b6729f66d65f85632fba4675ccf3c7a7fd9ecb67827ec520cd20",
+        "f99ae34ff9c84b7507833a4bb59325038b1b4fa302b6e7e63af510bf4cb0f785",
+    ),
+}
+
+
+def _digests(result):
+    return tuple(
+        hashlib.sha256(np.ascontiguousarray(x, dtype="<f8").tobytes()).hexdigest()
+        for x in (result.eigenvalues, result.eigenvectors)
+    )
+
+
+@pytest.mark.parametrize("case", sorted(EIG_DIGESTS))
+def test_eig_golden_digest(case):
+    assert _digests(linalg.eig_symmetric(_golden_matrices()[case])) == EIG_DIGESTS[case]
 
 
 def test_eig_rejects_nonsquare():
