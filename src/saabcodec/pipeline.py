@@ -127,15 +127,19 @@ def train_kernel_bank(
     if starved:
         raise StarvedGroupError(starved)
     residuals = np.array([r.residual for r in records])  # int16, as recorded
-    kernels = []
-    for k in range(N_KERNELS):
-        # the mask keeps record order, which the seeded subsample depends on
-        pool = residuals[np.isin(modes, groups[k])]
-        if pool.shape[0] > samples_per_kernel:
-            rng = np.random.default_rng([seed, k])
-            idx = np.sort(rng.choice(pool.shape[0], size=samples_per_kernel, replace=False))
-            pool = pool[idx]
-        kernels.append(learn_saab1(pool, trained_mode_group=sorted(table.train_groups[k])))
+
+    def pools():
+        for k in range(N_KERNELS):
+            # the mask keeps record order, which the seeded subsample depends on
+            pool = residuals[np.isin(modes, groups[k])]
+            if pool.shape[0] > samples_per_kernel:
+                rng = np.random.default_rng([seed, k])
+                idx = np.sort(rng.choice(pool.shape[0], size=samples_per_kernel, replace=False))
+                pool = pool[idx]
+            yield pool
+
+    # one pool at a time is drawn and reduced; the 24 kernels share one eigensolve
+    kernels = learn_saab1(pools(), groups=[sorted(g) for g in table.train_groups])
     meta = dict(
         seed=seed,
         samples_per_kernel=samples_per_kernel,

@@ -88,48 +88,82 @@ def _as_sample_matrix(samples):
     return d
 
 
-def _learn_one_stage(d):
-    """One-stage Saab construction for K-dim vectors (T, K) -> (matrix, bias).
-
-    DC kernel fixed at (1/sqrt(K))*1.  AC kernels are eigenvectors of the
-    second-moment matrix of the DC-removed samples, computed inside the
-    DC-orthogonal complement so they stay exactly orthogonal to DC even when
-    the covariance is rank-deficient.  The shared AC bias is max ||d||_2.
-    """
+def _stage_statistics(d):
+    """The per-set half of the one-stage Saab construction for K-dim vectors
+    (T, K): the second-moment matrix of the DC-removed samples inside the
+    DC-orthogonal complement, (K-1, K-1), and the shared AC bias max ||d||_2."""
     t, k = d.shape
     a0 = np.full(k, 1.0 / np.sqrt(k))
     dc = d @ a0
     z = d - np.outer(dc, a0)
     bias_value = float(np.sqrt(np.max(np.sum(d * d, axis=1))))
     basis = dc_complement_basis(k)
-    c_sub = basis @ covariance(z) @ basis.T
-    eig = eig_symmetric(c_sub)
-    ac_rows = apply_sign_convention(eig.eigenvectors @ basis)
-    matrix = np.vstack([a0, ac_rows])
-    bias = np.full(k, bias_value)
-    bias[0] = 0.0
-    return matrix, bias
+    return basis @ covariance(z) @ basis.T, bias_value
 
 
-def learn_saab1(samples, trained_mode_group=()):
+def _learn_stages(sample_sets):
+    """One-stage Saab construction for each (T, K) set of an iterable, all
+    of one K -> list of (matrix, bias).
+
+    DC kernel fixed at (1/sqrt(K))*1.  AC kernels are eigenvectors of the
+    second-moment matrix of the DC-removed samples, computed inside the
+    DC-orthogonal complement so they stay exactly orthogonal to DC even when
+    the covariance is rank-deficient.  The shared AC bias is max ||d||_2.
+    Each set is reduced to its matrix as it is drawn, so only the small
+    matrices outlive their sets, and one stacked eigensolve serves them all.
+    """
+    stats = [_stage_statistics(d) for d in sample_sets]
+    if not stats:
+        return []
+    biases = [b for _, b in stats]
+    covs = np.array([c for c, _ in stats])
+    del stats
+    k = covs.shape[-1] + 1
+    eig = eig_symmetric(covs)
+    basis = dc_complement_basis(k)
+    a0 = np.full(k, 1.0 / np.sqrt(k))
+    out = []
+    for vectors, bias_value in zip(eig.eigenvectors, biases):
+        ac_rows = apply_sign_convention(vectors @ basis)
+        bias = np.full(k, bias_value)
+        bias[0] = 0.0
+        out.append((np.vstack([a0, ac_rows]), bias))
+    return out
+
+
+def _training_samples(samples, kind):
+    """`samples` as a (T, 64) float array of at least 64 vectors."""
     d = _as_sample_matrix(samples)
     if d.shape[0] < VEC_LEN:
         raise InsufficientDataError(
-            f"saab1 learning needs at least {VEC_LEN} samples, got {d.shape[0]}"
+            f"{kind} learning needs at least {VEC_LEN} samples, got {d.shape[0]}"
         )
-    matrix, bias = _learn_one_stage(d)
-    return SaabKernel(
-        matrix=matrix, bias=bias, kind=KIND_SAAB1, trained_mode_group=tuple(trained_mode_group)
-    )
+    return d
+
+
+def learn_saab1(samples, trained_mode_group=(), *, groups=None):
+    """One-stage Saab kernel learned from (T, 64) vectors or (T, 8, 8) blocks.
+
+    With `groups`, `samples` is instead an iterable of sample sets, one per
+    entry of `groups` (that set's trained mode group), and a list of kernels
+    comes back.  Each set is reduced to its covariance as it is drawn, so a
+    generator keeps one set alive at a time, and all sets share one stacked
+    eigensolve; each kernel equals the one its set alone would give.
+    """
+    if groups is None:
+        return learn_saab1([samples], groups=[trained_mode_group])[0]
+    pairs = _learn_stages(_training_samples(s, "saab1") for s in samples)
+    if len(pairs) != len(groups):
+        raise InvalidInputError(f"{len(pairs)} sample sets for {len(groups)} groups")
+    return [
+        SaabKernel(matrix=matrix, bias=bias, kind=KIND_SAAB1, trained_mode_group=tuple(group))
+        for (matrix, bias), group in zip(pairs, groups)
+    ]
 
 
 def learn_klt(samples, trained_mode_group=()):
     """Eigenbasis of the mean-subtracted sample covariance, zero bias."""
-    d = _as_sample_matrix(samples)
-    if d.shape[0] < VEC_LEN:
-        raise InsufficientDataError(
-            f"KLT learning needs at least {VEC_LEN} samples, got {d.shape[0]}"
-        )
+    d = _training_samples(samples, "KLT")
     centered = d - d.mean(axis=0)
     eig = eig_symmetric(covariance(centered))
     return SaabKernel(
@@ -238,26 +272,19 @@ class TwoStageSaabKernel:
 
 
 def learn_saab2(samples, trained_mode_group=()):
-    d = _as_sample_matrix(samples)
-    if d.shape[0] < VEC_LEN:
-        raise InsufficientDataError(
-            f"saab2 learning needs at least {VEC_LEN} samples, got {d.shape[0]}"
-        )
+    d = _training_samples(samples, "saab2")
     subs = _split_subblocks(d).reshape(-1, _SUB_LEN)  # (T*4, 16)
-    m1, b1 = _learn_one_stage(subs)
+    ((m1, b1),) = _learn_stages([subs])
     # Stage-2 training inputs are the raw (bias-shifted) stage-1 outputs, as
     # the cascade propagates them in raw mode; the learned AC kernels are
     # invariant to that constant shift.
     y1 = _split_subblocks(d) @ m1.T + b1  # (T, 4, 16)
-    m2 = np.zeros((_SUB_LEN, _GRID, _GRID))
-    b2 = np.zeros((_SUB_LEN, _GRID))
-    for c in range(_SUB_LEN):
-        m2[c], b2[c] = _learn_one_stage(y1[:, :, c])
+    stage2 = _learn_stages(y1[:, :, c] for c in range(_SUB_LEN))
     return TwoStageSaabKernel(
         stage1_matrix=m1,
         stage1_bias=b1,
-        stage2_matrices=m2,
-        stage2_biases=b2,
+        stage2_matrices=np.array([m for m, _ in stage2]),
+        stage2_biases=np.array([b for _, b in stage2]),
         trained_mode_group=tuple(trained_mode_group),
     )
 

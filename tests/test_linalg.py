@@ -1,4 +1,5 @@
 import hashlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -133,6 +134,69 @@ def test_eig_golden_digest(case):
 def test_eig_rejects_nonsquare():
     with pytest.raises(InvalidInputError):
         linalg.eig_symmetric(np.zeros((3, 4)))
+
+
+def _mixed_stack():
+    """15x15 matrices that stop after different numbers of sweeps: none for
+    the zero and diagonal ones, one for a single off-diagonal pair, a few
+    for a nearly diagonal one, more for dense and block-diagonal ones."""
+    pair = np.diag(np.arange(15.0))
+    pair[3, 9] = pair[9, 3] = 0.5
+    blocks = np.zeros((15, 15))
+    blocks[:6, :6] = _dense_symmetric(6, 5)
+    blocks[6:, 6:] = _dense_symmetric(9, 5)
+    return np.array([
+        _dense_symmetric(15, 5),
+        np.zeros((15, 15)),
+        np.diag(np.arange(15.0) % 4),
+        pair,
+        np.diag(np.arange(1.0, 16.0)) + 1e-2 * _dense_symmetric(15, 6),
+        blocks,
+    ])
+
+
+def _sweeps_taken(m, monkeypatch):
+    """Fewest sweeps after which the solver's output is already final."""
+    final = linalg.eig_symmetric(m).eigenvectors.tobytes()
+    solve = linalg._jacobi_sweeps
+    with monkeypatch.context() as patch:
+        for sweeps in range(100):
+            patch.setattr(linalg, "_jacobi_sweeps", partial(solve, max_sweeps=sweeps))
+            if linalg.eig_symmetric(m).eigenvectors.tobytes() == final:
+                return sweeps
+    raise AssertionError("no sweep count reproduces the output")
+
+
+def test_stacked_call_matches_one_matrix_calls(monkeypatch):
+    stack = _mixed_stack()
+    assert [_sweeps_taken(m, monkeypatch) for m in stack] == [6, 0, 0, 1, 3, 5]
+    got = linalg.eig_symmetric(stack)
+    assert got.eigenvalues.shape == (6, 15) and got.eigenvectors.shape == (6, 15, 15)
+    for m, values, vectors in zip(stack, got.eigenvalues, got.eigenvectors):
+        one = linalg.eig_symmetric(m)
+        assert values.tobytes() == one.eigenvalues.tobytes()
+        assert vectors.tobytes() == one.eigenvectors.tobytes()
+    # any leading shape is one stack
+    grid = linalg.eig_symmetric(stack.reshape(2, 3, 15, 15))
+    assert grid.eigenvalues.tobytes() == got.eigenvalues.tobytes()
+    assert grid.eigenvectors.tobytes() == got.eigenvectors.tobytes()
+    assert grid.eigenvectors.shape == (2, 3, 15, 15)
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (0, 0), (2, 3, 4), (3, 1, 2), (3, 0, 0)])
+def test_eig_rejects_nonsquare_stacks(shape):
+    with pytest.raises(InvalidInputError):
+        linalg.eig_symmetric(np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eig_rejects_non_finite_entries(bad):
+    stack = _mixed_stack()
+    stack[4, 2, 7] = bad
+    with pytest.raises(InvalidInputError):
+        linalg.eig_symmetric(stack)
+    with pytest.raises(InvalidInputError):
+        linalg.eig_symmetric(stack[4])
 
 
 def test_dc_complement_basis():
