@@ -204,6 +204,20 @@ class ClipSpec:
     frames: int = 0  # 0 = all
 
 
+def _clip_spec(raw):
+    """ClipSpec from a manifest's clip object.  TypeError for an object
+    that does not name its fields; InvalidInputError for a field not of its
+    type, or negative `frames`."""
+    spec = ClipSpec(**raw)
+    for fd in fields(ClipSpec):
+        value = getattr(spec, fd.name)
+        if not isinstance(value, fd.type) or isinstance(value, bool):
+            raise InvalidInputError(f"clip {fd.name} {value!r} is not of type {fd.type.__name__}")
+    if spec.frames < 0:
+        raise InvalidInputError(f"clip frames {spec.frames} is negative")
+    return spec
+
+
 @dataclass(frozen=True)
 class ExperimentManifest:
     clips: tuple
@@ -218,13 +232,13 @@ class ExperimentManifest:
         """Read a manifest file; a key it omits keeps the field's default.
 
         Raises InvalidInputError unless the file is a JSON object whose
-        `clips` lists ClipSpec fields and whose other values convert to
-        the types of their defaults.
+        `clips` lists ClipSpec fields of their types and whose
+        other values convert to the types of their defaults.
         """
         with open(path) as f:
             try:
                 raw = json.load(f)
-                manifest = cls(clips=tuple(ClipSpec(**c) for c in raw["clips"]))
+                manifest = cls(clips=tuple(_clip_spec(c) for c in raw["clips"]))
                 return replace(
                     manifest,
                     **{

@@ -1,10 +1,15 @@
+import contextlib
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from saabcodec import cli, video
+from saabcodec import cli, codec, pipeline, video
+from saabcodec.modes import canonical_mode_group_table
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +124,14 @@ BAD_INPUTS = {
     "manifest-not-json": ({"m.json": "{clips"}, _EXPERIMENT),
     "manifest-without-clips": ({"m.json": '{"qps": [22, 27, 32, 37]}'}, _EXPERIMENT),
     "manifest-unknown-clip-key": ({"m.json": f'{{"clips": [{_CLIP}, "fps": 30}}]}}'}, _EXPERIMENT),
+    "manifest-text-width": (
+        {
+            "a.yuv": "\0" * 96,
+            "m.json": '{"clips": [{"name": "a", "path": "a.yuv", "width": "64", "height": 8}],'
+            ' "strategies": []}',
+        },
+        _EXPERIMENT,
+    ),
     "rd-table-without-psnr": ({"rd.csv": "qp,rate\n22,100\n"}, _BDRATE),
     "rd-table-text-rate": ({"rd.csv": "qp,rate,psnr\n22,fast,30\n"}, _BDRATE),
     "decode-directory": ({"d": None}, ["decode", "--input", "d", "--output", "o.yuv"]),
@@ -130,6 +143,10 @@ BAD_INPUTS = {
     "synthesize-zero-width": (
         {},
         ["synthesize", "--width", 0, "--height", 8, "--frames", 1, "--output", "s.yuv"],
+    ),
+    "synthesize-zero-frames": (
+        {},
+        ["synthesize", "--width", 16, "--height", 16, "--frames", 0, "--output", "s.yuv"],
     ),
 }
 
@@ -146,3 +163,61 @@ def test_bad_input_exits_with_one_line_error(case, tmp_path, monkeypatch, capsys
     assert run(argv) in (cli.EXIT_CONFIG, cli.EXIT_DATA)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.fixture(scope="module")
+def damage_inputs(tmp_path_factory, tiny_bank, tiny_records, tiny_clip):
+    """A bank file and the intact bytes of an s3 stream and of a corpus that
+    trains: the first 64 records of every kernel group."""
+    directory = tmp_path_factory.mktemp("cli-damage")
+    bank = directory / "bank.skb"
+    tiny_bank.save(str(bank))
+    stream, _ = codec.encode_sequence(tiny_clip[:1], 22, codec.StrategyConfig("s3", tiny_bank))
+    modes = np.array([r.mode for r in tiny_records])
+    keep = set()
+    for group in canonical_mode_group_table().train_groups:
+        keep.update(np.flatnonzero(np.isin(modes, list(group)))[:64].tolist())
+    corpus = directory / "corpus.bin"
+    pipeline.save_residual_corpus(str(corpus), [tiny_records[i] for i in sorted(keep)])
+    return directory, bank, {"stream": stream, "corpus": corpus.read_bytes()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["stream", "corpus"]),
+    how=st.sampled_from(["random", "truncate", "flip"]),
+    damage=st.data(),
+)
+def test_damaged_input_exits_cleanly(damage_inputs, kind, how, damage):
+    """`decode` of a damaged stream and `train-bank` on a damaged corpus exit
+    0, 2 or 3; a nonzero exit prints one `error:` line and no traceback."""
+    directory, bank, intact = damage_inputs
+    raw = intact[kind]
+    if how == "random":
+        # with or without the file's magic, so some reach the header checks
+        magic = damage.draw(st.sampled_from([b"", raw[:4]]), label="magic")
+        raw = magic + damage.draw(st.binary(max_size=2048), label="body")
+    elif how == "truncate":
+        raw = raw[: damage.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        # half of the flips land in the first 64 bytes, where the headers are
+        bit = damage.draw(
+            st.one_of(st.integers(0, 8 * 64 - 1), st.integers(0, 8 * len(raw) - 1)), label="bit"
+        )
+        raw = bytearray(raw)
+        raw[bit // 8] ^= 1 << (bit % 8)
+    path = directory / f"damaged-{kind}.bin"
+    path.write_bytes(bytes(raw))
+    if kind == "stream":
+        argv = ["decode", "--input", path, "--bank", bank, "--output", directory / "out.yuv"]
+    else:
+        argv = ["train-bank", "--corpus", path, "--output", directory / "out.skb",
+                "--samples-per-kernel", 64]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run(argv)
+    err = err.getvalue()
+    assert code in (0, cli.EXIT_CONFIG, cli.EXIT_DATA), err
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, err

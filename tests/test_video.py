@@ -76,3 +76,9 @@ def test_frames_below_one_block_rejected(tmp_path, width, height):
         video.read_yuv(str(path), width, height)
     with pytest.raises(InvalidInputError):
         video.synthesize_luma_clip(width, height, 1)
+
+
+@pytest.mark.parametrize("frames", [0, -1])
+def test_synthesize_rejects_fewer_than_one_frame(frames):
+    with pytest.raises(InvalidInputError):
+        video.synthesize_luma_clip(16, 16, frames)
