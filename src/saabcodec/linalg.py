@@ -54,11 +54,8 @@ class EigenResult:
 def _rotate(line_p, line_q, idx, c, s):
     """line_p, line_q = c*line_p - s*line_q, s*line_p + c*line_q in the
     matrices `idx` (the last axis) of two (l, m) lines."""
-    if isinstance(idx, slice):  # every matrix: work on the views themselves
-        x_p, x_q = line_p, line_q
-    else:
-        x_p, x_q = line_p[:, idx], line_q[:, idx]
-    new_p = c * x_p - s * x_q  # computed first: x_p may be a view of line_p
+    x_p, x_q = line_p[:, idx], line_q[:, idx]
+    new_p = c * x_p - s * x_q  # computed first: with a slice, x_p is a view of line_p
     line_q[:, idx] = s * x_p + c * x_q
     line_p[:, idx] = new_p
 

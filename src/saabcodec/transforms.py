@@ -113,11 +113,9 @@ def _learn_stages(sample_sets):
     matrices outlive their sets, and one stacked eigensolve serves them all.
     """
     stats = [_stage_statistics(d) for d in sample_sets]
-    if not stats:
-        return []
     biases = [b for _, b in stats]
     covs = np.array([c for c, _ in stats])
-    del stats
+    del stats  # only the stacked copy of the matrices stays alive through the solve
     k = covs.shape[-1] + 1
     eig = eig_symmetric(covs)
     basis = dc_complement_basis(k)
