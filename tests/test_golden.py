@@ -23,6 +23,17 @@ STREAMS = {
     ("s3", 22): "c62a088b797f1ed56f3cb71e80d09300022e01a16f534d6a8edf2a44bc6749e5",
     ("s3", 37): "f85230f89e8f697bd242015272e34c909b70615c826a82747b9ca0ecc844b238",
 }
+# decode_sequence output of each stream above, planes concatenated as uint8.
+DECODED_PLANES = {
+    ("dct_only", 22): "b19b1b8e5bdf5fc479dceaf8a52a15ac7f0e3bb6d7ded1d47e6eeb322dfb7c15",
+    ("dct_only", 37): "4e066869d2eacb8513dbff7600c73ae0166aaee61eb439aff12ffd71dc0c0826",
+    ("s1", 22): "f4e50fe0a1817ed47da224011ec50bdbfe0a4111e2823071757f9bee541fd01c",
+    ("s1", 37): "e74d2e8156ff3970f94597770e25ac2e8e9345d23bcd902e18df0aab88b18b25",
+    ("s2", 22): "70adbe08182806102a0fa3ae25f638a58216305ddf28520bd142270c7bf5b544",
+    ("s2", 37): "e7e42d764202395661ce938599d44c377a87d6216de55cfe39d34faf132d0f80",
+    ("s3", 22): "f1cf93582e5adf03a255bc0ca1881d13154f2c0525a13ba430acf11bd41df975",
+    ("s3", 37): "547f310a6dccc42fb1b47e68a96f90ff913ded5687e5e16fe2c05020394bb330",
+}
 BANK_DIGEST = "7fe1dc5ac5d54196ca550cc47245c08d"
 CORPUS = "00decbe824b83f65ac5a0589eaaf6772af1e89c4a35c81bc51a4543a4f4ccc81"
 REFERENCES = "a9bbaa64d41b07770f50bd72e9e874f0c3f9373c1298f46925b87327b51fccf2"
@@ -78,6 +89,16 @@ def test_stream_digest(strategy, qp, tiny_bank, tiny_clip):
     cfg = codec.StrategyConfig(strategy, tiny_bank)
     stream, _ = codec.encode_sequence(tiny_clip, qp, cfg)
     assert hashlib.sha256(stream).hexdigest() == STREAMS[(strategy, qp)]
+
+
+@pytest.mark.parametrize("strategy,qp", sorted(DECODED_PLANES))
+def test_decoded_plane_digest(strategy, qp, tiny_bank, tiny_clip):
+    stream, _ = codec.encode_sequence(tiny_clip, qp, codec.StrategyConfig(strategy, tiny_bank))
+    planes, _ = codec.decode_sequence(stream, tiny_bank)
+    h = hashlib.sha256()
+    for plane in planes:
+        h.update(np.ascontiguousarray(plane, dtype=np.uint8).tobytes())
+    assert h.hexdigest() == DECODED_PLANES[(strategy, qp)]
 
 
 def test_bank_digest(tiny_bank):
