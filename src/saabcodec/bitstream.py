@@ -1,5 +1,7 @@
 """MSB-first bit packing with order-0 exp-Golomb codes."""
 
+import numpy as np
+
 from .errors import BitstreamError
 
 
@@ -42,33 +44,57 @@ class BitWriter:
 
 
 class BitReader:
+    """Reads MSB-first fields from a payload unpacked once into a string of
+    ASCII '0'/'1' bytes: a field is one int() of a slice and an exp-Golomb
+    prefix one find() over a window."""
+
     def __init__(self, data):
-        self._data = data
+        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+        bits |= ord("0")
+        self._bits = bits.tobytes()
         self._pos = 0
+
+    @property
+    def bits(self):
+        """The payload as ASCII '0'/'1' bytes, for parsers that scan it
+        themselves and then set `position` past what they consumed."""
+        return self._bits
 
     @property
     def position(self):
         return self._pos
 
+    @position.setter
+    def position(self, value):
+        self._pos = value
+
+    def _past_end(self):
+        return BitstreamError("read past end of stream", bit_offset=len(self._bits))
+
     def read_bit(self):
-        byte = self._pos >> 3
-        if byte >= len(self._data):
-            raise BitstreamError("read past end of stream", bit_offset=self._pos)
-        bit = (self._data[byte] >> (7 - (self._pos & 7))) & 1
-        self._pos += 1
-        return bit
+        pos = self._pos
+        if pos >= len(self._bits):
+            raise self._past_end()
+        self._pos = pos + 1
+        return self._bits[pos] & 1
 
     def read_bits(self, n):
-        v = 0
-        for _ in range(n):
-            v = (v << 1) | self.read_bit()
-        return v
+        pos, end = self._pos, self._pos + n
+        if end > len(self._bits):
+            raise self._past_end()
+        self._pos = end
+        return int(self._bits[pos:end], 2) if n else 0
 
     def read_ue(self):
         """Order-0 exp-Golomb: value v >= 0 is (b-1) zeros then v+1 in b bits."""
-        zeros = 0
-        while self.read_bit() == 0:
-            zeros += 1
-            if zeros > 64:
-                raise BitstreamError("runaway exp-Golomb prefix", bit_offset=self._pos)
-        return ((1 << zeros) | self.read_bits(zeros)) - 1
+        bits, pos = self._bits, self._pos
+        one = bits.find(b"1", pos, pos + 65)  # at most 64 zeros
+        if one < 0:
+            if pos + 65 <= len(bits):
+                raise BitstreamError("runaway exp-Golomb prefix", bit_offset=pos + 65)
+            raise self._past_end()
+        end = 2 * one - pos + 1  # the b = zeros + 1 bits of v + 1 start at the 1
+        if end > len(bits):
+            raise self._past_end()
+        self._pos = end
+        return int(bits[one:end], 2) - 1

@@ -7,6 +7,13 @@ candidate with the lowest J = SSE + lambda * bits.  Ties prefer DCT, then
 the lower mode id.  The decoder replays the identical arithmetic, so its
 output matches the encoder reconstruction bit-exactly.
 
+Both sides work on wavefront batches of up to BATCH_BLOCKS blocks that do
+not reference each other (`_wavefront_batches`), and both reconstruct a
+batch through one `_reconstruct` call.  The decoder runs two passes: a
+parse pass reads every block's mode, transform flag and 64 levels into
+arrays, then a reconstruct pass predicts each batch with one
+`predict_block` call, each block with its own mode, and reconstructs it.
+
 Strategies:
   dct_only  anchor; every mode uses DCT, no flags.
   s1        pure substitution: learned kernel outside modes 8-12/24-28,
@@ -110,18 +117,42 @@ def encode_levels(bw, levels_scan):
 
 
 def decode_levels(br):
+    """Parse one block's 64 scan-order levels at the reader's position.
+
+    Each significant level costs two find() calls over the reader's bit
+    window, for its exp-Golomb prefix and for the run of zero significance
+    bits after it, and one int(); where a code is malformed or cut off,
+    the reader's own read of it raises.
+    """
     levels = np.zeros(VEC_LEN, dtype=np.int64)
     if br.read_bit() == 0:
         return levels
-    last = br.read_bits(6)
-    for pos in range(last, -1, -1):
-        sig = 1 if pos == last else br.read_bit()
-        if sig:
-            mag = br.read_ue() + 1
-            if mag >= _LEVEL_LIMIT:
-                raise BitstreamError(f"level magnitude {mag} out of range", bit_offset=br.position)
-            levels[pos] = -mag if br.read_bit() else mag
-    return levels
+    pos = br.read_bits(6)  # the last significant position
+    bits, p = br.bits, br.position
+    n = len(bits)
+    while True:
+        # ue(|level| - 1) is b - 1 zeros, then |level| in b bits; then the sign
+        one = bits.find(b"1", p, p + 65)
+        end = 2 * one - p + 1
+        if one < 0 or end > n:
+            br.position = p
+            br.read_ue()  # raises: a runaway prefix or a cut-off code
+        mag = int(bits[one:end], 2)
+        if mag >= _LEVEL_LIMIT:
+            raise BitstreamError(f"level magnitude {mag} out of range", bit_offset=end)
+        if end == n:
+            br.position = end
+            br.read_bit()  # raises: no sign bit
+        levels[pos] = -mag if bits[end] & 1 else mag
+        p = end + 1
+        # significance bits of the positions below, up to the next set one
+        one = bits.find(b"1", p, p + pos)
+        if one < 0:
+            br.position = p
+            br.read_bits(pos)  # all clear; raises if they run past the end
+            return levels
+        pos -= one + 1 - p
+        p = one + 1
 
 
 _POSITIONS_1 = np.arange(1, VEC_LEN + 1, dtype=np.int32)
@@ -205,14 +236,34 @@ class StrategyConfig:
             self.saab_matrices = None
 
 
-def _reconstruct_block(pred64, levels_scan, uses_saab, kernel_matrix, q_step):
-    """Shared encoder/decoder reconstruction path (must stay bit-identical)."""
-    deq = dequantize(levels_scan, q_step)
-    if uses_saab:
-        xhat = kernel_matrix.T @ deq
-    else:
-        xhat = DCT_64.T @ deq[INV_ZIGZAG]
-    return np.clip(np.rint(pred64 + xhat), 0, 255).astype(np.int32)
+def _reconstruct(preds, levels, uses_saab, modes, cfg, q_step):
+    """Shared encoder/decoder reconstruction of k blocks (must stay
+    bit-identical): (k, 64) predictions, scan-order levels, per-block
+    transform flags and modes; returns (k, 64) int32 samples.
+
+    Each block is one (64, 64) @ (64, 1) product of a stacked matmul, which
+    keeps the per-block summation; a single (k, 64) @ (64, 64) product does
+    not give the same bits.
+    """
+    deq = dequantize(levels, q_step)
+    xhat = np.empty_like(deq)
+    dct = ~uses_saab
+    if dct.any():
+        xhat[dct] = (DCT_64.T @ deq[dct][:, INV_ZIGZAG, None])[..., 0]
+    if uses_saab.any():
+        kernels = cfg.saab_matrices[modes[uses_saab]].transpose(0, 2, 1)
+        xhat[uses_saab] = (kernels @ deq[uses_saab][..., None])[..., 0]
+    xhat += preds
+    return np.clip(np.rint(xhat), 0, 255).astype(np.int32)
+
+
+def _block_pixels(pos):
+    """Index arrays that select the (k, 8, 8) pixels of the blocks at
+    (frame, bx, by) positions `pos` from a (frames, h, w) stack."""
+    frame, bx, by = pos
+    rows = (by * BLOCK)[:, None, None] + np.arange(BLOCK)[:, None]
+    cols = (bx * BLOCK)[:, None, None] + np.arange(BLOCK)
+    return frame[:, None, None], rows, cols
 
 
 def _candidate_costs(res, preds, orig, q, lam, matrices, allowed, head_bits):
@@ -251,12 +302,12 @@ def encode_block(original, recon, pos, qp, cfg, keep_residuals=False):
     when `keep_residuals` is set.
     """
     frame, bx, by = pos
+    n = len(bx)
     _, h, w = recon.shape
     refs = build_references(recon, bx, by, w // BLOCK, h // BLOCK, frame=frame)
-    preds = predict_all_modes(*refs).reshape(len(bx), N_MODES, VEC_LEN)
-    rows = (by * BLOCK)[:, None, None] + np.arange(BLOCK)[:, None]
-    cols = (bx * BLOCK)[:, None, None] + np.arange(BLOCK)
-    orig = original[frame[:, None, None], rows, cols].reshape(len(bx), VEC_LEN).astype(np.int32)
+    preds = predict_all_modes(*refs).reshape(n, N_MODES, VEC_LEN)
+    pixels = _block_pixels(pos)
+    orig = original[pixels].reshape(n, VEC_LEN).astype(np.int32)
 
     # Candidate arrays are (modes, blocks, 64): mode-major rows.
     preds_m = preds.transpose(1, 0, 2)
@@ -272,7 +323,7 @@ def encode_block(original, recon, pos, qp, cfg, keep_residuals=False):
             res, preds_m, orig, q, lam, cfg.saab_matrices, cfg.saab_ok, head_bits
         )
     else:
-        lv_saab = bits_saab = None
+        lv_saab, bits_saab = lv_dct, bits_dct  # never selected
         j_saab = np.full_like(j_dct, np.inf)
 
     # Flattened candidate order [DCT modes..., kernel modes...] per block:
@@ -280,30 +331,33 @@ def encode_block(original, recon, pos, qp, cfg, keep_residuals=False):
     # lower-mode tie-break.
     j_all = np.concatenate([j_dct, j_saab]).T
     best = np.argmin(j_all, axis=1)
+    uses_saab = best >= N_MODES
+    mode = best % N_MODES
+    i = np.arange(n)
+    levels = np.where(uses_saab[:, None], lv_saab[mode, i], lv_dct[mode, i])
+    bits = np.where(uses_saab, bits_saab[mode, i], bits_dct[mode, i])
+    pred = preds[i, mode]
+    rec = _reconstruct(pred, levels, uses_saab, mode, cfg, q)
+    recon[pixels] = rec.reshape(n, BLOCK, BLOCK)
+    sse = np.sum((orig - rec) ** 2, axis=1)
+    # j_chosen and j_dct (the DCT candidate of the same mode, same pass)
+    # are exposed for dominance checks.
+    j_chosen = j_all[i, best]
+    j_mode_dct = j_dct[mode, i]  # inf where the mode allows no DCT
 
     blocks = []
-    for i, b in enumerate(best.tolist()):
-        uses_saab = b >= N_MODES
-        mode = b % N_MODES
-        lv, bits = (lv_saab, bits_saab) if uses_saab else (lv_dct, bits_dct)
-        levels = lv[mode, i].copy()
-        kernel_matrix = cfg.saab_matrices[mode] if uses_saab else None
-        rec = _reconstruct_block(preds[i, mode], levels, uses_saab, kernel_matrix, q)
-        y0, x0 = by[i] * BLOCK, bx[i] * BLOCK
-        recon[frame[i], y0 : y0 + BLOCK, x0 : x0 + BLOCK] = rec.reshape(BLOCK, BLOCK)
-        # j_chosen and j_dct (the DCT candidate of the same mode, same pass)
-        # are exposed for dominance checks.
+    for b in range(n):
         record = BlockRecord(
-            mode=mode,
-            transform="saab" if uses_saab else "dct",
-            levels=levels,
-            bits=int(bits[mode, i]),
-            sse=float(np.sum((orig[i] - rec) ** 2)),
-            j_chosen=float(j_all[i, b]),
-            j_dct=float(j_dct[mode, i]) if cfg.dct_ok[mode] else math.inf,
+            mode=int(mode[b]),
+            transform="saab" if uses_saab[b] else "dct",
+            levels=levels[b],
+            bits=int(bits[b]),
+            sse=float(sse[b]),
+            j_chosen=float(j_chosen[b]),
+            j_dct=float(j_mode_dct[b]),
         )
         if keep_residuals:
-            record.residual = (orig[i] - preds[i, mode]).reshape(BLOCK, BLOCK).astype(np.int16)
+            record.residual = (orig[b] - pred[b]).reshape(BLOCK, BLOCK).astype(np.int16)
         blocks.append(record)
     return blocks
 
@@ -401,14 +455,16 @@ def encode_sequence(planes, qp, cfg, keep_residuals=False, recon_out=None):
 def decode_sequence(data, bank=None):
     """Decode a bitstream back to luma planes.
 
-    Returns (planes, DecodeStats).  Raises BitstreamError on truncation, on
-    a payload too short for the header's block count, and on bytes or set
-    bits past the last block's final bit; InvalidInputError when the
-    embedded kernel-bank digest does not match.
+    Parses the whole payload first, then reconstructs it batch by batch in
+    the encoder's wavefront order.  Returns (planes, DecodeStats).  Raises
+    BitstreamError on truncation, on a payload too short for the header's
+    block count, and on bytes or set bits past the last block's final bit;
+    InvalidInputError when the embedded kernel-bank digest does not match.
     """
     info = stream_info(data)
     strategy, qp, w, h = info["strategy"], info["qp"], info["width"], info["height"]
-    n_blocks = info["frames"] * (h // BLOCK) * (w // BLOCK)
+    n_frames = info["frames"]
+    n_blocks = n_frames * (h // BLOCK) * (w // BLOCK)
     if 8 * (len(data) - _HEADER.size) < _MIN_BLOCK_BITS * n_blocks:
         raise BitstreamError(f"payload too short for {n_blocks} blocks")
     if strategy != "dct_only":
@@ -417,38 +473,43 @@ def decode_sequence(data, bank=None):
         if bank.digest().hex() != info["digest"]:
             raise InvalidInputError("kernel bank digest mismatch")
     cfg = StrategyConfig(strategy, bank if strategy != "dct_only" else None)
-    q = qp_to_qstep(qp)
+    blocks_w, blocks_h = w // BLOCK, h // BLOCK
+
+    # Parse pass: every block's syntax, in stream order.
     br = BitReader(data[_HEADER.size :])
-    planes = []
-    dstats = DecodeStats()
-    for _ in range(info["frames"]):
-        recon = np.zeros((h, w), dtype=np.int32)
-        for by in range(h // BLOCK):
-            for bx in range(w // BLOCK):
-                mode = br.read_bits(MODE_BITS)
-                if mode >= N_MODES:
-                    raise BitstreamError(f"invalid mode {mode}", bit_offset=br.position)
-                uses_saab = not cfg.dct_ok[mode]
-                if cfg.flag[mode]:
-                    uses_saab = bool(br.read_bit())
-                    dstats.n_flag_bits += 1
-                levels = decode_levels(br)
-                refs = build_references(recon, bx, by, w // BLOCK, h // BLOCK)
-                pred = predict_block(*refs, mode).reshape(VEC_LEN)
-                kernel_matrix = cfg.saab_matrices[mode] if uses_saab else None
-                rec = _reconstruct_block(pred, levels, uses_saab, kernel_matrix, q)
-                recon[by * BLOCK : (by + 1) * BLOCK, bx * BLOCK : (bx + 1) * BLOCK] = (
-                    rec.reshape(BLOCK, BLOCK)
-                )
-                dstats.n_total += 1
-                dstats.n_saab += 1 if uses_saab else 0
-        planes.append(recon.astype(np.uint8))
+    flagged, saab_only = cfg.flag.tolist(), (~cfg.dct_ok).tolist()
+    modes = np.empty(n_blocks, dtype=np.intp)
+    uses_saab = np.empty(n_blocks, dtype=bool)
+    levels = np.empty((n_blocks, VEC_LEN), dtype=np.int16)  # |level| < 2**12
+    for i in range(n_blocks):
+        mode = br.read_bits(MODE_BITS)
+        if mode >= N_MODES:
+            raise BitstreamError(f"invalid mode {mode}", bit_offset=br.position)
+        modes[i] = mode
+        uses_saab[i] = br.read_bit() if flagged[mode] else saab_only[mode]
+        levels[i] = decode_levels(br)
     if len(data) - _HEADER.size != (br.position + 7) // 8:
         raise BitstreamError("trailing bytes after the last block", bit_offset=br.position)
     pad_mask = (1 << -br.position % 8) - 1  # the last byte's padding bits
     if data[-1] & pad_mask:
         raise BitstreamError("nonzero padding bits after the last block", bit_offset=br.position)
-    return planes, dstats
+
+    # Reconstruct pass over the encoder's wavefront batches.
+    q = qp_to_qstep(qp)
+    recon = np.zeros((n_frames, h, w), dtype=np.uint8)
+    for pos in _wavefront_batches(n_frames, blocks_w, blocks_h):
+        frame, bx, by = pos
+        i = (frame * blocks_h + by) * blocks_w + bx  # stream order
+        refs = build_references(recon, bx, by, blocks_w, blocks_h, frame=frame)
+        preds = predict_block(*refs, modes[i]).reshape(-1, VEC_LEN)
+        rec = _reconstruct(preds, levels[i], uses_saab[i], modes[i], cfg, q)
+        recon[_block_pixels(pos)] = rec.reshape(-1, BLOCK, BLOCK)
+    dstats = DecodeStats(
+        n_total=n_blocks,
+        n_saab=int(np.count_nonzero(uses_saab)),
+        n_flag_bits=int(np.count_nonzero(cfg.flag[modes])),
+    )
+    return list(recon), dstats
 
 
 def stream_info(data):

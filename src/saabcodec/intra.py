@@ -158,10 +158,10 @@ def _build_weights():
     sample's integer weights on the 68 stacked reference samples; plus
     per-mode rounding offsets and shifts (35, 1).
 
-    Every product and sum is an integer below 2**24, so applying the table
-    as a float64 matmul is exact.
+    Every product and partial sum is an integer below 2**24, so applying
+    the table as a float32 matmul is exact, in any summation order.
     """
-    w = np.zeros((4 * _REF, N_MODES, N, N))
+    w = np.zeros((4 * _REF, N_MODES, N, N), dtype=np.float32)
     shift = np.full((N_MODES, 1), 5, dtype=np.int32)
     # Planar on the smoothed references.
     for y in range(N):
@@ -217,18 +217,8 @@ def _vertical_edge(pred, above, left):
 _EDGE_FIXUPS = {1: _dc_edges, 10: _horizontal_edge, 26: _vertical_edge}
 
 
-def _apply_table(refs, modes):
-    """Table rows of `modes` (a slice) applied to the stacked references."""
-    above, left = (np.asarray(r, dtype=np.int32) for r in refs[:2])
-    stacked = np.concatenate(refs, axis=-1).astype(np.float64)
-    cols = slice(modes.start * N * N, modes.stop * N * N)
-    acc = (stacked @ _WEIGHTS[:, cols]).astype(np.int32)
-    acc = acc.reshape(acc.shape[:-1] + (-1, N * N))
-    preds = ((acc + _ROUND[modes]) >> _SHIFT[modes]).reshape(acc.shape[:-1] + (N, N))
-    for mode, fix in _EDGE_FIXUPS.items():
-        if modes.start <= mode < modes.stop:
-            fix(preds[..., mode - modes.start, :, :], above, left)
-    return preds
+def _stack(refs):
+    return np.concatenate(refs, axis=-1).astype(np.float32)
 
 
 def predict_all_modes(above, left, above_f, left_f):
@@ -238,13 +228,35 @@ def predict_all_modes(above, left, above_f, left_f):
     returns them for arrays of positions; the result then has the same
     leading axes.  Used by the encoder's candidate search.
     """
-    return _apply_table((above, left, above_f, left_f), slice(0, N_MODES))
+    acc = (_stack((above, left, above_f, left_f)) @ _WEIGHTS).astype(np.int32)
+    acc = acc.reshape(acc.shape[:-1] + (N_MODES, N * N))
+    preds = ((acc + _ROUND) >> _SHIFT).reshape(acc.shape[:-1] + (N, N))
+    above, left = (np.asarray(r, dtype=np.int32) for r in (above, left))
+    for mode, fix in _EDGE_FIXUPS.items():
+        fix(preds[..., mode, :, :], above, left)
+    return preds
 
 
 def predict_block(above, left, above_f, left_f, mode):
-    """Predict one 8x8 block in [0, 255]: the one-mode row set of the table
+    """Predict 8x8 blocks in [0, 255]: the one-mode row set of the table
     predict_all_modes applies.  Reference arrays as produced by
-    build_references."""
-    if not 0 <= mode < N_MODES:
+    build_references; `mode` is one intra mode or an integer array of one
+    mode per block, shaped as the references' leading axes, and the result
+    is those axes plus (8, 8)."""
+    batch = np.shape(above)[:-1]
+    mode = np.broadcast_to(mode, batch).reshape(-1)
+    if np.any((mode < 0) | (mode >= N_MODES)):
         raise InvalidInputError(f"intra mode {mode} out of range")
-    return _apply_table((above, left, above_f, left_f), slice(mode, mode + 1))[..., 0, :, :]
+    refs = [np.reshape(r, (-1, _REF)) for r in (above, left, above_f, left_f)]
+    # (k, 68, 64): each block's table columns
+    weights = _WEIGHTS.reshape(4 * _REF, N_MODES, N * N)[:, mode].transpose(1, 0, 2)
+    acc = (_stack(refs)[:, None, :] @ weights)[:, 0, :]
+    preds = ((acc.astype(np.int32) + _ROUND[mode]) >> _SHIFT[mode]).reshape(-1, N, N)
+    above, left = (r.astype(np.int32, copy=False) for r in refs[:2])
+    for m, fix in _EDGE_FIXUPS.items():
+        at = np.flatnonzero(mode == m)
+        if at.size:
+            sub = preds[at]
+            fix(sub, above[at], left[at])
+            preds[at] = sub
+    return preds.reshape(batch + (N, N))

@@ -1,11 +1,16 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saabcodec import codec
 from saabcodec.bitstream import BitReader, BitWriter
 from saabcodec.errors import BitstreamError, InvalidInputError
+from saabcodec.metrics import qp_to_qstep
+from saabcodec.transforms import DCT_64
 
 
 def test_quantizer_deadzone():
@@ -47,6 +52,109 @@ def test_level_coding_roundtrip_and_cost():
         out, nbits = _roundtrip_levels(levels)
         assert np.array_equal(out, levels)
         assert nbits == codec.level_bit_cost(levels)
+
+
+def _decode_levels_reference(br):
+    """Reference level parser: one read call per syntax element."""
+    levels = np.zeros(64, dtype=np.int64)
+    if br.read_bit() == 0:
+        return levels
+    last = br.read_bits(6)
+    for pos in range(last, -1, -1):
+        sig = 1 if pos == last else br.read_bit()
+        if sig:
+            mag = br.read_ue() + 1
+            if mag >= 1 << 12:
+                raise BitstreamError(f"level magnitude {mag} out of range", bit_offset=br.position)
+            levels[pos] = -mag if br.read_bit() else mag
+    return levels
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    how=st.sampled_from(["intact", "truncate", "flip", "random"]),
+    damage=st.data(),
+)
+def test_level_parser_matches_reference(seed, how, damage):
+    """decode_levels over a run of coded blocks, intact or damaged, returns
+    the reference parser's levels and positions and fails with its message
+    and bit offset."""
+    rng = np.random.default_rng(seed)
+    bw = BitWriter()
+    for _ in range(6):
+        levels = np.zeros(64, dtype=np.int64)
+        n = int(rng.integers(0, 20))
+        levels[rng.choice(64, size=n, replace=False)] = rng.geometric(0.2, size=n) * rng.choice([-1, 1], size=n)
+        codec.encode_levels(bw, levels)
+    data = bw.getvalue()
+    if how == "truncate":
+        data = data[: damage.draw(st.integers(0, len(data) - 1), label="length")]
+    elif how == "flip":
+        bit = damage.draw(st.integers(0, 8 * len(data) - 1), label="bit")
+        data = bytearray(data)
+        data[bit // 8] ^= 1 << (bit % 8)
+    elif how == "random":
+        data = damage.draw(st.binary(max_size=64), label="data")
+    reader, reference = BitReader(bytes(data)), BitReader(bytes(data))
+    for _ in range(6):
+        try:
+            want = _decode_levels_reference(reference)
+        except BitstreamError as e:
+            with pytest.raises(BitstreamError) as got:
+                codec.decode_levels(reader)
+            assert (str(got.value), got.value.bit_offset) == (str(e), e.bit_offset)
+            return
+        assert np.array_equal(codec.decode_levels(reader), want)
+        assert reader.position == reference.position
+
+
+def _reconstruct_block_reference(pred64, levels_scan, uses_saab, kernel_matrix, q_step):
+    """Reference: the per-block reconstruction formula, one matrix-vector
+    product per block."""
+    deq = np.asarray(levels_scan, dtype=np.float64) * q_step
+    if uses_saab:
+        xhat = kernel_matrix.T @ deq
+    else:
+        xhat = DCT_64.T @ deq[codec.INV_ZIGZAG]
+    return np.clip(np.rint(pred64 + xhat), 0, 255).astype(np.int32)
+
+
+def test_batched_reconstruction_matches_per_block_formula():
+    """One stacked _reconstruct call over 2000 DCT and kernel blocks, and
+    calls of wavefront batch size, equal the per-block formula byte for
+    byte, with a different kernel per mode."""
+    rng = np.random.default_rng(6)
+    kernels = np.linalg.qr(rng.standard_normal((35, 64, 64)))[0]
+    # Row 0 of each kernel is the constant 1/8, as the DCT's DC row is.  The
+    # second half of the blocks has a level of 2**45 there and a prediction
+    # that cancels it, so each sum rounds at 2**-7 or coarser and a change
+    # in summation order shows in the bytes.
+    kernels[:, 0, :] = 0.125
+    cfg = SimpleNamespace(saab_matrices=kernels)
+    n = 2000
+    modes = rng.integers(0, 35, size=n)
+    uses_saab = rng.random(n) < 0.5
+    for qp in (0, 22, 37, 51):
+        q = qp_to_qstep(qp)
+        # levels of residuals within about +-200, a quarter of them nonzero
+        top = max(1, int(200 / q))
+        levels = rng.integers(-top, top + 1, size=(n, 64)) * (rng.random((n, 64)) < 0.25)
+        preds = rng.integers(0, 256, size=(n, 64))
+        levels[n // 2 :, 0] = 2**45
+        preds[n // 2 :] -= np.int64(2**42 * q)
+        want = np.stack(
+            [
+                _reconstruct_block_reference(preds[i], levels[i], uses_saab[i], kernels[modes[i]], q)
+                for i in range(n)
+            ]
+        )
+        got = codec._reconstruct(preds, levels, uses_saab, modes, cfg, q)
+        assert got.tobytes() == want.tobytes()
+        for start in range(0, n, 250):
+            batch = slice(start, start + codec.BATCH_BLOCKS)
+            got = codec._reconstruct(preds[batch], levels[batch], uses_saab[batch], modes[batch], cfg, q)
+            assert got.tobytes() == want[batch].tobytes()
 
 
 def test_all_zero_block_costs_one_bit():

@@ -81,3 +81,20 @@ def test_bad_positions_rejected():
     refs = intra.build_references(recon, 0, 0, 2, 2)
     with pytest.raises(InvalidInputError):
         intra.predict_block(*refs, 35)
+
+
+def test_predict_block_takes_one_mode_per_block():
+    """A mode array predicts each block with its own mode: the same samples
+    as predict_all_modes and as one predict_block call per block."""
+    rng = np.random.default_rng(3)
+    recon = rng.integers(0, 256, size=(3, 40, 56)).astype(np.uint8)
+    n = 70
+    frame, bx, by = rng.integers(0, 3, n), rng.integers(0, 7, n), rng.integers(0, 5, n)
+    refs = intra.build_references(recon, bx, by, 7, 5, frame=frame)
+    modes = rng.permutation(np.resize(np.arange(35), n))  # every mode twice
+    got = intra.predict_block(*refs, modes)
+    assert np.array_equal(got, intra.predict_all_modes(*refs)[np.arange(n), modes])
+    for i in range(n):
+        assert np.array_equal(got[i], intra.predict_block(*(r[i] for r in refs), modes[i]))
+    with pytest.raises(InvalidInputError):
+        intra.predict_block(*refs, np.where(np.arange(n) == 5, 35, modes))
