@@ -109,7 +109,7 @@ def cmd_train_bank(args):
         decimal_digits=args.digits,
     )
     bank.save(args.output)
-    print(f"trained {len(bank.kernels)} kernels (digest {bank.digest()}) -> {args.output}")
+    print(f"trained {len(bank.kernels)} kernels (digest {bank.digest().hex()}) -> {args.output}")
     return 0
 
 

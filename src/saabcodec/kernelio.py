@@ -28,6 +28,9 @@ _KERNEL_HEADER = struct.Struct("<BhB")
 _KERNEL_BODY_BYTES = (VEC_LEN * VEC_LEN + VEC_LEN) * 8  # matrix and bias, <f8
 
 _KIND_CODES = {"dct": 0, "klt": 1, "saab1": 2}
+# The largest L1 norm of a unit 64-vector, sqrt(64): the codec's bound on
+# level magnitudes assumes no kernel row exceeds it.
+_ROW_L1_BOUND = 8 + 1e-9
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
 
@@ -135,9 +138,12 @@ class KernelBank:
             return cls.from_bytes(f.read()).validate()
 
     def rounded(self, decimal_digits):
-        """Bank with every kernel's matrix and bias rounded to d decimal digits."""
+        """Bank with every kernel's matrix and bias rounded to d >= 0 decimal
+        digits."""
         if decimal_digits is None:
             return self
+        if decimal_digits < 0:
+            raise InvalidInputError(f"decimal digits must be 0 or more, got {decimal_digits}")
         meta = dict(self.meta)
         meta["decimal_digits"] = decimal_digits
         return replace(
@@ -148,12 +154,16 @@ class KernelBank:
 
     def validate(self):
         """Return self, or raise InvalidInputError unless the bank has 24
-        64x64 kernels and its table maps every mode to one of them."""
+        64x64 kernels whose rows are nonzero with an L1 norm of at most 8,
+        and its table maps every mode to one of them."""
         if len(self.kernels) != N_KERNELS:
             raise InvalidInputError(f"expected {N_KERNELS} kernels, got {len(self.kernels)}")
-        for k in self.kernels:
+        for i, k in enumerate(self.kernels):
             if k.matrix.shape != (VEC_LEN, VEC_LEN):
                 raise InvalidInputError("bad kernel matrix shape")
+            l1 = np.abs(k.matrix).sum(axis=1)
+            if not np.all((l1 > 0) & (l1 <= _ROW_L1_BOUND)):  # NaN fails both
+                raise InvalidInputError(f"kernel {i} has a row that is zero or has an L1 norm above 8")
         apply_map = self.table.apply_map
         if len(apply_map) != N_MODES or not set(apply_map) <= set(range(N_KERNELS)):
             raise InvalidInputError("mode table does not map every mode to a kernel")

@@ -114,8 +114,13 @@ def train_kernel_bank(
     Each kernel trains on residuals whose intra mode falls in its group of
     the canonical table, subsampled deterministically to
     `samples_per_kernel`.  Raises StarvedGroupError listing every group
-    with fewer than 64 residuals.
+    with fewer than 64 residuals, and InvalidInputError for fewer than one
+    sample per kernel or negative `decimal_digits`.
     """
+    if samples_per_kernel < 1:
+        raise InvalidInputError(f"samples per kernel must be 1 or more, got {samples_per_kernel}")
+    if decimal_digits is not None and decimal_digits < 0:
+        raise InvalidInputError(f"decimal digits must be 0 or more, got {decimal_digits}")
     table = canonical_mode_group_table()
     modes = np.array([r.mode for r in records])
     groups = [list(table.train_groups[k]) for k in range(N_KERNELS)]

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saabcodec import cli, codec, pipeline, video
+from saabcodec.kernelio import KernelBank
 from saabcodec.modes import canonical_mode_group_table
 
 
@@ -39,9 +41,11 @@ def test_full_pipeline(workdir, capsys, bank_file):
     assert run(["extract-residuals", "--clip", f"{clip}:160x128",
                 "--qp", 27, "--qp", 37, "--output", corpus]) == 0
     bank = workdir / "bank.skb"
+    capsys.readouterr()
     assert run(["train-bank", "--corpus", corpus, "--output", bank,
                 "--samples-per-kernel", 300, "--seed", 1]) == 0
-    capsys.readouterr()
+    digest = KernelBank.load(str(bank)).digest().hex()
+    assert capsys.readouterr().out == f"trained 24 kernels (digest {digest}) -> {bank}\n"
 
     stream = workdir / "clip.bin"
     stats = workdir / "enc.json"
@@ -119,6 +123,11 @@ _EXPERIMENT = ["experiment", "--manifest", "m.json", "--output-dir", "out"]
 _BDRATE = ["bdrate", "--anchor", "rd.csv", "--test", "rd.csv"]
 _CLIP = '{"name": "a", "path": "a.yuv", "width": 8, "height": 8'
 
+# Stand-ins for the binary files the `built_files` fixture makes: a corpus
+# that trains, and a bank with an all-zero kernel row.
+TRAINABLE_CORPUS, ZERO_ROW_BANK = "<trainable corpus>", "<zero-row bank>"
+_TRAIN = ["train-bank", "--corpus", "c.bin", "--output", "b.skb"]
+
 # case -> (files to create, with None for a directory; argv)
 BAD_INPUTS = {
     "manifest-not-json": ({"m.json": "{clips"}, _EXPERIMENT),
@@ -148,15 +157,40 @@ BAD_INPUTS = {
         {},
         ["synthesize", "--width", 16, "--height", 16, "--frames", 0, "--output", "s.yuv"],
     ),
+    "train-bank-negative-samples": (
+        {"c.bin": TRAINABLE_CORPUS},
+        _TRAIN + ["--samples-per-kernel", -5],
+    ),
+    "train-bank-negative-digits": (
+        {"c.bin": TRAINABLE_CORPUS},
+        _TRAIN + ["--samples-per-kernel", 64, "--digits", -1],
+    ),
+    "encode-zero-row-bank": (
+        {"z.skb": ZERO_ROW_BANK, "c.yuv": "\0" * 96},
+        ["encode", "--input", "c.yuv", "--width", 8, "--height", 8, "--qp", 22,
+         "--strategy", "s1", "--bank", "z.skb", "--output", "o.bin"],
+    ),
 }
 
 
+@pytest.fixture(scope="module")
+def built_files(damage_inputs, tiny_bank):
+    _, _, intact = damage_inputs
+    first = tiny_bank.kernels[0]
+    matrix = first.matrix.copy()
+    matrix[7] = 0.0
+    zero_row = replace(tiny_bank, kernels=(replace(first, matrix=matrix),) + tiny_bank.kernels[1:])
+    return {TRAINABLE_CORPUS: intact["corpus"], ZERO_ROW_BANK: zero_row.to_bytes()}
+
+
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_input_exits_with_one_line_error(case, tmp_path, monkeypatch, capsys):
+def test_bad_input_exits_with_one_line_error(case, tmp_path, monkeypatch, capsys, built_files):
     files, argv = BAD_INPUTS[case]
     for name, text in files.items():
         if text is None:
             (tmp_path / name).mkdir()
+        elif text in built_files:
+            (tmp_path / name).write_bytes(built_files[text])
         else:
             (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,26 @@ def test_kernel_for_mode_covers_all_modes(bank):
 
 def test_validate(bank):
     bank.validate()
+    # rounding to a digit or more keeps every row nonzero and within L1 <= 8
+    for digits in (1, 3):
+        bank.rounded(digits).validate()
+
+
+@pytest.mark.parametrize("digits", [-1, -5])
+def test_rounded_rejects_negative_digits(bank, digits):
+    # -1 is also the file's "not rounded" mark, which such a bank would carry
+    with pytest.raises(InvalidInputError):
+        bank.rounded(digits)
+
+
+@pytest.mark.parametrize("row", ["zero", "l1-above-8", "nan"])
+def test_validate_rejects_zero_or_oversized_rows(bank, row):
+    first = bank.kernels[0]
+    matrix = first.matrix.copy()
+    matrix[5] = {"zero": 0.0, "l1-above-8": 0.126, "nan": np.nan}[row]
+    bad = replace(bank, kernels=(replace(first, matrix=matrix),) + bank.kernels[1:])
+    with pytest.raises(InvalidInputError, match="kernel 0"):
+        bad.validate()
 
 
 def test_corrupt_bank_rejected(bank):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from saabcodec import pipeline
-from saabcodec.errors import StarvedGroupError
+from saabcodec.errors import InvalidInputError, StarvedGroupError
 from saabcodec.modes import N_KERNELS
 
 
@@ -55,6 +55,14 @@ def test_starved_groups_reported(residual_records):
     with pytest.raises(StarvedGroupError) as exc:
         pipeline.train_kernel_bank(planar, samples_per_kernel=100)
     assert len(exc.value.starved) >= 20
+
+
+@pytest.mark.parametrize(
+    "option", [{"samples_per_kernel": 0}, {"samples_per_kernel": -5}, {"decimal_digits": -1}]
+)
+def test_training_options_out_of_range_rejected(tiny_records, option):
+    with pytest.raises(InvalidInputError):
+        pipeline.train_kernel_bank(tiny_records, **option)
 
 
 def test_shared_modes_feed_both_groups(residual_records):
