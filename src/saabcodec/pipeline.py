@@ -115,7 +115,8 @@ def train_kernel_bank(
     the canonical table, subsampled deterministically to
     `samples_per_kernel`.  Raises StarvedGroupError listing every group
     with fewer than 64 residuals, and InvalidInputError for fewer than one
-    sample per kernel or negative `decimal_digits`.
+    sample per kernel, negative `decimal_digits`, or a rounded bank that
+    KernelBank.validate rejects.
     """
     if samples_per_kernel < 1:
         raise InvalidInputError(f"samples per kernel must be 1 or more, got {samples_per_kernel}")
@@ -153,5 +154,6 @@ def train_kernel_bank(
     )
     bank = KernelBank(kernels=tuple(kernels), table=table, meta=meta)
     if decimal_digits is not None:
-        bank = bank.rounded(decimal_digits)
+        # rounding can zero whole rows, which no loaded bank may have
+        bank = bank.rounded(decimal_digits).validate()
     return bank

@@ -165,6 +165,10 @@ BAD_INPUTS = {
         {"c.bin": TRAINABLE_CORPUS},
         _TRAIN + ["--samples-per-kernel", 64, "--digits", -1],
     ),
+    "train-bank-zero-digits": (
+        {"c.bin": TRAINABLE_CORPUS},
+        _TRAIN + ["--samples-per-kernel", 64, "--digits", 0],
+    ),
     "encode-zero-row-bank": (
         {"z.skb": ZERO_ROW_BANK, "c.yuv": "\0" * 96},
         ["encode", "--input", "c.yuv", "--width", 8, "--height", 8, "--qp", 22,
