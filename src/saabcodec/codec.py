@@ -463,8 +463,8 @@ def decode_sequence(data, bank=None):
     """
     info = stream_info(data)
     strategy, qp, w, h = info["strategy"], info["qp"], info["width"], info["height"]
-    n_frames = info["frames"]
-    n_blocks = n_frames * (h // BLOCK) * (w // BLOCK)
+    n_frames, blocks_w, blocks_h = info["frames"], w // BLOCK, h // BLOCK
+    n_blocks = n_frames * blocks_h * blocks_w
     if 8 * (len(data) - _HEADER.size) < _MIN_BLOCK_BITS * n_blocks:
         raise BitstreamError(f"payload too short for {n_blocks} blocks")
     if strategy != "dct_only":
@@ -473,7 +473,6 @@ def decode_sequence(data, bank=None):
         if bank.digest().hex() != info["digest"]:
             raise InvalidInputError("kernel bank digest mismatch")
     cfg = StrategyConfig(strategy, bank if strategy != "dct_only" else None)
-    blocks_w, blocks_h = w // BLOCK, h // BLOCK
 
     # Parse pass: every block's syntax, in stream order.
     br = BitReader(data[_HEADER.size :])

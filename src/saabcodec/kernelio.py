@@ -28,10 +28,11 @@ _KERNEL_HEADER = struct.Struct("<BhB")
 _KERNEL_BODY_BYTES = (VEC_LEN * VEC_LEN + VEC_LEN) * 8  # matrix and bias, <f8
 
 _KIND_CODES = {"dct": 0, "klt": 1, "saab1": 2}
+_KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
+
 # The largest L1 norm of a unit 64-vector, sqrt(64): the codec's bound on
 # level magnitudes assumes no kernel row exceeds it.
 _ROW_L1_BOUND = 8 + 1e-9
-_KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
 
 def kernel_to_bytes(kernel):
