@@ -4,7 +4,6 @@ simplified 8x8 intra codec, with DCT as anchor and RD analysis tooling."""
 from .codec import STRATEGIES, StrategyConfig, decode_sequence, encode_sequence
 from .errors import SaabCodecError
 from .kernelio import KernelBank
-from .modes import canonical_mode_group_table
 from .pipeline import extract_residuals, train_kernel_bank
 from .transforms import (
     SaabKernel,
@@ -27,7 +26,6 @@ __all__ = [
     "TwoStageSaabKernel",
     "KernelBank",
     "StrategyConfig",
-    "canonical_mode_group_table",
     "dct_forward",
     "dct_inverse",
     "decode_sequence",

@@ -15,7 +15,7 @@ from itertools import compress
 
 import numpy as np
 
-from .codec import STRATEGIES, StrategyConfig, decode_sequence, encode_sequence
+from .codec import STRATEGIES, StrategyConfig, check_qp, decode_sequence, encode_sequence
 from .errors import (
     ExperimentStageError,
     InsufficientDataError,
@@ -28,16 +28,6 @@ from .transforms import dct_forward, learn_klt, learn_saab1, learn_saab2, saab2_
 from .video import read_yuv
 
 PEAK = 255.0
-
-
-def psnr(original, reconstructed):
-    """Luma PSNR in dB between two planes (or plane lists); inf if identical."""
-    a = np.asarray(original, dtype=np.float64)
-    b = np.asarray(reconstructed, dtype=np.float64)
-    if a.shape != b.shape:
-        raise InvalidInputError(f"shape mismatch {a.shape} vs {b.shape}")
-    mse = float(np.mean((a - b) ** 2))
-    return psnr_from_sse(mse * a.size, a.size)
 
 
 def psnr_from_sse(sse, n_pixels):
@@ -174,8 +164,9 @@ def rd_model_report(records, bank, qp):
     Groups residual records by intra mode, computes coefficient statistics
     under both transforms, and evaluates the per-position kappa model at the
     given QP.  Mode averages are unweighted; modes with fewer than two
-    residuals are skipped.
+    residuals are skipped.  InvalidInputError for a QP outside 0..MAX_QP.
     """
+    check_qp(qp)
     params = RDModelParams.from_qp(qp)
     modes = np.array([r.mode for r in records], dtype=np.int64)
     residuals = [r.residual for r in records]
@@ -294,9 +285,7 @@ def run_experiment(manifest, output_dir, bank=None, verbose=False):
     timing_rows = []
 
     for clip in manifest.clips:
-        planes = read_yuv(clip.path, clip.width, clip.height)
-        if clip.frames:
-            planes = planes[: clip.frames]
+        planes = read_yuv(clip.path, clip.width, clip.height, clip.frames)
         n_pix = sum(p.size for p in planes)
         clip_out = {"strategies": {}}
         enc_times = {}

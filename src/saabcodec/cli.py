@@ -61,13 +61,8 @@ def _parse_clip(spec):
     return path, w, h, nf
 
 
-def _load_planes(path, width, height, frames):
-    planes = video.read_yuv(path, width, height)
-    return planes[:frames] if frames else planes
-
-
 def cmd_ingest(args):
-    planes = _load_planes(args.input, args.width, args.height, args.frames)
+    planes = video.read_yuv(args.input, args.width, args.height, args.frames)
     h, w = planes[0].shape
     if args.output:
         video.write_yuv(args.output, planes)
@@ -93,7 +88,7 @@ def cmd_extract_residuals(args):
     names, else kept whole."""
     specs = [_parse_clip(spec) for spec in args.clip]
     frames = args.frames or min((nf for *_, nf in specs if nf), default=0)
-    clips = [_load_planes(path, w, h, frames) for path, w, h, _ in specs]
+    clips = [video.read_yuv(path, w, h, frames) for path, w, h, _ in specs]
     records = pipeline.extract_residuals(clips, qps=tuple(args.qp))
     pipeline.save_residual_corpus(args.output, records)
     print(f"collected {len(records)} residuals from {len(clips)} clip(s) -> {args.output}")
@@ -114,7 +109,7 @@ def cmd_train_bank(args):
 
 
 def cmd_encode(args):
-    planes = _load_planes(args.input, args.width, args.height, args.frames)
+    planes = video.read_yuv(args.input, args.width, args.height, args.frames)
     bank = KernelBank.load(args.bank) if args.bank else None
     cfg = codec.StrategyConfig(args.strategy, bank)
     stream, stats = codec.encode_sequence(planes, args.qp, cfg)

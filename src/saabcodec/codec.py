@@ -389,6 +389,12 @@ def _wavefront_batches(n_frames, blocks_w, blocks_h):
             yield frame[batch], bx[batch], by[batch]
 
 
+def check_qp(qp):
+    """Raise InvalidInputError unless qp is an integer in 0..MAX_QP."""
+    if isinstance(qp, bool) or not isinstance(qp, (int, np.integer)) or not 0 <= qp <= MAX_QP:
+        raise InvalidInputError(f"QP must be an integer in 0..{MAX_QP}, got {qp!r}")
+
+
 def encode_sequence(planes, qp, cfg, keep_residuals=False, recon_out=None):
     """Encode luma planes into one self-describing bitstream.
 
@@ -405,8 +411,7 @@ def encode_sequence(planes, qp, cfg, keep_residuals=False, recon_out=None):
     """
     if not planes:
         raise InvalidInputError("no frames to encode")
-    if isinstance(qp, bool) or not isinstance(qp, (int, np.integer)) or not 0 <= qp <= MAX_QP:
-        raise InvalidInputError(f"QP must be an integer in 0..{MAX_QP}, got {qp!r}")
+    check_qp(qp)
     h, w = planes[0].shape
     if not h or not w or h % BLOCK or w % BLOCK:
         raise InvalidInputError("plane dimensions must be positive multiples of 8")

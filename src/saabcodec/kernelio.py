@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .linalg import VEC_LEN
-from .modes import ModeGroupTable, N_KERNELS, N_MODES, canonical_mode_group_table
+from .modes import APPLY_MAP, N_KERNELS, TRAIN_GROUPS
 from .transforms import SaabKernel, round_kernel
 
 BANK_MAGIC = b"SBNK"
@@ -29,6 +29,9 @@ _KERNEL_BODY_BYTES = (VEC_LEN * VEC_LEN + VEC_LEN) * 8  # matrix and bias, <f8
 
 _KIND_CODES = {"dct": 0, "klt": 1, "saab1": 2}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
+
+# The fixed mode table as every bank file's metadata restates it.
+_STORED_TABLE = {"apply_map": list(APPLY_MAP), "train_groups": [list(g) for g in TRAIN_GROUPS]}
 
 # The largest L1 norm of a unit 64-vector, sqrt(64): the codec's bound on
 # level magnitudes assumes no kernel row exceeds it.
@@ -73,19 +76,17 @@ def kernel_from_bytes(buf, offset=0):
 
 @dataclass(frozen=True)
 class KernelBank:
-    """The 24 mode-dependent Saab kernels plus grouping table and provenance."""
+    """The 24 mode-dependent Saab kernels plus provenance; modes.APPLY_MAP
+    says which kernel serves each mode."""
 
     kernels: tuple
-    table: ModeGroupTable
     meta: dict
 
     def kernel_for_mode(self, mode):
-        return self.kernels[self.table.kernel_for_mode(mode)]
+        return self.kernels[APPLY_MAP[mode]]
 
     def to_bytes(self):
-        meta = dict(self.meta)
-        meta["apply_map"] = list(self.table.apply_map)
-        meta["train_groups"] = [sorted(g) for g in self.table.train_groups]
+        meta = dict(self.meta, **_STORED_TABLE)
         meta_bytes = json.dumps(meta, sort_keys=True).encode()
         out = BANK_MAGIC + _BANK_HEADER.pack(BANK_VERSION, len(self.kernels), len(meta_bytes))
         out += meta_bytes
@@ -114,16 +115,9 @@ class KernelBank:
             kernels.append(kernel)
         if offset != len(buf):
             raise InvalidInputError(f"{len(buf) - offset} bytes after the last kernel record")
-        apply_map = meta.pop("apply_map", None)
-        train_groups = meta.pop("train_groups", None)
-        if apply_map is not None and train_groups is not None:
-            table = ModeGroupTable(
-                apply_map=tuple(apply_map),
-                train_groups=tuple(frozenset(g) for g in train_groups),
-            )
-        else:
-            table = canonical_mode_group_table()
-        return cls(kernels=tuple(kernels), table=table, meta=meta)
+        if {key: meta.pop(key, None) for key in _STORED_TABLE} != _STORED_TABLE:
+            raise InvalidInputError("bank mode table is not the codec's fixed table")
+        return cls(kernels=tuple(kernels), meta=meta)
 
     def digest(self):
         """16-byte content digest; the bitstream header pins this."""
@@ -155,8 +149,7 @@ class KernelBank:
 
     def validate(self):
         """Return self, or raise InvalidInputError unless the bank has 24
-        64x64 kernels whose rows are nonzero with an L1 norm of at most 8,
-        and its table maps every mode to one of them."""
+        64x64 kernels whose rows are nonzero with an L1 norm of at most 8."""
         if len(self.kernels) != N_KERNELS:
             raise InvalidInputError(f"expected {N_KERNELS} kernels, got {len(self.kernels)}")
         for i, k in enumerate(self.kernels):
@@ -165,7 +158,4 @@ class KernelBank:
             l1 = np.abs(k.matrix).sum(axis=1)
             if not np.all((l1 > 0) & (l1 <= _ROW_L1_BOUND)):  # NaN fails both
                 raise InvalidInputError(f"kernel {i} has a row that is zero or has an L1 norm above 8")
-        apply_map = self.table.apply_map
-        if len(apply_map) != N_MODES or not set(apply_map) <= set(range(N_KERNELS)):
-            raise InvalidInputError("mode table does not map every mode to a kernel")
         return self

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InsufficientDataError, InvalidInputError
-from .linalg import VEC_LEN
+from .linalg import VEC_LEN, covariance
 
 SQRT2_E = math.sqrt(2.0) * math.e
 
@@ -95,47 +95,8 @@ def coeff_stats(coeff_sets):
     if y.shape[0] < 2:
         raise InsufficientDataError("need at least 2 coefficient blocks")
     mean = y.mean(axis=0)
-    centered = y - mean
-    cov = centered.T @ centered / y.shape[0]
-    cov = 0.5 * (cov + cov.T)
+    cov = covariance(y - mean)
     return CoeffStats(mean=mean, variance=np.diag(cov).copy(), cov=cov, sample_count=y.shape[0])
-
-
-@dataclass(frozen=True)
-class DistributionFit:
-    laplace_mu: float
-    laplace_b: float
-    gauss_mu: float
-    gauss_sigma: float
-    laplace_nll: float
-    gauss_nll: float
-    better: str
-
-
-def fit_coefficient_distribution(values):
-    """Maximum-likelihood Laplacian and Gaussian fits; `better` has the lower
-    negative log-likelihood."""
-    x = np.asarray(values, dtype=np.float64).reshape(-1)
-    n = x.size
-    if n < 30:
-        raise InsufficientDataError(f"need at least 30 samples, got {n}")
-    if np.all(x == x[0]):
-        raise DegenerateInputError("all samples identical: point mass")
-    lap_mu = float(np.median(x))
-    lap_b = float(np.mean(np.abs(x - lap_mu)))
-    g_mu = float(np.mean(x))
-    g_sigma = float(np.std(x))
-    lap_nll = n * (math.log(2.0 * lap_b) + 1.0)
-    gauss_nll = n * (math.log(g_sigma * math.sqrt(2.0 * math.pi)) + 0.5)
-    return DistributionFit(
-        laplace_mu=lap_mu,
-        laplace_b=lap_b,
-        gauss_mu=g_mu,
-        gauss_sigma=g_sigma,
-        laplace_nll=lap_nll,
-        gauss_nll=gauss_nll,
-        better="laplace" if lap_nll <= gauss_nll else "gauss",
-    )
 
 
 def kappa(sigma_y, params):

@@ -15,7 +15,7 @@ from .codec import StrategyConfig, encode_sequence
 from .errors import InvalidInputError, StarvedGroupError
 from .kernelio import KernelBank
 from .linalg import BLOCK_SIZE
-from .modes import N_KERNELS, N_MODES, canonical_mode_group_table
+from .modes import N_MODES, TRAIN_GROUPS
 from .transforms import learn_saab1
 
 DEFAULT_QPS = (22, 27, 32, 37)
@@ -112,7 +112,7 @@ def train_kernel_bank(
     """Learn the 24 mode-dependent kernels from a residual corpus.
 
     Each kernel trains on residuals whose intra mode falls in its group of
-    the canonical table, subsampled deterministically to
+    the codec's fixed table, subsampled deterministically to
     `samples_per_kernel`.  Raises StarvedGroupError listing every group
     with fewer than 64 residuals, and InvalidInputError for fewer than one
     sample per kernel, negative `decimal_digits`, or a rounded bank that
@@ -122,22 +122,20 @@ def train_kernel_bank(
         raise InvalidInputError(f"samples per kernel must be 1 or more, got {samples_per_kernel}")
     if decimal_digits is not None and decimal_digits < 0:
         raise InvalidInputError(f"decimal digits must be 0 or more, got {decimal_digits}")
-    table = canonical_mode_group_table()
     modes = np.array([r.mode for r in records])
-    groups = [list(table.train_groups[k]) for k in range(N_KERNELS)]
     starved = {
-        k: table.train_groups[k]
-        for k in range(N_KERNELS)
-        if np.count_nonzero(np.isin(modes, groups[k])) < MIN_GROUP_SAMPLES
+        k: group
+        for k, group in enumerate(TRAIN_GROUPS)
+        if np.count_nonzero(np.isin(modes, group)) < MIN_GROUP_SAMPLES
     }
     if starved:
         raise StarvedGroupError(starved)
     residuals = np.array([r.residual for r in records])  # int16, as recorded
 
     def pools():
-        for k in range(N_KERNELS):
+        for k, group in enumerate(TRAIN_GROUPS):
             # the mask keeps record order, which the seeded subsample depends on
-            pool = residuals[np.isin(modes, groups[k])]
+            pool = residuals[np.isin(modes, group)]
             if pool.shape[0] > samples_per_kernel:
                 rng = np.random.default_rng([seed, k])
                 idx = np.sort(rng.choice(pool.shape[0], size=samples_per_kernel, replace=False))
@@ -145,14 +143,14 @@ def train_kernel_bank(
             yield pool
 
     # one pool at a time is drawn and reduced; the 24 kernels share one eigensolve
-    kernels = learn_saab1(pools(), groups=[sorted(g) for g in table.train_groups])
+    kernels = learn_saab1(pools(), groups=TRAIN_GROUPS)
     meta = dict(
         seed=seed,
         samples_per_kernel=samples_per_kernel,
         decimal_digits=decimal_digits,
         record_count=len(records),
     )
-    bank = KernelBank(kernels=tuple(kernels), table=table, meta=meta)
+    bank = KernelBank(kernels=tuple(kernels), meta=meta)
     if decimal_digits is not None:
         # rounding can zero whole rows, which no loaded bank may have
         bank = bank.rounded(decimal_digits).validate()

@@ -23,15 +23,17 @@ def crop_to_block_grid(plane):
     return plane[: h - h % BLOCK, : w - w % BLOCK]
 
 
-def read_yuv(path, width, height, frame_range=None):
+def read_yuv(path, width, height, frames=0):
     """Read the luma planes of an 8-bit planar 4:2:0 file.
 
-    frame_range is a (start, stop) pair in display order; default all frames.
-    Raises InvalidInputError if a dimension is below one block, the file
-    size is inconsistent with the dimensions or the range runs past end of
-    file.
+    frames is how many frames to read from the start, in display order; 0,
+    or a count past the end of the file, reads all of them.  Raises
+    InvalidInputError if a dimension is below one block, the file size is
+    inconsistent with the dimensions or `frames` is negative.
     """
     _check_frame_size(width, height)
+    if frames < 0:
+        raise InvalidInputError(f"frame count {frames} is negative")
     frame_bytes = width * height * 3 // 2
     size = os.path.getsize(path)
     if size == 0 or size % frame_bytes != 0:
@@ -40,15 +42,11 @@ def read_yuv(path, width, height, frame_range=None):
             f"for {width}x{height}"
         )
     n_frames = size // frame_bytes
-    start, stop = frame_range if frame_range is not None else (0, n_frames)
-    if start < 0 or stop > n_frames or start >= stop:
-        raise InvalidInputError(
-            f"frame range [{start}, {stop}) outside available [0, {n_frames})"
-        )
+    if frames:
+        n_frames = min(frames, n_frames)
     planes = []
     with open(path, "rb") as f:
-        f.seek(start * frame_bytes)
-        for _ in range(start, stop):
+        for _ in range(n_frames):
             y = np.frombuffer(f.read(width * height), dtype=np.uint8)
             if y.size != width * height:
                 raise InvalidInputError("truncated file")

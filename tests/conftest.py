@@ -5,10 +5,12 @@ experiment) is session-scoped and derives from deterministic synthetic
 clips, so the whole suite is reproducible without external video files.
 """
 
+import json
+
 import numpy as np
 import pytest
 
-from saabcodec import codec, pipeline, video
+from saabcodec import codec, kernelio, pipeline, video
 from saabcodec.analysis import ClipSpec, ExperimentManifest, run_experiment
 
 QPS = (22, 27, 32, 37)
@@ -54,6 +56,29 @@ def tiny_records():
 @pytest.fixture(scope="session")
 def tiny_bank(tiny_records):
     return pipeline.train_kernel_bank(tiny_records, samples_per_kernel=300, seed=1)
+
+
+@pytest.fixture(scope="session")
+def bank_bytes_with_table():
+    """A function (bank, **keys) -> the bank's file bytes with the metadata
+    keys set to the values given; a value of None drops the key.  The
+    writer itself always stores the fixed mode table."""
+
+    def build(bank, **keys):
+        raw = bank.to_bytes()
+        version, count, meta_len = kernelio._BANK_HEADER.unpack_from(raw, 4)
+        start = 4 + kernelio._BANK_HEADER.size
+        meta = json.loads(raw[start : start + meta_len])
+        for key, value in keys.items():
+            if value is None:
+                del meta[key]
+            else:
+                meta[key] = value
+        meta_bytes = json.dumps(meta, sort_keys=True).encode()
+        header = kernelio._BANK_HEADER.pack(version, count, len(meta_bytes))
+        return kernelio.BANK_MAGIC + header + meta_bytes + raw[start + meta_len :]
+
+    return build
 
 
 @pytest.fixture(scope="session")

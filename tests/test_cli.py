@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from saabcodec import cli, codec, pipeline, video
 from saabcodec.kernelio import KernelBank
-from saabcodec.modes import canonical_mode_group_table
+from saabcodec.modes import TRAIN_GROUPS
 
 
 @pytest.fixture(scope="module")
@@ -124,9 +124,16 @@ _BDRATE = ["bdrate", "--anchor", "rd.csv", "--test", "rd.csv"]
 _CLIP = '{"name": "a", "path": "a.yuv", "width": 8, "height": 8'
 
 # Stand-ins for the binary files the `built_files` fixture makes: a corpus
-# that trains, and a bank with an all-zero kernel row.
-TRAINABLE_CORPUS, ZERO_ROW_BANK = "<trainable corpus>", "<zero-row bank>"
+# that trains, a bank that loads, a bank with an all-zero kernel row, and
+# a bank whose stored mode table is not a list.
+TRAINABLE_CORPUS, TINY_BANK = "<trainable corpus>", "<tiny bank>"
+ZERO_ROW_BANK, SCALAR_TABLE_BANK = "<zero-row bank>", "<scalar-table bank>"
 _TRAIN = ["train-bank", "--corpus", "c.bin", "--output", "b.skb"]
+_RD_MODEL = ["rd-model", "--corpus", "c.bin", "--bank", "b.skb", "--output-dir", "out"]
+# 4:2:0 files of one 8x8 frame, and of two 16x16 (or eight 8x8) frames
+_ONE_FRAME, _TWO_FRAMES = "\0" * 96, "\0" * 768
+_ENCODE = ["encode", "--input", "c.yuv", "--width", 8, "--height", 8, "--qp", 22,
+           "--output", "o.bin"]
 
 # case -> (files to create, with None for a directory; argv)
 BAD_INPUTS = {
@@ -170,21 +177,46 @@ BAD_INPUTS = {
         _TRAIN + ["--samples-per-kernel", 64, "--digits", 0],
     ),
     "encode-zero-row-bank": (
-        {"z.skb": ZERO_ROW_BANK, "c.yuv": "\0" * 96},
-        ["encode", "--input", "c.yuv", "--width", 8, "--height", 8, "--qp", 22,
-         "--strategy", "s1", "--bank", "z.skb", "--output", "o.bin"],
+        {"z.skb": ZERO_ROW_BANK, "c.yuv": _ONE_FRAME},
+        _ENCODE + ["--strategy", "s1", "--bank", "z.skb"],
+    ),
+    "encode-bank-with-scalar-mode-table": (
+        {"t.skb": SCALAR_TABLE_BANK, "c.yuv": _ONE_FRAME},
+        _ENCODE + ["--strategy", "s1", "--bank", "t.skb"],
+    ),
+    "ingest-negative-frames": (
+        {"c.yuv": _ONE_FRAME},
+        ["ingest", "--input", "c.yuv", "--width", 8, "--height", 8, "--frames", -1],
+    ),
+    "encode-negative-frames": ({"c.yuv": _TWO_FRAMES}, _ENCODE + ["--frames", -1]),
+    "extract-residuals-negative-frames": (
+        {"c.yuv": _TWO_FRAMES},
+        ["extract-residuals", "--clip", "c.yuv:16x16", "--frames", -1, "--output", "r.bin"],
+    ),
+    "rd-model-qp-above-max": (
+        {"c.bin": TRAINABLE_CORPUS, "b.skb": TINY_BANK},
+        _RD_MODEL + ["--qp", 10000],
+    ),
+    "rd-model-qp-below-zero": (
+        {"c.bin": TRAINABLE_CORPUS, "b.skb": TINY_BANK},
+        _RD_MODEL + ["--qp", -10000],
     ),
 }
 
 
 @pytest.fixture(scope="module")
-def built_files(damage_inputs, tiny_bank):
+def built_files(damage_inputs, tiny_bank, bank_bytes_with_table):
     _, _, intact = damage_inputs
     first = tiny_bank.kernels[0]
     matrix = first.matrix.copy()
     matrix[7] = 0.0
     zero_row = replace(tiny_bank, kernels=(replace(first, matrix=matrix),) + tiny_bank.kernels[1:])
-    return {TRAINABLE_CORPUS: intact["corpus"], ZERO_ROW_BANK: zero_row.to_bytes()}
+    return {
+        TRAINABLE_CORPUS: intact["corpus"],
+        TINY_BANK: tiny_bank.to_bytes(),
+        ZERO_ROW_BANK: zero_row.to_bytes(),
+        SCALAR_TABLE_BANK: bank_bytes_with_table(tiny_bank, apply_map=5),
+    }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -213,8 +245,8 @@ def damage_inputs(tmp_path_factory, tiny_bank, tiny_records, tiny_clip):
     stream, _ = codec.encode_sequence(tiny_clip[:1], 22, codec.StrategyConfig("s3", tiny_bank))
     modes = np.array([r.mode for r in tiny_records])
     keep = set()
-    for group in canonical_mode_group_table().train_groups:
-        keep.update(np.flatnonzero(np.isin(modes, list(group)))[:64].tolist())
+    for group in TRAIN_GROUPS:
+        keep.update(np.flatnonzero(np.isin(modes, group))[:64].tolist())
     corpus = directory / "corpus.bin"
     pipeline.save_residual_corpus(str(corpus), [tiny_records[i] for i in sorted(keep)])
     return directory, bank, {"stream": stream, "corpus": corpus.read_bytes()}

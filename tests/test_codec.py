@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from saabcodec import codec
@@ -39,19 +39,39 @@ def _roundtrip_levels(levels):
     return out, bw.bit_length
 
 
-def test_level_coding_roundtrip_and_cost():
-    # Magnitudes up to the largest codable one, 2**12 - 1, so every
-    # exp-Golomb code length the decoder accepts is exercised.
-    rng = np.random.default_rng(0)
-    for _ in range(300):
-        levels = np.zeros(64, dtype=np.int64)
-        n = int(rng.integers(0, 20))
-        pos = rng.choice(64, size=n, replace=False)
-        bits = rng.integers(1, 13, size=n)
-        levels[pos] = rng.integers(1 << (bits - 1), 1 << bits) * rng.choice([-1, 1], size=n)
+# A nonzero level of every exp-Golomb code length the decoder accepts:
+# |level| in [2**(b-1), 2**b) for b = 1..12, so |level| < 2**12.
+_CODABLE_LEVEL = st.builds(
+    lambda mag, negative: -mag if negative else mag,
+    st.integers(1, 12).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1)),
+    st.booleans(),
+)
+
+
+@st.composite
+def _level_rows(draw):
+    """64 scan-order levels with 0 to 64 of them significant."""
+    n = draw(st.integers(0, 64), label="significant")
+    positions = draw(st.permutations(range(64)), label="positions")[:n]
+    levels = np.zeros(64, dtype=np.int64)
+    levels[positions] = draw(st.lists(_CODABLE_LEVEL, min_size=n, max_size=n), label="levels")
+    return levels
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_level_rows(), min_size=1, max_size=4))
+@example(rows=[np.zeros(64, dtype=np.int64), np.tile([4095, -4095], 32)])
+def test_level_coding_roundtrip_and_cost(rows):
+    """The one level coder, stated as a derivation: the batched
+    level_bit_cost equals the per-row cost, which equals the bits
+    encode_levels writes, and decode_levels returns the levels."""
+    batch = np.array(rows)
+    per_row = [codec.level_bit_cost(levels) for levels in batch]
+    assert codec.level_bit_cost(batch).tolist() == per_row
+    for levels, cost in zip(batch, per_row):
         out, nbits = _roundtrip_levels(levels)
+        assert nbits == cost
         assert np.array_equal(out, levels)
-        assert nbits == codec.level_bit_cost(levels)
 
 
 def _decode_levels_reference(br):

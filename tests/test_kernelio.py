@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from saabcodec import codec, kernelio, pipeline
 from saabcodec.errors import InvalidInputError, SaabCodecError
 from saabcodec.kernelio import KernelBank
+from saabcodec.modes import APPLY_MAP, N_MODES, TRAIN_GROUPS
 
 
 def test_bank_save_load_roundtrip(tmp_path, bank):
@@ -20,7 +21,9 @@ def test_bank_save_load_roundtrip(tmp_path, bank):
         assert np.array_equal(a.matrix, b.matrix)
         assert np.array_equal(a.bias, b.bias)
         assert a.trained_mode_group == b.trained_mode_group
-    assert back.table.apply_map == bank.table.apply_map
+    assert back.meta == bank.meta
+    for mode in range(N_MODES):
+        assert back.kernel_for_mode(mode).trained_mode_group == TRAIN_GROUPS[APPLY_MAP[mode]]
 
 
 def test_digest_sensitive_to_contents(bank):
@@ -80,6 +83,26 @@ def test_corrupt_bank_rejected(bank):
     # metadata that is JSON but not an object
     with pytest.raises(InvalidInputError):
         KernelBank.from_bytes(kernelio.BANK_MAGIC + kernelio._BANK_HEADER.pack(1, 0, 1) + b"1")
+
+
+# case -> metadata keys a bank file stores in place of the fixed table
+OTHER_TABLES = {
+    "apply-map-not-a-list": {"apply_map": 5},
+    "train-groups-of-ints": {"train_groups": [5]},
+    "apply-map-of-lists": {"apply_map": [[m] for m in APPLY_MAP]},
+    "no-train-groups": {"train_groups": None},
+    "no-table": {"apply_map": None, "train_groups": None},
+    "all-zero-apply-map": {"apply_map": [0] * N_MODES},
+}
+
+
+@pytest.mark.parametrize("case", sorted(OTHER_TABLES))
+def test_bank_with_another_mode_table_rejected(tiny_bank, bank_bytes_with_table, case):
+    # unchanged, the helper's bytes are the writer's; the table is the
+    # codec's, so a bank file may only restate it
+    assert bank_bytes_with_table(tiny_bank) == tiny_bank.to_bytes()
+    with pytest.raises(InvalidInputError, match="mode table"):
+        KernelBank.from_bytes(bank_bytes_with_table(tiny_bank, **OTHER_TABLES[case]))
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from saabcodec import metrics
-from saabcodec.errors import DegenerateInputError, InsufficientDataError, InvalidInputError
+from saabcodec.errors import InvalidInputError
 
 
 def test_qp_to_qstep():
@@ -58,21 +58,6 @@ def test_decorrelation_cost_ordering():
         [[1.0 if i == j else 0.4 for j in range(8)] for i in range(8)]
     )
     assert metrics.decorrelation_cost(indep) < metrics.decorrelation_cost(mix)
-
-
-def test_distribution_fit_prefers_laplace_on_laplace_data():
-    rng = np.random.default_rng(2)
-    fit = metrics.fit_coefficient_distribution(rng.laplace(0, 5, size=5000))
-    assert fit.better == "laplace"
-    gauss = metrics.fit_coefficient_distribution(rng.normal(0, 5, size=5000))
-    assert gauss.better == "gauss"
-
-
-def test_distribution_fit_errors():
-    with pytest.raises(InsufficientDataError):
-        metrics.fit_coefficient_distribution(np.ones(10))
-    with pytest.raises(DegenerateInputError):
-        metrics.fit_coefficient_distribution(np.ones(100))
 
 
 def test_compare_transforms_zero_for_identical_stats():

@@ -3,7 +3,7 @@ import pytest
 
 from saabcodec import pipeline
 from saabcodec.errors import InvalidInputError, StarvedGroupError
-from saabcodec.modes import N_KERNELS
+from saabcodec.modes import N_KERNELS, TRAIN_GROUPS
 
 
 def test_corpus_roundtrip(tmp_path, residual_records):
@@ -67,8 +67,5 @@ def test_training_options_out_of_range_rejected(tiny_records, option):
 
 def test_shared_modes_feed_both_groups(residual_records):
     # modes like 22 belong to two training groups; the pools must overlap
-    from saabcodec.modes import canonical_mode_group_table
-
-    table = canonical_mode_group_table()
-    owners = [k for k in range(N_KERNELS) if 22 in table.train_groups[k]]
+    owners = [k for k in range(N_KERNELS) if 22 in TRAIN_GROUPS[k]]
     assert len(owners) == 2

@@ -16,15 +16,16 @@ def test_write_read_roundtrip(tmp_path):
         assert np.array_equal(a, b)
 
 
-def test_frame_range(tmp_path):
+def test_frame_count(tmp_path):
     planes = [np.full((16, 16), i, dtype=np.uint8) for i in range(5)]
     path = str(tmp_path / "clip.yuv")
     video.write_yuv(path, planes)
-    back = video.read_yuv(path, 16, 16, frame_range=(1, 3))
-    assert len(back) == 2
-    assert back[0][0, 0] == 1 and back[1][0, 0] == 2
+    # the first n frames; 0, or a count past the end, reads all of them
+    for frames, want in ((2, 2), (0, 5), (5, 5), (9, 5)):
+        back = video.read_yuv(path, 16, 16, frames)
+        assert [int(p[0, 0]) for p in back] == list(range(want))
     with pytest.raises(InvalidInputError):
-        video.read_yuv(path, 16, 16, frame_range=(4, 6))
+        video.read_yuv(path, 16, 16, -1)
 
 
 def test_crop_to_block_grid():
