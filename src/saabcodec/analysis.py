@@ -11,11 +11,10 @@ import statistics
 import time
 from dataclasses import dataclass, fields, replace
 from functools import partial
-from itertools import compress
 
 import numpy as np
 
-from .codec import STRATEGIES, StrategyConfig, check_qp, decode_sequence, encode_sequence
+from .codec import STRATEGIES, StrategyConfig, check_qp, check_qps, decode_sequence, encode_sequence
 from .errors import (
     ExperimentStageError,
     InsufficientDataError,
@@ -168,12 +167,11 @@ def rd_model_report(records, bank, qp):
     """
     check_qp(qp)
     params = RDModelParams.from_qp(qp)
-    modes = np.array([r.mode for r in records], dtype=np.int64)
-    residuals = [r.residual for r in records]
+    modes = records.mode
     per_mode = {}
     for mode in np.flatnonzero(np.bincount(modes) >= 2).tolist():
         # one mode's blocks and one transform's coefficients alive at a time
-        blocks = np.array(list(compress(residuals, modes == mode)))
+        blocks = records.residual[modes == mode]
         saab = coeff_stats(saab_forward(bank.kernel_for_mode(mode), blocks))
         per_mode[mode] = compare_transforms(saab, coeff_stats(dct_forward(blocks)), params)
     if not per_mode:
@@ -223,14 +221,15 @@ class ExperimentManifest:
         """Read a manifest file; a key it omits keeps the field's default.
 
         Raises InvalidInputError unless the file is a JSON object whose
-        `clips` lists ClipSpec fields of their types and whose
-        other values convert to the types of their defaults.
+        `clips` lists ClipSpec fields of their types, whose `qps` are
+        distinct valid QPs (check_qps), and whose other values convert to
+        the types of their defaults.
         """
         with open(path) as f:
             try:
                 raw = json.load(f)
                 manifest = cls(clips=tuple(_clip_spec(c) for c in raw["clips"]))
-                return replace(
+                manifest = replace(
                     manifest,
                     **{
                         fd.name: type(getattr(manifest, fd.name))(raw[fd.name])
@@ -240,6 +239,8 @@ class ExperimentManifest:
                 )
             except (KeyError, TypeError, ValueError) as e:
                 raise InvalidInputError(f"bad manifest {path}: {e!r}") from e
+        check_qps(manifest.qps)
+        return manifest
 
 
 def _timed(fn, runs):

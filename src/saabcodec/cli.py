@@ -157,10 +157,10 @@ def cmd_decode(args):
 
 
 def cmd_analyze_transforms(args):
-    records = [r for r in pipeline.load_residual_corpus(args.corpus) if r.mode == args.mode]
-    if len(records) < 4:
-        raise InsufficientDataError(f"only {len(records)} residuals with mode {args.mode}")
-    blocks = np.array([r.residual for r in records], dtype=np.float64)
+    records = pipeline.load_residual_corpus(args.corpus)
+    blocks = records.residual[records.mode == args.mode].astype(np.float64)
+    if len(blocks) < 4:
+        raise InsufficientDataError(f"only {len(blocks)} residuals with mode {args.mode}")
     n_train = int(len(blocks) * args.train_frac)
     report = analysis.transform_comparison_report(blocks[:n_train], blocks[n_train:])
     import os

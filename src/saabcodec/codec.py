@@ -34,9 +34,8 @@ for an 8x8 residual in [-255, 255], and the quantizer step is at least
 2**(-2/3) (QP 0), so |level| <= 3238.
 """
 
-import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +57,6 @@ DEADZONE = 1.0 / 3.0
 BATCH_BLOCKS = 16
 
 STRATEGIES = ("dct_only", "s1", "s2", "s3")
-_STRATEGY_CODES = {name: i for i, name in enumerate(STRATEGIES)}
 
 STREAM_MAGIC = b"SBVC"
 STREAM_VERSION = 1
@@ -174,27 +172,33 @@ def level_bit_cost(levels_scan):
     return int(cost[0]) if single else cost
 
 
-@dataclass
-class BlockRecord:
-    """One coded block: what the serializer writes and what the RD search saw."""
-
-    mode: int
-    transform: str  # "saab" or "dct"
-    levels: np.ndarray  # 64 levels in scan order
-    bits: int
-    sse: float
-    j_chosen: float = math.inf
-    j_dct: float = math.inf
-    residual: np.ndarray | None = None
+# One coded block: what the serializer writes (mode, `saab` transform flag,
+# scan-order levels), what the RD search saw, and the chosen mode's residual.
+BLOCK_DTYPE = np.dtype(
+    [
+        ("mode", np.uint8),
+        ("saab", np.bool_),
+        ("levels", np.int16, (VEC_LEN,)),  # |level| < 2**12
+        ("bits", np.int32),
+        ("sse", np.float64),
+        ("j_chosen", np.float64),
+        ("j_dct", np.float64),
+        ("residual", np.int16, (BLOCK, BLOCK)),
+    ]
+)
 
 
 @dataclass
 class FrameStats:
-    total_bits: int = 0
-    sse: float = 0.0
-    n_saab: int = 0
-    n_total: int = 0
-    blocks: list = field(default_factory=list)
+    """One frame's coded blocks, a np.recarray of BLOCK_DTYPE rows in raster
+    order, so row i is the block at (i % blocks_w, i // blocks_w)."""
+
+    blocks: np.recarray
+
+    total_bits = property(lambda self: int(self.blocks.bits.sum()))
+    sse = property(lambda self: float(self.blocks.sse.sum()))
+    n_saab = property(lambda self: int(np.count_nonzero(self.blocks.saab)))
+    n_total = property(lambda self: len(self.blocks))
 
 
 @dataclass
@@ -290,16 +294,15 @@ def _candidate_costs(res, preds, orig, q, lam, matrices, allowed, head_bits):
     return lv, bits, j
 
 
-def encode_block(original, recon, pos, qp, cfg, keep_residuals=False):
+def encode_block(original, recon, pos, qp, cfg):
     """RD-optimal mode and transform choice for a batch of blocks.
 
     `original` and `recon` are (frames, h, w) stacks of source planes and
     uint8 reconstruction surfaces, the latter with every block the batch
     references already filled; `pos` holds (frame, bx, by) index arrays of
     at most BATCH_BLOCKS blocks that do not reference each other.  Stores
-    each block's reconstruction in `recon` and returns one BlockRecord per
-    block, which the caller serializes.  BlockRecord.residual is filled only
-    when `keep_residuals` is set.
+    each block's reconstruction in `recon` and returns the batch's
+    BLOCK_DTYPE rows, which the caller serializes.
     """
     frame, bx, by = pos
     n = len(bx)
@@ -335,42 +338,26 @@ def encode_block(original, recon, pos, qp, cfg, keep_residuals=False):
     mode = best % N_MODES
     i = np.arange(n)
     levels = np.where(uses_saab[:, None], lv_saab[mode, i], lv_dct[mode, i])
-    bits = np.where(uses_saab, bits_saab[mode, i], bits_dct[mode, i])
     pred = preds[i, mode]
     rec = _reconstruct(pred, levels, uses_saab, mode, cfg, q)
     recon[pixels] = rec.reshape(n, BLOCK, BLOCK)
-    sse = np.sum((orig - rec) ** 2, axis=1)
+    rows = np.empty(n, dtype=BLOCK_DTYPE)
+    rows["mode"] = mode
+    rows["saab"] = uses_saab
+    rows["levels"] = levels
+    rows["bits"] = np.where(uses_saab, bits_saab[mode, i], bits_dct[mode, i])
+    rows["sse"] = np.sum((orig - rec) ** 2, axis=1)
     # j_chosen and j_dct (the DCT candidate of the same mode, same pass)
     # are exposed for dominance checks.
-    j_chosen = j_all[i, best]
-    j_mode_dct = j_dct[mode, i]  # inf where the mode allows no DCT
-
-    blocks = []
-    for b in range(n):
-        record = BlockRecord(
-            mode=int(mode[b]),
-            transform="saab" if uses_saab[b] else "dct",
-            levels=levels[b],
-            bits=int(bits[b]),
-            sse=float(sse[b]),
-            j_chosen=float(j_chosen[b]),
-            j_dct=float(j_mode_dct[b]),
-        )
-        if keep_residuals:
-            record.residual = (orig[b] - pred[b]).reshape(BLOCK, BLOCK).astype(np.int16)
-        blocks.append(record)
-    return blocks
-
-
-def _write_block(bw, record, cfg):
-    bw.write_bits(record.mode, MODE_BITS)
-    if cfg.flag[record.mode]:
-        bw.write_bit(record.transform == "saab")
-    encode_levels(bw, record.levels)
+    rows["j_chosen"] = j_all[i, best]
+    rows["j_dct"] = j_dct[mode, i]  # inf where the mode allows no DCT
+    rows["residual"] = (orig - pred).reshape(n, BLOCK, BLOCK)
+    return rows
 
 
 def _wavefront_batches(n_frames, blocks_w, blocks_h):
-    """(frame, bx, by) index arrays of at most BATCH_BLOCKS blocks each.
+    """Yield ((frame, bx, by) index arrays, stream-order indices) of at most
+    BATCH_BLOCKS blocks each.
 
     Blocks of one wave w = bx + 2 * by reference only blocks of earlier
     waves (left, top-left, top and top-right neighbours), and frames are
@@ -386,7 +373,8 @@ def _wavefront_batches(n_frames, blocks_w, blocks_h):
         bx, by = np.tile(bx, n_frames), np.tile(by, n_frames)
         for start in range(0, frame.size, BATCH_BLOCKS):
             batch = slice(start, start + BATCH_BLOCKS)
-            yield frame[batch], bx[batch], by[batch]
+            f, x, y = frame[batch], bx[batch], by[batch]
+            yield (f, x, y), (f * blocks_h + y) * blocks_w + x
 
 
 def check_qp(qp):
@@ -395,19 +383,26 @@ def check_qp(qp):
         raise InvalidInputError(f"QP must be an integer in 0..{MAX_QP}, got {qp!r}")
 
 
-def encode_sequence(planes, qp, cfg, keep_residuals=False, recon_out=None):
+def check_qps(qps):
+    """Raise InvalidInputError unless qps is a nonempty sequence of distinct valid QPs."""
+    for qp in qps:
+        check_qp(qp)
+    if not qps or len(set(qps)) != len(qps):
+        raise InvalidInputError(f"QPs must be a nonempty list without repeats, got {list(qps)}")
+
+
+def encode_sequence(planes, qp, cfg, recon_out=None):
     """Encode luma planes into one self-describing bitstream.
 
-    Returns (stream bytes, list of FrameStats).  Each FrameStats.blocks
-    lists the frame's BlockRecords in raster order, so a record's index i
-    is the block at (i % blocks_w, i // blocks_w); with `keep_residuals`
-    each record also holds its prediction residual (used by the training
-    pipeline).  When `recon_out` is a list, the encoder's own
-    reconstruction planes are appended (uint8), which must match the
-    decoder output bit-exactly.
+    Returns (stream bytes, list of FrameStats), one per frame, whose
+    `blocks` rows hold each coded block's choices and its prediction
+    residual (used by the training pipeline).  When `recon_out` is a list,
+    the encoder's own reconstruction planes are appended (uint8), which
+    must match the decoder output bit-exactly.
 
-    The RD search runs over wavefront batches of all frames; the blocks are
-    then serialized in raster order per frame.
+    The RD search runs over wavefront batches of all frames into one table
+    of blocks in stream order (raster order per frame), which is then
+    serialized as the decoder parses it.
     """
     if not planes:
         raise InvalidInputError("no frames to encode")
@@ -420,33 +415,24 @@ def encode_sequence(planes, qp, cfg, keep_residuals=False, recon_out=None):
     blocks_w, blocks_h = w // BLOCK, h // BLOCK
     original = np.stack(planes)
     recon = np.zeros(original.shape, dtype=np.uint8)
-    blocks = {}  # (frame, bx, by) -> BlockRecord
-    for pos in _wavefront_batches(len(planes), blocks_w, blocks_h):
-        records = encode_block(original, recon, pos, qp, cfg, keep_residuals)
-        blocks.update(zip(zip(*(p.tolist() for p in pos)), records))
+    table = np.empty(len(planes) * blocks_h * blocks_w, dtype=BLOCK_DTYPE)
+    for pos, i in _wavefront_batches(len(planes), blocks_w, blocks_h):
+        table[i] = encode_block(original, recon, pos, qp, cfg)
 
     bw = BitWriter()
-    stats_list = []
-    for frame_index in range(len(planes)):
-        stats = FrameStats()
-        for by in range(blocks_h):
-            for bx in range(blocks_w):
-                record = blocks[frame_index, bx, by]
-                before = bw.bit_length
-                _write_block(bw, record, cfg)
-                record.bits = bw.bit_length - before
-                stats.blocks.append(record)
-                stats.total_bits += record.bits
-                stats.sse += record.sse
-                stats.n_total += 1
-                stats.n_saab += record.transform == "saab"
-        stats_list.append(stats)
-        if recon_out is not None:
-            recon_out.append(recon[frame_index])
+    flagged = cfg.flag.tolist()
+    for mode, saab, levels in zip(table["mode"].tolist(), table["saab"].tolist(), table["levels"]):
+        bw.write_bits(mode, MODE_BITS)
+        if flagged[mode]:
+            bw.write_bit(saab)
+        encode_levels(bw, levels)
+    stats_list = [FrameStats(blocks) for blocks in table.view(np.recarray).reshape(len(planes), -1)]
+    if recon_out is not None:
+        recon_out.extend(recon)
     header = _HEADER.pack(
         STREAM_MAGIC,
         STREAM_VERSION,
-        _STRATEGY_CODES[cfg.strategy],
+        STRATEGIES.index(cfg.strategy),
         qp,
         0,
         w,
@@ -501,9 +487,8 @@ def decode_sequence(data, bank=None):
     # Reconstruct pass over the encoder's wavefront batches.
     q = qp_to_qstep(qp)
     recon = np.zeros((n_frames, h, w), dtype=np.uint8)
-    for pos in _wavefront_batches(n_frames, blocks_w, blocks_h):
+    for pos, i in _wavefront_batches(n_frames, blocks_w, blocks_h):
         frame, bx, by = pos
-        i = (frame * blocks_h + by) * blocks_w + bx  # stream order
         refs = build_references(recon, bx, by, blocks_w, blocks_h, frame=frame)
         preds = predict_block(*refs, modes[i]).reshape(-1, VEC_LEN)
         rec = _reconstruct(preds, levels[i], uses_saab[i], modes[i], cfg, q)

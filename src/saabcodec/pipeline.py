@@ -7,11 +7,10 @@ each of the 24 kernels is learned from a seeded subsample of its pool.
 """
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import StrategyConfig, encode_sequence
+from .codec import StrategyConfig, check_qps, encode_sequence
 from .errors import InvalidInputError, StarvedGroupError
 from .kernelio import KernelBank
 from .linalg import BLOCK_SIZE
@@ -24,86 +23,80 @@ MIN_GROUP_SAMPLES = 64
 
 CORPUS_MAGIC = b"SRSC"
 CORPUS_VERSION = 1
-_RECORD = struct.Struct("<BBHHHH")  # mode, qp, source, frame, x, y + 64 int16
-
-
-@dataclass(frozen=True)
-class ResidualRecord:
-    residual: np.ndarray  # 8x8 int16, original - prediction
-    mode: int
-    qp: int
-    source: int
-    frame: int
-    x: int
-    y: int
+_CORPUS_HEADER = 12  # magic, then version and record count as <II
+# One corpus record, packed as the file stores it: the block's labels, then
+# its 8x8 residual (original - prediction), row-major.
+RESIDUAL_DTYPE = np.dtype(
+    [
+        ("mode", "u1"),
+        ("qp", "u1"),
+        ("source", "<u2"),
+        ("frame", "<u2"),
+        ("x", "<u2"),
+        ("y", "<u2"),
+        ("residual", "<i2", (BLOCK_SIZE, BLOCK_SIZE)),
+    ]
+)
 
 
 def extract_residuals(clips, qps=DEFAULT_QPS):
     """Run the DCT-only encoder over luma clips and collect labelled residuals.
 
     `clips` is a list of frame lists (as from read_yuv); a record's source
-    is its clip's index.  One record per coded block per QP, in raster
-    order per frame.
+    is its clip's index.  Returns a np.recarray of RESIDUAL_DTYPE rows, one
+    per coded block per QP, in raster order per frame.  Raises
+    InvalidInputError, before encoding, for an empty clip, QPs check_qps
+    rejects, or a source, frame or block index too large for its field.
     """
-    cfg = StrategyConfig("dct_only")
-    records = []
+    check_qps(qps)
     for source, planes in enumerate(clips):
         if not planes:
             raise InvalidInputError(f"clip {source} has no frames")
-        blocks_w = planes[0].shape[1] // BLOCK_SIZE
+        h, w = planes[0].shape
+        last = dict(source=source, frame=len(planes) - 1, y=h // BLOCK_SIZE - 1, x=w // BLOCK_SIZE - 1)
+        for name, value in last.items():
+            if value > np.iinfo(RESIDUAL_DTYPE[name]).max:
+                raise InvalidInputError(f"{name} index {value} does not fit a corpus record")
+    cfg = StrategyConfig("dct_only")
+    parts = [np.empty(0, RESIDUAL_DTYPE)]
+    for source, planes in enumerate(clips):
+        grid = (len(planes), *(np.array(planes[0].shape) // BLOCK_SIZE))
         for qp in qps:
-            _, stats = encode_sequence(planes, qp, cfg, keep_residuals=True)
-            records.extend(
-                ResidualRecord(
-                    residual=b.residual,
-                    mode=b.mode,
-                    qp=qp,
-                    source=source,
-                    frame=frame,
-                    x=i % blocks_w,
-                    y=i // blocks_w,
-                )
-                for frame, fs in enumerate(stats)
-                for i, b in enumerate(fs.blocks)
-            )
-    return records
+            _, stats = encode_sequence(planes, qp, cfg)
+            blocks = np.concatenate([fs.blocks for fs in stats])
+            part = np.empty(len(blocks), dtype=RESIDUAL_DTYPE)
+            part["mode"], part["qp"], part["source"] = blocks["mode"], qp, source
+            part["frame"], part["y"], part["x"] = np.unravel_index(np.arange(len(part)), grid)
+            part["residual"] = blocks["residual"]
+            parts.append(part)
+    return np.concatenate(parts).view(np.recarray)
 
 
 def save_residual_corpus(path, records):
+    records = np.asarray(records, dtype=RESIDUAL_DTYPE)
     with open(path, "wb") as f:
         f.write(CORPUS_MAGIC + struct.pack("<II", CORPUS_VERSION, len(records)))
-        for r in records:
-            f.write(_RECORD.pack(r.mode, r.qp, r.source, r.frame, r.x, r.y))
-            f.write(r.residual.astype("<i2").tobytes())
+        f.write(records.tobytes())
 
 
 def load_residual_corpus(path):
-    """Read a corpus file; InvalidInputError unless it is exactly its header
-    and records and every record's mode exists."""
+    """Read a corpus file into a read-only RESIDUAL_DTYPE np.recarray; InvalidInputError
+    unless it is exactly its header and records and every record's mode exists."""
     with open(path, "rb") as f:
         buf = f.read()
-    if len(buf) < 12 or buf[:4] != CORPUS_MAGIC:
+    if len(buf) < _CORPUS_HEADER or buf[:4] != CORPUS_MAGIC:
         raise InvalidInputError("not a residual corpus file")
     version, count = struct.unpack_from("<II", buf, 4)
     if version != CORPUS_VERSION:
         raise InvalidInputError(f"unsupported corpus version {version}")
-    if len(buf) != 12 + count * (_RECORD.size + 128):
+    if len(buf) != _CORPUS_HEADER + count * RESIDUAL_DTYPE.itemsize:
         raise InvalidInputError(f"corpus size {len(buf)} does not match its {count} records")
-    offset = 12
-    records = []
-    for _ in range(count):
-        mode, qp, source, frame, x, y = _RECORD.unpack_from(buf, offset)
-        if mode >= N_MODES:
-            raise InvalidInputError(f"corpus record at byte {offset} has mode {mode}")
-        offset += _RECORD.size
-        residual = np.frombuffer(buf, dtype="<i2", count=64, offset=offset).reshape(8, 8)
-        offset += 128
-        records.append(
-            ResidualRecord(
-                residual=residual.copy(), mode=mode, qp=qp, source=source, frame=frame, x=x, y=y
-            )
-        )
-    return records
+    records = np.frombuffer(buf, dtype=RESIDUAL_DTYPE, count=count, offset=_CORPUS_HEADER)
+    bad = np.flatnonzero(records["mode"] >= N_MODES)
+    if bad.size:
+        offset = _CORPUS_HEADER + int(bad[0]) * RESIDUAL_DTYPE.itemsize
+        raise InvalidInputError(f"corpus record at byte {offset} has mode {records['mode'][bad[0]]}")
+    return records.view(np.recarray)
 
 
 def train_kernel_bank(
@@ -122,7 +115,7 @@ def train_kernel_bank(
         raise InvalidInputError(f"samples per kernel must be 1 or more, got {samples_per_kernel}")
     if decimal_digits is not None and decimal_digits < 0:
         raise InvalidInputError(f"decimal digits must be 0 or more, got {decimal_digits}")
-    modes = np.array([r.mode for r in records])
+    modes = records.mode
     starved = {
         k: group
         for k, group in enumerate(TRAIN_GROUPS)
@@ -130,12 +123,11 @@ def train_kernel_bank(
     }
     if starved:
         raise StarvedGroupError(starved)
-    residuals = np.array([r.residual for r in records])  # int16, as recorded
 
     def pools():
         for k, group in enumerate(TRAIN_GROUPS):
             # the mask keeps record order, which the seeded subsample depends on
-            pool = residuals[np.isin(modes, group)]
+            pool = records.residual[np.isin(modes, group)]  # int16, as recorded
             if pool.shape[0] > samples_per_kernel:
                 rng = np.random.default_rng([seed, k])
                 idx = np.sort(rng.choice(pool.shape[0], size=samples_per_kernel, replace=False))

@@ -1,8 +1,14 @@
-"""The benchmark's span tracer patches package globals by name; a refactor
-that drops or renames one breaks traced benchmark runs, so check them here."""
+"""The benchmark's span tracer patches package globals by name, and its
+workloads read fields of coded blocks and residual corpora by attribute; a
+refactor that drops or renames either breaks benchmark runs, so check them
+here."""
 
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+
+from saabcodec import codec, pipeline
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -17,3 +23,18 @@ def test_bench_wrap_points_resolve():
         if attr not in vars(owner)
     ]
     assert not missing
+
+
+def test_bench_reads_of_blocks_and_corpus(tmp_path, tiny_bank, tiny_clip):
+    # the attribute reads bench/workloads.py makes of coded blocks and corpora
+    cfg = codec.StrategyConfig("s3", tiny_bank)
+    _, stats = codec.encode_sequence(tiny_clip[:1], 32, cfg)
+    assert all(b.j_chosen <= b.j_dct for s in stats for b in s.blocks)
+    records = pipeline.extract_residuals([tiny_clip], qps=(37,))
+    path = str(tmp_path / "corpus.bin")
+    pipeline.save_residual_corpus(path, records)
+    corpus = pipeline.load_residual_corpus(path)
+    assert len(corpus) == len(records) == 3 * (64 // 8) * (48 // 8)
+    blocks = [r.residual for r in corpus if r.mode == 0]
+    assert blocks and all(b.shape == (8, 8) for b in blocks)
+    assert np.array_equal(blocks, corpus.residual[corpus.mode == 0])

@@ -135,7 +135,8 @@ _ONE_FRAME, _TWO_FRAMES = "\0" * 96, "\0" * 768
 _ENCODE = ["encode", "--input", "c.yuv", "--width", 8, "--height", 8, "--qp", 22,
            "--output", "o.bin"]
 
-# case -> (files to create, with None for a directory; argv)
+# case -> (files to create, with None for a directory; argv); each is a
+# configuration error, so exits 2
 BAD_INPUTS = {
     "manifest-not-json": ({"m.json": "{clips"}, _EXPERIMENT),
     "manifest-without-clips": ({"m.json": '{"qps": [22, 27, 32, 37]}'}, _EXPERIMENT),
@@ -201,6 +202,18 @@ BAD_INPUTS = {
         {"c.bin": TRAINABLE_CORPUS, "b.skb": TINY_BANK},
         _RD_MODEL + ["--qp", -10000],
     ),
+    "manifest-qp-99": (
+        {"a.yuv": _ONE_FRAME, "m.json": f'{{"clips": [{_CLIP}}}], "strategies": [], "qps": [99]}}'},
+        _EXPERIMENT,
+    ),
+    "manifest-no-qps": (
+        {"a.yuv": _ONE_FRAME, "m.json": f'{{"clips": [{_CLIP}}}], "strategies": [], "qps": []}}'},
+        _EXPERIMENT,
+    ),
+    "extract-residuals-repeated-qp": (
+        {"c.yuv": _TWO_FRAMES},
+        ["extract-residuals", "--clip", "c.yuv:16x16", "--qp", 22, "--qp", 22, "--output", "r.bin"],
+    ),
 }
 
 
@@ -230,7 +243,7 @@ def test_bad_input_exits_with_one_line_error(case, tmp_path, monkeypatch, capsys
         else:
             (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
-    assert run(argv) in (cli.EXIT_CONFIG, cli.EXIT_DATA)
+    assert run(argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
 

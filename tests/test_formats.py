@@ -37,8 +37,13 @@ def test_bitstream_header():
 
 def test_corpus_record():
     size = int(re.search(r"fixed (\d+)-byte struct", DOC).group(1))
-    assert size == pipeline._RECORD.size + 64 * 2
-    assert f"\n{pipeline._RECORD.format} :" in DOC
+    dtype = pipeline.RESIDUAL_DTYPE
+    assert size == dtype.itemsize == 138
+    block = DOC.split("## Residual corpus", 1)[1].split("```", 4)[3]
+    rows = re.findall(r"^(\d+)\s+(\d+)\s+(\w+)", block, re.M)
+    assert [(int(o), int(s), name) for o, s, name in rows] == [
+        (dtype.fields[name][1], dtype[name].itemsize, name) for name in dtype.names
+    ]
 
 
 def test_bank_header():

@@ -51,7 +51,7 @@ def test_bank_has_24_kernels(bank):
 
 def test_starved_groups_reported(residual_records):
     # keep only planar-mode residuals: every angular group starves
-    planar = [r for r in residual_records if r.mode == 0][:200]
+    planar = residual_records[residual_records.mode == 0][:200]
     with pytest.raises(StarvedGroupError) as exc:
         pipeline.train_kernel_bank(planar, samples_per_kernel=100)
     assert len(exc.value.starved) >= 20
@@ -69,3 +69,20 @@ def test_shared_modes_feed_both_groups(residual_records):
     # modes like 22 belong to two training groups; the pools must overlap
     owners = [k for k in range(N_KERNELS) if 22 in TRAIN_GROUPS[k]]
     assert len(owners) == 2
+
+
+def test_index_outside_record_field_rejected_before_encoding(monkeypatch):
+    # frame 65536 does not fit the record's u16; nothing may be encoded first
+    def encode_sequence(*args, **kwargs):
+        raise AssertionError("encoded before the range check")
+
+    monkeypatch.setattr(pipeline, "encode_sequence", encode_sequence)
+    clip = [np.zeros((8, 8), dtype=np.uint8)] * 65_537
+    with pytest.raises(InvalidInputError, match="frame index 65536"):
+        pipeline.extract_residuals([clip], qps=(37,))
+
+
+@pytest.mark.parametrize("qps", [(22, 22), ()])
+def test_bad_qps_rejected(tiny_clip, qps):
+    with pytest.raises(InvalidInputError):
+        pipeline.extract_residuals([tiny_clip], qps=qps)
