@@ -5,12 +5,14 @@ must keep every digest here.  A change that alters streams, corpora, banks
 or predictions on purpose re-pins the affected digests and says so.
 """
 
+import contextlib
 import hashlib
+import io
 
 import numpy as np
 import pytest
 
-from saabcodec import codec, intra, pipeline, video
+from saabcodec import cli, codec, intra, pipeline, video
 from saabcodec.analysis import ClipSpec, ExperimentManifest, run_experiment
 
 STREAMS = {
@@ -47,6 +49,20 @@ EXPERIMENT_CSVS = {
     "bd_summary.csv": "e3b8c08858afe68dd844ceb0171d01c44d8499d40ee0402b3bec5bb94c5e3e71",
     "usage.csv": "4f2f843f3ec17028fe5caf682d2c2891399df78b453a517978a0423c89bb9897",
 }
+# CLI outputs over the tiny fixtures: `analyze-transforms` (mode 0) and
+# `rd-model` (QP 37) on tiny_records and tiny_bank, and `encode` (s3, QP 32)
+# then `decode` of tiny_clip, each with its --stats file and stdout.
+CLI_OUTPUTS = {
+    "compaction.csv": "da83b2388fe6e8223a8d13748296926c6b075b76f9fc59229c570e308eb245a2",
+    "decorrelation.csv": "04b27d519314e1754c24ab422d4d8f5034904c68e6b7fb45304a56571f8a6d35",
+    "transforms.json": "9a3cd67ccdff2f3d3632d01e41884c9e778bab8f707e1bf47763d905602c6b29",
+    "kappa.csv": "77b13572e08b52bdf6f29f3597f9b8740775b812558d4687bbb4295cf548552e",
+    "sigma.csv": "fea5d7793cb677ed44163e31de10a3917ccd78a36a914c4efc8215e8ecf665d9",
+    "encode.json": "dbb485a74aea4b7c915bcd8df17363996cc65e0b6d243709fcfeb27194096a4b",
+    "encode.stdout": "dd41c00f1d716073209e22af6b28108fd4c2f622571d9acfc118473b193d366b",
+    "decode.json": "7d6c35cf89660272d982144cffb95a3f27272fb125bd7420913031a62fcc297c",
+    "decode.stdout": "af3aee10d212806caaa1688ca057102d57b1ca93980f9b8dac0eef2564d802cc",
+}
 
 N_SETS = 200
 
@@ -81,6 +97,30 @@ def experiment_dir(tmp_path_factory, tiny_clip, tiny_bank):
         timing_runs=1,
     )
     run_experiment(manifest, str(out), bank=tiny_bank)
+    return out
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory, tiny_records, tiny_bank, tiny_clip):
+    out = tmp_path_factory.mktemp("tiny_cli")
+    corpus, bank, clip, stream = out / "corpus.bin", out / "bank.skb", out / "clip.yuv", out / "clip.bin"
+    pipeline.save_residual_corpus(str(corpus), tiny_records)
+    tiny_bank.save(str(bank))
+    video.write_yuv(str(clip), tiny_clip)
+    h, w = tiny_clip[0].shape
+    verbs = {
+        "analyze-transforms": ["--corpus", corpus, "--mode", 0, "--output-dir", out],
+        "rd-model": ["--corpus", corpus, "--bank", bank, "--qp", 37, "--output-dir", out],
+        "encode": ["--input", clip, "--width", w, "--height", h, "--qp", 32, "--strategy", "s3",
+                   "--bank", bank, "--output", stream, "--stats", out / "encode.json"],
+        "decode": ["--input", stream, "--bank", bank, "--output", out / "decoded.yuv",
+                   "--stats", out / "decode.json"],
+    }
+    for verb, argv in verbs.items():
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert cli.main([verb] + [str(a) for a in argv]) == 0
+        (out / f"{verb}.stdout").write_text(stdout.getvalue())
     return out
 
 
@@ -138,3 +178,8 @@ def test_predict_block_digest():
 @pytest.mark.parametrize("name", sorted(EXPERIMENT_CSVS))
 def test_experiment_csv_digest(name, experiment_dir):
     assert hashlib.sha256((experiment_dir / name).read_bytes()).hexdigest() == EXPERIMENT_CSVS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CLI_OUTPUTS))
+def test_cli_output_digest(name, cli_dir):
+    assert hashlib.sha256((cli_dir / name).read_bytes()).hexdigest() == CLI_OUTPUTS[name]
