@@ -213,29 +213,27 @@ class ExperimentManifest:
     qps: tuple = (22, 27, 32, 37)
     strategies: tuple = ("s1", "s2", "s3")
     bank_path: str = ""
-    seed: int = 0
     timing_runs: int = 3
 
     @classmethod
     def from_json(cls, path):
         """Read a manifest file; a key it omits keeps the field's default.
 
-        Raises InvalidInputError unless the file is a JSON object whose
-        `clips` lists ClipSpec fields of their types, whose `qps` are
-        distinct valid QPs (check_qps), and whose other values convert to
-        the types of their defaults.
+        Raises InvalidInputError unless the file is a JSON object whose keys
+        are fields, whose `clips` lists ClipSpec fields of their types, whose
+        `qps` are distinct valid QPs (check_qps), and whose other values
+        convert to the types of their defaults.
         """
         with open(path) as f:
             try:
                 raw = json.load(f)
                 manifest = cls(clips=tuple(_clip_spec(c) for c in raw["clips"]))
+                unknown = sorted(raw.keys() - {fd.name for fd in fields(cls)})
+                if unknown:
+                    raise InvalidInputError(f"bad manifest {path}: unknown keys {unknown}")
                 manifest = replace(
                     manifest,
-                    **{
-                        fd.name: type(getattr(manifest, fd.name))(raw[fd.name])
-                        for fd in fields(cls)
-                        if fd.name != "clips" and fd.name in raw
-                    },
+                    **{k: type(getattr(manifest, k))(v) for k, v in raw.items() if k != "clips"},
                 )
             except (KeyError, TypeError, ValueError) as e:
                 raise InvalidInputError(f"bad manifest {path}: {e!r}") from e
@@ -279,7 +277,6 @@ def run_experiment(manifest, output_dir, bank=None, verbose=False):
     report = {
         "qps": list(manifest.qps),
         "strategies": strategies,
-        "seed": manifest.seed,
         "bank_digest": bank.digest().hex() if bank is not None else "",
         "clips": {},
     }
@@ -357,65 +354,76 @@ def run_experiment(manifest, output_dir, bank=None, verbose=False):
     return report
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return "inf" if math.isinf(x) else f"{x:.6f}"
-    return str(x)
+def format_value(x):
+    """A table cell: a float to 6 decimals ("inf" for infinity), else str(x)."""
+    return f"{x:.6f}" if isinstance(x, float) else str(x)
 
 
-def _write_outputs(report, timing_rows, output_dir):
-    with open(os.path.join(output_dir, "rd_points.csv"), "w", newline="") as f:
+def write_csv(path, header, rows):
+    """Write a header and rows of cells, each cell through format_value."""
+    with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["clip", "strategy", "qp", "bits_per_frame", "psnr_db"])
-        for clip, cdata in sorted(report["clips"].items()):
-            for strategy in report["strategies"]:
-                for p in cdata["strategies"][strategy]["points"]:
-                    w.writerow([clip, strategy, p.qp, _fmt(p.rate), _fmt(p.psnr)])
+        w.writerow(header)
+        w.writerows([format_value(x) for x in row] for row in rows)
 
-    with open(os.path.join(output_dir, "bd_summary.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["clip", "strategy", "bdbr_percent", "bdpsnr_db"])
-        for clip, cdata in sorted(report["clips"].items()):
-            for strategy in report["strategies"]:
-                bd = cdata["strategies"][strategy].get("bd")
-                if bd is not None:
-                    w.writerow([clip, strategy, _fmt(bd.bdbr_percent), _fmt(bd.bdpsnr_db)])
 
-    with open(os.path.join(output_dir, "usage.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["clip", "strategy", "qp", "p_saab_percent"])
-        for clip, cdata in sorted(report["clips"].items()):
-            for strategy in report["strategies"]:
-                usage = cdata["strategies"][strategy]["usage"]
-                for qp in sorted(usage["per_qp"]):
-                    w.writerow([clip, strategy, qp, _fmt(usage["per_qp"][qp])])
-                w.writerow([clip, strategy, "avg", _fmt(usage["average"])])
-
-    with open(os.path.join(output_dir, "timing.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["clip", "strategy", "encr_percent", "decr_percent"])
-        for row in timing_rows:
-            w.writerow(
-                [row["clip"], row["strategy"], _fmt(row["encr_percent"]), _fmt(row["decr_percent"])]
-            )
-
-    with open(os.path.join(output_dir, "report.json"), "w") as f:
-        json.dump(_jsonable(report), f, indent=2, sort_keys=True)
+def write_json(path, obj, float_digits=9):
+    """Write obj as sorted, 2-space-indented JSON and a newline.  Dict keys
+    become strings, arrays lists and RD records objects; a float is written
+    as "inf" if infinite, else rounded to `float_digits` decimals (None
+    keeps every digit)."""
+    with open(path, "w") as f:
+        json.dump(_jsonable(obj, float_digits), f, indent=2, sort_keys=True)
         f.write("\n")
 
 
-def _jsonable(obj):
+def _write_outputs(report, timing_rows, output_dir):
+    def path(name):
+        return os.path.join(output_dir, name)
+
+    entries = [
+        (clip, strategy, cdata["strategies"][strategy])
+        for clip, cdata in sorted(report["clips"].items())
+        for strategy in report["strategies"]
+    ]
+    usage_rows = []
+    for clip, strategy, e in entries:
+        per_qp = e["usage"]["per_qp"]
+        usage_rows += [[clip, strategy, qp, per_qp[qp]] for qp in sorted(per_qp)]
+        usage_rows.append([clip, strategy, "avg", e["usage"]["average"]])
+    write_csv(
+        path("rd_points.csv"),
+        ["clip", "strategy", "qp", "bits_per_frame", "psnr_db"],
+        ([clip, s, p.qp, p.rate, p.psnr] for clip, s, e in entries for p in e["points"]),
+    )
+    write_csv(
+        path("bd_summary.csv"),
+        ["clip", "strategy", "bdbr_percent", "bdpsnr_db"],
+        ([clip, s, e["bd"].bdbr_percent, e["bd"].bdpsnr_db] for clip, s, e in entries if "bd" in e),
+    )
+    write_csv(path("usage.csv"), ["clip", "strategy", "qp", "p_saab_percent"], usage_rows)
+    write_csv(
+        path("timing.csv"),
+        ["clip", "strategy", "encr_percent", "decr_percent"],
+        ([r["clip"], r["strategy"], r["encr_percent"], r["decr_percent"]] for r in timing_rows),
+    )
+    write_json(path("report.json"), report)
+
+
+def _jsonable(obj, float_digits):
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return {str(k): _jsonable(v, float_digits) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [_jsonable(v, float_digits) for v in obj]
     if isinstance(obj, (RDPoint, BDStats)):
-        return _jsonable(vars(obj))
+        return _jsonable(vars(obj), float_digits)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, float) or isinstance(obj, np.floating):
         x = float(obj)
-        return "inf" if math.isinf(x) else round(x, 9)
+        if math.isinf(x):
+            return "inf"
+        return x if float_digits is None else round(x, float_digits)
     return obj

@@ -10,8 +10,8 @@ Exit codes: 0 success, 2 configuration/usage error, 3 data error
 
 import argparse
 import csv
-import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -39,26 +39,20 @@ _DATA_ERRORS = (
     BitstreamError,
     NoOverlapError,
     StarvedGroupError,
+    ExperimentStageError,
 )
 
 
 def _parse_clip(spec):
-    """Parse `path:WIDTHxHEIGHT[:frames]` into a (path, w, h, frames) tuple."""
-    parts = spec.rsplit(":", 2)
+    """Parse `path:WIDTHxHEIGHT` into a (path, w, h) tuple."""
+    path, _, dims = spec.rpartition(":")
     try:
-        if len(parts) == 3 and "x" in parts[1]:
-            path, dims, frames = parts
-            nf = int(frames)
-        elif len(parts) >= 2 and "x" in parts[-1]:
-            path = ":".join(parts[:-1])
-            dims = parts[-1]
-            nf = 0
-        else:
-            raise ValueError
         w, h = (int(v) for v in dims.split("x"))
+        if not path:
+            raise ValueError
     except ValueError:
-        raise InvalidInputError(f"clip spec {spec!r} is not path:WxH[:frames]")
-    return path, w, h, nf
+        raise InvalidInputError(f"clip spec {spec!r} is not path:WxH")
+    return path, w, h
 
 
 def cmd_ingest(args):
@@ -84,12 +78,9 @@ def cmd_synthesize(args):
 
 
 def cmd_extract_residuals(args):
-    """Every clip is cut to --frames, else to the fewest frames any spec
-    names, else kept whole."""
     specs = [_parse_clip(spec) for spec in args.clip]
-    frames = args.frames or min((nf for *_, nf in specs if nf), default=0)
-    clips = [video.read_yuv(path, w, h, frames) for path, w, h, _ in specs]
-    records = pipeline.extract_residuals(clips, qps=tuple(args.qp))
+    clips = [video.read_yuv(path, w, h, args.frames) for path, w, h in specs]
+    records = pipeline.extract_residuals(clips, qps=tuple(args.qp or pipeline.DEFAULT_QPS))
     pipeline.save_residual_corpus(args.output, records)
     print(f"collected {len(records)} residuals from {len(clips)} clip(s) -> {args.output}")
     return 0
@@ -123,15 +114,13 @@ def cmd_encode(args):
         "qp": args.qp,
         "strategy": args.strategy,
         "total_bits": sum(s.total_bits for s in stats),
-        "psnr_db": analysis._fmt(analysis.psnr_from_sse(sum(s.sse for s in stats), n_pix)),
+        "psnr_db": analysis.format_value(analysis.psnr_from_sse(sum(s.sse for s in stats), n_pix)),
         "saab_blocks": n_saab,
         "blocks": n_total,
         "p_saab_percent": 100.0 * n_saab / n_total,
     }
     if args.stats:
-        with open(args.stats, "w") as f:
-            json.dump(summary, f, indent=2, sort_keys=True)
-            f.write("\n")
+        analysis.write_json(args.stats, summary, float_digits=None)
     print(json.dumps(summary, sort_keys=True))
     return 0
 
@@ -149,9 +138,7 @@ def cmd_decode(args):
         "flag_bits": dstats.n_flag_bits,
     }
     if args.stats:
-        with open(args.stats, "w") as f:
-            json.dump(summary, f, indent=2, sort_keys=True)
-            f.write("\n")
+        analysis.write_json(args.stats, summary, float_digits=None)
     print(json.dumps(summary, sort_keys=True))
     return 0
 
@@ -163,25 +150,19 @@ def cmd_analyze_transforms(args):
         raise InsufficientDataError(f"only {len(blocks)} residuals with mode {args.mode}")
     n_train = int(len(blocks) * args.train_frac)
     report = analysis.transform_comparison_report(blocks[:n_train], blocks[n_train:])
-    import os
-
+    transforms = sorted(report["transforms"].items())
     os.makedirs(args.output_dir, exist_ok=True)
-    with open(os.path.join(args.output_dir, "compaction.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["i"] + sorted(report["transforms"]))
-        for i in range(64):
-            w.writerow(
-                [i + 1]
-                + [f"{report['transforms'][t]['compaction'][i]:.6f}" for t in sorted(report["transforms"])]
-            )
-    with open(os.path.join(args.output_dir, "decorrelation.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["transform", "cost"])
-        for t in sorted(report["transforms"]):
-            w.writerow([t, f"{report['transforms'][t]['decorrelation_cost']:.6f}"])
-    with open(os.path.join(args.output_dir, "transforms.json"), "w") as f:
-        json.dump(analysis._jsonable(report), f, indent=2, sort_keys=True)
-        f.write("\n")
+    analysis.write_csv(
+        os.path.join(args.output_dir, "compaction.csv"),
+        ["i"] + [name for name, _ in transforms],
+        ([i + 1] + [t["compaction"][i] for _, t in transforms] for i in range(64)),
+    )
+    analysis.write_csv(
+        os.path.join(args.output_dir, "decorrelation.csv"),
+        ["transform", "cost"],
+        ([name, t["decorrelation_cost"]] for name, t in transforms),
+    )
+    analysis.write_json(os.path.join(args.output_dir, "transforms.json"), report)
     print(f"analyzed {len(blocks)} mode-{args.mode} residuals -> {args.output_dir}")
     return 0
 
@@ -190,23 +171,19 @@ def cmd_rd_model(args):
     records = pipeline.load_residual_corpus(args.corpus)
     bank = KernelBank.load(args.bank)
     report = analysis.rd_model_report(records, bank, args.qp)
-    import os
-
+    per_mode = sorted(report["per_mode"].items())
     os.makedirs(args.output_dir, exist_ok=True)
-    with open(os.path.join(args.output_dir, "kappa.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["mode", "kappa_saab", "kappa_dct", "delta_kappa"])
-        for mode, c in sorted(report["per_mode"].items()):
-            w.writerow(
-                [mode, f"{c.kappa_saab:.6f}", f"{c.kappa_dct:.6f}", f"{c.delta_kappa:.6f}"]
-            )
-        w.writerow(["avg", "", "", f"{report['avg_delta_kappa']:.6f}"])
-    with open(os.path.join(args.output_dir, "sigma.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["mode", "delta_sigma2"])
-        for mode, c in sorted(report["per_mode"].items()):
-            w.writerow([mode, f"{c.delta_sigma2:.6f}"])
-        w.writerow(["avg", f"{report['avg_delta_sigma2']:.6f}"])
+    analysis.write_csv(
+        os.path.join(args.output_dir, "kappa.csv"),
+        ["mode", "kappa_saab", "kappa_dct", "delta_kappa"],
+        [[m, c.kappa_saab, c.kappa_dct, c.delta_kappa] for m, c in per_mode]
+        + [["avg", "", "", report["avg_delta_kappa"]]],
+    )
+    analysis.write_csv(
+        os.path.join(args.output_dir, "sigma.csv"),
+        ["mode", "delta_sigma2"],
+        [[m, c.delta_sigma2] for m, c in per_mode] + [["avg", report["avg_delta_sigma2"]]],
+    )
     print(
         f"qp={args.qp}: avg delta_kappa {report['avg_delta_kappa']:.6f}, "
         f"avg delta_sigma2 {report['avg_delta_sigma2']:.6f} -> {args.output_dir}"
@@ -216,8 +193,6 @@ def cmd_rd_model(args):
 
 def cmd_experiment(args):
     manifest = analysis.ExperimentManifest.from_json(args.manifest)
-    if args.timing_runs:
-        manifest = dataclasses.replace(manifest, timing_runs=args.timing_runs)
     analysis.run_experiment(manifest, args.output_dir, verbose=not args.quiet)
     print(f"experiment complete -> {args.output_dir}")
     return 0
@@ -264,7 +239,7 @@ def build_parser():
     s.set_defaults(func=cmd_synthesize)
 
     s = sub.add_parser("extract-residuals", help="collect mode-labelled residuals")
-    s.add_argument("--clip", action="append", required=True, metavar="PATH:WxH[:FRAMES]")
+    s.add_argument("--clip", action="append", required=True, metavar="PATH:WxH")
     s.add_argument("--qp", type=int, action="append", default=None)
     s.add_argument("--frames", type=int, default=0)
     s.add_argument("--output", required=True)
@@ -314,7 +289,6 @@ def build_parser():
     s = sub.add_parser("experiment", help="full RD experiment from a manifest")
     s.add_argument("--manifest", required=True)
     s.add_argument("--output-dir", required=True)
-    s.add_argument("--timing-runs", type=int, default=0)
     s.add_argument("--quiet", action="store_true")
     s.set_defaults(func=cmd_experiment)
 
@@ -329,8 +303,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.verb == "extract-residuals" and not args.qp:
-        args.qp = list(pipeline.DEFAULT_QPS)
     try:
         return args.func(args)
     except _DATA_ERRORS as e:
@@ -339,9 +311,6 @@ def main(argv=None):
     except (InvalidInputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except ExperimentStageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
     except SaabCodecError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -135,8 +135,6 @@ class KernelBank:
     def rounded(self, decimal_digits):
         """Bank with every kernel's matrix and bias rounded to d >= 0 decimal
         digits."""
-        if decimal_digits is None:
-            return self
         if decimal_digits < 0:
             raise InvalidInputError(f"decimal digits must be 0 or more, got {decimal_digits}")
         meta = dict(self.meta)

@@ -51,7 +51,6 @@ class CompactionCurve:
     highest-energy coefficient positions."""
 
     values: np.ndarray
-    sample_count: int
     position_order: np.ndarray
 
 
@@ -70,7 +69,7 @@ def energy_compaction(coeff_sets, input_variance):
     mean_energy = np.mean(y * y, axis=0)
     order = np.argsort(-mean_energy, kind="stable")
     curve = np.cumsum(mean_energy[order]) / (VEC_LEN * input_variance)
-    return CompactionCurve(values=curve, sample_count=y.shape[0], position_order=order)
+    return CompactionCurve(values=curve, position_order=order)
 
 
 def decorrelation_cost(coeff_sets):
@@ -84,9 +83,7 @@ def decorrelation_cost(coeff_sets):
 
 @dataclass(frozen=True)
 class CoeffStats:
-    mean: np.ndarray
     variance: np.ndarray
-    cov: np.ndarray
     sample_count: int
 
 
@@ -96,7 +93,7 @@ def coeff_stats(coeff_sets):
         raise InsufficientDataError("need at least 2 coefficient blocks")
     mean = y.mean(axis=0)
     cov = covariance(y - mean)
-    return CoeffStats(mean=mean, variance=np.diag(cov).copy(), cov=cov, sample_count=y.shape[0])
+    return CoeffStats(variance=np.diag(cov).copy(), sample_count=y.shape[0])
 
 
 def kappa(sigma_y, params):
@@ -123,9 +120,6 @@ class TransformComparison:
     delta_sigma2: float
     kappa_saab: float
     kappa_dct: float
-    per_position_kappa_saab: np.ndarray
-    per_position_kappa_dct: np.ndarray
-    per_position_delta_sigma2: np.ndarray
 
 
 def compare_transforms(stats_saab, stats_dct, params):
@@ -143,7 +137,4 @@ def compare_transforms(stats_saab, stats_dct, params):
         delta_sigma2=float(d_sigma2.mean()),
         kappa_saab=float(k_saab.mean()),
         kappa_dct=float(k_dct.mean()),
-        per_position_kappa_saab=k_saab,
-        per_position_kappa_dct=k_dct,
-        per_position_delta_sigma2=d_sigma2,
     )

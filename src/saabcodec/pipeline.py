@@ -73,7 +73,12 @@ def extract_residuals(clips, qps=DEFAULT_QPS):
 
 
 def save_residual_corpus(path, records):
-    records = np.asarray(records, dtype=RESIDUAL_DTYPE)
+    """Write RESIDUAL_DTYPE records, an array or a list of its rows, as a
+    corpus file; InvalidInputError for any other dtype, which a cast would
+    wrap rather than range-check."""
+    records = np.asarray(records)
+    if records.dtype != RESIDUAL_DTYPE:
+        raise InvalidInputError(f"corpus records have dtype {records.dtype}, not RESIDUAL_DTYPE")
     with open(path, "wb") as f:
         f.write(CORPUS_MAGIC + struct.pack("<II", CORPUS_VERSION, len(records)))
         f.write(records.tobytes())

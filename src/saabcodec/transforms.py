@@ -16,7 +16,7 @@ coefficients are zero-offset, which is what the codec quantizes.  The two
 differ exactly by the bias vector and invert each other either way.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +34,6 @@ BIAS_MODES = ("raw", "centered")
 
 KIND_KLT = "klt"
 KIND_SAAB1 = "saab1"
-KIND_SAAB2 = "saab2"
 
 
 def dct_matrix(n):
@@ -139,7 +138,7 @@ def _training_samples(samples, kind):
     return d
 
 
-def learn_saab1(samples, trained_mode_group=(), *, groups=None):
+def learn_saab1(samples, *, groups=None):
     """One-stage Saab kernel learned from (T, 64) vectors or (T, 8, 8) blocks.
 
     With `groups`, `samples` is instead an iterable of sample sets, one per
@@ -149,7 +148,7 @@ def learn_saab1(samples, trained_mode_group=(), *, groups=None):
     eigensolve; each kernel equals the one its set alone would give.
     """
     if groups is None:
-        return learn_saab1([samples], groups=[trained_mode_group])[0]
+        return learn_saab1([samples], groups=[()])[0]
     pairs = _learn_stages(_training_samples(s, "saab1") for s in samples)
     if len(pairs) != len(groups):
         raise InvalidInputError(f"{len(pairs)} sample sets for {len(groups)} groups")
@@ -159,7 +158,7 @@ def learn_saab1(samples, trained_mode_group=(), *, groups=None):
     ]
 
 
-def learn_klt(samples, trained_mode_group=()):
+def learn_klt(samples):
     """Eigenbasis of the mean-subtracted sample covariance, zero bias."""
     d = _training_samples(samples, "KLT")
     centered = d - d.mean(axis=0)
@@ -168,7 +167,6 @@ def learn_klt(samples, trained_mode_group=()):
         matrix=eig.eigenvectors.copy(),
         bias=np.zeros(VEC_LEN),
         kind=KIND_KLT,
-        trained_mode_group=tuple(trained_mode_group),
     )
 
 
@@ -210,8 +208,6 @@ def round_kernel(kernel, decimal_digits):
     The rounded kernel is used as-is, without re-orthonormalization, to
     mirror reduced-precision kernel storage.
     """
-    if decimal_digits is None:
-        return kernel
     if decimal_digits >= 16:
         # beyond float64 precision rounding is a no-op; np.round's scale-and-
         # unscale would actually perturb the last bits here
@@ -258,8 +254,6 @@ class TwoStageSaabKernel:
     stage1_bias: np.ndarray  # (16,)
     stage2_matrices: np.ndarray  # (16, 4, 4)
     stage2_biases: np.ndarray  # (16, 4)
-    trained_mode_group: tuple = ()
-    kind: str = field(default=KIND_SAAB2)
 
     def orthonormality_error(self):
         m1, m2 = self.stage1_matrix, self.stage2_matrices
@@ -269,7 +263,7 @@ class TwoStageSaabKernel:
         )
 
 
-def learn_saab2(samples, trained_mode_group=()):
+def learn_saab2(samples):
     d = _training_samples(samples, "saab2")
     subs = _split_subblocks(d).reshape(-1, _SUB_LEN)  # (T*4, 16)
     ((m1, b1),) = _learn_stages([subs])
@@ -283,7 +277,6 @@ def learn_saab2(samples, trained_mode_group=()):
         stage1_bias=b1,
         stage2_matrices=np.array([m for m, _ in stage2]),
         stage2_biases=np.array([b for _, b in stage2]),
-        trained_mode_group=tuple(trained_mode_group),
     )
 
 

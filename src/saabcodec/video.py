@@ -64,7 +64,7 @@ def write_yuv(path, planes):
             f.write(np.full(h * w // 2, 128, dtype=np.uint8).tobytes())
 
 
-def synthesize_luma_clip(width, height, frames, seed=0, motion=1.5):
+def synthesize_luma_clip(width, height, frames, seed=0):
     """Deterministic synthetic test content with natural-image statistics.
 
     Mixes a smooth illumination gradient, oriented gratings whose angle
@@ -96,8 +96,8 @@ def synthesize_luma_clip(width, height, frames, seed=0, motion=1.5):
     n_discs = 4
     d_cx = rng.uniform(0, width, n_discs)
     d_cy = rng.uniform(0, height, n_discs)
-    d_vx = rng.uniform(-motion, motion, n_discs)
-    d_vy = rng.uniform(-motion, motion, n_discs)
+    d_vx = rng.uniform(-1.5, 1.5, n_discs)
+    d_vy = rng.uniform(-1.5, 1.5, n_discs)
     d_r = rng.uniform(0.08, 0.2, n_discs) * min(width, height)
     d_amp = rng.uniform(-50.0, 50.0, n_discs)
 

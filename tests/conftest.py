@@ -116,7 +116,6 @@ def experiment_report(tmp_path_factory, clip_files, bank_file, bank):
         qps=QPS,
         strategies=("s1", "s2", "s3"),
         bank_path=bank_file,
-        seed=0,
         timing_runs=1,
     )
     out = str(tmp_path_factory.mktemp("experiment"))

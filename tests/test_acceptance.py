@@ -54,9 +54,7 @@ def random_kernels():
 
 @pytest.fixture(scope="module")
 def planar_residuals(residual_records):
-    blocks = np.array(
-        [r.residual for r in residual_records if r.mode == 0], dtype=np.float64
-    )
+    blocks = residual_records.residual[residual_records.mode == 0].astype(np.float64)
     assert blocks.shape[0] >= 6000, f"need 6000 planar residuals, got {blocks.shape[0]}"
     return blocks.reshape(blocks.shape[0], 64)
 
@@ -71,7 +69,7 @@ def eval_settings(clip_a_planes, clip_b_planes):
     ):
         for qp in qps:
             recs = pipeline.extract_residuals([planes[:15]], qps=(qp,))
-            blocks = np.array([r.residual for r in recs if r.mode == 0], dtype=np.float64)
+            blocks = recs.residual[recs.mode == 0].astype(np.float64)
             settings[(name, qp)] = blocks.reshape(blocks.shape[0], 64)
     return settings
 
@@ -242,10 +240,8 @@ def test_criterion_08_rdo_dominance(bank, clip_a_planes):
     for qp in QPS:
         _, stats = codec.encode_sequence(clip_a_planes[:6], qp, cfg)
         for fs in stats:
-            for rec in fs.blocks:
-                checked += 1
-                if rec.j_chosen > rec.j_dct:
-                    bad += 1
+            checked += len(fs.blocks)
+            bad += int(np.count_nonzero(fs.blocks.j_chosen > fs.blocks.j_dct))
     ok = bad == 0 and checked > 0
     _report(8, "per-block chosen J <= DCT candidate J under s3",
             ok, f"{checked} blocks, {bad} violations")

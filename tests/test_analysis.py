@@ -88,14 +88,13 @@ def test_manifest_json_roundtrip(tmp_path):
         qps=(22, 37),
         strategies=("s3",),
         bank_path="/bank.skb",
-        seed=9,
         timing_runs=1,
     )
     path = tmp_path / "manifest.json"
     clip = '{"name": "a", "path": "/x.yuv", "width": 64, "height": 48, "frames": 5}'
     path.write_text(
         f'{{"clips": [{clip}], "qps": [22, 37], "strategies": ["s3"], '
-        '"bank_path": "/bank.skb", "seed": 9, "timing_runs": 1}'
+        '"bank_path": "/bank.skb", "timing_runs": 1}'
     )
     assert analysis.ExperimentManifest.from_json(str(path)) == m
     # keys left out keep the dataclass defaults

@@ -2,6 +2,8 @@ import contextlib
 import csv
 import io
 import json
+import pathlib
+import shlex
 from dataclasses import replace
 
 import numpy as np
@@ -102,6 +104,21 @@ def test_bdrate_verb(workdir, capsys):
     assert run(["bdrate", "--anchor", anchor, "--test", test]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["bdbr_percent"] == pytest.approx(10.0, abs=1e-5)
+
+
+def test_readme_quick_start_parses():
+    # a flag removed from the CLI must not linger in the documented commands
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [
+        shlex.split(line, comments=True)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("saabcodec ")
+    ]
+    assert len(commands) >= 10
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
 
 
 def test_exit_codes(workdir, capsys):
@@ -210,6 +227,21 @@ BAD_INPUTS = {
         {"a.yuv": _ONE_FRAME, "m.json": f'{{"clips": [{_CLIP}}}], "strategies": [], "qps": []}}'},
         _EXPERIMENT,
     ),
+    "manifest-typo-key": (
+        {
+            "a.yuv": _ONE_FRAME,
+            "m.json": f'{{"clips": [{_CLIP}}}], "strategies": [], "qp": [99], "strategy": ["s9"]}}',
+        },
+        _EXPERIMENT,
+    ),
+    "manifest-seed": (
+        {"a.yuv": _ONE_FRAME, "m.json": f'{{"clips": [{_CLIP}}}], "strategies": [], "seed": 0}}'},
+        _EXPERIMENT,
+    ),
+    "extract-residuals-clip-frames-suffix": (
+        {"c.yuv": _TWO_FRAMES},
+        ["extract-residuals", "--clip", "c.yuv:16x16:1", "--output", "r.bin"],
+    ),
     "extract-residuals-repeated-qp": (
         {"c.yuv": _TWO_FRAMES},
         ["extract-residuals", "--clip", "c.yuv:16x16", "--qp", 22, "--qp", 22, "--output", "r.bin"],
@@ -256,10 +288,9 @@ def damage_inputs(tmp_path_factory, tiny_bank, tiny_records, tiny_clip):
     bank = directory / "bank.skb"
     tiny_bank.save(str(bank))
     stream, _ = codec.encode_sequence(tiny_clip[:1], 22, codec.StrategyConfig("s3", tiny_bank))
-    modes = np.array([r.mode for r in tiny_records])
     keep = set()
     for group in TRAIN_GROUPS:
-        keep.update(np.flatnonzero(np.isin(modes, group))[:64].tolist())
+        keep.update(np.flatnonzero(np.isin(tiny_records.mode, group))[:64].tolist())
     corpus = directory / "corpus.bin"
     pipeline.save_residual_corpus(str(corpus), [tiny_records[i] for i in sorted(keep)])
     return directory, bank, {"stream": stream, "corpus": corpus.read_bytes()}

@@ -227,9 +227,7 @@ def test_s2_no_flag_on_excluded_modes(tiny_bank, tiny_clip):
     from saabcodec.modes import DCT_ONLY_MODES
 
     for fs in stats:
-        for rec in fs.blocks:
-            if rec.mode in DCT_ONLY_MODES:
-                assert not rec.saab
+        assert not fs.blocks.saab[np.isin(fs.blocks.mode, sorted(DCT_ONLY_MODES))].any()
 
 
 def test_digest_mismatch_rejected(tiny_bank, tiny_clip):

@@ -42,12 +42,13 @@ REFERENCES = "a9bbaa64d41b07770f50bd72e9e874f0c3f9373c1298f46925b87327b51fccf2"
 # predict_block over every mode of a set equals that set's predict_all_modes
 # output, so both predictor tests pin the same digest.
 PREDICTIONS = "248563641121007eb49004857da3b4e60e94541751457054a4623c87a21c090c"
-# The deterministic tables of run_experiment over tiny_clip, QPs 22-37,
-# dct_only + s1-s3 (timing.csv and report.json hold wall times).
-EXPERIMENT_CSVS = {
+# The deterministic outputs of run_experiment over tiny_clip, QPs 22-37,
+# dct_only + s1-s3 (timing.csv holds wall-time ratios).
+EXPERIMENT_OUTPUTS = {
     "rd_points.csv": "a12509014ca99e15448a70f11b41a2371a904254601e227adaf7c3162524ce29",
     "bd_summary.csv": "e3b8c08858afe68dd844ceb0171d01c44d8499d40ee0402b3bec5bb94c5e3e71",
     "usage.csv": "4f2f843f3ec17028fe5caf682d2c2891399df78b453a517978a0423c89bb9897",
+    "report.json": "a2b7a9daa221e56c1bcdb9e86386d19a23e1a43d7e399422299bb8a4ed87e829",
 }
 # CLI outputs over the tiny fixtures: `analyze-transforms` (mode 0) and
 # `rd-model` (QP 37) on tiny_records and tiny_bank, and `encode` (s3, QP 32)
@@ -103,7 +104,8 @@ def experiment_dir(tmp_path_factory, tiny_clip, tiny_bank):
 @pytest.fixture(scope="module")
 def cli_dir(tmp_path_factory, tiny_records, tiny_bank, tiny_clip):
     out = tmp_path_factory.mktemp("tiny_cli")
-    corpus, bank, clip, stream = out / "corpus.bin", out / "bank.skb", out / "clip.yuv", out / "clip.bin"
+    corpus, bank, clip = out / "corpus.bin", out / "bank.skb", out / "clip.yuv"
+    stream = out / "clip.bin"
     pipeline.save_residual_corpus(str(corpus), tiny_records)
     tiny_bank.save(str(bank))
     video.write_yuv(str(clip), tiny_clip)
@@ -175,9 +177,10 @@ def test_predict_block_digest():
     assert _sha(chunks) == PREDICTIONS
 
 
-@pytest.mark.parametrize("name", sorted(EXPERIMENT_CSVS))
+@pytest.mark.parametrize("name", sorted(EXPERIMENT_OUTPUTS))
 def test_experiment_csv_digest(name, experiment_dir):
-    assert hashlib.sha256((experiment_dir / name).read_bytes()).hexdigest() == EXPERIMENT_CSVS[name]
+    digest = hashlib.sha256((experiment_dir / name).read_bytes()).hexdigest()
+    assert digest == EXPERIMENT_OUTPUTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(CLI_OUTPUTS))

@@ -24,14 +24,26 @@ def test_corpus_roundtrip(tmp_path, residual_records):
         )
 
 
+def test_corpus_writer_takes_only_its_dtype(tmp_path, tiny_records):
+    path = str(tmp_path / "corpus.bin")
+    # a list of record rows is the same records
+    pipeline.save_residual_corpus(path, list(tiny_records[:5]))
+    assert np.array_equal(pipeline.load_residual_corpus(path), tiny_records[:5])
+    # a wider field is not cast: frame 70000 would be written as 4464
+    fields = pipeline.RESIDUAL_DTYPE.fields
+    wide = np.zeros(1, [(n, "<i8" if n == "frame" else t) for n, (t, _) in fields.items()])
+    wide["frame"] = 70_000
+    with pytest.raises(InvalidInputError, match="dtype"):
+        pipeline.save_residual_corpus(path, wide)
+    with pytest.raises(InvalidInputError, match="dtype"):
+        pipeline.save_residual_corpus(path, np.zeros((1, 70), dtype=np.int16))
+
+
 def test_records_are_labelled(residual_records):
-    modes = {r.mode for r in residual_records}
-    qps = {r.qp for r in residual_records}
-    assert modes <= set(range(35))
-    assert qps == {22, 27, 32, 37}
-    r = residual_records[0]
-    assert r.residual.shape == (8, 8)
-    assert r.residual.dtype == np.int16
+    assert set(np.unique(residual_records.mode).tolist()) <= set(range(35))
+    assert set(np.unique(residual_records.qp).tolist()) == {22, 27, 32, 37}
+    assert residual_records.residual.shape == (len(residual_records), 8, 8)
+    assert residual_records.residual.dtype == np.int16
 
 
 def test_training_deterministic(residual_records):
