@@ -38,3 +38,11 @@ def test_bench_reads_of_blocks_and_corpus(tmp_path, tiny_bank, tiny_clip):
     blocks = [r.residual for r in corpus if r.mode == 0]
     assert blocks and all(b.shape == (8, 8) for b in blocks)
     assert np.array_equal(blocks, corpus.residual[corpus.mode == 0])
+
+
+def test_bench_reads_of_strategy_configs(tiny_bank):
+    # bench/workloads.counted_metrics counts each strategy's candidates per block
+    configs = {s: codec.StrategyConfig(s, tiny_bank) for s in codec.STRATEGIES}
+    counts = {s: int(cfg.dct_ok.sum() + cfg.saab_ok.sum()) for s, cfg in configs.items()}
+    assert counts == {"dct_only": 35, "s1": 35, "s2": 60, "s3": 70}
+    assert all(cfg.strategy == s for s, cfg in configs.items())
