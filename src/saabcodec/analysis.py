@@ -193,18 +193,20 @@ class ClipSpec:
     frames: int = 0  # 0 = all
 
 
-def _clip_spec(raw):
-    """ClipSpec from a manifest's clip object.  TypeError for an object
-    that does not name its fields; InvalidInputError for a field not of its
-    type, or negative `frames`."""
-    spec = ClipSpec(**raw)
-    for fd in fields(ClipSpec):
-        value = getattr(spec, fd.name)
+def _from_json(cls, raw):
+    """A `cls` dataclass from a manifest's JSON object, its lists read as
+    tuples.  TypeError for anything but an object that names fields of
+    `cls`; InvalidInputError for a value not of its field's declared type."""
+    if not isinstance(raw, dict):
+        raise TypeError(f"{cls.__name__} {raw!r} is not a JSON object")
+    obj = cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
+    for fd in fields(cls):
+        value = getattr(obj, fd.name)
         if not isinstance(value, fd.type) or isinstance(value, bool):
-            raise InvalidInputError(f"clip {fd.name} {value!r} is not of type {fd.type.__name__}")
-    if spec.frames < 0:
-        raise InvalidInputError(f"clip frames {spec.frames} is negative")
-    return spec
+            raise InvalidInputError(
+                f"{cls.__name__}.{fd.name} {value!r} is not of type {fd.type.__name__}"
+            )
+    return obj
 
 
 @dataclass(frozen=True)
@@ -220,32 +222,31 @@ class ExperimentManifest:
         """Read a manifest file; a key it omits keeps the field's default.
 
         Raises InvalidInputError unless the file is a JSON object whose keys
-        are fields, whose `clips` lists ClipSpec fields of their types, whose
-        `qps` are distinct valid QPs (check_qps), and whose other values
-        convert to the types of their defaults.
+        are fields, whose values and `clips` objects' fields are of their
+        declared types (a JSON list is a tuple), whose clips' `frames` are
+        not negative, whose `timing_runs` is at least 1, and whose `qps`
+        are distinct valid QPs (check_qps).
         """
         with open(path) as f:
             try:
-                raw = json.load(f)
-                manifest = cls(clips=tuple(_clip_spec(c) for c in raw["clips"]))
-                unknown = sorted(raw.keys() - {fd.name for fd in fields(cls)})
-                if unknown:
-                    raise InvalidInputError(f"bad manifest {path}: unknown keys {unknown}")
-                manifest = replace(
-                    manifest,
-                    **{k: type(getattr(manifest, k))(v) for k, v in raw.items() if k != "clips"},
-                )
-            except (KeyError, TypeError, ValueError) as e:
+                manifest = _from_json(cls, json.load(f))
+                clips = tuple(_from_json(ClipSpec, c) for c in manifest.clips)
+            except (TypeError, ValueError) as e:
                 raise InvalidInputError(f"bad manifest {path}: {e!r}") from e
+        if any(clip.frames < 0 for clip in clips):
+            raise InvalidInputError(f"bad manifest {path}: negative clip frames")
+        if manifest.timing_runs < 1:
+            raise InvalidInputError(f"bad manifest {path}: timing_runs below 1")
         check_qps(manifest.qps)
-        return manifest
+        return replace(manifest, clips=clips)
 
 
 def _timed(fn, runs):
-    """Run fn() `runs` times; return (result of first run, median seconds)."""
+    """Run fn() `runs` (at least 1) times; return (result of first run,
+    median seconds)."""
     result = None
     times = []
-    for i in range(max(1, runs)):
+    for i in range(runs):
         t0 = time.perf_counter()
         out = fn()
         times.append(time.perf_counter() - t0)
@@ -290,7 +291,7 @@ def run_experiment(manifest, output_dir, bank=None, verbose=False):
         dec_times = {}
 
         for strategy in strategies:
-            cfg = StrategyConfig(strategy, bank if strategy != "dct_only" else None)
+            cfg = StrategyConfig(strategy, bank)
             points = []
             usage_counts = {}
             enc_times[strategy] = {}

@@ -46,48 +46,38 @@ class BitWriter:
 class BitReader:
     """Reads MSB-first fields from a payload unpacked once into a string of
     ASCII '0'/'1' bytes: a field is one int() of a slice and an exp-Golomb
-    prefix one find() over a window."""
+    prefix one find() over a window.
+
+    `bits` is that string and `position` the next bit to read; a parser
+    that scans `bits` itself sets `position` past what it consumed.
+    """
 
     def __init__(self, data):
         bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
         bits |= ord("0")
-        self._bits = bits.tobytes()
-        self._pos = 0
-
-    @property
-    def bits(self):
-        """The payload as ASCII '0'/'1' bytes, for parsers that scan it
-        themselves and then set `position` past what they consumed."""
-        return self._bits
-
-    @property
-    def position(self):
-        return self._pos
-
-    @position.setter
-    def position(self, value):
-        self._pos = value
+        self.bits = bits.tobytes()
+        self.position = 0
 
     def _past_end(self):
-        return BitstreamError("read past end of stream", bit_offset=len(self._bits))
+        return BitstreamError("read past end of stream", bit_offset=len(self.bits))
 
     def read_bit(self):
-        pos = self._pos
-        if pos >= len(self._bits):
+        pos = self.position
+        if pos >= len(self.bits):
             raise self._past_end()
-        self._pos = pos + 1
-        return self._bits[pos] & 1
+        self.position = pos + 1
+        return self.bits[pos] & 1
 
     def read_bits(self, n):
-        pos, end = self._pos, self._pos + n
-        if end > len(self._bits):
+        pos, end = self.position, self.position + n
+        if end > len(self.bits):
             raise self._past_end()
-        self._pos = end
-        return int(self._bits[pos:end], 2) if n else 0
+        self.position = end
+        return int(self.bits[pos:end], 2) if n else 0
 
     def read_ue(self):
         """Order-0 exp-Golomb: value v >= 0 is (b-1) zeros then v+1 in b bits."""
-        bits, pos = self._bits, self._pos
+        bits, pos = self.bits, self.position
         one = bits.find(b"1", pos, pos + 65)  # at most 64 zeros
         if one < 0:
             if pos + 65 <= len(bits):
@@ -96,5 +86,5 @@ class BitReader:
         end = 2 * one - pos + 1  # the b = zeros + 1 bits of v + 1 start at the 1
         if end > len(bits):
             raise self._past_end()
-        self._pos = end
+        self.position = end
         return int(bits[one:end], 2) - 1

@@ -28,10 +28,12 @@ coded-block flag; if set, 6-bit last significant position and, scanning
 from that position down to 0, a significance bit (implied at the last
 position) plus exp-Golomb(magnitude-1) and a sign bit for significant
 levels.  DCT levels are scanned in zigzag order, learned-kernel levels in
-coefficient order.  Level magnitudes are below 2**12, and the decoder
-rejects larger ones: an orthonormal transform keeps |coefficient| <= 8 * 255
-for an 8x8 residual in [-255, 255], and the quantizer step is at least
-2**(-2/3) (QP 0), so |level| <= 3238.
+coefficient order.  The candidate search analyses with `DCT_SCAN`, the DCT's
+rows in zigzag order, so one product gives either transform's levels in
+coded order and one product synthesizes them.  Level magnitudes are below
+2**12, and the decoder rejects larger ones: an orthonormal transform keeps
+|coefficient| <= 8 * 255 for an 8x8 residual in [-255, 255], and the
+quantizer step is at least 2**(-2/3) (QP 0), so |level| <= 3238.
 """
 
 import struct
@@ -58,6 +60,13 @@ BATCH_BLOCKS = 16
 
 STRATEGIES = ("dct_only", "s1", "s2", "s3")
 
+_ALL = np.ones(N_MODES, dtype=bool)
+_LEARNED = np.array([m not in DCT_ONLY_MODES for m in range(N_MODES)])  # outside 8-12/24-28
+# (dct_ok, saab_ok) masks over the 35 modes of each strategy, in STRATEGIES
+# order, as the module docstring describes the strategies.
+_CANDIDATES = np.array([(_ALL, ~_ALL), (~_LEARNED, _LEARNED), (_ALL, _LEARNED), (_ALL, _ALL)])
+_CANDIDATES.flags.writeable = False
+
 STREAM_MAGIC = b"SBVC"
 STREAM_VERSION = 1
 _HEADER = struct.Struct("<4sBBBBHHH16s")
@@ -73,6 +82,7 @@ def _zigzag_order(n):
 
 ZIGZAG = _zigzag_order(BLOCK)
 INV_ZIGZAG = np.argsort(ZIGZAG)
+DCT_SCAN = DCT_64[ZIGZAG]  # analysis rows in coded scan order
 
 
 def quantize(coeffs, q_step):
@@ -209,35 +219,26 @@ class DecodeStats:
 
 
 class StrategyConfig:
-    """Strategy + kernel bank, with per-mode candidate tables precomputed."""
+    """Strategy + kernel bank, with per-mode candidate tables precomputed.
+
+    A strategy that allows no learned kernel drops the bank; any other
+    requires one.
+    """
 
     def __init__(self, strategy, bank=None):
         if strategy not in STRATEGIES:
             raise InvalidInputError(f"unknown strategy {strategy!r}")
-        if strategy == "dct_only":
+        self.strategy = strategy
+        self.dct_ok, self.saab_ok = _CANDIDATES[STRATEGIES.index(strategy)]
+        self.flag = self.dct_ok & self.saab_ok
+        if not self.saab_ok.any():
             bank = None
         elif bank is None:
             raise InvalidInputError(f"strategy {strategy} requires a kernel bank")
-        self.strategy = strategy
         self.bank = bank
-
-        self.dct_ok = np.ones(N_MODES, dtype=bool)
-        self.saab_ok = np.zeros(N_MODES, dtype=bool)
-        if strategy in ("s1", "s2"):
-            for m in range(N_MODES):
-                self.saab_ok[m] = m not in DCT_ONLY_MODES
-            if strategy == "s1":
-                self.dct_ok = ~self.saab_ok
-        elif strategy == "s3":
-            self.saab_ok[:] = True
-        self.flag = self.dct_ok & self.saab_ok
-
+        self.saab_matrices = None
         if bank is not None:
-            self.saab_matrices = np.stack(
-                [bank.kernel_for_mode(m).matrix for m in range(N_MODES)]
-            )
-        else:
-            self.saab_matrices = None
+            self.saab_matrices = np.stack([bank.kernel_for_mode(m).matrix for m in range(N_MODES)])
 
 
 def _reconstruct(preds, levels, uses_saab, modes, cfg, q_step):
@@ -273,15 +274,11 @@ def _block_pixels(pos):
 def _candidate_costs(res, preds, orig, q, lam, matrices, allowed, head_bits):
     """Levels and J of one transform's candidates, (modes, blocks) first.
 
-    `matrices` is (64, 64) or a per-mode (35, 64, 64) stack of analysis
-    kernels; DCT levels are zigzag-scanned, learned-kernel levels are not.
+    `matrices` holds analysis rows in coded scan order: DCT_SCAN, or a
+    per-mode (35, 64, 64) stack of learned kernels.
     """
-    if matrices.ndim == 2:
-        lv = quantize(res @ matrices.T, q)[..., ZIGZAG]
-        xhat = dequantize(lv, q)[..., INV_ZIGZAG] @ matrices
-    else:
-        lv = quantize(res @ matrices.transpose(0, 2, 1), q)
-        xhat = dequantize(lv, q) @ matrices
+    lv = quantize(res @ np.swapaxes(matrices, -1, -2), q)
+    xhat = dequantize(lv, q) @ matrices
     bits = head_bits[:, None] + level_bit_cost(lv.reshape(-1, VEC_LEN)).reshape(lv.shape[:2])
     # Reconstruction error, in place: the candidate arrays dominate memory.
     err = xhat
@@ -308,7 +305,7 @@ def encode_block(original, recon, pos, qp, cfg):
     n = len(bx)
     _, h, w = recon.shape
     refs = build_references(recon, bx, by, w // BLOCK, h // BLOCK, frame=frame)
-    preds = predict_all_modes(*refs).reshape(n, N_MODES, VEC_LEN)
+    preds = predict_all_modes(refs).reshape(n, N_MODES, VEC_LEN)
     pixels = _block_pixels(pos)
     orig = original[pixels].reshape(n, VEC_LEN).astype(np.int32)
 
@@ -319,9 +316,9 @@ def encode_block(original, recon, pos, qp, cfg):
     lam = qp_to_lambda(qp)
     head_bits = MODE_BITS + cfg.flag.astype(np.int64)
     lv_dct, bits_dct, j_dct = _candidate_costs(
-        res, preds_m, orig, q, lam, DCT_64, cfg.dct_ok, head_bits
+        res, preds_m, orig, q, lam, DCT_SCAN, cfg.dct_ok, head_bits
     )
-    if cfg.saab_matrices is not None and cfg.saab_ok.any():
+    if cfg.saab_matrices is not None:
         lv_saab, bits_saab, j_saab = _candidate_costs(
             res, preds_m, orig, q, lam, cfg.saab_matrices, cfg.saab_ok, head_bits
         )
@@ -458,12 +455,9 @@ def decode_sequence(data, bank=None):
     n_blocks = n_frames * blocks_h * blocks_w
     if 8 * (len(data) - _HEADER.size) < _MIN_BLOCK_BITS * n_blocks:
         raise BitstreamError(f"payload too short for {n_blocks} blocks")
-    if strategy != "dct_only":
-        if bank is None:
-            raise InvalidInputError("stream requires a kernel bank")
-        if bank.digest().hex() != info["digest"]:
-            raise InvalidInputError("kernel bank digest mismatch")
-    cfg = StrategyConfig(strategy, bank if strategy != "dct_only" else None)
+    cfg = StrategyConfig(strategy, bank)
+    if cfg.bank is not None and cfg.bank.digest().hex() != info["digest"]:
+        raise InvalidInputError("kernel bank digest mismatch")
 
     # Parse pass: every block's syntax, in stream order.
     br = BitReader(data[_HEADER.size :])
@@ -490,7 +484,7 @@ def decode_sequence(data, bank=None):
     for pos, i in _wavefront_batches(n_frames, blocks_w, blocks_h):
         frame, bx, by = pos
         refs = build_references(recon, bx, by, blocks_w, blocks_h, frame=frame)
-        preds = predict_block(*refs, modes[i]).reshape(-1, VEC_LEN)
+        preds = predict_block(refs, modes[i]).reshape(-1, VEC_LEN)
         rec = _reconstruct(preds, levels[i], uses_saab[i], modes[i], cfg, q)
         recon[_block_pixels(pos)] = rec.reshape(-1, BLOCK, BLOCK)
     dstats = DecodeStats(

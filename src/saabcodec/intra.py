@@ -5,13 +5,16 @@ interpolation and the [1 2 1] reference smoothing rule for 8x8 blocks.
 All arithmetic is integer, so encoder and decoder predictions are
 bit-identical by construction.
 
-Reference layout: `above` has 17 entries (corner, 8 top, 8 top-right);
-`left` has 17 entries (corner, 8 left, 8 below-left).  Unavailable samples
-are substituted by scanning from the bottom-left end, per the standard.
+Reference layout: one int32 vector of 68 samples per block,
+[above, left, above_f, left_f] with 17 each.  `above` is the corner, 8 top
+and 8 top-right samples; `left` is the corner, 8 left and 8 below-left
+samples; `above_f` and `left_f` are the same after [1 2 1] smoothing.
+Unavailable samples are substituted by scanning from the bottom-left end,
+per the standard.
 
 Every mode is one integer weight table row set: a prediction sample is
-(sum of weights x the 68 reference samples [above, left, above_f, left_f]
-+ rounding) >> shift, followed by the DC and mode-10/26 edge fix-ups.
+(sum of weights x the 68 reference samples + rounding) >> shift, followed
+by the DC and mode-10/26 edge fix-ups, which read `above` and `left`.
 """
 
 import functools
@@ -23,7 +26,7 @@ from .modes import N_MODES
 
 N = 8
 _LOG2N = 3
-_REF = 2 * N + 1  # samples per reference array
+_REF = 2 * N + 1  # samples per part of the reference vector
 _SCAN = 4 * N + 1  # scan line: below-left bottom .. corner .. top-right end
 
 # intraPredAngle for modes 2..34
@@ -36,7 +39,7 @@ _ANGLES = np.array(
 _INV_ANGLES = {-2: -4096, -5: -1638, -9: -910, -13: -630, -17: -482,
                -21: -390, -26: -315, -32: -256}
 
-# Offsets of the four arrays in the stacked 68-sample reference vector.
+# Offsets of the four parts of the 68-sample reference vector.
 _ABOVE, _LEFT, _ABOVE_F, _LEFT_F = 0, _REF, 2 * _REF, 3 * _REF
 
 
@@ -103,23 +106,22 @@ def _reference_table(blocks_w, blocks_h, width):
     return table.reshape(-1, _SCAN)
 
 
-# Scan-line positions, in the [line, smoothed line] pair, of the stacked
-# reference vector [above, left, above_f, left_f]: `above` is corner, top,
-# top-right; `left` is corner, left, below-left.
+# Scan-line positions, in the [line, smoothed line] pair, of the reference
+# vector [above, left, above_f, left_f]: `above` is corner, top, top-right;
+# `left` is corner, left, below-left.
 _ABOVE_ORDER = np.arange(2 * N, _SCAN)
 _LEFT_ORDER = np.arange(2 * N, -1, -1)
 _REF_ORDER = np.concatenate([_ABOVE_ORDER, _LEFT_ORDER, _ABOVE_ORDER + _SCAN, _LEFT_ORDER + _SCAN])
 
 
 def build_references(recon, bx, by, blocks_w, blocks_h, frame=0):
-    """Reference sample arrays for the block at grid position (bx, by).
+    """The 68-sample reference vector of the block at grid position (bx, by).
 
     `recon` is the frame-sized reconstruction surface filled in raster block
     order, or a (frames, h, w) stack of them with `frame` selecting one.
-    Returns (above, left, above_f, left_f) as int32 arrays of length 17
-    each, the latter two smoothed with the [1 2 1] filter.  `bx`, `by` and
-    `frame` may be integer arrays of one shape; each returned array then
-    has that shape plus a last axis of 17.
+    Returns the int32 vector [above, left, above_f, left_f] (module
+    docstring).  `bx`, `by` and `frame` may be integer arrays of one shape;
+    the result then has that shape plus a last axis of 68.
     """
     try:
         pos = np.ravel_multi_index((by, bx), (blocks_h, blocks_w))
@@ -132,8 +134,7 @@ def build_references(recon, bx, by, blocks_w, blocks_h, frame=0):
 
     sm = line.copy()
     sm[..., 1:-1] = (line[..., :-2] + 2 * line[..., 1:-1] + line[..., 2:] + 2) >> 2
-    refs = np.concatenate([line, sm], axis=-1)[..., _REF_ORDER]
-    return refs[..., :_REF], refs[..., _REF : 2 * _REF], refs[..., 2 * _REF : 3 * _REF], refs[..., 3 * _REF :]
+    return np.concatenate([line, sm], axis=-1)[..., _REF_ORDER]
 
 
 def _angular_taps(mode):
@@ -155,7 +156,7 @@ def _angular_taps(mode):
 
 def _build_weights():
     """Weights (68, 35 * 64): column mode * 64 + pixel holds that prediction
-    sample's integer weights on the 68 stacked reference samples; plus
+    sample's integer weights on the 68 reference samples; plus
     per-mode rounding offsets and shifts (35, 1).
 
     Every product and partial sum is an integer below 2**24, so applying
@@ -217,46 +218,41 @@ def _vertical_edge(pred, above, left):
 _EDGE_FIXUPS = {1: _dc_edges, 10: _horizontal_edge, 26: _vertical_edge}
 
 
-def _stack(refs):
-    return np.concatenate(refs, axis=-1).astype(np.float32)
-
-
-def predict_all_modes(above, left, above_f, left_f):
+def predict_all_modes(refs):
     """All 35 predictions at once as a (35, 8, 8) int32 array.
 
-    The reference arrays may carry leading batch axes, as build_references
-    returns them for arrays of positions; the result then has the same
-    leading axes.  Used by the encoder's candidate search.
+    `refs` is a reference vector as build_references returns it, with any
+    leading batch axes; the result then has the same leading axes.  Used by
+    the encoder's candidate search.
     """
-    acc = (_stack((above, left, above_f, left_f)) @ _WEIGHTS).astype(np.int32)
+    acc = (refs.astype(np.float32) @ _WEIGHTS).astype(np.int32)
     acc = acc.reshape(acc.shape[:-1] + (N_MODES, N * N))
     preds = ((acc + _ROUND) >> _SHIFT).reshape(acc.shape[:-1] + (N, N))
-    above, left = (np.asarray(r, dtype=np.int32) for r in (above, left))
+    above, left = refs[..., _ABOVE:_LEFT], refs[..., _LEFT:_ABOVE_F]
     for mode, fix in _EDGE_FIXUPS.items():
         fix(preds[..., mode, :, :], above, left)
     return preds
 
 
-def predict_block(above, left, above_f, left_f, mode):
+def predict_block(refs, mode):
     """Predict 8x8 blocks in [0, 255]: the one-mode row set of the table
-    predict_all_modes applies.  Reference arrays as produced by
+    predict_all_modes applies.  `refs` is a reference vector as produced by
     build_references; `mode` is one intra mode or an integer array of one
-    mode per block, shaped as the references' leading axes, and the result
-    is those axes plus (8, 8)."""
-    batch = np.shape(above)[:-1]
+    mode per block, shaped as the vector's leading axes, and the result is
+    those axes plus (8, 8)."""
+    batch = refs.shape[:-1]
     mode = np.broadcast_to(mode, batch).reshape(-1)
     if np.any((mode < 0) | (mode >= N_MODES)):
         raise InvalidInputError(f"intra mode {mode} out of range")
-    refs = [np.reshape(r, (-1, _REF)) for r in (above, left, above_f, left_f)]
+    refs = refs.reshape(-1, 4 * _REF)
     # (k, 68, 64): each block's table columns
     weights = _WEIGHTS.reshape(4 * _REF, N_MODES, N * N)[:, mode].transpose(1, 0, 2)
-    acc = (_stack(refs)[:, None, :] @ weights)[:, 0, :]
+    acc = (refs.astype(np.float32)[:, None, :] @ weights)[:, 0, :]
     preds = ((acc.astype(np.int32) + _ROUND[mode]) >> _SHIFT[mode]).reshape(-1, N, N)
-    above, left = (r.astype(np.int32, copy=False) for r in refs[:2])
     for m, fix in _EDGE_FIXUPS.items():
         at = np.flatnonzero(mode == m)
         if at.size:
             sub = preds[at]
-            fix(sub, above[at], left[at])
+            fix(sub, refs[at, _ABOVE:_LEFT], refs[at, _LEFT:_ABOVE_F])
             preds[at] = sub
     return preds.reshape(batch + (N, N))

@@ -76,7 +76,10 @@ def save_residual_corpus(path, records):
     """Write RESIDUAL_DTYPE records, an array or a list of its rows, as a
     corpus file; InvalidInputError for any other dtype, which a cast would
     wrap rather than range-check."""
-    records = np.asarray(records)
+    try:
+        records = np.asarray(records)
+    except ValueError as e:
+        raise InvalidInputError(f"corpus records are not RESIDUAL_DTYPE rows: {e}") from None
     if records.dtype != RESIDUAL_DTYPE:
         raise InvalidInputError(f"corpus records have dtype {records.dtype}, not RESIDUAL_DTYPE")
     with open(path, "wb") as f:

@@ -238,6 +238,28 @@ BAD_INPUTS = {
         {"a.yuv": _ONE_FRAME, "m.json": f'{{"clips": [{_CLIP}}}], "strategies": [], "seed": 0}}'},
         _EXPERIMENT,
     ),
+    # a value is neither converted to its field's type nor clamped
+    "manifest-fractional-timing-runs": (
+        {
+            "a.yuv": _ONE_FRAME,
+            "m.json": f'{{"clips": [{_CLIP}}}], "strategies": [], "timing_runs": 2.7}}',
+        },
+        _EXPERIMENT,
+    ),
+    "manifest-negative-timing-runs": (
+        {
+            "a.yuv": _ONE_FRAME,
+            "m.json": f'{{"clips": [{_CLIP}}}], "strategies": [], "timing_runs": -3}}',
+        },
+        _EXPERIMENT,
+    ),
+    "manifest-numeric-bank-path": (
+        {
+            "a.yuv": _ONE_FRAME,
+            "m.json": f'{{"clips": [{_CLIP}}}], "strategies": [], "bank_path": 5}}',
+        },
+        _EXPERIMENT,
+    ),
     "extract-residuals-clip-frames-suffix": (
         {"c.yuv": _TWO_FRAMES},
         ["extract-residuals", "--clip", "c.yuv:16x16:1", "--output", "r.bin"],

@@ -29,6 +29,13 @@ def test_dequantize_reconstruction_levels():
 def test_zigzag_is_permutation():
     assert sorted(codec.ZIGZAG.tolist()) == list(range(64))
     assert np.array_equal(np.argsort(codec.ZIGZAG), codec.INV_ZIGZAG)
+    # the candidate search's scan-ordered DCT rows give the zigzag-scanned levels
+    assert np.array_equal(codec.DCT_SCAN, DCT_64[codec.ZIGZAG])
+    res = np.random.default_rng(8).integers(-255, 256, size=(2000, 64)).astype(np.float64)
+    for qp in (0, 22, 37, 51):
+        q = qp_to_qstep(qp)
+        want = codec.quantize(res @ DCT_64.T, q)[..., codec.ZIGZAG]
+        assert np.array_equal(codec.quantize(res @ codec.DCT_SCAN.T, q), want)
 
 
 def _roundtrip_levels(levels):

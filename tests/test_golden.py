@@ -76,11 +76,12 @@ def _sha(chunks):
 
 
 def _random_reference_sets():
-    """Four independent random 17-sample arrays per set, so every table
-    entry of the predictor (both corner copies included) is exercised."""
+    """Reference vectors of four independent random 17-sample parts, so
+    every table entry of the predictor (both corner copies included) is
+    exercised."""
     rng = np.random.default_rng(2024)
     return [
-        tuple(rng.integers(0, 256, size=17).astype(np.int32) for _ in range(4))
+        np.concatenate([rng.integers(0, 256, size=17).astype(np.int32) for _ in range(4)])
         for _ in range(N_SETS)
     ]
 
@@ -159,18 +160,18 @@ def test_reference_digest():
     for _ in range(N_SETS):
         recon = rng.integers(0, 256, size=(40, 56)).astype(np.int32)
         bx, by = int(rng.integers(0, 7)), int(rng.integers(0, 5))
-        chunks.extend(intra.build_references(recon, bx, by, 7, 5))
+        chunks.append(intra.build_references(recon, bx, by, 7, 5))
     assert _sha(chunks) == REFERENCES
 
 
 def test_predict_all_modes_digest():
-    chunks = [intra.predict_all_modes(*refs) for refs in _random_reference_sets()]
+    chunks = [intra.predict_all_modes(refs) for refs in _random_reference_sets()]
     assert _sha(chunks) == PREDICTIONS
 
 
 def test_predict_block_digest():
     chunks = [
-        intra.predict_block(*refs, mode)
+        intra.predict_block(refs, mode)
         for refs in _random_reference_sets()
         for mode in range(35)
     ]

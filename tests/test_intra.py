@@ -12,16 +12,15 @@ def _random_surface(rng, h=40, w=56):
 def test_no_neighbors_gives_flat_128():
     recon = np.zeros((16, 16), dtype=np.int32)
     refs = intra.build_references(recon, 0, 0, 2, 2)
-    for arr in refs:
-        assert np.all(arr == 128)
-    preds = intra.predict_all_modes(*refs)
+    assert refs.shape == (68,) and refs.dtype == np.int32 and np.all(refs == 128)
+    preds = intra.predict_all_modes(refs)
     assert np.all(preds == 128)
 
 
 def test_flat_references_predict_flat():
     recon = np.full((24, 24), 77, dtype=np.int32)
     refs = intra.build_references(recon, 1, 1, 3, 3)
-    preds = intra.predict_all_modes(*refs)
+    preds = intra.predict_all_modes(refs)
     assert np.all(preds == 77)
 
 
@@ -30,7 +29,7 @@ def test_predictions_in_range():
     for _ in range(20):
         recon = _random_surface(rng)
         refs = intra.build_references(recon, 3, 2, 7, 5)
-        preds = intra.predict_all_modes(*refs)
+        preds = intra.predict_all_modes(refs)
         assert preds.min() >= 0 and preds.max() <= 255
 
 
@@ -39,7 +38,7 @@ def test_vertical_mode_copies_top_row():
     recon[7, 8:16] = np.arange(100, 108)
     recon[:, 7] = 50
     refs = intra.build_references(recon, 1, 1, 3, 2)
-    pred = intra.predict_block(*refs, 26)  # pure vertical, angle 0
+    pred = intra.predict_block(refs, 26)  # pure vertical, angle 0
     # columns 1..7 copy the top reference; column 0 is boundary-filtered
     for x in range(1, 8):
         assert np.all(pred[:, x] == 100 + x)
@@ -50,7 +49,7 @@ def test_horizontal_mode_copies_left_column():
     recon[8:16, 7] = np.arange(60, 68)
     recon[7, :] = 90
     refs = intra.build_references(recon, 1, 1, 2, 3)
-    pred = intra.predict_block(*refs, 10)  # pure horizontal
+    pred = intra.predict_block(refs, 10)  # pure horizontal
     for y in range(1, 8):
         assert np.all(pred[y, :] == 60 + y)
 
@@ -69,7 +68,7 @@ def test_reference_substitution_continuity():
     recon = np.zeros((16, 16), dtype=np.int32)
     recon[7, :] = 200
     refs = intra.build_references(recon, 0, 1, 2, 2)
-    above, left, _, _ = refs
+    above, left = refs[:17], refs[17:34]
     assert np.all(above == 200)
     assert np.all(left == 200)
 
@@ -80,7 +79,7 @@ def test_bad_positions_rejected():
         intra.build_references(recon, 2, 0, 2, 2)
     refs = intra.build_references(recon, 0, 0, 2, 2)
     with pytest.raises(InvalidInputError):
-        intra.predict_block(*refs, 35)
+        intra.predict_block(refs, 35)
 
 
 def test_predict_block_takes_one_mode_per_block():
@@ -92,9 +91,9 @@ def test_predict_block_takes_one_mode_per_block():
     frame, bx, by = rng.integers(0, 3, n), rng.integers(0, 7, n), rng.integers(0, 5, n)
     refs = intra.build_references(recon, bx, by, 7, 5, frame=frame)
     modes = rng.permutation(np.resize(np.arange(35), n))  # every mode twice
-    got = intra.predict_block(*refs, modes)
-    assert np.array_equal(got, intra.predict_all_modes(*refs)[np.arange(n), modes])
+    got = intra.predict_block(refs, modes)
+    assert np.array_equal(got, intra.predict_all_modes(refs)[np.arange(n), modes])
     for i in range(n):
-        assert np.array_equal(got[i], intra.predict_block(*(r[i] for r in refs), modes[i]))
+        assert np.array_equal(got[i], intra.predict_block(refs[i], modes[i]))
     with pytest.raises(InvalidInputError):
-        intra.predict_block(*refs, np.where(np.arange(n) == 5, 35, modes))
+        intra.predict_block(refs, np.where(np.arange(n) == 5, 35, modes))

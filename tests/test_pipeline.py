@@ -37,6 +37,9 @@ def test_corpus_writer_takes_only_its_dtype(tmp_path, tiny_records):
         pipeline.save_residual_corpus(path, wide)
     with pytest.raises(InvalidInputError, match="dtype"):
         pipeline.save_residual_corpus(path, np.zeros((1, 70), dtype=np.int16))
+    # plain tuples shaped like a record are not its rows
+    with pytest.raises(InvalidInputError):
+        pipeline.save_residual_corpus(path, [(0, 22, 0, 0, 0, 0, np.zeros((8, 8)))])
 
 
 def test_records_are_labelled(residual_records):
