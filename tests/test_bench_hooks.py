@@ -40,6 +40,25 @@ def test_bench_reads_of_blocks_and_corpus(tmp_path, tiny_bank, tiny_clip):
     assert np.array_equal(blocks, corpus.residual[corpus.mode == 0])
 
 
+def test_bench_reads_of_coded_cells(tiny_bank, tiny_clip):
+    # bench/workloads.mirror_check unpacks decode_sequence's 2-tuple, and
+    # code_cell sums n_total, total_bits, n_saab and sse over the encoder's
+    # FrameStats
+    planes_in = tiny_clip[:2]
+    recon = []
+    stream, stats = codec.encode_sequence(planes_in, 32, codec.StrategyConfig("s3", tiny_bank), recon)
+    out = codec.decode_sequence(stream, tiny_bank)
+    assert isinstance(out, tuple) and len(out) == 2
+    planes, _ = out
+    assert isinstance(planes, list) and all(map(np.array_equal, planes, recon))
+    assert [s.n_total for s in stats] == [(64 // 8) * (48 // 8)] * 2
+    assert (sum(s.total_bits for s in stats) + 7) // 8 == len(stream) - codec._HEADER.size
+    n_saab = [s.n_saab for s in stats]
+    assert all(isinstance(n, int) and 0 < n <= s.n_total for n, s in zip(n_saab, stats))
+    sse = [np.sum((p.astype(np.int64) - r) ** 2) for p, r in zip(planes_in, recon)]
+    assert [s.sse for s in stats] == sse and all(isinstance(s.sse, float) for s in stats)
+
+
 def test_bench_reads_of_strategy_configs(tiny_bank):
     # bench/workloads.counted_metrics counts each strategy's candidates per block
     configs = {s: codec.StrategyConfig(s, tiny_bank) for s in codec.STRATEGIES}
