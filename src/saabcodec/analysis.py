@@ -51,16 +51,17 @@ class BDStats:
 
 
 def _curve_arrays(points, label):
-    pts = sorted(points, key=lambda p: p.rate)
-    pts = [p for p in pts if math.isfinite(p.psnr)]
-    if len(pts) < 4:
+    if not all(0 < p.rate < math.inf for p in points):  # NaN fails both
+        raise InvalidInputError(f"{label}: rates must be positive and finite")
+    pts = sorted((p for p in points if math.isfinite(p.psnr)), key=lambda p: p.rate)
+    n_rates = len({p.rate for p in pts})
+    if n_rates < 4:
         raise InsufficientDataError(
-            f"{label}: need at least 4 finite RD points for a cubic fit, got {len(pts)}"
+            f"{label}: need finite RD points at 4 or more distinct rates for a cubic fit, "
+            f"got {n_rates}"
         )
     rates = np.array([p.rate for p in pts], dtype=np.float64)
     psnrs = np.array([p.psnr for p in pts], dtype=np.float64)
-    if np.any(rates <= 0):
-        raise InvalidInputError(f"{label}: rates must be positive")
     return np.log10(rates), psnrs
 
 

@@ -145,6 +145,8 @@ def cmd_decode(args):
 
 def cmd_analyze_transforms(args):
     records = pipeline.load_residual_corpus(args.corpus)
+    if not 0.0 < args.train_frac < 1.0:
+        raise InvalidInputError(f"--train-frac must be between 0 and 1, got {args.train_frac}")
     blocks = records.residual[records.mode == args.mode].astype(np.float64)
     if len(blocks) < 4:
         raise InsufficientDataError(f"only {len(blocks)} residuals with mode {args.mode}")

@@ -70,12 +70,14 @@ def synthesize_luma_clip(width, height, frames, seed=0):
     Mixes a smooth illumination gradient, oriented gratings whose angle
     varies across the frame (so intra prediction exercises many angular
     modes), a few moving soft discs, and mild texture noise.  Raises
-    InvalidInputError if a dimension is below one block or `frames` is
-    below 1.
+    InvalidInputError if a dimension is below one block, `frames` is below
+    1 or `seed` (an integer or a sequence of them) is negative.
     """
     _check_frame_size(width, height)
     if frames < 1:
         raise InvalidInputError(f"frame count {frames} is below 1")
+    if np.any(np.asarray(seed) < 0):
+        raise InvalidInputError(f"seed {seed!r} is negative")
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:height, 0:width].astype(np.float64)
     base_angle = np.pi / 5 + rng.uniform(-0.1, 0.1)

@@ -49,6 +49,14 @@ def test_bd_no_overlap():
 def test_bd_needs_four_points():
     with pytest.raises(InsufficientDataError):
         analysis.bd_rate(BASE[:3], BASE)
+    with pytest.raises(InsufficientDataError):  # four points, three distinct rates
+        analysis.bd_rate(BASE[:3] + BASE[:1], BASE)
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf])
+def test_bd_rejects_non_finite_rate(rate):
+    with pytest.raises(InvalidInputError):
+        analysis.bd_rate([analysis.RDPoint(22, rate, 40.0)] + BASE, BASE)
 
 
 def test_bd_excludes_lossless_points():

@@ -131,6 +131,10 @@ def test_exit_codes(workdir, capsys):
     bad = workdir / "bad.bin"
     bad.write_bytes(b"not a stream")
     assert run(["decode", "--input", bad, "--output", workdir / "y.yuv"]) == cli.EXIT_DATA
+    # an RD table of four rows at three distinct rates cannot fit a cubic -> data error
+    repeated = workdir / "repeated.csv"
+    repeated.write_text("qp,rate,psnr\n22,1000,40\n22,1000,40\n27,500,38\n32,250,36\n")
+    assert run(["bdrate", "--anchor", repeated, "--test", repeated]) == cli.EXIT_DATA
     # missing file -> config error
     assert run(["ingest", "--input", workdir / "nope.yuv",
                 "--width", 64, "--height", 48]) == cli.EXIT_CONFIG
@@ -147,6 +151,8 @@ TRAINABLE_CORPUS, TINY_BANK = "<trainable corpus>", "<tiny bank>"
 ZERO_ROW_BANK, SCALAR_TABLE_BANK = "<zero-row bank>", "<scalar-table bank>"
 _TRAIN = ["train-bank", "--corpus", "c.bin", "--output", "b.skb"]
 _RD_MODEL = ["rd-model", "--corpus", "c.bin", "--bank", "b.skb", "--output-dir", "out"]
+_ANALYZE = ["analyze-transforms", "--corpus", "c.bin", "--output-dir", "out"]
+_RD_ROWS = "qp,rate,psnr\n22,{},40\n27,500,38\n32,250,36\n37,125,34\n"
 # 4:2:0 files of one 8x8 frame, and of two 16x16 (or eight 8x8) frames
 _ONE_FRAME, _TWO_FRAMES = "\0" * 96, "\0" * 768
 _ENCODE = ["encode", "--input", "c.yuv", "--width", 8, "--height", 8, "--qp", 22,
@@ -168,6 +174,8 @@ BAD_INPUTS = {
     ),
     "rd-table-without-psnr": ({"rd.csv": "qp,rate\n22,100\n"}, _BDRATE),
     "rd-table-text-rate": ({"rd.csv": "qp,rate,psnr\n22,fast,30\n"}, _BDRATE),
+    "rd-table-nan-rate": ({"rd.csv": _RD_ROWS.format("nan")}, _BDRATE),
+    "rd-table-inf-rate": ({"rd.csv": _RD_ROWS.format("inf")}, _BDRATE),
     "decode-directory": ({"d": None}, ["decode", "--input", "d", "--output", "o.yuv"]),
     "train-bank-directory": ({"d": None}, ["train-bank", "--corpus", "d", "--output", "b.skb"]),
     "ingest-below-one-block": (
@@ -181,6 +189,21 @@ BAD_INPUTS = {
     "synthesize-zero-frames": (
         {},
         ["synthesize", "--width", 16, "--height", 16, "--frames", 0, "--output", "s.yuv"],
+    ),
+    "synthesize-negative-seed": (
+        {},
+        ["synthesize", "--width", 16, "--height", 16, "--frames", 1, "--seed", -1,
+         "--output", "s.yuv"],
+    ),
+    # the training share must leave residuals on both sides
+    "analyze-transforms-negative-train-frac": (
+        {"c.bin": TRAINABLE_CORPUS},
+        _ANALYZE + ["--train-frac", -0.5],
+    ),
+    "analyze-transforms-train-frac-one": ({"c.bin": TRAINABLE_CORPUS}, _ANALYZE + ["--train-frac", 1]),
+    "analyze-transforms-nan-train-frac": (
+        {"c.bin": TRAINABLE_CORPUS},
+        _ANALYZE + ["--train-frac", "nan"],
     ),
     "train-bank-negative-samples": (
         {"c.bin": TRAINABLE_CORPUS},
