@@ -14,7 +14,8 @@ from functools import partial
 
 import numpy as np
 
-from .codec import STRATEGIES, StrategyConfig, check_qp, check_qps, decode_sequence, encode_sequence
+from .codec import STRATEGIES, StrategyConfig, check_qp, check_qps, decode_sequence
+from .codec import encode_sequence, summarize
 from .errors import (
     ExperimentStageError,
     InsufficientDataError,
@@ -302,12 +303,12 @@ def run_experiment(manifest, output_dir, bank=None, verbose=False):
                     (stream, stats), t_enc = _timed(
                         lambda: encode_sequence(planes, qp, cfg), manifest.timing_runs
                     )
-                    (decoded, dstats), t_dec = _timed(
+                    (decoded, decoded_stats), t_dec = _timed(
                         lambda: decode_sequence(stream, cfg.bank), manifest.timing_runs
                     )
                 except Exception as e:  # noqa: BLE001 - re-raised with context
                     raise ExperimentStageError(clip.name, qp, strategy, e) from e
-                total_bits = sum(s.total_bits for s in stats)
+                counts = summarize(decoded_stats, strategy)
                 total_sse = sum(s.sse for s in stats)
                 decoded_sse = float(
                     sum(
@@ -322,11 +323,11 @@ def run_experiment(manifest, output_dir, bank=None, verbose=False):
                 points.append(
                     RDPoint(
                         qp=qp,
-                        rate=total_bits / len(planes),
+                        rate=counts["total_bits"] / len(planes),
                         psnr=psnr_from_sse(total_sse, n_pix),
                     )
                 )
-                usage_counts[qp] = (dstats.n_saab, dstats.n_total)
+                usage_counts[qp] = (counts["saab_blocks"], counts["blocks"])
                 enc_times[strategy][qp] = t_enc
                 dec_times[strategy][qp] = t_dec
                 if verbose:

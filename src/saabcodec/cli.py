@@ -107,17 +107,16 @@ def cmd_encode(args):
     with open(args.output, "wb") as f:
         f.write(stream)
     n_pix = sum(p.size for p in planes)
-    n_saab = sum(s.n_saab for s in stats)
-    n_total = sum(s.n_total for s in stats)
+    counts = codec.summarize(stats, args.strategy)
     summary = {
         "frames": len(planes),
         "qp": args.qp,
         "strategy": args.strategy,
-        "total_bits": sum(s.total_bits for s in stats),
+        "total_bits": counts["total_bits"],
         "psnr_db": analysis.format_value(analysis.psnr_from_sse(sum(s.sse for s in stats), n_pix)),
-        "saab_blocks": n_saab,
-        "blocks": n_total,
-        "p_saab_percent": 100.0 * n_saab / n_total,
+        "saab_blocks": counts["saab_blocks"],
+        "blocks": counts["blocks"],
+        "p_saab_percent": 100.0 * counts["saab_blocks"] / counts["blocks"],
     }
     if args.stats:
         analysis.write_json(args.stats, summary, float_digits=None)
@@ -129,13 +128,14 @@ def cmd_decode(args):
     with open(args.input, "rb") as f:
         data = f.read()
     bank = KernelBank.load(args.bank) if args.bank else None
-    planes, dstats = codec.decode_sequence(data, bank)
+    planes, stats = codec.decode_sequence(data, bank)
     video.write_yuv(args.output, planes)
+    counts = codec.summarize(stats, codec.stream_info(data)["strategy"])
     summary = {
         "frames": len(planes),
-        "blocks": dstats.n_total,
-        "saab_blocks": dstats.n_saab,
-        "flag_bits": dstats.n_flag_bits,
+        "blocks": counts["blocks"],
+        "saab_blocks": counts["saab_blocks"],
+        "flag_bits": counts["flag_bits"],
     }
     if args.stats:
         analysis.write_json(args.stats, summary, float_digits=None)

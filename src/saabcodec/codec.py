@@ -66,6 +66,8 @@ _LEARNED = np.array([m not in DCT_ONLY_MODES for m in range(N_MODES)])  # outsid
 # order, as the module docstring describes the strategies.
 _CANDIDATES = np.array([(_ALL, ~_ALL), (~_LEARNED, _LEARNED), (_ALL, _LEARNED), (_ALL, _ALL)])
 _CANDIDATES.flags.writeable = False
+_FLAGGED = _CANDIDATES.all(axis=1)  # both transforms allowed: the choice is signalled
+_FLAGGED.flags.writeable = False
 
 STREAM_MAGIC = b"SBVC"
 STREAM_VERSION = 1
@@ -182,14 +184,21 @@ def level_bit_cost(levels_scan):
     return int(cost[0]) if single else cost
 
 
-# One coded block: what the serializer writes (mode, `saab` transform flag,
-# scan-order levels), what the RD search saw, and the chosen mode's residual.
-BLOCK_DTYPE = np.dtype(
+# One coded block as both sides know it: mode, `saab` transform flag,
+# scan-order levels and the bits the block takes in the stream.
+CODED_DTYPE = np.dtype(
     [
         ("mode", np.uint8),
         ("saab", np.bool_),
         ("levels", np.int16, (VEC_LEN,)),  # |level| < 2**12
         ("bits", np.int32),
+    ]
+)
+# The encoder's block: the coded fields, then what the RD search saw and the
+# chosen mode's residual.
+BLOCK_DTYPE = np.dtype(
+    CODED_DTYPE.descr
+    + [
         ("sse", np.float64),
         ("j_chosen", np.float64),
         ("j_dct", np.float64),
@@ -200,8 +209,10 @@ BLOCK_DTYPE = np.dtype(
 
 @dataclass
 class FrameStats:
-    """One frame's coded blocks, a np.recarray of BLOCK_DTYPE rows in raster
-    order, so row i is the block at (i % blocks_w, i // blocks_w)."""
+    """One frame's coded blocks, a np.recarray of rows in raster order, so
+    row i is the block at (i % blocks_w, i // blocks_w).  The encoder's rows
+    are BLOCK_DTYPE, the decoder's CODED_DTYPE: `sse` exists only on the
+    encoder's."""
 
     blocks: np.recarray
 
@@ -211,11 +222,16 @@ class FrameStats:
     n_total = property(lambda self: len(self.blocks))
 
 
-@dataclass
-class DecodeStats:
-    n_total: int = 0
-    n_saab: int = 0
-    n_flag_bits: int = 0
+def summarize(stats, strategy):
+    """Blocks, Saab-coded blocks, total bits and transform-flag bits of a
+    `strategy` stream, from the encoder's or the decoder's FrameStats."""
+    flagged = _FLAGGED[STRATEGIES.index(strategy)]
+    return {
+        "blocks": sum(s.n_total for s in stats),
+        "saab_blocks": sum(s.n_saab for s in stats),
+        "total_bits": sum(s.total_bits for s in stats),
+        "flag_bits": sum(int(np.count_nonzero(flagged[s.blocks.mode])) for s in stats),
+    }
 
 
 class StrategyConfig:
@@ -230,7 +246,7 @@ class StrategyConfig:
             raise InvalidInputError(f"unknown strategy {strategy!r}")
         self.strategy = strategy
         self.dct_ok, self.saab_ok = _CANDIDATES[STRATEGIES.index(strategy)]
-        self.flag = self.dct_ok & self.saab_ok
+        self.flag = _FLAGGED[STRATEGIES.index(strategy)]
         if not self.saab_ok.any():
             bank = None
         elif bank is None:
@@ -444,7 +460,9 @@ def decode_sequence(data, bank=None):
     """Decode a bitstream back to luma planes.
 
     Parses the whole payload first, then reconstructs it batch by batch in
-    the encoder's wavefront order.  Returns (planes, DecodeStats).  Raises
+    the encoder's wavefront order.  Returns (planes, list of FrameStats),
+    one per frame, whose CODED_DTYPE rows hold each block's parsed syntax
+    and the bits it took (the reader's position after it minus before).  Raises
     BitstreamError on truncation, on a payload too short for the header's
     block count, and on bytes or set bits past the last block's final bit;
     InvalidInputError when the embedded kernel-bank digest does not match.
@@ -462,16 +480,17 @@ def decode_sequence(data, bank=None):
     # Parse pass: every block's syntax, in stream order.
     br = BitReader(data[_HEADER.size :])
     flagged, saab_only = cfg.flag.tolist(), (~cfg.dct_ok).tolist()
-    modes = np.empty(n_blocks, dtype=np.intp)
-    uses_saab = np.empty(n_blocks, dtype=bool)
-    levels = np.empty((n_blocks, VEC_LEN), dtype=np.int16)  # |level| < 2**12
+    table = np.empty(n_blocks, dtype=CODED_DTYPE)
+    modes, uses_saab, levels, bits = (table[name] for name in CODED_DTYPE.names)
     for i in range(n_blocks):
+        start = br.position
         mode = br.read_bits(MODE_BITS)
         if mode >= N_MODES:
             raise BitstreamError(f"invalid mode {mode}", bit_offset=br.position)
         modes[i] = mode
         uses_saab[i] = br.read_bit() if flagged[mode] else saab_only[mode]
         levels[i] = decode_levels(br)
+        bits[i] = br.position - start
     if len(data) - _HEADER.size != (br.position + 7) // 8:
         raise BitstreamError("trailing bytes after the last block", bit_offset=br.position)
     pad_mask = (1 << -br.position % 8) - 1  # the last byte's padding bits
@@ -487,12 +506,7 @@ def decode_sequence(data, bank=None):
         preds = predict_block(refs, modes[i]).reshape(-1, VEC_LEN)
         rec = _reconstruct(preds, levels[i], uses_saab[i], modes[i], cfg, q)
         recon[_block_pixels(pos)] = rec.reshape(-1, BLOCK, BLOCK)
-    dstats = DecodeStats(
-        n_total=n_blocks,
-        n_saab=int(np.count_nonzero(uses_saab)),
-        n_flag_bits=int(np.count_nonzero(cfg.flag[modes])),
-    )
-    return list(recon), dstats
+    return list(recon), [FrameStats(blocks) for blocks in table.view(np.recarray).reshape(n_frames, -1)]
 
 
 def stream_info(data):

@@ -209,23 +209,27 @@ def test_level_bit_cost_batched():
 def test_encode_decode_mirror(strategy, tiny_bank, tiny_clip):
     cfg = codec.StrategyConfig(strategy, tiny_bank)
     stream, stats = codec.encode_sequence(tiny_clip, 32, cfg)
-    decoded, dstats = codec.decode_sequence(stream, cfg.bank)
+    decoded, dec_stats = codec.decode_sequence(stream, cfg.bank)
     sse_dec = sum(
         float(np.sum((o.astype(np.int64) - d.astype(np.int64)) ** 2))
         for o, d in zip(tiny_clip, decoded)
     )
     assert sse_dec == sum(s.sse for s in stats)
-    assert dstats.n_total == sum(s.n_total for s in stats)
-    assert dstats.n_saab == sum(s.n_saab for s in stats)
+    summary = codec.summarize(stats, strategy)
+    assert codec.summarize(dec_stats, strategy) == summary
+    assert summary["blocks"] == sum(s.n_total for s in stats) == len(tiny_clip) * (64 // 8) * (48 // 8)
+    assert summary["saab_blocks"] == sum(s.n_saab for s in stats)
+    if strategy == "s3":  # every mode signals its transform
+        assert summary["flag_bits"] == summary["blocks"]
     # the cost model's bits are exactly what the writer wrote
-    assert (sum(s.total_bits for s in stats) + 7) // 8 == len(stream) - codec._HEADER.size
+    assert (summary["total_bits"] + 7) // 8 == len(stream) - codec._HEADER.size
 
 
 def test_s1_never_signals_flag(tiny_bank, tiny_clip):
     cfg = codec.StrategyConfig("s1", tiny_bank)
     stream, _ = codec.encode_sequence(tiny_clip, 32, cfg)
-    _, dstats = codec.decode_sequence(stream, tiny_bank)
-    assert dstats.n_flag_bits == 0
+    _, dec_stats = codec.decode_sequence(stream, tiny_bank)
+    assert codec.summarize(dec_stats, "s1")["flag_bits"] == 0
 
 
 def test_s2_no_flag_on_excluded_modes(tiny_bank, tiny_clip):

@@ -144,6 +144,19 @@ def test_decoded_plane_digest(strategy, qp, tiny_bank, tiny_clip):
     assert h.hexdigest() == DECODED_PLANES[(strategy, qp)]
 
 
+@pytest.mark.parametrize("strategy,qp", sorted(STREAMS))
+def test_decoder_table_matches_encoder(strategy, qp, tiny_bank, tiny_clip):
+    # The decoder's bits are reader positions and the encoder's come from
+    # its cost model, so this checks the cost model against the parser.
+    stream, enc = codec.encode_sequence(tiny_clip, qp, codec.StrategyConfig(strategy, tiny_bank))
+    _, dec = codec.decode_sequence(stream, tiny_bank)
+    assert len(dec) == len(enc) == len(tiny_clip)
+    for d, e in zip(dec, enc):
+        assert d.blocks.dtype.names == ("mode", "saab", "levels", "bits")
+        for name in d.blocks.dtype.names:
+            assert np.array_equal(d.blocks[name], e.blocks[name]), name
+
+
 def test_bank_digest(tiny_bank):
     assert tiny_bank.digest().hex() == BANK_DIGEST
 
