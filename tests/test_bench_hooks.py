@@ -13,16 +13,32 @@ from saabcodec import codec, pipeline
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 
-def test_bench_wrap_points_resolve():
+def _load_spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_bench_wrap_points_resolve():
+    spans = _load_spans()
     missing = [
         f"{getattr(owner, '__name__', owner)}.{attr}"
         for _, owner, attr in spans.WRAP_POINTS
         if attr not in vars(owner)
     ]
     assert not missing
+
+
+def test_bench_spans_record_calls(tiny_bank, tiny_clip):
+    # a wrap point that resolves but is no longer called would read 0
+    tracer = _load_spans().Tracer()
+    with tracer.installed():
+        stream, _ = codec.encode_sequence(tiny_clip[:2], 32, codec.StrategyConfig("s3", tiny_bank))
+        codec.decode_sequence(stream, tiny_bank)
+    calls = {name: t.size for name, t in tracer.self_times().items()}
+    wanted = ("codec.encode_levels", "codec.level_bit_cost", "codec.quantize", "codec.decode_levels")
+    assert all(calls[name] > 0 for name in wanted), calls
 
 
 def test_bench_reads_of_blocks_and_corpus(tmp_path, tiny_bank, tiny_clip):
