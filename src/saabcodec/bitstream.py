@@ -1,46 +1,30 @@
-"""MSB-first bit packing with order-0 exp-Golomb codes."""
+"""MSB-first bit packing with order-0 exp-Golomb codes: `pack_bits` packs a
+stream's (value, bit length) field columns in one array pass, and
+`BitReader` parses it field by field."""
 
 import numpy as np
 
 from .errors import BitstreamError
 
 
-class BitWriter:
-    def __init__(self):
-        self._buf = bytearray()
-        self._acc = 0  # the pending bits past the last whole byte
-        self._n = 0
+def pack_bits(values, lengths):
+    """Pack fields MSB-first into bytes, zero-padding the last byte.
 
-    @property
-    def bit_length(self):
-        return 8 * len(self._buf) + self._n
-
-    def _put(self, value, n):
-        acc = (self._acc << n) | value
-        n += self._n
-        whole = n >> 3
-        if whole:
-            n -= whole << 3
-            self._buf += (acc >> n).to_bytes(whole, "big")
-            acc &= (1 << n) - 1
-        self._acc = acc
-        self._n = n
-
-    def write_bit(self, bit):
-        self._put(1 if bit else 0, 1)
-
-    def write_bits(self, value, n):
-        value = int(value)
-        if value < 0 or value >> n:
-            raise BitstreamError(f"value {value} does not fit in {n} bits")
-        self._put(value, n)
-
-    def getvalue(self):
-        """Byte-aligned contents; pads the tail with zero bits."""
-        out = bytearray(self._buf)
-        if self._n:
-            out.append(self._acc << (8 - self._n))
-        return bytes(out)
+    `values` (int32) and `lengths` (uint8, each below 32) are same-shape
+    arrays of fields in emission order, row-major; each value must fit in
+    its length, and zero-length fields are dropped.
+    """
+    lengths = np.ravel(lengths)
+    keep = lengths > 0
+    values, lengths = np.ravel(values)[keep], lengths[keep]
+    # Each bit's shift within its field: length - 1 at the field's first
+    # bit, then one less per bit.  int8 steps keep the per-bit arrays small.
+    step = np.full(int(lengths.sum()), -1, dtype=np.int8)
+    step[np.cumsum(lengths) - lengths] = lengths - 1
+    bits = np.repeat(values, lengths)
+    bits >>= np.cumsum(step, dtype=np.int8)
+    bits &= 1
+    return np.packbits(bits).tobytes()
 
 
 class BitReader:

@@ -27,13 +27,17 @@ Block payload format (per block, in stream order): 6-bit mode, optional
 coded-block flag; if set, 6-bit last significant position and, scanning
 from that position down to 0, a significance bit (implied at the last
 position) plus exp-Golomb(magnitude-1) and a sign bit for significant
-levels.  DCT levels are scanned in zigzag order, learned-kernel levels in
-coefficient order.  The candidate search analyses with `DCT_SCAN`, the DCT's
-rows in zigzag order, so one product gives either transform's levels in
-coded order and one product synthesizes them.  Level magnitudes are below
-2**12, and the decoder rejects larger ones: an orthonormal transform keeps
-|coefficient| <= 8 * 255 for an 8x8 residual in [-255, 255], and the
-quantizer step is at least 2**(-2/3) (QP 0), so |level| <= 3238.
+levels.  The encoder serializes its whole block table at once: the mode and
+flag columns, then `encode_levels`' (value, bit length) columns of the level
+code, packed by one `pack_bits` call; `level_bit_cost` is the row sum of
+those lengths in closed form.  DCT levels are scanned in zigzag order,
+learned-kernel levels in coefficient order.  The candidate search analyses
+with `DCT_SCAN`, the DCT's rows in zigzag order, so one product gives either
+transform's levels in coded order and one product synthesizes them.  Level
+magnitudes are below 2**12, and the decoder rejects larger ones: an
+orthonormal transform keeps |coefficient| <= 8 * 255 for an 8x8 residual in
+[-255, 255], and the quantizer step is at least 2**(-2/3) (QP 0), so
+|level| <= 3238.
 """
 
 import struct
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitstream import BitReader, BitWriter
+from .bitstream import BitReader, pack_bits
 from .errors import BitstreamError, InvalidInputError
 from .intra import build_references, predict_all_modes, predict_block
 from .linalg import BLOCK_SIZE as BLOCK, VEC_LEN
@@ -103,27 +107,24 @@ def dequantize(levels, q_step):
     return np.asarray(levels, dtype=np.float64) * q_step
 
 
-def encode_levels(bw, levels_scan):
-    """Entropy-code 64 levels (already in scan order) into the writer."""
-    nz = np.flatnonzero(levels_scan)
-    if nz.size == 0:
-        bw.write_bit(0)
-        return
-    last = int(nz[-1])
-    levels = np.asarray(levels_scan)[: last + 1].tolist()
-    code, n = 1 << 6 | last, 7
-    for pos in range(last, -1, -1):
-        lv = levels[pos]
-        if pos != last:
-            code = code << 1 | (lv != 0)
-            n += 1
-        if lv:
-            # ue(|lv| - 1) is |lv| in 2b - 1 bits, then the sign bit.
-            mag = abs(lv)
-            b = mag.bit_length()
-            code = code << 2 * b | mag << 1 | (lv < 0)
-            n += 2 * b
-    bw.write_bits(code, n)
+def encode_levels(levels_scan):
+    """The level code of (n, 64) scan-order levels as (n, 129) int32 value
+    and uint8 bit-length columns in emission order, for pack_bits: the
+    coded-block flag with the last position (7 bits, or 1 for an all-zero
+    block), then per position from 63 down to 0 a significance bit, sent
+    only below the last position, and the level's code |l| << 1 | sign,
+    which is ue(|l| - 1) and the sign bit in 2 * bit_length(|l|) bits."""
+    levels = np.asarray(levels_scan)[:, ::-1]  # positions 63..0
+    exp, last_1 = _bit_lengths(levels_scan)
+    values = np.empty((len(levels), 1 + 2 * VEC_LEN), dtype=np.int32)
+    lengths = np.empty(values.shape, dtype=np.uint8)
+    values[:, 0] = np.where(last_1 > 0, 1 << 6 | last_1 - 1, 0)
+    lengths[:, 0] = np.where(last_1 > 0, 7, 1)
+    values[:, 1::2] = levels != 0
+    lengths[:, 1::2] = _POSITIONS_1[::-1] < last_1[:, None]
+    values[:, 2::2] = np.abs(levels) << 1 | (levels < 0)
+    lengths[:, 2::2] = 2 * exp[:, ::-1]
+    return values, lengths
 
 
 def decode_levels(br):
@@ -168,18 +169,20 @@ def decode_levels(br):
 _POSITIONS_1 = np.arange(1, VEC_LEN + 1, dtype=np.int32)
 
 
-def level_bit_cost(levels_scan):
-    """Exact bit count of encode_levels, vectorized over (n, 64) level arrays.
+def _bit_lengths(levels_scan):
+    """bit_length(|level|) of (n, 64) levels (frexp's exponent, 0 for a zero
+    level) and each row's last significant position + 1 (0 if none)."""
+    mag = np.abs(levels_scan).astype(np.float64)
+    exp = np.frexp(mag, out=(mag, None))[1]
+    return exp, np.max((exp > 0) * _POSITIONS_1, axis=1)
 
-    A significant level l costs its exp-Golomb code ue(|l| - 1) plus a sign
-    bit, 2 * bit_length(|l|) bits: frexp's exponent is that bit length, and
-    it is 0 for a zero level.
-    """
+
+def level_bit_cost(levels_scan):
+    """Exact bit count of encode_levels, vectorized over (n, 64) level arrays:
+    the row sums of its bit lengths, in closed form."""
     arr = np.asarray(levels_scan)
     single = arr.ndim == 1
-    mag = np.abs(np.atleast_2d(arr)).astype(np.float64)
-    exp = np.frexp(mag, out=(mag, None))[1]
-    last_1 = np.max((exp > 0) * _POSITIONS_1, axis=1)  # last position + 1, 0 if none
+    exp, last_1 = _bit_lengths(np.atleast_2d(arr))
     cost = np.where(last_1 > 0, 6 + last_1 + 2 * exp.sum(axis=1), 1)
     return int(cost[0]) if single else cost
 
@@ -415,7 +418,7 @@ def encode_sequence(planes, qp, cfg, recon_out=None):
 
     The RD search runs over wavefront batches of all frames into one table
     of blocks in stream order (raster order per frame), which is then
-    serialized as the decoder parses it.
+    packed as field columns in one pass.
     """
     if not planes:
         raise InvalidInputError("no frames to encode")
@@ -432,13 +435,10 @@ def encode_sequence(planes, qp, cfg, recon_out=None):
     for pos, i in _wavefront_batches(len(planes), blocks_w, blocks_h):
         table[i] = encode_block(original, recon, pos, qp, cfg)
 
-    bw = BitWriter()
-    flagged = cfg.flag.tolist()
-    for mode, saab, levels in zip(table["mode"].tolist(), table["saab"].tolist(), table["levels"]):
-        bw.write_bits(mode, MODE_BITS)
-        if flagged[mode]:
-            bw.write_bit(saab)
-        encode_levels(bw, levels)
+    lv_values, lv_lengths = encode_levels(table["levels"])
+    mode = table["mode"]
+    values = np.column_stack([mode, table["saab"], lv_values])
+    lengths = np.column_stack([np.full(mode.shape, MODE_BITS, np.uint8), cfg.flag[mode], lv_lengths])
     stats_list = [FrameStats(blocks) for blocks in table.view(np.recarray).reshape(len(planes), -1)]
     if recon_out is not None:
         recon_out.extend(recon)
@@ -453,7 +453,7 @@ def encode_sequence(planes, qp, cfg, recon_out=None):
         len(planes),
         cfg.bank.digest() if cfg.bank is not None else bytes(16),
     )
-    return header + bw.getvalue(), stats_list
+    return header + pack_bits(values, lengths), stats_list
 
 
 def decode_sequence(data, bank=None):

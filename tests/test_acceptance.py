@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from saabcodec import analysis, codec, metrics, pipeline, transforms as tf, video
-from saabcodec.bitstream import BitReader, BitWriter
+from saabcodec.bitstream import BitReader, pack_bits
 from saabcodec.metrics import RDModelParams
 
 QPS = (22, 27, 32, 37)
@@ -215,19 +215,23 @@ def test_criterion_07_codec_mirror_and_fuzz(bank, clip_a_planes, clip_b_planes):
     fuzz_fail = 0
     n_fuzz = 100_000
     counts = rng.integers(0, 24, size=n_fuzz)
-    for i in range(n_fuzz):
-        levels = np.zeros(64, dtype=np.int64)
-        n = int(counts[i])
+    rows = np.zeros((n_fuzz, 64), dtype=np.int64)
+    for levels, n in zip(rows, counts.tolist()):
         if n:
             pos = rng.choice(64, size=n, replace=False)
             mags = rng.geometric(0.3, size=n)
             signs = rng.integers(0, 2, size=n) * 2 - 1
             levels[pos] = mags * signs
-        bw = BitWriter()
-        codec.encode_levels(bw, levels)
-        out = codec.decode_levels(BitReader(bw.getvalue()))
-        if not np.array_equal(out, levels):
+    # every row in one writer call, read back by one reader
+    values, lengths = codec.encode_levels(rows)
+    row_bits = lengths.sum(axis=1)
+    br = BitReader(pack_bits(values, lengths))
+    for levels, nbits in zip(rows, row_bits.tolist()):
+        start = br.position
+        out = codec.decode_levels(br)
+        if not np.array_equal(out, levels) or br.position - start != nbits:
             fuzz_fail += 1
+    fuzz_fail += int(np.count_nonzero(row_bits != codec.level_bit_cost(rows)))
     ok = mismatches == 0 and fuzz_fail == 0
     _report(7, "codec mirror image (3 clips x 4 QPs x 4 strategies) + 1e5 level fuzz",
             ok, f"{mismatches} plane mismatches, {fuzz_fail} fuzz failures")

@@ -1,25 +1,25 @@
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from saabcodec.bitstream import BitReader, BitWriter
+from saabcodec.bitstream import BitReader, pack_bits
 from saabcodec.errors import BitstreamError
 
 
 def test_bit_roundtrip():
-    bw = BitWriter()
     bits = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1]
-    for b in bits:
-        bw.write_bit(b)
-    br = BitReader(bw.getvalue())
-    assert [br.read_bit() for _ in bits] == bits
+    data = pack_bits(np.array(bits, dtype=np.int32), np.ones(len(bits), dtype=np.uint8))
+    assert data == bytes([0b10110010, 0b11100000])
+    for reader in BitReader(data), _BitByBitReader(data):
+        assert [reader.read_bit() for _ in bits] == bits
 
 
 def test_write_bits_msb_first():
-    bw = BitWriter()
-    bw.write_bits(0b101101, 6)
-    br = BitReader(bw.getvalue())
-    assert br.read_bits(6) == 0b101101
+    data = pack_bits(np.array([0b101101], dtype=np.int32), np.array([6], dtype=np.uint8))
+    assert data == bytes([0b10110100])
+    for reader in BitReader(data), _BitByBitReader(data):
+        assert reader.read_bits(6) == 0b101101
 
 
 def test_truncated_read_raises():
@@ -36,10 +36,9 @@ def test_runaway_ue_prefix_raises():
 
 
 def test_position_tracking():
-    bw = BitWriter()
-    bw.write_bits(0, 13)
-    assert bw.bit_length == 13
-    br = BitReader(bw.getvalue())
+    data = pack_bits(np.zeros(1, dtype=np.int32), np.array([13], dtype=np.uint8))
+    assert data == bytes(2)
+    br = BitReader(data)
     br.read_bits(5)
     assert br.position == 5
 
@@ -111,3 +110,23 @@ def test_reader_matches_bit_by_bit_reference(data, ops):
             return
         assert _read(reader, op, n) == want
         assert reader.position == reference.position
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fields=st.lists(
+        st.integers(0, 31).flatmap(lambda n: st.tuples(st.integers(0, (1 << n) - 1), st.just(n))),
+        max_size=60,
+    )
+)
+def test_pack_bits_matches_bit_by_bit_reference(fields):
+    """Each field reads back in its own length, zero-length fields take no
+    bits, and the last byte is padded with zero bits."""
+    values = np.array([v for v, _ in fields], dtype=np.int32)
+    lengths = np.array([n for _, n in fields], dtype=np.uint8)
+    data = pack_bits(values, lengths)
+    total = int(lengths.sum())
+    assert len(data) == (total + 7) // 8
+    reference = _BitByBitReader(data)
+    assert [reference.read_bits(n) for _, n in fields] == [v for v, _ in fields]
+    assert reference.read_bits(8 * len(data) - total) == 0

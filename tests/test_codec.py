@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from saabcodec import codec
-from saabcodec.bitstream import BitReader, BitWriter
+from saabcodec.bitstream import BitReader, pack_bits
 from saabcodec.errors import BitstreamError, InvalidInputError
 from saabcodec.metrics import qp_to_qstep
 from saabcodec.transforms import DCT_64
@@ -39,11 +39,9 @@ def test_zigzag_is_permutation():
 
 
 def _roundtrip_levels(levels):
-    bw = BitWriter()
-    codec.encode_levels(bw, levels)
-    br = BitReader(bw.getvalue())
-    out = codec.decode_levels(br)
-    return out, bw.bit_length
+    values, lengths = codec.encode_levels(levels[None])
+    out = codec.decode_levels(BitReader(pack_bits(values, lengths)))
+    return out, int(lengths.sum())
 
 
 # A nonzero level of every exp-Golomb code length the decoder accepts:
@@ -70,15 +68,19 @@ def _level_rows(draw):
 @example(rows=[np.zeros(64, dtype=np.int64), np.tile([4095, -4095], 32)])
 def test_level_coding_roundtrip_and_cost(rows):
     """The one level coder, stated as a derivation: the batched
-    level_bit_cost equals the per-row cost, which equals the bits
-    encode_levels writes, and decode_levels returns the levels."""
+    level_bit_cost equals the per-row cost, which equals the row sum of the
+    bit lengths encode_levels gives, which equals the bits decode_levels
+    consumes from the packed rows, and decode_levels returns the levels."""
     batch = np.array(rows)
     per_row = [codec.level_bit_cost(levels) for levels in batch]
     assert codec.level_bit_cost(batch).tolist() == per_row
+    values, lengths = codec.encode_levels(batch)
+    assert lengths.sum(axis=1).tolist() == per_row
+    br = BitReader(pack_bits(values, lengths))
     for levels, cost in zip(batch, per_row):
-        out, nbits = _roundtrip_levels(levels)
-        assert nbits == cost
-        assert np.array_equal(out, levels)
+        start = br.position
+        assert np.array_equal(codec.decode_levels(br), levels)
+        assert br.position - start == cost
 
 
 def _decode_levels_reference(br):
@@ -108,13 +110,11 @@ def test_level_parser_matches_reference(seed, how, damage):
     the reference parser's levels and positions and fails with its message
     and bit offset."""
     rng = np.random.default_rng(seed)
-    bw = BitWriter()
-    for _ in range(6):
-        levels = np.zeros(64, dtype=np.int64)
+    blocks = np.zeros((6, 64), dtype=np.int64)
+    for levels in blocks:
         n = int(rng.integers(0, 20))
         levels[rng.choice(64, size=n, replace=False)] = rng.geometric(0.2, size=n) * rng.choice([-1, 1], size=n)
-        codec.encode_levels(bw, levels)
-    data = bw.getvalue()
+    data = pack_bits(*codec.encode_levels(blocks))
     if how == "truncate":
         data = data[: damage.draw(st.integers(0, len(data) - 1), label="length")]
     elif how == "flip":
@@ -328,15 +328,16 @@ def test_oversized_level_rejected(zeros):
     # smallest magnitude the decoder rejects, 2**64 overflows int64.
     plane = np.zeros((8, 8), dtype=np.uint8)
     header, _ = codec.encode_sequence([plane], 37, codec.StrategyConfig("dct_only"))
-    bw = BitWriter()
-    bw.write_bits(0, codec.MODE_BITS)  # planar
-    bw.write_bits(1, 1)  # coded-block flag
-    bw.write_bits(0, 6)  # last significant position
-    bw.write_bits(0, zeros)  # ue(2**zeros - 1): prefix, then 2**zeros in zeros + 1 bits
-    bw.write_bits(1 << zeros, zeros + 1)
-    bw.write_bits(0, 1)  # sign
+    bits = "0" * codec.MODE_BITS  # planar
+    bits += "1"  # coded-block flag
+    bits += "0" * 6  # last significant position
+    bits += "0" * zeros  # ue(2**zeros - 1): prefix, then 2**zeros in zeros + 1 bits
+    bits += "1" + "0" * zeros
+    bits += "0"  # sign
+    bits += "0" * (-len(bits) % 8)
+    payload = int(bits, 2).to_bytes(len(bits) // 8, "big")
     with pytest.raises(BitstreamError, match="level magnitude"):
-        codec.decode_sequence(header[: codec._HEADER.size] + bw.getvalue())
+        codec.decode_sequence(header[: codec._HEADER.size] + payload)
 
 
 def test_residuals_always_recorded(tiny_clip):
