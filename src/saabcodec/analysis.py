@@ -267,6 +267,8 @@ def run_experiment(manifest, output_dir, bank=None, verbose=False):
     for s in strategies:
         if s not in STRATEGIES:
             raise InvalidInputError(f"unknown strategy {s!r}")
+    if len(set(strategies)) != len(strategies):
+        raise InvalidInputError(f"strategies must not repeat, got {strategies}")
     if "dct_only" in strategies:
         strategies.remove("dct_only")
     strategies = ["dct_only"] + strategies

@@ -25,6 +25,7 @@ BANK_VERSION = 1
 _BANK_HEADER = struct.Struct("<III")
 # Kernel record header after the magic: kind code, decimal digits, group length.
 _KERNEL_HEADER = struct.Struct("<BhB")
+MAX_DECIMAL_DIGITS = 2**15 - 1  # the header's i16, whose -1 marks an unrounded kernel
 _KERNEL_BODY_BYTES = (VEC_LEN * VEC_LEN + VEC_LEN) * 8  # matrix and bias, <f8
 
 _KIND_CODES = {"dct": 0, "klt": 1, "saab1": 2}
@@ -36,6 +37,13 @@ _STORED_TABLE = {"apply_map": list(APPLY_MAP), "train_groups": [list(g) for g in
 # The largest L1 norm of a unit 64-vector, sqrt(64): the codec's bound on
 # level magnitudes assumes no kernel row exceeds it.
 _ROW_L1_BOUND = 8 + 1e-9
+
+
+def check_digits(decimal_digits):
+    """Raise InvalidInputError unless a kernel record can store
+    `decimal_digits`: 0..MAX_DECIMAL_DIGITS."""
+    if not 0 <= decimal_digits <= MAX_DECIMAL_DIGITS:
+        raise InvalidInputError(f"decimal digits must be in 0..{MAX_DECIMAL_DIGITS}, got {decimal_digits}")
 
 
 def kernel_to_bytes(kernel):
@@ -124,8 +132,9 @@ class KernelBank:
         return hashlib.sha256(self.to_bytes()).digest()[:16]
 
     def save(self, path):
+        data = self.to_bytes()  # before the file exists, so a failure leaves none
         with open(path, "wb") as f:
-            f.write(self.to_bytes())
+            f.write(data)
 
     @classmethod
     def load(cls, path):
@@ -133,10 +142,9 @@ class KernelBank:
             return cls.from_bytes(f.read()).validate()
 
     def rounded(self, decimal_digits):
-        """Bank with every kernel's matrix and bias rounded to d >= 0 decimal
-        digits."""
-        if decimal_digits < 0:
-            raise InvalidInputError(f"decimal digits must be 0 or more, got {decimal_digits}")
+        """Bank with every kernel's matrix and bias rounded to `decimal_digits`
+        decimal digits (check_digits)."""
+        check_digits(decimal_digits)
         meta = dict(self.meta)
         meta["decimal_digits"] = decimal_digits
         return replace(

@@ -12,7 +12,7 @@ import numpy as np
 
 from .codec import StrategyConfig, check_qps, encode_sequence
 from .errors import InvalidInputError, StarvedGroupError
-from .kernelio import KernelBank
+from .kernelio import KernelBank, check_digits
 from .linalg import BLOCK_SIZE
 from .modes import N_MODES, TRAIN_GROUPS
 from .transforms import learn_saab1
@@ -116,13 +116,15 @@ def train_kernel_bank(
     the codec's fixed table, subsampled deterministically to
     `samples_per_kernel`.  Raises StarvedGroupError listing every group
     with fewer than 64 residuals, and InvalidInputError for fewer than one
-    sample per kernel, negative `decimal_digits`, or a rounded bank that
-    KernelBank.validate rejects.
+    sample per kernel, a negative `seed`, `decimal_digits` that check_digits
+    rejects, or a rounded bank that KernelBank.validate rejects.
     """
     if samples_per_kernel < 1:
         raise InvalidInputError(f"samples per kernel must be 1 or more, got {samples_per_kernel}")
-    if decimal_digits is not None and decimal_digits < 0:
-        raise InvalidInputError(f"decimal digits must be 0 or more, got {decimal_digits}")
+    if seed < 0:
+        raise InvalidInputError(f"seed {seed} is negative")
+    if decimal_digits is not None:
+        check_digits(decimal_digits)
     modes = records.mode
     starved = {
         k: group

@@ -217,6 +217,15 @@ BAD_INPUTS = {
         {"c.bin": TRAINABLE_CORPUS},
         _TRAIN + ["--samples-per-kernel", 64, "--digits", 0],
     ),
+    # a kernel record stores its digits as an i16
+    "train-bank-digits-above-i16": (
+        {"c.bin": TRAINABLE_CORPUS},
+        _TRAIN + ["--samples-per-kernel", 64, "--digits", 40000],
+    ),
+    "train-bank-negative-seed": (
+        {"c.bin": TRAINABLE_CORPUS},
+        _TRAIN + ["--samples-per-kernel", 32, "--seed", -1],
+    ),
     "encode-zero-row-bank": (
         {"z.skb": ZERO_ROW_BANK, "c.yuv": _ONE_FRAME},
         _ENCODE + ["--strategy", "s1", "--bank", "z.skb"],
@@ -276,6 +285,13 @@ BAD_INPUTS = {
         },
         _EXPERIMENT,
     ),
+    "manifest-repeated-strategy": (
+        {
+            "a.yuv": _ONE_FRAME,
+            "m.json": f'{{"clips": [{_CLIP}}}], "strategies": ["dct_only", "dct_only"]}}',
+        },
+        _EXPERIMENT,
+    ),
     "manifest-numeric-bank-path": (
         {
             "a.yuv": _ONE_FRAME,
@@ -323,6 +339,7 @@ def test_bad_input_exits_with_one_line_error(case, tmp_path, monkeypatch, capsys
     assert run(argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)  # no output left behind
 
 
 @pytest.fixture(scope="module")

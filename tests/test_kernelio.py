@@ -66,6 +66,14 @@ def test_rounded_rejects_negative_digits(bank, digits):
         bank.rounded(digits)
 
 
+def test_rounded_digits_fit_the_kernel_record(bank):
+    # the record stores decimal digits as an i16
+    with pytest.raises(InvalidInputError):
+        bank.rounded(kernelio.MAX_DECIMAL_DIGITS + 1)
+    r = bank.rounded(kernelio.MAX_DECIMAL_DIGITS)
+    assert KernelBank.from_bytes(r.to_bytes()).kernels[0].decimal_digits == 2**15 - 1
+
+
 @pytest.mark.parametrize("row", ["zero", "l1-above-8", "nan"])
 def test_validate_rejects_zero_or_oversized_rows(bank, row):
     first = bank.kernels[0]
