@@ -435,10 +435,10 @@ def encode_sequence(planes, qp, cfg, recon_out=None):
     for pos, i in _wavefront_batches(len(planes), blocks_w, blocks_h):
         table[i] = encode_block(original, recon, pos, qp, cfg)
 
-    lv_values, lv_lengths = encode_levels(table["levels"])
+    values, lengths = encode_levels(table["levels"])
     mode = table["mode"]
-    values = np.column_stack([mode, table["saab"], lv_values])
-    lengths = np.column_stack([np.full(mode.shape, MODE_BITS, np.uint8), cfg.flag[mode], lv_lengths])
+    values = np.column_stack([mode, table["saab"], values])
+    lengths = np.column_stack([np.full(mode.shape, MODE_BITS, np.uint8), cfg.flag[mode], lengths])
     stats_list = [FrameStats(blocks) for blocks in table.view(np.recarray).reshape(len(planes), -1)]
     if recon_out is not None:
         recon_out.extend(recon)
