@@ -10,9 +10,11 @@ output matches the encoder reconstruction bit-exactly.
 Both sides work on wavefront batches of up to BATCH_BLOCKS blocks that do
 not reference each other (`_wavefront_batches`), and both reconstruct a
 batch through one `_reconstruct` call.  The decoder runs two passes: a
-parse pass reads every block's mode, transform flag and 64 levels into
-arrays, then a reconstruct pass predicts each batch with one
-`predict_block` call, each block with its own mode, and reconstructs it.
+parse pass walks the payload, unpacked once by `unpack_bits` into a string
+of '0'/'1' bytes, with one bit position, and reads every block's mode,
+transform flag and 64 levels (`decode_levels`) into arrays; then a
+reconstruct pass predicts each batch with one `predict_block` call, each
+block with its own mode, and reconstructs it.
 
 Strategies:
   dct_only  anchor; every mode uses DCT, no flags.
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitstream import BitReader, pack_bits
+from .bitstream import pack_bits, unpack_bits
 from .errors import BitstreamError, InvalidInputError
 from .intra import build_references, predict_all_modes, predict_block
 from .linalg import BLOCK_SIZE as BLOCK, VEC_LEN
@@ -127,41 +129,50 @@ def encode_levels(levels_scan):
     return values, lengths
 
 
-def decode_levels(br):
-    """Parse one block's 64 scan-order levels at the reader's position.
+def _past_end(bits):
+    return BitstreamError("read past end of stream", bit_offset=len(bits))
 
-    Each significant level costs two find() calls over the reader's bit
-    window, for its exp-Golomb prefix and for the run of zero significance
-    bits after it, and one int(); where a code is malformed or cut off,
-    the reader's own read of it raises.
+
+def decode_levels(bits, p):
+    """Parse one block's 64 scan-order levels from `bits`, an `unpack_bits`
+    string, at bit position p; returns (levels, the position after them).
+
+    Each significant level costs two find() calls, for its exp-Golomb
+    prefix and for the run of zero significance bits after it, and one
+    int().  A code cut off by the end, a prefix of more than 64 zeros and a
+    magnitude of 2**12 or more raise BitstreamError.
     """
-    levels = np.zeros(VEC_LEN, dtype=np.int64)
-    if br.read_bit() == 0:
-        return levels
-    pos = br.read_bits(6)  # the last significant position
-    bits, p = br.bits, br.position
     n = len(bits)
+    levels = np.zeros(VEC_LEN, dtype=np.int64)
+    if p >= n:
+        raise _past_end(bits)
+    if not bits[p] & 1:  # coded-block flag clear
+        return levels, p + 1
+    p += 7
+    if p > n:
+        raise _past_end(bits)
+    pos = int(bits[p - 6 : p], 2)  # the last significant position
     while True:
         # ue(|level| - 1) is b - 1 zeros, then |level| in b bits; then the sign
         one = bits.find(b"1", p, p + 65)
         end = 2 * one - p + 1
+        if one < 0 and p + 65 <= n:
+            raise BitstreamError("runaway exp-Golomb prefix", bit_offset=p + 65)
         if one < 0 or end > n:
-            br.position = p
-            br.read_ue()  # raises: a runaway prefix or a cut-off code
+            raise _past_end(bits)
         mag = int(bits[one:end], 2)
         if mag >= _LEVEL_LIMIT:
             raise BitstreamError(f"level magnitude {mag} out of range", bit_offset=end)
-        if end == n:
-            br.position = end
-            br.read_bit()  # raises: no sign bit
+        if end == n:  # no sign bit
+            raise _past_end(bits)
         levels[pos] = -mag if bits[end] & 1 else mag
         p = end + 1
         # significance bits of the positions below, up to the next set one
         one = bits.find(b"1", p, p + pos)
-        if one < 0:
-            br.position = p
-            br.read_bits(pos)  # all clear; raises if they run past the end
-            return levels
+        if one < 0:  # all clear
+            if p + pos > n:
+                raise _past_end(bits)
+            return levels, p + pos
         pos -= one + 1 - p
         p = one + 1
 
@@ -462,7 +473,7 @@ def decode_sequence(data, bank=None):
     Parses the whole payload first, then reconstructs it batch by batch in
     the encoder's wavefront order.  Returns (planes, list of FrameStats),
     one per frame, whose CODED_DTYPE rows hold each block's parsed syntax
-    and the bits it took (the reader's position after it minus before).  Raises
+    and the bits it took (the parse position after it minus before).  Raises
     BitstreamError on truncation, on a payload too short for the header's
     block count, and on bytes or set bits past the last block's final bit;
     InvalidInputError when the embedded kernel-bank digest does not match.
@@ -477,25 +488,35 @@ def decode_sequence(data, bank=None):
     if cfg.bank is not None and cfg.bank.digest().hex() != info["digest"]:
         raise InvalidInputError("kernel bank digest mismatch")
 
-    # Parse pass: every block's syntax, in stream order.
-    br = BitReader(data[_HEADER.size :])
+    # Parse pass: every block's syntax, in stream order, at one position p.
+    payload = unpack_bits(data[_HEADER.size :])
+    n = len(payload)
     flagged, saab_only = cfg.flag.tolist(), (~cfg.dct_ok).tolist()
     table = np.empty(n_blocks, dtype=CODED_DTYPE)
-    modes, uses_saab, levels, bits = (table[name] for name in CODED_DTYPE.names)
+    modes, uses_saab, levels, sizes = (table[name] for name in CODED_DTYPE.names)
+    p = 0
     for i in range(n_blocks):
-        start = br.position
-        mode = br.read_bits(MODE_BITS)
+        start, p = p, p + MODE_BITS
+        if p > n:
+            raise _past_end(payload)
+        mode = int(payload[start:p], 2)
         if mode >= N_MODES:
-            raise BitstreamError(f"invalid mode {mode}", bit_offset=br.position)
+            raise BitstreamError(f"invalid mode {mode}", bit_offset=p)
         modes[i] = mode
-        uses_saab[i] = br.read_bit() if flagged[mode] else saab_only[mode]
-        levels[i] = decode_levels(br)
-        bits[i] = br.position - start
-    if len(data) - _HEADER.size != (br.position + 7) // 8:
-        raise BitstreamError("trailing bytes after the last block", bit_offset=br.position)
-    pad_mask = (1 << -br.position % 8) - 1  # the last byte's padding bits
+        if flagged[mode]:
+            if p >= n:
+                raise _past_end(payload)
+            uses_saab[i] = payload[p] & 1
+            p += 1
+        else:
+            uses_saab[i] = saab_only[mode]
+        levels[i], p = decode_levels(payload, p)
+        sizes[i] = p - start
+    if len(data) - _HEADER.size != (p + 7) // 8:
+        raise BitstreamError("trailing bytes after the last block", bit_offset=p)
+    pad_mask = (1 << -p % 8) - 1  # the last byte's padding bits
     if data[-1] & pad_mask:
-        raise BitstreamError("nonzero padding bits after the last block", bit_offset=br.position)
+        raise BitstreamError("nonzero padding bits after the last block", bit_offset=p)
 
     # Reconstruct pass over the encoder's wavefront batches.
     q = qp_to_qstep(qp)
@@ -514,21 +535,25 @@ def stream_info(data):
 
     Raises BitstreamError when the data is not a saabcodec stream or names
     a version, strategy, QP, frame size or frame count the codec cannot have
-    written.
+    written, or has a nonzero pad byte or, for dct_only, bank digest.
     """
     if len(data) < _HEADER.size or data[:4] != STREAM_MAGIC:
         raise BitstreamError("not a saabcodec bitstream")
-    magic, version, strategy_code, qp, _, w, h, n_frames, digest = _HEADER.unpack_from(data)
+    magic, version, strategy_code, qp, pad, w, h, n_frames, digest = _HEADER.unpack_from(data)
     if version != STREAM_VERSION:
         raise BitstreamError(f"unsupported stream version {version}")
     if strategy_code >= len(STRATEGIES):
         raise BitstreamError(f"unknown strategy code {strategy_code}")
     if qp > MAX_QP:
         raise BitstreamError(f"QP {qp} out of range")
+    if pad:
+        raise BitstreamError(f"nonzero header pad byte {pad}")
     if not w or not h or w % BLOCK or h % BLOCK:
         raise BitstreamError(f"frame size {w}x{h} is not a positive multiple of {BLOCK}")
     if not n_frames:
         raise BitstreamError("stream has no frames")
+    if STRATEGIES[strategy_code] == "dct_only" and any(digest):
+        raise BitstreamError("nonzero bank digest in a dct_only stream")
     return {
         "version": version,
         "strategy": STRATEGIES[strategy_code],

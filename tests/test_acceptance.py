@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from saabcodec import analysis, codec, metrics, pipeline, transforms as tf, video
-from saabcodec.bitstream import BitReader, pack_bits
+from saabcodec.bitstream import pack_bits, unpack_bits
 from saabcodec.metrics import RDModelParams
 
 QPS = (22, 27, 32, 37)
@@ -222,15 +222,15 @@ def test_criterion_07_codec_mirror_and_fuzz(bank, clip_a_planes, clip_b_planes):
             mags = rng.geometric(0.3, size=n)
             signs = rng.integers(0, 2, size=n) * 2 - 1
             levels[pos] = mags * signs
-    # every row in one writer call, read back by one reader
+    # every row in one writer call, parsed back at one position
     values, lengths = codec.encode_levels(rows)
     row_bits = lengths.sum(axis=1)
-    br = BitReader(pack_bits(values, lengths))
+    bits, p = unpack_bits(pack_bits(values, lengths)), 0
     for levels, nbits in zip(rows, row_bits.tolist()):
-        start = br.position
-        out = codec.decode_levels(br)
-        if not np.array_equal(out, levels) or br.position - start != nbits:
+        out, end = codec.decode_levels(bits, p)
+        if not np.array_equal(out, levels) or end - p != nbits:
             fuzz_fail += 1
+        p = end
     fuzz_fail += int(np.count_nonzero(row_bits != codec.level_bit_cost(rows)))
     ok = mismatches == 0 and fuzz_fail == 0
     _report(7, "codec mirror image (3 clips x 4 QPs x 4 strategies) + 1e5 level fuzz",

@@ -39,6 +39,8 @@ def test_bench_spans_record_calls(tiny_bank, tiny_clip):
     calls = {name: t.size for name, t in tracer.self_times().items()}
     wanted = ("codec.encode_levels", "codec.level_bit_cost", "codec.quantize", "codec.decode_levels")
     assert all(calls[name] > 0 for name in wanted), calls
+    # the bench labels decode_levels per block: one call per coded block
+    assert calls["codec.decode_levels"] == 2 * (64 // 8) * (48 // 8), calls
 
 
 def test_bench_reads_of_blocks_and_corpus(tmp_path, tiny_bank, tiny_clip):

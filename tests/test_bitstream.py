@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saabcodec.bitstream import BitReader, pack_bits
+from saabcodec.bitstream import pack_bits, unpack_bits
 from saabcodec.errors import BitstreamError
 
 
@@ -11,36 +11,28 @@ def test_bit_roundtrip():
     bits = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1]
     data = pack_bits(np.array(bits, dtype=np.int32), np.ones(len(bits), dtype=np.uint8))
     assert data == bytes([0b10110010, 0b11100000])
-    for reader in BitReader(data), _BitByBitReader(data):
-        assert [reader.read_bit() for _ in bits] == bits
+    reference = _BitByBitReader(data)
+    assert [reference.read_bit() for _ in bits] == bits
+    assert [b & 1 for b in unpack_bits(data)[: len(bits)]] == bits
 
 
 def test_write_bits_msb_first():
     data = pack_bits(np.array([0b101101], dtype=np.int32), np.array([6], dtype=np.uint8))
     assert data == bytes([0b10110100])
-    for reader in BitReader(data), _BitByBitReader(data):
-        assert reader.read_bits(6) == 0b101101
-
-
-def test_truncated_read_raises():
-    br = BitReader(b"\xff")
-    br.read_bits(8)
-    with pytest.raises(BitstreamError):
-        br.read_bit()
-
-
-def test_runaway_ue_prefix_raises():
-    br = BitReader(b"\x00" * 20)
-    with pytest.raises(BitstreamError):
-        br.read_ue()
+    assert _BitByBitReader(data).read_bits(6) == 0b101101
+    assert int(unpack_bits(data)[:6], 2) == 0b101101
 
 
 def test_position_tracking():
+    # a position in the unpacked string is a bit offset in the payload
     data = pack_bits(np.zeros(1, dtype=np.int32), np.array([13], dtype=np.uint8))
     assert data == bytes(2)
-    br = BitReader(data)
-    br.read_bits(5)
-    assert br.position == 5
+    assert unpack_bits(data) == b"0" * 16
+    data = pack_bits(np.array([0, 0b10110], dtype=np.int32), np.array([5, 5], dtype=np.uint8))
+    reference = _BitByBitReader(data)
+    reference.read_bits(5)
+    assert reference.position == 5
+    assert int(unpack_bits(data)[5:10], 2) == reference.read_bits(5) == 0b10110
 
 
 class _BitByBitReader:
@@ -73,11 +65,7 @@ class _BitByBitReader:
         return ((1 << zeros) | self.read_bits(zeros)) - 1
 
 
-def _read(reader, op, n):
-    return reader.read_bit() if op == "bit" else reader.read_bits(n) if op == "bits" else reader.read_ue()
-
-
-# Bytes rich in long zero runs, so that runaway and cut-off prefixes occur.
+# Arbitrary bytes, and bytes rich in long zero runs.
 _PAYLOADS = st.one_of(
     st.binary(max_size=24),
     st.lists(
@@ -87,29 +75,17 @@ _PAYLOADS = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-# exp-Golomb prefixes at the 64-zero limit: cut off, runaway, longest code, cut-off code
-@example(data=bytes(8), ops=[("ue", 0)])
-@example(data=bytes(9), ops=[("ue", 0)])
-@example(data=bytes(8) + b"\x80" + bytes(8), ops=[("ue", 0)])
-@example(data=bytes(8) + b"\x80" + bytes(7), ops=[("ue", 0)])
-@given(
-    data=_PAYLOADS,
-    ops=st.lists(st.tuples(st.sampled_from(["bit", "bits", "ue"]), st.integers(0, 70)), max_size=40),
-)
-def test_reader_matches_bit_by_bit_reference(data, ops):
-    """Every read returns what one-bit-at-a-time reads return, ends at the
-    same position, and fails with the same message and bit offset."""
-    reader, reference = BitReader(data), _BitByBitReader(data)
-    for op, n in ops:
-        try:
-            want = _read(reference, op, n)
-        except BitstreamError as e:
-            with pytest.raises(BitstreamError) as got:
-                _read(reader, op, n)
-            assert (str(got.value), got.value.bit_offset) == (str(e), e.bit_offset)
-            return
-        assert _read(reader, op, n) == want
-        assert reader.position == reference.position
+@given(data=_PAYLOADS)
+def test_unpack_bits_matches_bit_by_bit_reference(data):
+    """unpack_bits gives one ASCII '0'/'1' byte per payload bit, in the
+    order one-bit-at-a-time reads return them, and nothing after."""
+    bits = unpack_bits(data)
+    assert len(bits) == 8 * len(data)
+    assert set(bits) <= set(b"01")
+    reference = _BitByBitReader(data)
+    assert [b & 1 for b in bits] == [reference.read_bit() for _ in bits]
+    with pytest.raises(BitstreamError):
+        reference.read_bit()
 
 
 @settings(max_examples=300, deadline=None)

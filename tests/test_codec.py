@@ -3,14 +3,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from saabcodec import codec
-from saabcodec.bitstream import BitReader, pack_bits
+from saabcodec.bitstream import pack_bits, unpack_bits
 from saabcodec.errors import BitstreamError, InvalidInputError
 from saabcodec.metrics import qp_to_qstep
 from saabcodec.transforms import DCT_64
+from test_bitstream import _BitByBitReader
 
 
 def test_quantizer_deadzone():
@@ -40,8 +41,9 @@ def test_zigzag_is_permutation():
 
 def _roundtrip_levels(levels):
     values, lengths = codec.encode_levels(levels[None])
-    out = codec.decode_levels(BitReader(pack_bits(values, lengths)))
-    return out, int(lengths.sum())
+    out, end = codec.decode_levels(unpack_bits(pack_bits(values, lengths)), 0)
+    assert end == int(lengths.sum())
+    return out, end
 
 
 # A nonzero level of every exp-Golomb code length the decoder accepts:
@@ -76,64 +78,137 @@ def test_level_coding_roundtrip_and_cost(rows):
     assert codec.level_bit_cost(batch).tolist() == per_row
     values, lengths = codec.encode_levels(batch)
     assert lengths.sum(axis=1).tolist() == per_row
-    br = BitReader(pack_bits(values, lengths))
+    bits, p = unpack_bits(pack_bits(values, lengths)), 0
     for levels, cost in zip(batch, per_row):
-        start = br.position
-        assert np.array_equal(codec.decode_levels(br), levels)
-        assert br.position - start == cost
+        out, end = codec.decode_levels(bits, p)
+        assert np.array_equal(out, levels)
+        assert end - p == cost
+        p = end
 
 
-def _decode_levels_reference(br):
-    """Reference level parser: one read call per syntax element."""
+def _decode_levels_reference(reader):
+    """Reference level parser: one _BitByBitReader call per syntax element."""
     levels = np.zeros(64, dtype=np.int64)
-    if br.read_bit() == 0:
+    if reader.read_bit() == 0:
         return levels
-    last = br.read_bits(6)
+    last = reader.read_bits(6)
     for pos in range(last, -1, -1):
-        sig = 1 if pos == last else br.read_bit()
+        sig = 1 if pos == last else reader.read_bit()
         if sig:
-            mag = br.read_ue() + 1
+            mag = reader.read_ue() + 1
             if mag >= 1 << 12:
-                raise BitstreamError(f"level magnitude {mag} out of range", bit_offset=br.position)
-            levels[pos] = -mag if br.read_bit() else mag
+                raise BitstreamError(f"level magnitude {mag} out of range", bit_offset=reader.position)
+            levels[pos] = -mag if reader.read_bit() else mag
     return levels
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    how=st.sampled_from(["intact", "truncate", "flip", "random"]),
-    damage=st.data(),
-)
-def test_level_parser_matches_reference(seed, how, damage):
-    """decode_levels over a run of coded blocks, intact or damaged, returns
-    the reference parser's levels and positions and fails with its message
-    and bit offset."""
-    rng = np.random.default_rng(seed)
+@st.composite
+def _level_payloads(draw):
+    """The level code of 6 random blocks, intact, truncated, with one bit
+    flipped, or replaced by random bytes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     blocks = np.zeros((6, 64), dtype=np.int64)
     for levels in blocks:
         n = int(rng.integers(0, 20))
         levels[rng.choice(64, size=n, replace=False)] = rng.geometric(0.2, size=n) * rng.choice([-1, 1], size=n)
     data = pack_bits(*codec.encode_levels(blocks))
+    how = draw(st.sampled_from(["intact", "truncate", "flip", "random"]), label="how")
     if how == "truncate":
-        data = data[: damage.draw(st.integers(0, len(data) - 1), label="length")]
+        data = data[: draw(st.integers(0, len(data) - 1), label="length")]
     elif how == "flip":
-        bit = damage.draw(st.integers(0, 8 * len(data) - 1), label="bit")
+        bit = draw(st.integers(0, 8 * len(data) - 1), label="bit")
         data = bytearray(data)
         data[bit // 8] ^= 1 << (bit % 8)
     elif how == "random":
-        data = damage.draw(st.binary(max_size=64), label="data")
-    reader, reference = BitReader(bytes(data)), BitReader(bytes(data))
+        data = draw(st.binary(max_size=64), label="data")
+    return bytes(data)
+
+
+@settings(max_examples=200, deadline=None)
+# An all-zero block, then a block whose cbf and last position 0 (0x40 in
+# all) put its exp-Golomb prefix at bit 8 and at the 64-zero limit: cut off,
+# runaway, the longest code (magnitude 2**64, out of range), cut-off code.
+@example(data=b"\x40" + bytes(8))
+@example(data=b"\x40" + bytes(9))
+@example(data=b"\x40" + bytes(8) + b"\x80" + bytes(8))
+@example(data=b"\x40" + bytes(8) + b"\x80" + bytes(7))
+@given(data=_level_payloads())
+def test_level_parser_matches_reference(data):
+    """decode_levels over a run of 6 coded blocks, intact or damaged,
+    returns the reference parser's levels and positions and fails with its
+    message and bit offset."""
+    bits, p, reference = unpack_bits(data), 0, _BitByBitReader(data)
     for _ in range(6):
         try:
             want = _decode_levels_reference(reference)
         except BitstreamError as e:
             with pytest.raises(BitstreamError) as got:
-                codec.decode_levels(reader)
+                codec.decode_levels(bits, p)
             assert (str(got.value), got.value.bit_offset) == (str(e), e.bit_offset)
             return
-        assert np.array_equal(codec.decode_levels(reader), want)
-        assert reader.position == reference.position
+        got, p = codec.decode_levels(bits, p)
+        assert np.array_equal(got, want)
+        assert p == reference.position
+
+
+def _parse_stream_reference(data, cfg):
+    """Reference parse of a stream's payload into CODED_DTYPE rows, one
+    _BitByBitReader call per syntax element, with the decoder's checks."""
+    info = codec.stream_info(data)
+    payload = data[codec._HEADER.size :]
+    reader = _BitByBitReader(payload)
+    rows = np.zeros(info["frames"] * (info["width"] // 8) * (info["height"] // 8), dtype=codec.CODED_DTYPE)
+    for i in range(len(rows)):
+        start = reader.position
+        mode = reader.read_bits(codec.MODE_BITS)
+        if mode >= 35:
+            raise BitstreamError(f"invalid mode {mode}", bit_offset=reader.position)
+        rows["mode"][i] = mode
+        rows["saab"][i] = reader.read_bit() if cfg.flag[mode] else not cfg.dct_ok[mode]
+        rows["levels"][i] = _decode_levels_reference(reader)
+        rows["bits"][i] = reader.position - start
+    end = reader.position
+    if len(payload) != (end + 7) // 8:
+        raise BitstreamError("trailing bytes after the last block", bit_offset=end)
+    if reader.read_bits(-end % 8):
+        raise BitstreamError("nonzero padding bits after the last block", bit_offset=end)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(how=st.sampled_from(["intact", "truncate", "flip"]), damage=st.data())
+def test_stream_parser_matches_reference(how, damage, tiny_bank, tiny_clip):
+    """decode_sequence on a 1-frame s3 stream, intact, truncated or with one
+    payload bit flipped, returns the reference parse's table or fails with
+    its message and bit offset."""
+    cfg = codec.StrategyConfig("s3", tiny_bank)
+    stream, (stats,) = codec.encode_sequence(tiny_clip[:1], 22, cfg)
+    head = codec._HEADER.size
+    if how == "truncate":
+        # any length, or one that ends the payload just after a mode or a flag
+        starts = np.cumsum(stats.blocks.bits) - stats.blocks.bits
+        ends = np.concatenate([starts + 6, starts + 7])
+        cuts = (head + ends[ends % 8 == 0] // 8).tolist()
+        lengths = st.integers(head, len(stream) - 1)
+        if cuts:
+            lengths |= st.sampled_from(cuts)
+        stream = stream[: damage.draw(lengths, label="length")]
+    elif how == "flip":
+        bit = damage.draw(st.integers(8 * head, 8 * len(stream) - 1), label="bit")
+        stream = bytearray(stream)
+        stream[bit // 8] ^= 1 << (bit % 8)
+        stream = bytes(stream)
+    assume(8 * (len(stream) - head) >= 7 * (64 // 8) * (48 // 8))  # else "payload too short"
+    try:
+        want = _parse_stream_reference(stream, cfg)
+    except BitstreamError as e:
+        with pytest.raises(BitstreamError) as got:
+            codec.decode_sequence(stream, tiny_bank)
+        assert (str(got.value), got.value.bit_offset) == (str(e), e.bit_offset)
+        return
+    _, (stats,) = codec.decode_sequence(stream, tiny_bank)
+    for name in codec.CODED_DTYPE.names:
+        assert np.array_equal(stats.blocks[name], want[name]), name
 
 
 def _reconstruct_block_reference(pred64, levels_scan, uses_saab, kernel_matrix, q_step):
@@ -292,12 +367,13 @@ def test_bad_qp_rejected(qp, shape, tiny_clip):
 
 @pytest.mark.parametrize(
     "offset,value",
-    [(4, 2), (5, 4), (5, 255), (6, 52), (6, 255), (8, 33), (8, 0), (10, 0), (12, 0), (None, 0),
-     ("pad", 1)],
+    [(4, 2), (5, 4), (5, 255), (6, 52), (6, 255), (7, 1), (8, 33), (8, 0), (10, 0), (12, 0),
+     (14, 1), (None, 0), ("pad", 1)],
 )
 def test_bad_header_field_rejected(offset, value, tiny_clip):
     # header byte 4 is the version, byte 5 the strategy code, byte 6 the QP,
-    # bytes 8, 10 and 12 the low bytes of width, height and frame count;
+    # byte 7 the pad byte, bytes 8, 10 and 12 the low bytes of width, height
+    # and frame count, byte 14 the first of the (dct_only: zero) bank digest;
     # offset None appends a byte after the payload and "pad" sets the last
     # padding bit, which only decoding can see
     stream, _ = codec.encode_sequence(tiny_clip[:1], 37, codec.StrategyConfig("dct_only"))
