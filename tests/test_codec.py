@@ -175,18 +175,24 @@ def _parse_stream_reference(data, cfg):
     return rows
 
 
+@pytest.fixture(scope="module")
+def s3_stream(tiny_bank, tiny_clip):
+    """A 1-frame QP 22 s3 stream of tiny_clip and the encoder's block table."""
+    stream, (stats,) = codec.encode_sequence(tiny_clip[:1], 22, codec.StrategyConfig("s3", tiny_bank))
+    return stream, stats.blocks
+
+
 @settings(max_examples=200, deadline=None)
 @given(how=st.sampled_from(["intact", "truncate", "flip"]), damage=st.data())
-def test_stream_parser_matches_reference(how, damage, tiny_bank, tiny_clip):
+def test_stream_parser_matches_reference(how, damage, s3_stream, tiny_bank):
     """decode_sequence on a 1-frame s3 stream, intact, truncated or with one
     payload bit flipped, returns the reference parse's table or fails with
     its message and bit offset."""
-    cfg = codec.StrategyConfig("s3", tiny_bank)
-    stream, (stats,) = codec.encode_sequence(tiny_clip[:1], 22, cfg)
+    stream, blocks = s3_stream
     head = codec._HEADER.size
     if how == "truncate":
         # any length, or one that ends the payload just after a mode or a flag
-        starts = np.cumsum(stats.blocks.bits) - stats.blocks.bits
+        starts = np.cumsum(blocks.bits) - blocks.bits
         ends = np.concatenate([starts + 6, starts + 7])
         cuts = (head + ends[ends % 8 == 0] // 8).tolist()
         lengths = st.integers(head, len(stream) - 1)
@@ -200,7 +206,7 @@ def test_stream_parser_matches_reference(how, damage, tiny_bank, tiny_clip):
         stream = bytes(stream)
     assume(8 * (len(stream) - head) >= 7 * (64 // 8) * (48 // 8))  # else "payload too short"
     try:
-        want = _parse_stream_reference(stream, cfg)
+        want = _parse_stream_reference(stream, codec.StrategyConfig("s3", tiny_bank))
     except BitstreamError as e:
         with pytest.raises(BitstreamError) as got:
             codec.decode_sequence(stream, tiny_bank)
