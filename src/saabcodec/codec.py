@@ -437,8 +437,10 @@ def encode_sequence(planes, qp, cfg, recon_out=None):
     h, w = planes[0].shape
     if not h or not w or h % BLOCK or w % BLOCK:
         raise InvalidInputError("plane dimensions must be positive multiples of 8")
-    if any(plane.shape != (h, w) for plane in planes):
-        raise InvalidInputError("all frames must share dimensions")
+    if max(w, h, len(planes)) > 0xFFFF:
+        raise InvalidInputError(f"{w}x{h} by {len(planes)} frames does not fit the header's u16 fields")
+    if any(plane.shape != (h, w) or plane.dtype != np.uint8 for plane in planes):
+        raise InvalidInputError("all frames must be uint8 planes of one size")
     blocks_w, blocks_h = w // BLOCK, h // BLOCK
     original = np.stack(planes)
     recon = np.zeros(original.shape, dtype=np.uint8)

@@ -1,8 +1,11 @@
-"""Binary container for learned kernels and 24-kernel banks.
+"""Binary container for the 24-kernel bank.
 
 Exact byte layout is documented in docs/FORMATS.md.  Serialization is fully
 deterministic (little-endian float64, sorted JSON metadata), so a training
-run with a fixed seed produces a bitwise-identical bank file.
+run with a fixed seed produces a bitwise-identical bank file.  The bank is
+the one place that writes and checks a kernel record's head: it follows
+from the kernel's index in the fixed mode table and the metadata's
+`decimal_digits`, and a reader requires it byte for byte.
 """
 
 import hashlib
@@ -15,7 +18,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .linalg import VEC_LEN
 from .modes import APPLY_MAP, N_KERNELS, TRAIN_GROUPS
-from .transforms import SaabKernel, round_kernel
+from .transforms import SaabKernel
 
 BANK_MAGIC = b"SBNK"
 KERNEL_MAGIC = b"SKRN"
@@ -25,11 +28,9 @@ BANK_VERSION = 1
 _BANK_HEADER = struct.Struct("<III")
 # Kernel record header after the magic: kind code, decimal digits, group length.
 _KERNEL_HEADER = struct.Struct("<BhB")
-MAX_DECIMAL_DIGITS = 2**15 - 1  # the header's i16, whose -1 marks an unrounded kernel
-_KERNEL_BODY_BYTES = (VEC_LEN * VEC_LEN + VEC_LEN) * 8  # matrix and bias, <f8
-
-_KIND_CODES = {"dct": 0, "klt": 1, "saab1": 2}
-_KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
+_SAAB1_CODE = 2  # the one kind code a bank's records hold: one-stage Saab
+MAX_DECIMAL_DIGITS = 2**15 - 1  # the header's i16, whose -1 marks an unrounded bank
+_KERNEL_BODY_BYTES = (VEC_LEN + 1) * VEC_LEN * 8  # 64 matrix rows, then the bias, <f8
 
 # The fixed mode table as every bank file's metadata restates it.
 _STORED_TABLE = {"apply_map": list(APPLY_MAP), "train_groups": [list(g) for g in TRAIN_GROUPS]}
@@ -41,51 +42,24 @@ _ROW_L1_BOUND = 8 + 1e-9
 
 def check_digits(decimal_digits):
     """Raise InvalidInputError unless a kernel record can store
-    `decimal_digits`: 0..MAX_DECIMAL_DIGITS."""
-    if not 0 <= decimal_digits <= MAX_DECIMAL_DIGITS:
-        raise InvalidInputError(f"decimal digits must be in 0..{MAX_DECIMAL_DIGITS}, got {decimal_digits}")
+    `decimal_digits`: an int in 0..MAX_DECIMAL_DIGITS."""
+    if type(decimal_digits) is not int or not 0 <= decimal_digits <= MAX_DECIMAL_DIGITS:
+        raise InvalidInputError(f"decimal digits must be in 0..{MAX_DECIMAL_DIGITS}, got {decimal_digits!r}")
 
 
-def kernel_to_bytes(kernel):
-    if kernel.kind not in _KIND_CODES:
-        raise InvalidInputError(f"cannot serialize kernel kind {kernel.kind!r}")
-    group = tuple(kernel.trained_mode_group)
-    digits = -1 if kernel.decimal_digits is None else kernel.decimal_digits
-    head = KERNEL_MAGIC + _KERNEL_HEADER.pack(_KIND_CODES[kernel.kind], digits, len(group))
-    head += bytes(group)
-    body = kernel.matrix.astype("<f8").tobytes() + kernel.bias.astype("<f8").tobytes()
-    return head + body
-
-
-def kernel_from_bytes(buf, offset=0):
-    if buf[offset : offset + 4] != KERNEL_MAGIC or len(buf) < offset + 4 + _KERNEL_HEADER.size:
-        raise InvalidInputError("bad kernel record magic or truncated record")
-    kind_code, digits, group_len = _KERNEL_HEADER.unpack_from(buf, offset + 4)
-    if kind_code not in _KIND_NAMES:
-        raise InvalidInputError(f"unknown kernel kind code {kind_code}")
-    offset += 4 + _KERNEL_HEADER.size
-    group = tuple(buf[offset : offset + group_len])
-    offset += group_len
-    if len(buf) < offset + _KERNEL_BODY_BYTES:
-        raise InvalidInputError("truncated kernel record")
-    matrix = np.frombuffer(buf, dtype="<f8", count=VEC_LEN * VEC_LEN, offset=offset)
-    offset += VEC_LEN * VEC_LEN * 8
-    bias = np.frombuffer(buf, dtype="<f8", count=VEC_LEN, offset=offset)
-    offset += VEC_LEN * 8
-    kernel = SaabKernel(
-        matrix=matrix.reshape(VEC_LEN, VEC_LEN).copy(),
-        bias=bias.copy(),
-        kind=_KIND_NAMES[kind_code],
-        trained_mode_group=group,
-        decimal_digits=None if digits < 0 else digits,
-    )
-    return kernel, offset
+def _record_head(k, decimal_digits):
+    """The bytes kernel `k`'s record starts with in a bank rounded to
+    `decimal_digits` (None: unrounded): magic, kind, digits, group."""
+    group = TRAIN_GROUPS[k]
+    digits = -1 if decimal_digits is None else decimal_digits
+    return KERNEL_MAGIC + _KERNEL_HEADER.pack(_SAAB1_CODE, digits, len(group)) + bytes(group)
 
 
 @dataclass(frozen=True)
 class KernelBank:
     """The 24 mode-dependent Saab kernels plus provenance; modes.APPLY_MAP
-    says which kernel serves each mode."""
+    says which kernel serves each mode, and `meta["decimal_digits"]` (None:
+    unrounded) is the one record of the digits every kernel was rounded to."""
 
     kernels: tuple
     meta: dict
@@ -98,8 +72,9 @@ class KernelBank:
         meta_bytes = json.dumps(meta, sort_keys=True).encode()
         out = BANK_MAGIC + _BANK_HEADER.pack(BANK_VERSION, len(self.kernels), len(meta_bytes))
         out += meta_bytes
-        for kernel in self.kernels:
-            out += kernel_to_bytes(kernel)
+        digits = self.meta.get("decimal_digits")
+        for k, kernel in enumerate(self.kernels):
+            out += _record_head(k, digits) + np.vstack([kernel.matrix, kernel.bias]).astype("<f8").tobytes()
         return out
 
     @classmethod
@@ -116,11 +91,22 @@ class KernelBank:
             raise InvalidInputError(f"unreadable bank metadata: {e}") from e
         if not isinstance(meta, dict):
             raise InvalidInputError("bank metadata is not a JSON object")
+        if count != N_KERNELS:
+            raise InvalidInputError(f"expected {N_KERNELS} kernel records, got {count}")
+        digits = meta.get("decimal_digits")
+        if digits is not None:
+            check_digits(digits)
         offset += meta_len
         kernels = []
-        for _ in range(count):
-            kernel, offset = kernel_from_bytes(buf, offset)
-            kernels.append(kernel)
+        for k in range(N_KERNELS):
+            head = _record_head(k, digits)
+            if buf[offset : offset + len(head)] != head:
+                raise InvalidInputError(f"kernel record {k} does not start with its bank's record head")
+            offset += len(head) + _KERNEL_BODY_BYTES
+            if len(buf) < offset:
+                raise InvalidInputError("truncated kernel record")
+            rows = np.frombuffer(buf[offset - _KERNEL_BODY_BYTES : offset], "<f8").reshape(-1, VEC_LEN)
+            kernels.append(SaabKernel(matrix=rows[:-1].copy(), bias=rows[-1].copy()))
         if offset != len(buf):
             raise InvalidInputError(f"{len(buf) - offset} bytes after the last kernel record")
         if {key: meta.pop(key, None) for key in _STORED_TABLE} != _STORED_TABLE:
@@ -143,15 +129,19 @@ class KernelBank:
 
     def rounded(self, decimal_digits):
         """Bank with every kernel's matrix and bias rounded to `decimal_digits`
-        decimal digits (check_digits)."""
+        decimal digits (check_digits) and used as-is, without
+        re-orthonormalization, to mirror reduced-precision kernel storage."""
         check_digits(decimal_digits)
-        meta = dict(self.meta)
-        meta["decimal_digits"] = decimal_digits
-        return replace(
-            self,
-            kernels=tuple(round_kernel(k, decimal_digits) for k in self.kernels),
-            meta=meta,
+        meta = dict(self.meta, decimal_digits=decimal_digits)
+        if decimal_digits >= 16:
+            # beyond float64 precision rounding is a no-op; np.round's scale-and-
+            # unscale would actually perturb the last bits here
+            return replace(self, meta=meta)
+        kernels = tuple(
+            replace(k, matrix=np.round(k.matrix, decimal_digits), bias=np.round(k.bias, decimal_digits))
+            for k in self.kernels
         )
+        return replace(self, kernels=kernels, meta=meta)
 
     def validate(self):
         """Return self, or raise InvalidInputError unless the bank has 24

@@ -145,7 +145,7 @@ def train_kernel_bank(
             yield pool
 
     # one pool at a time is drawn and reduced; the 24 kernels share one eigensolve
-    kernels = learn_saab1(pools(), groups=TRAIN_GROUPS)
+    kernels = learn_saab1(pools(), stacked=True)
     meta = dict(
         seed=seed,
         samples_per_kernel=samples_per_kernel,

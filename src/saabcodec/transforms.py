@@ -16,7 +16,7 @@ coefficients are zero-offset, which is what the codec quantizes.  The two
 differ exactly by the bias vector and invert each other either way.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,9 +31,6 @@ from .linalg import (
 )
 
 BIAS_MODES = ("raw", "centered")
-
-KIND_KLT = "klt"
-KIND_SAAB1 = "saab1"
 
 
 def dct_matrix(n):
@@ -51,13 +48,14 @@ DCT_64 = np.kron(dct_matrix(BLOCK_SIZE), dct_matrix(BLOCK_SIZE))
 
 @dataclass(frozen=True)
 class SaabKernel:
-    """One 64-point transform: row k of `matrix` is kernel k, index 0 = DC."""
+    """One 64-point transform: row k of `matrix` is kernel k, index 0 = DC.
+
+    A kernel is only its matrix and bias.  The modes that trained it and the
+    digits it was rounded to belong to the bank that holds it (kernelio).
+    """
 
     matrix: np.ndarray
     bias: np.ndarray
-    kind: str
-    trained_mode_group: tuple = ()
-    decimal_digits: int | None = None
 
     def orthonormality_error(self):
         g = self.matrix @ self.matrix.T
@@ -138,24 +136,19 @@ def _training_samples(samples, kind):
     return d
 
 
-def learn_saab1(samples, *, groups=None):
+def learn_saab1(samples, *, stacked=False):
     """One-stage Saab kernel learned from (T, 64) vectors or (T, 8, 8) blocks.
 
-    With `groups`, `samples` is instead an iterable of sample sets, one per
-    entry of `groups` (that set's trained mode group), and a list of kernels
-    comes back.  Each set is reduced to its covariance as it is drawn, so a
-    generator keeps one set alive at a time, and all sets share one stacked
-    eigensolve; each kernel equals the one its set alone would give.
+    With `stacked`, `samples` is instead an iterable of sample sets, and a
+    list of kernels, one per set, comes back.  Each set is reduced to its
+    covariance as it is drawn, so a generator keeps one set alive at a time,
+    and all sets share one stacked eigensolve; each kernel equals the one
+    its set alone would give.
     """
-    if groups is None:
-        return learn_saab1([samples], groups=[()])[0]
+    if not stacked:
+        return learn_saab1([samples], stacked=True)[0]
     pairs = _learn_stages(_training_samples(s, "saab1") for s in samples)
-    if len(pairs) != len(groups):
-        raise InvalidInputError(f"{len(pairs)} sample sets for {len(groups)} groups")
-    return [
-        SaabKernel(matrix=matrix, bias=bias, kind=KIND_SAAB1, trained_mode_group=tuple(group))
-        for (matrix, bias), group in zip(pairs, groups)
-    ]
+    return [SaabKernel(matrix=matrix, bias=bias) for matrix, bias in pairs]
 
 
 def learn_klt(samples):
@@ -163,11 +156,7 @@ def learn_klt(samples):
     d = _training_samples(samples, "KLT")
     centered = d - d.mean(axis=0)
     eig = eig_symmetric(covariance(centered))
-    return SaabKernel(
-        matrix=eig.eigenvectors.copy(),
-        bias=np.zeros(VEC_LEN),
-        kind=KIND_KLT,
-    )
+    return SaabKernel(matrix=eig.eigenvectors.copy(), bias=np.zeros(VEC_LEN))
 
 
 def saab_forward(kernel, block, bias_mode="centered"):
@@ -200,24 +189,6 @@ def dct_forward(block):
 
 def dct_inverse(coeffs):
     return _as_vectors(coeffs) @ DCT_64
-
-
-def round_kernel(kernel, decimal_digits):
-    """Round matrix and bias entries to the given number of decimal digits.
-
-    The rounded kernel is used as-is, without re-orthonormalization, to
-    mirror reduced-precision kernel storage.
-    """
-    if decimal_digits >= 16:
-        # beyond float64 precision rounding is a no-op; np.round's scale-and-
-        # unscale would actually perturb the last bits here
-        return replace(kernel, decimal_digits=decimal_digits)
-    return replace(
-        kernel,
-        matrix=np.round(kernel.matrix, decimal_digits),
-        bias=np.round(kernel.bias, decimal_digits),
-        decimal_digits=decimal_digits,
-    )
 
 
 # ----------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from saabcodec import codec, pipeline
+from saabcodec.kernelio import KernelBank
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -41,6 +42,19 @@ def test_bench_spans_record_calls(tiny_bank, tiny_clip):
     assert all(calls[name] > 0 for name in wanted), calls
     # the bench labels decode_levels per block: one call per coded block
     assert calls["codec.decode_levels"] == 2 * (64 // 8) * (48 // 8), calls
+
+
+def test_bench_spans_record_training(tmp_path, tiny_records):
+    # the bench's set-up trains, saves and loads a bank; the 24 kernels share
+    # one stacked solve, so learning and the eigensolve are one call each
+    tracer = _load_spans().Tracer()
+    path = str(tmp_path / "bank.skb")
+    with tracer.installed():
+        pipeline.train_kernel_bank(tiny_records, samples_per_kernel=300, seed=1).save(path)
+        KernelBank.load(path)
+    calls = {name: t.size for name, t in tracer.self_times().items()}
+    assert calls["transforms.learn_saab1"] == 1 and calls["linalg.eig_symmetric"] == 1, calls
+    assert calls["kernelio.KernelBank.to_bytes"] > 0 and calls["kernelio.KernelBank.from_bytes"] > 0, calls
 
 
 def test_bench_reads_of_blocks_and_corpus(tmp_path, tiny_bank, tiny_clip):

@@ -239,6 +239,11 @@ BAD_INPUTS = {
         ["ingest", "--input", "c.yuv", "--width", 8, "--height", 8, "--frames", -1],
     ),
     "encode-negative-frames": ({"c.yuv": _TWO_FRAMES}, _ENCODE + ["--frames", -1]),
+    # the stream header stores the width as a u16
+    "encode-width-above-u16": (
+        {"c.yuv": "\0" * (65_536 * 8 * 3 // 2)},
+        ["encode", "--input", "c.yuv", "--width", 65_536, "--height", 8, "--qp", 22, "--output", "o.bin"],
+    ),
     "extract-residuals-negative-frames": (
         {"c.yuv": _TWO_FRAMES},
         ["extract-residuals", "--clip", "c.yuv:16x16", "--frames", -1, "--output", "r.bin"],

@@ -404,6 +404,23 @@ def test_payload_shorter_than_header_blocks_rejected():
         codec.decode_sequence(header + b"\0")
 
 
+@pytest.mark.parametrize("case", ["65536-frames", "65536-wide", "int32-plane"])
+def test_unstorable_input_rejected_before_encoding(monkeypatch, case):
+    # the header stores width, height and frame count as u16, and the level
+    # bound assumes 8-bit samples; nothing may be coded first
+    def encode_block(*args, **kwargs):
+        raise AssertionError("coded before the input check")
+
+    monkeypatch.setattr(codec, "encode_block", encode_block)
+    planes = {
+        "65536-frames": [np.zeros((8, 8), dtype=np.uint8)] * 65_536,
+        "65536-wide": [np.zeros((8, 65_536), dtype=np.uint8)],
+        "int32-plane": [np.full((8, 8), 4000, dtype=np.int32)],
+    }[case]
+    with pytest.raises(InvalidInputError):
+        codec.encode_sequence(planes, 22, codec.StrategyConfig("dct_only"))
+
+
 @pytest.mark.parametrize("zeros", [12, 64])
 def test_oversized_level_rejected(zeros):
     # One 8x8 block whose DC level has magnitude 2**zeros: 2**12 is the

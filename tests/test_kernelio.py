@@ -1,5 +1,6 @@
 from dataclasses import replace
 from pathlib import Path
+import struct
 
 import numpy as np
 import pytest
@@ -12,6 +13,11 @@ from saabcodec.kernelio import KernelBank
 from saabcodec.modes import APPLY_MAP, N_MODES, TRAIN_GROUPS
 
 
+def _first_record(raw):
+    """Offset of kernel record 0 in a bank file's bytes."""
+    return 4 + kernelio._BANK_HEADER.size + kernelio._BANK_HEADER.unpack_from(raw, 4)[2]
+
+
 def test_bank_save_load_roundtrip(tmp_path, bank):
     path = str(tmp_path / "bank.skb")
     bank.save(path)
@@ -20,10 +26,18 @@ def test_bank_save_load_roundtrip(tmp_path, bank):
     for a, b in zip(bank.kernels, back.kernels):
         assert np.array_equal(a.matrix, b.matrix)
         assert np.array_equal(a.bias, b.bias)
-        assert a.trained_mode_group == b.trained_mode_group
     assert back.meta == bank.meta
     for mode in range(N_MODES):
-        assert back.kernel_for_mode(mode).trained_mode_group == TRAIN_GROUPS[APPLY_MAP[mode]]
+        assert back.kernel_for_mode(mode) is back.kernels[APPLY_MAP[mode]]
+    # record k names TRAIN_GROUPS[k] as the modes that trained it
+    raw = Path(path).read_bytes()
+    offset = _first_record(raw)
+    for group in TRAIN_GROUPS:
+        group_len = kernelio._KERNEL_HEADER.unpack_from(raw, offset + 4)[2]
+        offset += 4 + kernelio._KERNEL_HEADER.size
+        assert tuple(raw[offset : offset + group_len]) == group
+        offset += group_len + kernelio._KERNEL_BODY_BYTES
+    assert offset == len(raw)
 
 
 def test_digest_sensitive_to_contents(bank):
@@ -35,9 +49,12 @@ def test_digest_sensitive_to_contents(bank):
 def test_rounded_bank(bank):
     r = bank.rounded(2)
     assert r.digest() != bank.digest()
+    assert r.meta["decimal_digits"] == 2
     for a, b in zip(bank.kernels, r.kernels):
         assert np.array_equal(b.matrix, np.round(a.matrix, 2))
-        assert b.decimal_digits == 2
+        assert np.array_equal(b.bias, np.round(a.bias, 2))
+    # coarse rounding breaks exact orthonormality; fine rounding keeps it tiny
+    assert max(k.orthonormality_error() for k in bank.rounded(12).kernels) < 1e-10
 
 
 def test_rounded_identity_at_high_precision(bank):
@@ -71,7 +88,7 @@ def test_rounded_digits_fit_the_kernel_record(bank):
     with pytest.raises(InvalidInputError):
         bank.rounded(kernelio.MAX_DECIMAL_DIGITS + 1)
     r = bank.rounded(kernelio.MAX_DECIMAL_DIGITS)
-    assert KernelBank.from_bytes(r.to_bytes()).kernels[0].decimal_digits == 2**15 - 1
+    assert KernelBank.from_bytes(r.to_bytes()).meta["decimal_digits"] == 2**15 - 1
 
 
 @pytest.mark.parametrize("row", ["zero", "l1-above-8", "nan"])
@@ -91,6 +108,42 @@ def test_corrupt_bank_rejected(bank):
     # metadata that is JSON but not an object
     with pytest.raises(InvalidInputError):
         KernelBank.from_bytes(kernelio.BANK_MAGIC + kernelio._BANK_HEADER.pack(1, 0, 1) + b"1")
+
+
+# case -> (offset from record 0's magic, bytes written there)
+RECORD_HEAD_EDITS = {
+    "kind-0-dct": (4, b"\x00"),
+    "kind-1-klt": (4, b"\x01"),
+    "digits-5-in-unrounded-bank": (5, struct.pack("<h", 5)),
+    "digits-minus-251": (5, struct.pack("<h", -251)),
+    "group-byte-9": (8, b"\x09"),
+}
+# case -> the value the bank metadata stores as decimal_digits
+META_DIGITS = {"meta-digits-text": "3", "meta-digits-minus-1": -1, "meta-digits-40000": 40000}
+
+
+@pytest.mark.parametrize(
+    "case", sorted(RECORD_HEAD_EDITS) + sorted(META_DIGITS) + ["23-kernels", "25-kernels"]
+)
+def test_record_head_other_than_the_banks_rejected(tiny_bank, bank_bytes_with_table, case):
+    # every record head follows from its kernel index and the metadata's
+    # decimal_digits; a reader accepts no other head and no count but 24
+    raw = tiny_bank.to_bytes()
+    last = len(raw) - (8 + len(TRAIN_GROUPS[-1]) + kernelio._KERNEL_BODY_BYTES)
+    assert raw[last : last + 4] == kernelio.KERNEL_MAGIC
+    if case in RECORD_HEAD_EDITS:
+        offset, value = RECORD_HEAD_EDITS[case]
+        at = _first_record(raw) + offset
+        bad = raw[:at] + value + raw[at + len(value) :]
+    elif case in META_DIGITS:
+        bad = bank_bytes_with_table(tiny_bank, decimal_digits=META_DIGITS[case])
+    else:
+        records = raw[:last] if case == "23-kernels" else raw + raw[last:]
+        count = 23 if case == "23-kernels" else 25
+        bad = records[:8] + struct.pack("<I", count) + records[12:]
+    assert bad != raw
+    with pytest.raises(InvalidInputError):
+        KernelBank.from_bytes(bad)
 
 
 # case -> metadata keys a bank file stores in place of the fixed table

@@ -91,14 +91,6 @@ def test_klt_zero_bias_and_roundtrip(training_data):
     assert np.max(np.abs(tf.saab_inverse(k, tf.saab_forward(k, x)) - x)) < 1e-10
 
 
-def test_round_kernel(saab1):
-    r = tf.round_kernel(saab1, 2)
-    assert np.array_equal(r.matrix, np.round(saab1.matrix, 2))
-    assert r.decimal_digits == 2
-    # coarse rounding breaks exact orthonormality; fine rounding keeps it tiny
-    assert tf.round_kernel(saab1, 12).orthonormality_error() < 1e-10
-
-
 def test_saab2_structure_and_roundtrip(training_data):
     k2 = tf.learn_saab2(training_data)
     assert k2.stage1_matrix.shape == (16, 16)
