@@ -5,6 +5,7 @@ import pytest
 
 from saabcodec import transforms as tf
 from saabcodec.errors import InsufficientDataError, InvalidInputError
+from saabcodec.kernelio import KernelBank
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +90,17 @@ def test_klt_zero_bias_and_roundtrip(training_data):
     assert k.orthonormality_error() < 1e-10
     x = training_data[0]
     assert np.max(np.abs(tf.saab_inverse(k, tf.saab_forward(k, x)) - x)) < 1e-10
+
+
+def test_round_kernel(saab1):
+    # a kernel is rounded as part of a bank; the digits live in the bank's meta
+    r = KernelBank(kernels=(saab1,), meta={}).rounded(2)
+    assert np.array_equal(r.kernels[0].matrix, np.round(saab1.matrix, 2))
+    assert np.array_equal(r.kernels[0].bias, np.round(saab1.bias, 2))
+    assert r.meta["decimal_digits"] == 2
+    # coarse rounding breaks exact orthonormality; fine rounding keeps it tiny
+    fine = KernelBank(kernels=(saab1,), meta={}).rounded(12).kernels[0]
+    assert fine.orthonormality_error() < 1e-10
 
 
 def test_saab2_structure_and_roundtrip(training_data):
