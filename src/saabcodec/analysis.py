@@ -9,7 +9,7 @@ import math
 import os
 import statistics
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -186,6 +186,17 @@ def rd_model_report(records, bank, qp):
     }
 
 
+def _check_types(obj):
+    """Raise InvalidInputError unless every field of the dataclass `obj` is
+    of its declared type (a bool is not an int)."""
+    for fd in fields(obj):
+        value = getattr(obj, fd.name)
+        if not isinstance(value, fd.type) or isinstance(value, bool):
+            raise InvalidInputError(
+                f"{type(obj).__name__}.{fd.name} {value!r} is not of type {fd.type.__name__}"
+            )
+
+
 @dataclass(frozen=True)
 class ClipSpec:
     name: str
@@ -194,21 +205,15 @@ class ClipSpec:
     height: int
     frames: int = 0  # 0 = all
 
+    __post_init__ = _check_types
 
-def _from_json(cls, raw):
-    """A `cls` dataclass from a manifest's JSON object, its lists read as
-    tuples.  TypeError for anything but an object that names fields of
-    `cls`; InvalidInputError for a value not of its field's declared type."""
+
+def _json_fields(cls, raw):
+    """The keyword arguments of a `cls` from a manifest's JSON object, its
+    lists read as tuples; TypeError for anything but an object."""
     if not isinstance(raw, dict):
         raise TypeError(f"{cls.__name__} {raw!r} is not a JSON object")
-    obj = cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
-    for fd in fields(cls):
-        value = getattr(obj, fd.name)
-        if not isinstance(value, fd.type) or isinstance(value, bool):
-            raise InvalidInputError(
-                f"{cls.__name__}.{fd.name} {value!r} is not of type {fd.type.__name__}"
-            )
-    return obj
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
 
 
 @dataclass(frozen=True)
@@ -219,28 +224,34 @@ class ExperimentManifest:
     bank_path: str = ""
     timing_runs: int = 3
 
+    def __post_init__(self):
+        """Raise InvalidInputError for a field not of its declared type, a clip with negative
+        frames, bad `qps` (check_qps), unknown or repeated strategies, or `timing_runs` below 1."""
+        _check_types(self)
+        if any(clip.frames < 0 for clip in self.clips):
+            raise InvalidInputError("manifest clips must not have negative frames")
+        check_qps(self.qps)
+        if len(set(STRATEGIES).intersection(self.strategies)) != len(self.strategies):
+            raise InvalidInputError(f"strategies must be distinct names of {STRATEGIES}, got {self.strategies}")
+        if self.timing_runs < 1:
+            raise InvalidInputError(f"timing_runs must be at least 1, got {self.timing_runs}")
+
     @classmethod
     def from_json(cls, path):
         """Read a manifest file; a key it omits keeps the field's default.
 
         Raises InvalidInputError unless the file is a JSON object whose keys
-        are fields, whose values and `clips` objects' fields are of their
-        declared types (a JSON list is a tuple), whose clips' `frames` are
-        not negative, whose `timing_runs` is at least 1, and whose `qps`
-        are distinct valid QPs (check_qps).
+        are fields, whose `clips` are objects whose keys are ClipSpec fields
+        (a JSON list is a tuple), and which passes the manifest's checks.
         """
         with open(path) as f:
             try:
-                manifest = _from_json(cls, json.load(f))
-                clips = tuple(_from_json(ClipSpec, c) for c in manifest.clips)
+                kwargs = _json_fields(cls, json.load(f))
+                if "clips" in kwargs:
+                    kwargs["clips"] = tuple(ClipSpec(**_json_fields(ClipSpec, c)) for c in kwargs["clips"])
+                return cls(**kwargs)
             except (TypeError, ValueError) as e:
                 raise InvalidInputError(f"bad manifest {path}: {e!r}") from e
-        if any(clip.frames < 0 for clip in clips):
-            raise InvalidInputError(f"bad manifest {path}: negative clip frames")
-        if manifest.timing_runs < 1:
-            raise InvalidInputError(f"bad manifest {path}: timing_runs below 1")
-        check_qps(manifest.qps)
-        return replace(manifest, clips=clips)
 
 
 def _timed(fn, runs):
@@ -263,15 +274,7 @@ def run_experiment(manifest, output_dir, bank=None, verbose=False):
     runtime ratios.  Writes CSV tables plus report.json under output_dir;
     timing lives only in timing.csv so the other outputs are deterministic.
     """
-    strategies = list(manifest.strategies)
-    for s in strategies:
-        if s not in STRATEGIES:
-            raise InvalidInputError(f"unknown strategy {s!r}")
-    if len(set(strategies)) != len(strategies):
-        raise InvalidInputError(f"strategies must not repeat, got {strategies}")
-    if "dct_only" in strategies:
-        strategies.remove("dct_only")
-    strategies = ["dct_only"] + strategies
+    strategies = ["dct_only"] + [s for s in manifest.strategies if s != "dct_only"]
 
     if bank is None and any(s != "dct_only" for s in strategies):
         if not manifest.bank_path:

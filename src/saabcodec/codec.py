@@ -1,11 +1,11 @@
 """Simplified 8x8-block intra encoder/decoder.
 
-Per block the encoder runs all 35 intra modes, codes the residual with each
-transform the strategy allows (DCT and/or the mode's learned kernel),
-entropy-codes the levels, reconstructs in the pixel domain, and keeps the
-candidate with the lowest J = SSE + lambda * bits.  Ties prefer DCT, then
-the lower mode id.  The decoder replays the identical arithmetic, so its
-output matches the encoder reconstruction bit-exactly.
+A strategy is one list of allowed (transform, mode) pairs, the DCT pairs
+first, each transform's in mode order (`StrategyConfig`).  Per block the
+encoder codes the residual with every pair on the list, entropy-codes the
+levels, reconstructs in the pixel domain, and keeps the first candidate with
+the lowest J = SSE + lambda * bits.  The decoder replays the identical
+arithmetic, so its output matches the encoder reconstruction bit-exactly.
 
 Both sides work on wavefront batches of up to BATCH_BLOCKS blocks that do
 not reference each other (`_wavefront_batches`), and both reconstruct a
@@ -33,9 +33,9 @@ levels.  The encoder serializes its whole block table at once: the mode and
 flag columns, then `encode_levels`' (value, bit length) columns of the level
 code, packed by one `pack_bits` call; `level_bit_cost` is the row sum of
 those lengths in closed form.  DCT levels are scanned in zigzag order,
-learned-kernel levels in coefficient order.  The candidate search analyses
-with `DCT_SCAN`, the DCT's rows in zigzag order, so one product gives either
-transform's levels in coded order and one product synthesizes them.  Level
+learned-kernel levels in coefficient order.  A DCT candidate analyses with
+`DCT_SCAN`, the DCT's rows in zigzag order, so one product gives either
+transform's levels in coded order and its transpose synthesizes them.  Level
 magnitudes are below 2**12, and the decoder rejects larger ones: an
 orthonormal transform keeps |coefficient| <= 8 * 255 for an 8x8 residual in
 [-255, 255], and the quantizer step is at least 2**(-2/3) (QP 0), so
@@ -89,7 +89,6 @@ def _zigzag_order(n):
 
 
 ZIGZAG = _zigzag_order(BLOCK)
-INV_ZIGZAG = np.argsort(ZIGZAG)
 DCT_SCAN = DCT_64[ZIGZAG]  # analysis rows in coded scan order
 
 
@@ -249,45 +248,52 @@ def summarize(stats, strategy):
 
 
 class StrategyConfig:
-    """Strategy + kernel bank, with per-mode candidate tables precomputed.
+    """Strategy + kernel bank as one list of allowed (transform, mode) pairs.
 
-    A strategy that allows no learned kernel drops the bank; any other
-    requires one.
+    `cand_saab` and `cand_mode` list the pairs of the (dct_ok, saab_ok)
+    masks in the RD search's tie-break order, DCT first, each in mode order;
+    `cand_index[saab, mode]` is a pair's place on the list (-1: not
+    allowed).  A strategy that allows no learned kernel drops the bank; any
+    other requires one that validates.
     """
 
     def __init__(self, strategy, bank=None):
         if strategy not in STRATEGIES:
             raise InvalidInputError(f"unknown strategy {strategy!r}")
         self.strategy = strategy
-        self.dct_ok, self.saab_ok = _CANDIDATES[STRATEGIES.index(strategy)]
+        allowed = _CANDIDATES[STRATEGIES.index(strategy)]
+        self.dct_ok, self.saab_ok = allowed
         self.flag = _FLAGGED[STRATEGIES.index(strategy)]
+        self.cand_saab, self.cand_mode = np.nonzero(allowed)
+        self.cand_index = np.full(allowed.shape, -1)
+        self.cand_index[allowed] = np.arange(len(self.cand_mode))
         if not self.saab_ok.any():
             bank = None
         elif bank is None:
             raise InvalidInputError(f"strategy {strategy} requires a kernel bank")
-        self.bank = bank
-        self.saab_matrices = None
-        if bank is not None:
-            self.saab_matrices = np.stack([bank.kernel_for_mode(m).matrix for m in range(N_MODES)])
+        self.bank = None if bank is None else bank.validate()
+
+    def matrices(self):
+        """The candidates' (C, 64, 64) analysis rows in coded scan order:
+        DCT_SCAN for a DCT pair, the mode's learned kernel for a kernel pair.
+        Built per call, once per sequence, so an idle config holds none."""
+        if self.bank is None:
+            # One shared matrix keeps the products cache-resident and costs no memory.
+            return np.broadcast_to(DCT_SCAN, (N_MODES, VEC_LEN, VEC_LEN))
+        pairs = zip(self.cand_saab, self.cand_mode)
+        return np.stack([self.bank.kernel_for_mode(m).matrix if s else DCT_SCAN for s, m in pairs])
 
 
-def _reconstruct(preds, levels, uses_saab, modes, cfg, q_step):
+def _reconstruct(preds, levels, matrices, q_step):
     """Shared encoder/decoder reconstruction of k blocks (must stay
-    bit-identical): (k, 64) predictions, scan-order levels, per-block
-    transform flags and modes; returns (k, 64) int32 samples.
+    bit-identical): (k, 64) predictions, scan-order levels and each block's
+    (64, 64) analysis rows in scan order; returns (k, 64) int32 samples.
 
     Each block is one (64, 64) @ (64, 1) product of a stacked matmul, which
     keeps the per-block summation; a single (k, 64) @ (64, 64) product does
     not give the same bits.
     """
-    deq = dequantize(levels, q_step)
-    xhat = np.empty_like(deq)
-    dct = ~uses_saab
-    if dct.any():
-        xhat[dct] = (DCT_64.T @ deq[dct][:, INV_ZIGZAG, None])[..., 0]
-    if uses_saab.any():
-        kernels = cfg.saab_matrices[modes[uses_saab]].transpose(0, 2, 1)
-        xhat[uses_saab] = (kernels @ deq[uses_saab][..., None])[..., 0]
+    xhat = (matrices.transpose(0, 2, 1) @ dequantize(levels, q_step)[..., None])[..., 0]
     xhat += preds
     return np.clip(np.rint(xhat), 0, 255).astype(np.int32)
 
@@ -301,12 +307,10 @@ def _block_pixels(pos):
     return frame[:, None, None], rows, cols
 
 
-def _candidate_costs(res, preds, orig, q, lam, matrices, allowed, head_bits):
-    """Levels and J of one transform's candidates, (modes, blocks) first.
-
-    `matrices` holds analysis rows in coded scan order: DCT_SCAN, or a
-    per-mode (35, 64, 64) stack of learned kernels.
-    """
+def _candidate_costs(res, preds, orig, q, lam, matrices, head_bits):
+    """Levels, bits and J of C candidates, (C, blocks) first, from their
+    (C, k, 64) residuals and predictions, (C, 64, 64) analysis rows in coded
+    scan order and (C,) mode and flag bits."""
     lv = quantize(res @ np.swapaxes(matrices, -1, -2), q)
     xhat = dequantize(lv, q) @ matrices
     bits = head_bits[:, None] + level_bit_cost(lv.reshape(-1, VEC_LEN)).reshape(lv.shape[:2])
@@ -317,19 +321,19 @@ def _candidate_costs(res, preds, orig, q, lam, matrices, allowed, head_bits):
     np.clip(err, 0, 255, out=err)
     err -= orig
     sse = np.sum(np.square(err, out=err), axis=-1)
-    j = np.where(allowed[:, None], sse + lam * bits, np.inf)
-    return lv, bits, j
+    return lv, bits, sse + lam * bits
 
 
-def encode_block(original, recon, pos, qp, cfg):
+def encode_block(original, recon, pos, qp, cfg, matrices):
     """RD-optimal mode and transform choice for a batch of blocks.
 
     `original` and `recon` are (frames, h, w) stacks of source planes and
     uint8 reconstruction surfaces, the latter with every block the batch
     references already filled; `pos` holds (frame, bx, by) index arrays of
-    at most BATCH_BLOCKS blocks that do not reference each other.  Stores
-    each block's reconstruction in `recon` and returns the batch's
-    BLOCK_DTYPE rows, which the caller serializes.
+    at most BATCH_BLOCKS blocks that do not reference each other, and
+    `matrices` is `cfg.matrices()`.  Stores each block's reconstruction in
+    `recon` and returns the batch's BLOCK_DTYPE rows, which the caller
+    serializes.
     """
     frame, bx, by = pos
     n = len(bx)
@@ -339,45 +343,32 @@ def encode_block(original, recon, pos, qp, cfg):
     pixels = _block_pixels(pos)
     orig = original[pixels].reshape(n, VEC_LEN).astype(np.int32)
 
-    # Candidate arrays are (modes, blocks, 64): mode-major rows.
-    preds_m = preds.transpose(1, 0, 2)
-    res = (orig - preds_m).astype(np.float64)
+    # Candidate arrays are (candidates, blocks, 64): candidate-major rows.
+    preds = preds[:, cfg.cand_mode].transpose(1, 0, 2)
+    res = (orig - preds).astype(np.float64)
     q = qp_to_qstep(qp)
-    lam = qp_to_lambda(qp)
-    head_bits = MODE_BITS + cfg.flag.astype(np.int64)
-    lv_dct, bits_dct, j_dct = _candidate_costs(
-        res, preds_m, orig, q, lam, DCT_SCAN, cfg.dct_ok, head_bits
-    )
-    if cfg.saab_matrices is not None:
-        lv_saab, bits_saab, j_saab = _candidate_costs(
-            res, preds_m, orig, q, lam, cfg.saab_matrices, cfg.saab_ok, head_bits
-        )
-    else:
-        lv_saab, bits_saab = lv_dct, bits_dct  # never selected
-        j_saab = np.full_like(j_dct, np.inf)
+    head_bits = MODE_BITS + cfg.flag[cfg.cand_mode].astype(np.int64)
+    lv, bits, j = _candidate_costs(res, preds, orig, q, qp_to_lambda(qp), matrices, head_bits)
 
-    # Flattened candidate order [DCT modes..., kernel modes...] per block:
-    # argmin takes the first minimum, which encodes the DCT-first /
-    # lower-mode tie-break.
-    j_all = np.concatenate([j_dct, j_saab]).T
-    best = np.argmin(j_all, axis=1)
-    uses_saab = best >= N_MODES
-    mode = best % N_MODES
+    # argmin takes the first minimum, so the candidate order is the tie-break.
+    best = np.argmin(j, axis=0)
+    mode = cfg.cand_mode[best]
     i = np.arange(n)
-    levels = np.where(uses_saab[:, None], lv_saab[mode, i], lv_dct[mode, i])
-    pred = preds[i, mode]
-    rec = _reconstruct(pred, levels, uses_saab, mode, cfg, q)
+    levels = lv[best, i]
+    pred = preds[best, i]
+    rec = _reconstruct(pred, levels, matrices[best], q)
     recon[pixels] = rec.reshape(n, BLOCK, BLOCK)
     rows = np.empty(n, dtype=BLOCK_DTYPE)
     rows["mode"] = mode
-    rows["saab"] = uses_saab
+    rows["saab"] = cfg.cand_saab[best]
     rows["levels"] = levels
-    rows["bits"] = np.where(uses_saab, bits_saab[mode, i], bits_dct[mode, i])
+    rows["bits"] = bits[best, i]
     rows["sse"] = np.sum((orig - rec) ** 2, axis=1)
     # j_chosen and j_dct (the DCT candidate of the same mode, same pass)
     # are exposed for dominance checks.
-    rows["j_chosen"] = j_all[i, best]
-    rows["j_dct"] = j_dct[mode, i]  # inf where the mode allows no DCT
+    rows["j_chosen"] = j[best, i]
+    dct = cfg.cand_index[0, mode]
+    rows["j_dct"] = np.where(dct >= 0, j[dct, i], np.inf)  # inf where the mode allows no DCT
     rows["residual"] = (orig - pred).reshape(n, BLOCK, BLOCK)
     return rows
 
@@ -445,8 +436,9 @@ def encode_sequence(planes, qp, cfg, recon_out=None):
     original = np.stack(planes)
     recon = np.zeros(original.shape, dtype=np.uint8)
     table = np.empty(len(planes) * blocks_h * blocks_w, dtype=BLOCK_DTYPE)
+    matrices = cfg.matrices()
     for pos, i in _wavefront_batches(len(planes), blocks_w, blocks_h):
-        table[i] = encode_block(original, recon, pos, qp, cfg)
+        table[i] = encode_block(original, recon, pos, qp, cfg, matrices)
 
     values, lengths = encode_levels(table["levels"])
     mode = table["mode"]
@@ -522,12 +514,14 @@ def decode_sequence(data, bank=None):
 
     # Reconstruct pass over the encoder's wavefront batches.
     q = qp_to_qstep(qp)
+    matrices = cfg.matrices()
+    cand = cfg.cand_index[uses_saab.astype(np.intp), modes]
     recon = np.zeros((n_frames, h, w), dtype=np.uint8)
     for pos, i in _wavefront_batches(n_frames, blocks_w, blocks_h):
         frame, bx, by = pos
         refs = build_references(recon, bx, by, blocks_w, blocks_h, frame=frame)
         preds = predict_block(refs, modes[i]).reshape(-1, VEC_LEN)
-        rec = _reconstruct(preds, levels[i], uses_saab[i], modes[i], cfg, q)
+        rec = _reconstruct(preds, levels[i], matrices[cand[i]], q)
         recon[_block_pixels(pos)] = rec.reshape(-1, BLOCK, BLOCK)
     return list(recon), [FrameStats(blocks) for blocks in table.view(np.recarray).reshape(n_frames, -1)]
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from saabcodec import analysis
+from saabcodec import analysis, video
 from saabcodec.errors import InsufficientDataError, InvalidInputError, NoOverlapError
 
 BASE = [analysis.RDPoint(qp=37 - 5 * k, rate=1000.0 * 2**k, psnr=30.0 + 2 * k) for k in range(4)]
@@ -110,6 +110,30 @@ def test_manifest_json_roundtrip(tmp_path):
     assert analysis.ExperimentManifest.from_json(str(path)) == analysis.ExperimentManifest(
         clips=m.clips
     )
+
+
+@pytest.mark.parametrize(
+    "fields,frames",
+    [
+        pytest.param({"timing_runs": 0}, 0, id="no-timing-runs"),
+        pytest.param({"qps": (22, 22, 27, 32)}, 0, id="repeated-qp"),
+        pytest.param({"qps": ()}, 0, id="no-qps"),
+        pytest.param({"qps": (22, 27, 99)}, 0, id="qp-99-last"),
+        pytest.param({}, -1, id="negative-frames"),
+        pytest.param({"strategies": ("s9",)}, 0, id="unknown-strategy"),
+    ],
+)
+def test_manifest_checked_where_built(fields, frames, tmp_path):
+    """A manifest built in code is checked as it is built: run_experiment
+    neither codes nor writes anything for a bad one."""
+    path = str(tmp_path / "clip.yuv")
+    video.write_yuv(path, video.synthesize_luma_clip(16, 16, 2, seed=3))
+    clip = analysis.ClipSpec(name="c", path=path, width=16, height=16, frames=frames)
+    out = tmp_path / "out"
+    with pytest.raises(InvalidInputError):
+        manifest = analysis.ExperimentManifest(clips=(clip,), **{"strategies": (), **fields})
+        analysis.run_experiment(manifest, str(out))
+    assert not out.exists()
 
 
 def test_experiment_outputs(experiment_report):

@@ -1,5 +1,4 @@
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +28,6 @@ def test_dequantize_reconstruction_levels():
 
 def test_zigzag_is_permutation():
     assert sorted(codec.ZIGZAG.tolist()) == list(range(64))
-    assert np.array_equal(np.argsort(codec.ZIGZAG), codec.INV_ZIGZAG)
     # the candidate search's scan-ordered DCT rows give the zigzag-scanned levels
     assert np.array_equal(codec.DCT_SCAN, DCT_64[codec.ZIGZAG])
     res = np.random.default_rng(8).integers(-255, 256, size=(2000, 64)).astype(np.float64)
@@ -217,15 +215,45 @@ def test_stream_parser_matches_reference(how, damage, s3_stream, tiny_bank):
         assert np.array_equal(stats.blocks[name], want[name]), name
 
 
-def _reconstruct_block_reference(pred64, levels_scan, uses_saab, kernel_matrix, q_step):
+@pytest.mark.parametrize("strategy,count", zip(codec.STRATEGIES, (35, 35, 60, 70)))
+def test_candidate_list(strategy, count, tiny_bank):
+    """A strategy's candidates are the (transform, mode) pairs its masks
+    allow, DCT first and each transform's in mode order; cand_index inverts
+    the list and matrices() gives each pair's analysis rows."""
+    cfg = codec.StrategyConfig(strategy, tiny_bank)
+    allowed = np.array([cfg.dct_ok, cfg.saab_ok])
+    saab, mode = np.nonzero(allowed)
+    assert np.array_equal(cfg.cand_saab, saab) and np.array_equal(cfg.cand_mode, mode)
+    assert np.all(np.diff(cfg.cand_saab) >= 0)  # DCT pairs first
+    # the bench's codec.candidates_per_block counts the masks
+    assert len(cfg.cand_mode) == count == int(cfg.dct_ok.sum() + cfg.saab_ok.sum())
+    assert np.array_equal(cfg.cand_index == -1, ~allowed)
+    assert np.array_equal(cfg.cand_index[saab, mode], np.arange(count))
+    matrices = cfg.matrices()
+    assert matrices.shape == (count, 64, 64)
+    for matrix, s, m in zip(matrices, saab, mode):
+        assert np.array_equal(matrix, tiny_bank.kernel_for_mode(m).matrix if s else codec.DCT_SCAN)
+    if strategy == "dct_only":  # needs no bank
+        assert np.array_equal(codec.StrategyConfig(strategy).matrices(), matrices)
+
+
+@pytest.mark.parametrize("case", ["23-kernels", "25-kernels", "63x64-matrix"])
+def test_bad_in_memory_bank_rejected(case, tiny_bank):
+    kernels = tiny_bank.kernels
+    kernels = {
+        "23-kernels": kernels[:23],
+        "25-kernels": kernels + kernels[:1],
+        "63x64-matrix": (replace(kernels[0], matrix=kernels[0].matrix[:63]),) + kernels[1:],
+    }[case]
+    with pytest.raises(InvalidInputError):
+        codec.StrategyConfig("s3", replace(tiny_bank, kernels=kernels))
+
+
+def _reconstruct_block_reference(pred64, levels_scan, matrix, q_step):
     """Reference: the per-block reconstruction formula, one matrix-vector
-    product per block."""
+    product per block with its scan-order analysis rows."""
     deq = np.asarray(levels_scan, dtype=np.float64) * q_step
-    if uses_saab:
-        xhat = kernel_matrix.T @ deq
-    else:
-        xhat = DCT_64.T @ deq[codec.INV_ZIGZAG]
-    return np.clip(np.rint(pred64 + xhat), 0, 255).astype(np.int32)
+    return np.clip(np.rint(pred64 + matrix.T @ deq), 0, 255).astype(np.int32)
 
 
 def test_batched_reconstruction_matches_per_block_formula():
@@ -239,10 +267,11 @@ def test_batched_reconstruction_matches_per_block_formula():
     # that cancels it, so each sum rounds at 2**-7 or coarser and a change
     # in summation order shows in the bytes.
     kernels[:, 0, :] = 0.125
-    cfg = SimpleNamespace(saab_matrices=kernels)
     n = 2000
     modes = rng.integers(0, 35, size=n)
     uses_saab = rng.random(n) < 0.5
+    # each block's analysis rows: DCT_SCAN for a DCT block, else its mode's kernel
+    matrices = np.concatenate([codec.DCT_SCAN[None], kernels])[np.where(uses_saab, modes + 1, 0)]
     for qp in (0, 22, 37, 51):
         q = qp_to_qstep(qp)
         # levels of residuals within about +-200, a quarter of them nonzero
@@ -252,16 +281,13 @@ def test_batched_reconstruction_matches_per_block_formula():
         levels[n // 2 :, 0] = 2**45
         preds[n // 2 :] -= np.int64(2**42 * q)
         want = np.stack(
-            [
-                _reconstruct_block_reference(preds[i], levels[i], uses_saab[i], kernels[modes[i]], q)
-                for i in range(n)
-            ]
+            [_reconstruct_block_reference(preds[i], levels[i], matrices[i], q) for i in range(n)]
         )
-        got = codec._reconstruct(preds, levels, uses_saab, modes, cfg, q)
+        got = codec._reconstruct(preds, levels, matrices, q)
         assert got.tobytes() == want.tobytes()
         for start in range(0, n, 250):
             batch = slice(start, start + codec.BATCH_BLOCKS)
-            got = codec._reconstruct(preds[batch], levels[batch], uses_saab[batch], modes[batch], cfg, q)
+            got = codec._reconstruct(preds[batch], levels[batch], matrices[batch], q)
             assert got.tobytes() == want[batch].tobytes()
 
 
