@@ -277,9 +277,6 @@ class StrategyConfig:
         """The candidates' (C, 64, 64) analysis rows in coded scan order:
         DCT_SCAN for a DCT pair, the mode's learned kernel for a kernel pair.
         Built per call, once per sequence, so an idle config holds none."""
-        if self.bank is None:
-            # One shared matrix keeps the products cache-resident and costs no memory.
-            return np.broadcast_to(DCT_SCAN, (N_MODES, VEC_LEN, VEC_LEN))
         pairs = zip(self.cand_saab, self.cand_mode)
         return np.stack([self.bank.kernel_for_mode(m).matrix if s else DCT_SCAN for s, m in pairs])
 
@@ -307,10 +304,10 @@ def _block_pixels(pos):
     return frame[:, None, None], rows, cols
 
 
-def _candidate_costs(res, preds, orig, q, lam, matrices, head_bits):
-    """Levels, bits and J of C candidates, (C, blocks) first, from their
-    (C, k, 64) residuals and predictions, (C, 64, 64) analysis rows in coded
-    scan order and (C,) mode and flag bits."""
+def _candidate_costs(preds, orig, q, lam, matrices, head_bits):
+    """Levels, bits and J of C candidates, (C, blocks) first, from their (C, k, 64) predictions,
+    the (k, 64) original, (C, 64, 64) scan-order analysis rows and (C,) mode and flag bits."""
+    res = (orig - preds).astype(np.float64)
     lv = quantize(res @ np.swapaxes(matrices, -1, -2), q)
     xhat = dequantize(lv, q) @ matrices
     bits = head_bits[:, None] + level_bit_cost(lv.reshape(-1, VEC_LEN)).reshape(lv.shape[:2])
@@ -330,10 +327,11 @@ def encode_block(original, recon, pos, qp, cfg, matrices):
     `original` and `recon` are (frames, h, w) stacks of source planes and
     uint8 reconstruction surfaces, the latter with every block the batch
     references already filled; `pos` holds (frame, bx, by) index arrays of
-    at most BATCH_BLOCKS blocks that do not reference each other, and
-    `matrices` is `cfg.matrices()`.  Stores each block's reconstruction in
-    `recon` and returns the batch's BLOCK_DTYPE rows, which the caller
-    serializes.
+    at most BATCH_BLOCKS blocks that do not reference each other.  Stores
+    each block's reconstruction in `recon` and returns the batch's
+    BLOCK_DTYPE rows, which the caller serializes.  `matrices` is
+    `cfg.matrices()`, which the caller builds once per sequence: per batch,
+    s3 ran 2.5x slower, and on `cfg` every idle config would hold it.
     """
     frame, bx, by = pos
     n = len(bx)
@@ -343,12 +341,15 @@ def encode_block(original, recon, pos, qp, cfg, matrices):
     pixels = _block_pixels(pos)
     orig = original[pixels].reshape(n, VEC_LEN).astype(np.int32)
 
-    # Candidate arrays are (candidates, blocks, 64): candidate-major rows.
+    # Candidate arrays are (candidates, blocks, 64), costed N_MODES at a time:
+    # one call over s3's 70 outgrows the C allocator's heap trim threshold and
+    # faults its pages in anew per batch (352x288 frame: 41,000 faults, 1.7x).
     preds = preds[:, cfg.cand_mode].transpose(1, 0, 2)
-    res = (orig - preds).astype(np.float64)
-    q = qp_to_qstep(qp)
+    q, lam = qp_to_qstep(qp), qp_to_lambda(qp)
     head_bits = MODE_BITS + cfg.flag[cfg.cand_mode].astype(np.int64)
-    lv, bits, j = _candidate_costs(res, preds, orig, q, qp_to_lambda(qp), matrices, head_bits)
+    chunks = [slice(c, c + N_MODES) for c in range(0, len(preds), N_MODES)]
+    costs = [_candidate_costs(preds[c], orig, q, lam, matrices[c], head_bits[c]) for c in chunks]
+    lv, bits, j = (np.concatenate(x) for x in zip(*costs))
 
     # argmin takes the first minimum, so the candidate order is the tie-break.
     best = np.argmin(j, axis=0)
