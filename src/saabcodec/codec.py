@@ -288,11 +288,12 @@ def _reconstruct(preds, levels, matrices, q_step):
     bit-identical): (k, 64) predictions, scan-order levels and each block's
     (64, 64) analysis rows in scan order; returns (k, 64) int32 samples.
 
-    Each block is one (64, 64) @ (64, 1) product of a stacked matmul, which
-    keeps the per-block summation; a single (k, 64) @ (64, 64) product does
-    not give the same bits.
+    The synthesis is normative (docs/FORMATS.md): each output sample is a
+    sequential sum over the 64 scan positions of the rounded products, which
+    is what this einsum computes; a BLAS product's order depends on the
+    kernel OpenBLAS picks.
     """
-    xhat = (matrices.transpose(0, 2, 1) @ dequantize(levels, q_step)[..., None])[..., 0]
+    xhat = np.einsum("kij,ki->kj", matrices, dequantize(levels, q_step))
     xhat += preds
     return np.clip(np.rint(xhat), 0, 255).astype(np.int32)
 

@@ -249,17 +249,23 @@ def test_bad_in_memory_bank_rejected(case, tiny_bank):
         codec.StrategyConfig("s3", replace(tiny_bank, kernels=kernels))
 
 
-def _reconstruct_block_reference(pred64, levels_scan, matrix, q_step):
-    """Reference: the per-block reconstruction formula, one matrix-vector
-    product per block with its scan-order analysis rows."""
+def _reconstruct_reference(preds, levels_scan, matrices, q_step):
+    """Reference: the normative reconstruction of each block, every sample a
+    sequential sum over the 64 scan positions of (analysis row entry) x
+    (dequantized level), each product rounded before it is added, then the
+    prediction added.  Elementwise over the blocks, so each block's sums are
+    its own."""
     deq = np.asarray(levels_scan, dtype=np.float64) * q_step
-    return np.clip(np.rint(pred64 + matrix.T @ deq), 0, 255).astype(np.int32)
+    acc = np.zeros(deq.shape)
+    for i in range(64):
+        acc = acc + matrices[:, i, :] * deq[:, i, None]
+    return np.clip(np.rint(acc + preds), 0, 255).astype(np.int32)
 
 
 def test_batched_reconstruction_matches_per_block_formula():
     """One stacked _reconstruct call over 2000 DCT and kernel blocks, and
-    calls of wavefront batch size, equal the per-block formula byte for
-    byte, with a different kernel per mode."""
+    calls of wavefront batch size, equal the normative sequential sum byte
+    for byte, with a different kernel per mode."""
     rng = np.random.default_rng(6)
     kernels = np.linalg.qr(rng.standard_normal((35, 64, 64)))[0]
     # Row 0 of each kernel is the constant 1/8, as the DCT's DC row is.  The
@@ -280,9 +286,7 @@ def test_batched_reconstruction_matches_per_block_formula():
         preds = rng.integers(0, 256, size=(n, 64))
         levels[n // 2 :, 0] = 2**45
         preds[n // 2 :] -= np.int64(2**42 * q)
-        want = np.stack(
-            [_reconstruct_block_reference(preds[i], levels[i], matrices[i], q) for i in range(n)]
-        )
+        want = _reconstruct_reference(preds, levels, matrices, q)
         got = codec._reconstruct(preds, levels, matrices, q)
         assert got.tobytes() == want.tobytes()
         for start in range(0, n, 250):
