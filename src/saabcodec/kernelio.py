@@ -68,6 +68,8 @@ class KernelBank:
         return self.kernels[APPLY_MAP[mode]]
 
     def to_bytes(self):
+        if len(self.kernels) != N_KERNELS:  # the count alone: tests write banks that fail validate()
+            raise InvalidInputError(f"expected {N_KERNELS} kernels, got {len(self.kernels)}")
         meta = dict(self.meta, **_STORED_TABLE)
         meta_bytes = json.dumps(meta, sort_keys=True).encode()
         out = BANK_MAGIC + _BANK_HEADER.pack(BANK_VERSION, len(self.kernels), len(meta_bytes))

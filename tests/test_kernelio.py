@@ -110,6 +110,18 @@ def test_corrupt_bank_rejected(bank):
         KernelBank.from_bytes(kernelio.BANK_MAGIC + kernelio._BANK_HEADER.pack(1, 0, 1) + b"1")
 
 
+@pytest.mark.parametrize("count", [23, 25])
+def test_writer_rejects_a_kernel_count_other_than_24(tmp_path, tiny_bank, count):
+    # a reader accepts no count but 24, so the writer writes no other
+    bad = replace(tiny_bank, kernels=(tiny_bank.kernels * 2)[:count])
+    with pytest.raises(InvalidInputError, match="expected 24 kernels"):
+        bad.digest()
+    path = tmp_path / "bank.skb"
+    with pytest.raises(InvalidInputError, match="expected 24 kernels"):
+        bad.save(str(path))
+    assert not path.exists()
+
+
 # case -> (offset from record 0's magic, bytes written there)
 RECORD_HEAD_EDITS = {
     "kind-0-dct": (4, b"\x00"),
