@@ -25,11 +25,10 @@ _SIGN_EPS = 1e-12
 
 
 def covariance(samples):
-    """Second-moment matrix C = (1/T) * sum(z z^T) over the sample vectors.
-
-    No mean subtraction is performed; callers that want a true covariance
-    subtract the mean first.  Divisor is T (population convention).
-    """
+    """Second-moment matrix C = (1/T) * sum(z z^T) over the sample vectors,
+    without mean subtraction.  For integer-valued samples with T * max|z|^2
+    < 2**53 every partial sum of z^T z is an exact integer, so C does not
+    depend on the summation order, and so not on the BLAS kernel."""
     z = np.asarray(samples, dtype=np.float64)
     if z.ndim != 2:
         raise InvalidInputError(f"expected a 2-D sample array, got shape {z.shape}")

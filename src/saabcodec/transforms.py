@@ -87,15 +87,14 @@ def _as_sample_matrix(samples):
 
 def _stage_statistics(d):
     """The per-set half of the one-stage Saab construction for K-dim vectors
-    (T, K): the second-moment matrix of the DC-removed samples inside the
-    DC-orthogonal complement, (K-1, K-1), and the shared AC bias max ||d||_2."""
-    t, k = d.shape
-    a0 = np.full(k, 1.0 / np.sqrt(k))
-    dc = d @ a0
-    z = d - np.outer(dc, a0)
+    (T, K): the samples' second moment projected into the DC-orthogonal
+    complement, (K-1, K-1), and the shared AC bias max ||d||_2.  The moment
+    of integer samples is exact and the einsums sum in a fixed order, so the
+    matrix does not depend on the BLAS kernel."""
     bias_value = float(np.sqrt(np.max(np.sum(d * d, axis=1))))
-    basis = dc_complement_basis(k)
-    return basis @ covariance(z) @ basis.T, bias_value
+    basis = dc_complement_basis(d.shape[1])
+    moment = np.einsum("ai,ij->aj", basis, covariance(d))
+    return np.einsum("aj,bj->ab", moment, basis), bias_value
 
 
 def _learn_stages(sample_sets):
@@ -103,11 +102,10 @@ def _learn_stages(sample_sets):
     of one K -> list of (matrix, bias).
 
     DC kernel fixed at (1/sqrt(K))*1.  AC kernels are eigenvectors of the
-    second-moment matrix of the DC-removed samples, computed inside the
-    DC-orthogonal complement so they stay exactly orthogonal to DC even when
-    the covariance is rank-deficient.  The shared AC bias is max ||d||_2.
-    Each set is reduced to its matrix as it is drawn, so only the small
-    matrices outlive their sets, and one stacked eigensolve serves them all.
+    samples' second moment inside the DC-orthogonal complement, so they stay
+    exactly orthogonal to DC even when it is rank-deficient.  Each set is
+    reduced to its matrix as it is drawn, so only the small matrices outlive
+    their sets, and one stacked eigensolve serves them all.
     """
     stats = [_stage_statistics(d) for d in sample_sets]
     biases = [b for _, b in stats]
@@ -119,7 +117,7 @@ def _learn_stages(sample_sets):
     a0 = np.full(k, 1.0 / np.sqrt(k))
     out = []
     for vectors, bias_value in zip(eig.eigenvectors, biases):
-        ac_rows = apply_sign_convention(vectors @ basis)
+        ac_rows = apply_sign_convention(np.einsum("ai,ij->aj", vectors, basis))
         bias = np.full(k, bias_value)
         bias[0] = 0.0
         out.append((np.vstack([a0, ac_rows]), bias))
@@ -152,10 +150,11 @@ def learn_saab1(samples, *, stacked=False):
 
 
 def learn_klt(samples):
-    """Eigenbasis of the mean-subtracted sample covariance, zero bias."""
+    """Eigenbasis of the sample covariance, zero bias: the second moment less
+    s s^T / T^2 for column sums s, exact but for two divisions on integers."""
     d = _training_samples(samples, "KLT")
-    centered = d - d.mean(axis=0)
-    eig = eig_symmetric(covariance(centered))
+    s, t = d.sum(axis=0), d.shape[0]
+    eig = eig_symmetric(covariance(d) - np.outer(s, s) / (t * t))
     return SaabKernel(matrix=eig.eigenvectors.copy(), bias=np.zeros(VEC_LEN))
 
 

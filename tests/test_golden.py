@@ -18,12 +18,12 @@ from saabcodec.analysis import ClipSpec, ExperimentManifest, run_experiment
 STREAMS = {
     ("dct_only", 22): "cf69e2d1a5df785f05b849dbc5cf84243c414ae42a33d0b864ebc257b59e06c0",
     ("dct_only", 37): "8ff41ffedfc1d00917c466a160abfc6d344e9267f0d6fdd48c977f9d8bb576b7",
-    ("s1", 22): "cdbbca93c79549f7f40b17f8ed6c5bdfab14fef943a5ee968958618dc6dd2826",
-    ("s1", 37): "d50822fb1fd4dd2bfb54e653687df9ea05dff269085b105c7e0577282e8a77cf",
-    ("s2", 22): "3f1c28a0150a4ca770964ded9968d6d4ee0c272bdb8873999208e83e3e8369e0",
-    ("s2", 37): "316cbc84ff890d41e6ecc1974eb99ab470f29fb855c7eeb8410791344947e74c",
-    ("s3", 22): "c62a088b797f1ed56f3cb71e80d09300022e01a16f534d6a8edf2a44bc6749e5",
-    ("s3", 37): "f85230f89e8f697bd242015272e34c909b70615c826a82747b9ca0ecc844b238",
+    ("s1", 22): "6ebdb3270ad24808aa7188a6480c07dac051f213a6816beb7132473c9936b877",
+    ("s1", 37): "8af9f6ca3242b5cc2066689df8807344463d5ddc44db1a620b7f8c5daffc2978",
+    ("s2", 22): "df0bfe7adffc458445558395eec325b8fe10722687840752bb4c665d1a222a6e",
+    ("s2", 37): "91c9d9f51713dfb8ad02be7cea07d1bc751b0ed2cf74bb487548660732cf7326",
+    ("s3", 22): "125d7d22188f28e4cfa211be64fb82ecd0b3248a79f77ec4b09237313aee799f",
+    ("s3", 37): "8b5d606294a954bb91820a071f19c0c1893c9dbe7afa1124119b65fcbed63468",
 }
 # decode_sequence output of each stream above, planes concatenated as uint8.
 DECODED_PLANES = {
@@ -36,7 +36,7 @@ DECODED_PLANES = {
     ("s3", 22): "f1cf93582e5adf03a255bc0ca1881d13154f2c0525a13ba430acf11bd41df975",
     ("s3", 37): "547f310a6dccc42fb1b47e68a96f90ff913ded5687e5e16fe2c05020394bb330",
 }
-BANK_DIGEST = "7fe1dc5ac5d54196ca550cc47245c08d"
+BANK_DIGEST = "c4b6ec08cf99abedc8fb6f030548df74"
 CORPUS = "00decbe824b83f65ac5a0589eaaf6772af1e89c4a35c81bc51a4543a4f4ccc81"
 REFERENCES = "a9bbaa64d41b07770f50bd72e9e874f0c3f9373c1298f46925b87327b51fccf2"
 # predict_block over every mode of a set equals that set's predict_all_modes
@@ -48,7 +48,7 @@ EXPERIMENT_OUTPUTS = {
     "rd_points.csv": "a12509014ca99e15448a70f11b41a2371a904254601e227adaf7c3162524ce29",
     "bd_summary.csv": "e3b8c08858afe68dd844ceb0171d01c44d8499d40ee0402b3bec5bb94c5e3e71",
     "usage.csv": "4f2f843f3ec17028fe5caf682d2c2891399df78b453a517978a0423c89bb9897",
-    "report.json": "a2b7a9daa221e56c1bcdb9e86386d19a23e1a43d7e399422299bb8a4ed87e829",
+    "report.json": "b265e30269078a8a7a20a2fc634d72057d34d3f60437856cce0b014cb774ec4b",
 }
 # CLI outputs over the tiny fixtures: `analyze-transforms` (mode 0) and
 # `rd-model` (QP 37) on tiny_records and tiny_bank, and `encode` (s3, QP 32)
@@ -56,7 +56,7 @@ EXPERIMENT_OUTPUTS = {
 CLI_OUTPUTS = {
     "compaction.csv": "da83b2388fe6e8223a8d13748296926c6b075b76f9fc59229c570e308eb245a2",
     "decorrelation.csv": "04b27d519314e1754c24ab422d4d8f5034904c68e6b7fb45304a56571f8a6d35",
-    "transforms.json": "9a3cd67ccdff2f3d3632d01e41884c9e778bab8f707e1bf47763d905602c6b29",
+    "transforms.json": "1d6b830145fc523753b1a3c86b55689ca0b57fbbb917f6822b87e1dece9bcd1b",
     "kappa.csv": "77b13572e08b52bdf6f29f3597f9b8740775b812558d4687bbb4295cf548552e",
     "sigma.csv": "fea5d7793cb677ed44163e31de10a3917ccd78a36a914c4efc8215e8ecf665d9",
     "encode.json": "dbb485a74aea4b7c915bcd8df17363996cc65e0b6d243709fcfeb27194096a4b",
