@@ -46,16 +46,24 @@ def bank(residual_records):
     return pipeline.train_kernel_bank(residual_records, samples_per_kernel=6000, seed=0)
 
 
-@pytest.fixture(scope="session")
-def tiny_records():
+def make_tiny_records():
     """Small residual corpus: a 160x128x10 clip coded at QPs 27 and 37."""
     planes = video.synthesize_luma_clip(160, 128, 10, seed=21)
     return pipeline.extract_residuals([planes], qps=(27, 37))
 
 
+def make_tiny_bank(records):
+    return pipeline.train_kernel_bank(records, samples_per_kernel=300, seed=1)
+
+
+@pytest.fixture(scope="session")
+def tiny_records():
+    return make_tiny_records()
+
+
 @pytest.fixture(scope="session")
 def tiny_bank(tiny_records):
-    return pipeline.train_kernel_bank(tiny_records, samples_per_kernel=300, seed=1)
+    return make_tiny_bank(tiny_records)
 
 
 @pytest.fixture(scope="session")
