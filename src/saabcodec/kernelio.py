@@ -68,7 +68,7 @@ class KernelBank:
         return self.kernels[APPLY_MAP[mode]]
 
     def to_bytes(self):
-        if len(self.kernels) != N_KERNELS:  # the count alone: tests write banks that fail validate()
+        if len(self.kernels) != N_KERNELS:  # the count only: a bank failing validate() may still be written
             raise InvalidInputError(f"expected {N_KERNELS} kernels, got {len(self.kernels)}")
         meta = dict(self.meta, **_STORED_TABLE)
         meta_bytes = json.dumps(meta, sort_keys=True).encode()

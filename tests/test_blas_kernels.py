@@ -53,6 +53,9 @@ def _skip_reason():
     return None
 
 
+_SKIP_REASON = _skip_reason()
+
+
 def _has_avx2():
     try:
         with open("/proc/cpuinfo") as f:
@@ -61,7 +64,7 @@ def _has_avx2():
         return False
 
 
-@pytest.mark.skipif(_skip_reason() is not None, reason=str(_skip_reason()))
+@pytest.mark.skipif(_SKIP_REASON is not None, reason=str(_SKIP_REASON))
 @pytest.mark.parametrize("core", ["Prescott", "Haswell"])
 def test_same_results_under_each_blas_kernel(core, tmp_path, tiny_records, tiny_bank, tiny_clip):
     if core == "Haswell" and not _has_avx2():
