@@ -2,12 +2,11 @@
 
 Everything here is plain float64 numpy with a fixed operation order, so the
 same input bytes always produce the same output bytes.  The eigensolver is
-one stacked cyclic Jacobi rather than LAPACK: slower, but reproducible
-across platforms and easy to reason about for 64x64 symmetric matrices.  It
-solves a whole stack of matrices at once, applying each (p, q) rotation to
-every matrix as one elementwise step; each matrix's rotations and their
-order are fixed by that matrix alone, so its result does not depend on
-what else is in the stack.
+a round-robin Jacobi (Brent and Luk, 1985) rather than LAPACK: slower, but
+reproducible across platforms and easy to reason about for 64x64 symmetric
+matrices.  Each round's disjoint rotations are one elementwise step over a
+whole stack of matrices, and a matrix's result does not depend on what
+else is in the stack.
 """
 
 from dataclasses import dataclass
@@ -22,6 +21,10 @@ VEC_LEN = BLOCK_SIZE * BLOCK_SIZE
 # Eigenvector entries smaller than this are treated as zero when picking the
 # leading entry for the sign convention.
 _SIGN_EPS = 1e-12
+
+# A Jacobi solve stops once the off-diagonal norm is below _TOL_FACTOR
+# times the Frobenius norm, or after _MAX_SWEEPS sweeps.
+_TOL_FACTOR, _MAX_SWEEPS = 1e-12, 100
 
 
 def covariance(samples):
@@ -50,63 +53,61 @@ class EigenResult:
     eigenvectors: np.ndarray
 
 
-def _rotate(line_p, line_q, idx, c, s):
-    """line_p, line_q = c*line_p - s*line_q, s*line_p + c*line_q in the
-    matrices `idx` (the last axis) of two (l, m) lines."""
-    x_p, x_q = line_p[:, idx], line_q[:, idx]
-    new_p = c * x_p - s * x_q  # computed first: with a slice, x_p is a view of line_p
-    line_q[:, idx] = s * x_p + c * x_q
-    line_p[:, idx] = new_p
+def _round_robin(e):
+    """Brent and Luk's schedule for an even e: (e - 1, e/2) index arrays
+    p < q whose row r is round r, e/2 disjoint pairs, such that the e - 1
+    rounds hold every pair once.  Seat i meets seat e-1-i; index 0 keeps
+    seat 0 while the others move one seat per round."""
+    r = np.arange(e - 1)
+    seats = np.insert(1 + (r - r[:, None]) % (e - 1), 0, 0, axis=1)
+    pairs = np.sort([seats[:, : e // 2], seats[:, : e // 2 - 1 : -1]], axis=0)
+    return pairs[0], pairs[1]
 
 
-def _jacobi_sweeps(w, tol_factor=1e-12, max_sweeps=100):
-    """Cyclic Jacobi diagonalization of m symmetric n x n matrices at once.
+def _jacobi_sweeps(a):
+    """Round-robin Jacobi diagonalization of the m symmetric n x n matrices
+    of `a`, (n, n, m), matrix index last.
 
-    `w` is the (2n, n, m) working stack, matrix index last: w[:n, :, i]
-    holds matrix i and w[n:, :, i] the identity.  It is rotated in place,
-    so that w[n:, :, i] ends up holding matrix i's column eigenvectors.
-    Each cyclic (p, q) rotation is one elementwise step over every matrix
-    that takes it, and each matrix sees exactly the operations, in the same
-    order, that it would alone.  A matrix skips a rotation where its
-    a[p, q] == 0 and stops rotating once its off-diagonal norm is below
-    `tol_factor` times its Frobenius norm; a skipped or stopped matrix is not
-    written.  Returns (diagonals (m, n), column eigenvectors (m, n, n)).
+    The matrices are padded to e = n + n % 2 with a zero last row and
+    column when n is odd, and rotated together with eigenvector rows that
+    start as the identity.  A sweep is the e - 1 rounds of
+    `_round_robin(e)`; a round rotates, for all e/2 pairs at once, columns
+    p and q of the matrices, rows p and q of the eigenvectors, then rows p
+    and q of the matrices.  A matrix's entries are written back unchanged
+    where its a[p, q] == 0 and once it stops (see _TOL_FACTOR, checked
+    before each sweep), so its result does not depend on the rest of the
+    stack.  Returns (diagonals (m, n), eigenvector rows (m, n, n)).
     """
-    n, m = w.shape[1], w.shape[2]
-    a = w[:n]
+    n, e = len(a), len(a) + len(a) % 2
+    a = np.pad(a, ((0, e - n), (0, e - n), (0, 0)))
+    vt = np.broadcast_to(np.eye(e)[..., None], a.shape).copy()
     # fro and off are reduced one contiguous matrix at a time, as for one matrix
     fro = np.array([np.sqrt(np.sum(x * x)) for x in np.moveaxis(a, -1, 0)])
-    threshold = tol_factor * fro
     live = fro != 0.0
-    with np.errstate(over="ignore"):
-        for _ in range(max_sweeps):
+    ps, qs = _round_robin(e)
+    # lanes with a[p, q] == 0 divide by zero; np.where discards them
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_SWEEPS):
             for i in np.flatnonzero(live):
                 off = np.sqrt(2.0 * np.sum(np.triu(a[..., i].copy(), 1) ** 2))
-                live[i] = not off < threshold[i]
+                live[i] = not off < _TOL_FACTOR * fro[i]
             if not live.any():
                 break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    rot = a[p, q] != 0.0
-                    rot &= live
-                    k = np.count_nonzero(rot)
-                    if k == 0:
-                        continue
-                    idx = slice(None) if k == m else np.flatnonzero(rot)
-                    theta = (a[q, q, idx] - a[p, p, idx]) / (2.0 * a[p, q, idx])
-                    # t = sign(theta) / (|theta| + sqrt(theta^2 + 1)), and 1 where theta == 0
-                    t = (np.sign(theta) + (theta == 0.0)) / (
-                        np.abs(theta) + np.sqrt(theta * theta + 1.0)
-                    )
-                    c = 1.0 / np.sqrt(t * t + 1.0)
-                    s = t * c
-                    # columns p and q of the matrices and their eigenvectors,
-                    # then rows p and q of the matrices
-                    _rotate(w[:, p], w[:, q], idx, c, s)
-                    _rotate(w[p], w[q], idx, c, s)
-    values = np.diagonal(a).copy()  # (m, n)
-    values[fro == 0.0] = 0.0  # an all-zero matrix may hold -0.0
-    return values, np.moveaxis(w[n:], -1, 0)
+            for p, q in zip(ps, qs):
+                rot = (a[p, q] != 0.0) & live  # (e/2, m)
+                theta = (a[q, q] - a[p, p]) / (2.0 * a[p, q])
+                # t = sign(theta) / (|theta| + sqrt(theta^2 + 1)), and 1 where theta == 0
+                t = np.sign(theta) + (theta == 0.0)
+                t /= np.abs(theta) + np.sqrt(theta * theta + 1.0)
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                rot, c, s = rot[:, None], c[:, None], (t * c)[:, None]
+                for x in (a.swapaxes(0, 1), vt, a):  # matrix columns, eigenvectors, rows
+                    x_p, x_q = x[p], x[q]
+                    x[p] = np.where(rot, c * x_p - s * x_q, x_p)
+                    x[q] = np.where(rot, s * x_p + c * x_q, x_q)
+    # an all-zero matrix may hold -0.0
+    values = np.where(fro[:, None] == 0.0, 0.0, np.diagonal(a)[:, :n])
+    return values, np.moveaxis(vt[:n, :n], -1, 0)
 
 
 def apply_sign_convention(rows):
@@ -119,11 +120,11 @@ def apply_sign_convention(rows):
     return rows
 
 
-def _order_and_sign(values, vectors_cols):
+def _order_and_sign(values, rows):
     """Sort each matrix's eigenpairs descending (stable on ties) and fix
-    vector signs; (m, n) values and (m, n, n) column vectors."""
+    vector signs; (m, n) values and (m, n, n) vector rows."""
     order = np.argsort(-values, axis=-1, kind="stable")
-    rows = np.take_along_axis(vectors_cols.swapaxes(-1, -2), order[..., None], axis=-2)
+    rows = np.take_along_axis(rows, order[..., None], axis=-2)
     return np.take_along_axis(values, order, axis=-1), apply_sign_convention(rows)
 
 
@@ -143,12 +144,9 @@ def eig_symmetric(m):
         raise InvalidInputError("non-finite matrix entries")
     lead, n = a.shape[:-2], a.shape[-1]
     a = np.moveaxis(a.reshape(-1, n, n), 0, -1)
-    w = np.empty((2 * n, n, a.shape[-1]))  # the working stack, see _jacobi_sweeps
-    np.add(a, a.swapaxes(0, 1), out=w[:n])
-    w[:n] *= 0.5
-    w[n:] = np.eye(n)[..., None]
-    values, vectors = _jacobi_sweeps(w)
-    values, rows = _order_and_sign(values, vectors)
+    values, rows = _order_and_sign(*_jacobi_sweeps((a + a.swapaxes(0, 1)) * 0.5))
+    if not (np.isfinite(values).all() and np.isfinite(rows).all()):
+        raise InvalidInputError("non-finite eigenpairs: the entries overflow")
     return EigenResult(
         eigenvalues=values.reshape(lead + (n,)), eigenvectors=rows.reshape(lead + (n, n))
     )

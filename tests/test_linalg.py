@@ -1,5 +1,4 @@
 import hashlib
-from functools import partial
 
 import numpy as np
 import pytest
@@ -136,51 +135,94 @@ def test_eig_rejects_nonsquare():
         linalg.eig_symmetric(np.zeros((3, 4)))
 
 
-def _mixed_stack():
-    """15x15 matrices that stop after different numbers of sweeps: none for
-    the zero and diagonal ones, one for a single off-diagonal pair, a few
-    for a nearly diagonal one, more for dense and block-diagonal ones."""
-    pair = np.diag(np.arange(15.0))
+def _mixed_stack(n=15):
+    """n x n matrices that stop after different numbers of sweeps: none for
+    the zero and two diagonal ones, one for a single off-diagonal pair, a
+    few for a nearly diagonal one, more for dense and block-diagonal ones.
+    One diagonal entry is -0.0, which must come back as -0.0 however long
+    the rest of the stack keeps rotating."""
+    pair = np.diag(np.arange(float(n)))
     pair[3, 9] = pair[9, 3] = 0.5
-    blocks = np.zeros((15, 15))
+    blocks = np.zeros((n, n))
     blocks[:6, :6] = _dense_symmetric(6, 5)
-    blocks[6:, 6:] = _dense_symmetric(9, 5)
+    blocks[6:, 6:] = _dense_symmetric(n - 6, 5)
+    signed_zero = np.diag(np.arange(n) - 5.0)
+    signed_zero[5, 5] = -0.0
     return np.array([
-        _dense_symmetric(15, 5),
-        np.zeros((15, 15)),
-        np.diag(np.arange(15.0) % 4),
+        _dense_symmetric(n, 5),
+        np.zeros((n, n)),
+        np.diag(np.arange(float(n)) % 4),
         pair,
-        np.diag(np.arange(1.0, 16.0)) + 1e-2 * _dense_symmetric(15, 6),
+        np.diag(np.arange(1.0, n + 1.0)) + 1e-2 * _dense_symmetric(n, 6),
         blocks,
+        signed_zero,
     ])
 
 
 def _sweeps_taken(m, monkeypatch):
     """Fewest sweeps after which the solver's output is already final."""
-    final = linalg.eig_symmetric(m).eigenvectors.tobytes()
-    solve = linalg._jacobi_sweeps
+    final = _digests(linalg.eig_symmetric(m))
     with monkeypatch.context() as patch:
         for sweeps in range(100):
-            patch.setattr(linalg, "_jacobi_sweeps", partial(solve, max_sweeps=sweeps))
-            if linalg.eig_symmetric(m).eigenvectors.tobytes() == final:
+            patch.setattr(linalg, "_MAX_SWEEPS", sweeps)
+            if _digests(linalg.eig_symmetric(m)) == final:
                 return sweeps
     raise AssertionError("no sweep count reproduces the output")
 
 
-def test_stacked_call_matches_one_matrix_calls(monkeypatch):
-    stack = _mixed_stack()
-    assert [_sweeps_taken(m, monkeypatch) for m in stack] == [6, 0, 0, 1, 3, 5]
+@pytest.mark.parametrize("e", [2, 4, 16, 64])
+def test_round_robin_schedule_covers_every_pair_once(e):
+    p, q = linalg._round_robin(e)
+    assert p.shape == q.shape == (e - 1, e // 2)
+    assert np.all(p < q)
+    for round_p, round_q in zip(p, q):  # each round's pairs are disjoint
+        assert sorted(np.concatenate([round_p, round_q])) == list(range(e))
+    pairs = sorted(zip(p.ravel().tolist(), q.ravel().tolist()))
+    assert pairs == [(i, j) for i in range(e) for j in range(i + 1, e)]
+
+
+@pytest.mark.parametrize(
+    "n, sweeps", [(15, [6, 0, 0, 1, 3, 5, 0]), (16, [6, 0, 0, 1, 3, 6, 0])], ids=["15", "16"]
+)
+def test_stacked_call_matches_one_matrix_calls(n, sweeps, monkeypatch):
+    stack = _mixed_stack(n)
+    assert [_sweeps_taken(m, monkeypatch) for m in stack] == sweeps
     got = linalg.eig_symmetric(stack)
-    assert got.eigenvalues.shape == (6, 15) and got.eigenvectors.shape == (6, 15, 15)
+    assert got.eigenvalues.shape == (7, n) and got.eigenvectors.shape == (7, n, n)
     for m, values, vectors in zip(stack, got.eigenvalues, got.eigenvectors):
         one = linalg.eig_symmetric(m)
         assert values.tobytes() == one.eigenvalues.tobytes()
         assert vectors.tobytes() == one.eigenvectors.tobytes()
+    zero = got.eigenvalues[6][got.eigenvalues[6] == 0.0]
+    assert np.signbit(zero).tolist() == [True]  # the -0.0 kept its sign
     # any leading shape is one stack
-    grid = linalg.eig_symmetric(stack.reshape(2, 3, 15, 15))
-    assert grid.eigenvalues.tobytes() == got.eigenvalues.tobytes()
-    assert grid.eigenvectors.tobytes() == got.eigenvectors.tobytes()
-    assert grid.eigenvectors.shape == (2, 3, 15, 15)
+    grid = linalg.eig_symmetric(stack[1:].reshape(2, 3, n, n))
+    assert grid.eigenvalues.tobytes() == got.eigenvalues[1:].tobytes()
+    assert grid.eigenvectors.tobytes() == got.eigenvectors[1:].tobytes()
+    assert grid.eigenvectors.shape == (2, 3, n, n)
+
+
+@pytest.mark.parametrize("value", [-2.5, 0.0, 3.0])
+def test_one_by_one_and_diagonal_two_by_two_are_exact(value):
+    one = linalg.eig_symmetric(np.array([[value]]))
+    assert one.eigenvalues.tolist() == [value] and one.eigenvectors.tolist() == [[1.0]]
+    two = linalg.eig_symmetric(np.diag([value, 4.0]))
+    assert two.eigenvalues.tolist() == [4.0, value]
+    assert two.eigenvectors.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize("a, b, d", [(2.0, 1.0, 2.0), (3.0, 1.0, -2.0), (1e-3, -5.0, 7.0)])
+def test_two_by_two_is_one_rotation_to_its_closed_form(a, b, d, monkeypatch):
+    m = np.array([[a, b], [b, d]])
+    assert _sweeps_taken(m, monkeypatch) == 1
+    got = linalg.eig_symmetric(m)
+    root = np.hypot((a - d) / 2, b)
+    want = np.array([(a + d) / 2 + root, (a + d) / 2 - root])
+    tol = 1e-15 * abs(want).max()
+    np.testing.assert_allclose(got.eigenvalues, want, rtol=0, atol=tol)
+    v = got.eigenvectors
+    np.testing.assert_allclose(v @ v.T, np.eye(2), rtol=0, atol=4e-16)
+    np.testing.assert_allclose(v @ m @ v.T, np.diag(got.eigenvalues), rtol=0, atol=tol)
 
 
 @pytest.mark.parametrize("shape", [(), (4,), (0, 0), (2, 3, 4), (3, 1, 2), (3, 0, 0)])
@@ -197,6 +239,17 @@ def test_eig_rejects_non_finite_entries(bad):
         linalg.eig_symmetric(stack)
     with pytest.raises(InvalidInputError):
         linalg.eig_symmetric(stack[4])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_eig_rejects_non_finite_eigenpairs():
+    # finite entries whose symmetrization (m + m^T) / 2 overflows to inf
+    big = np.full((3, 3), 1e308)
+    with pytest.raises(InvalidInputError, match="non-finite eigenpairs"):
+        linalg.eig_symmetric(big)
+    stack = np.array([big, np.diag([1.0, 2.0, 3.0])])
+    with pytest.raises(InvalidInputError, match="non-finite eigenpairs"):
+        linalg.eig_symmetric(stack)
 
 
 def test_dc_complement_basis():
