@@ -18,12 +18,12 @@ from saabcodec.analysis import ClipSpec, ExperimentManifest, run_experiment
 STREAMS = {
     ("dct_only", 22): "cf69e2d1a5df785f05b849dbc5cf84243c414ae42a33d0b864ebc257b59e06c0",
     ("dct_only", 37): "8ff41ffedfc1d00917c466a160abfc6d344e9267f0d6fdd48c977f9d8bb576b7",
-    ("s1", 22): "6ebdb3270ad24808aa7188a6480c07dac051f213a6816beb7132473c9936b877",
-    ("s1", 37): "8af9f6ca3242b5cc2066689df8807344463d5ddc44db1a620b7f8c5daffc2978",
-    ("s2", 22): "df0bfe7adffc458445558395eec325b8fe10722687840752bb4c665d1a222a6e",
-    ("s2", 37): "91c9d9f51713dfb8ad02be7cea07d1bc751b0ed2cf74bb487548660732cf7326",
-    ("s3", 22): "125d7d22188f28e4cfa211be64fb82ecd0b3248a79f77ec4b09237313aee799f",
-    ("s3", 37): "8b5d606294a954bb91820a071f19c0c1893c9dbe7afa1124119b65fcbed63468",
+    ("s1", 22): "2e1b3e17d2b8e227dcd1be758e314fcf76a461f29091ac484af86ab06ef3e01b",
+    ("s1", 37): "245108aff329cf2dcb24897f264ff05427556942b4654947211b53ae363d0239",
+    ("s2", 22): "11bd26c20a0936395147e93a3f8c9cbb21f61ace8ae6fb8bdcd667894149f5cd",
+    ("s2", 37): "6b990331c4d8d6ef9fb5a28e3716a8a44c4d5cc1a8861a50b7c4171c78905c34",
+    ("s3", 22): "d4e1b7ad07185ba23daffa854162b9fb52a905ccca31b74f3d4fb77811bc63ee",
+    ("s3", 37): "adaa28da4f1321485b136a2d3b5ecfb4a229518e928d90c4374a499fbd5dbd7e",
 }
 # decode_sequence output of each stream above, planes concatenated as uint8.
 DECODED_PLANES = {
@@ -36,7 +36,7 @@ DECODED_PLANES = {
     ("s3", 22): "f1cf93582e5adf03a255bc0ca1881d13154f2c0525a13ba430acf11bd41df975",
     ("s3", 37): "547f310a6dccc42fb1b47e68a96f90ff913ded5687e5e16fe2c05020394bb330",
 }
-BANK_DIGEST = "c4b6ec08cf99abedc8fb6f030548df74"
+BANK_DIGEST = "4d92a2a91c9d76f4f23f9e6fc3bfb2f4"
 CORPUS = "00decbe824b83f65ac5a0589eaaf6772af1e89c4a35c81bc51a4543a4f4ccc81"
 REFERENCES = "a9bbaa64d41b07770f50bd72e9e874f0c3f9373c1298f46925b87327b51fccf2"
 # predict_block over every mode of a set equals that set's predict_all_modes
@@ -48,7 +48,7 @@ EXPERIMENT_OUTPUTS = {
     "rd_points.csv": "a12509014ca99e15448a70f11b41a2371a904254601e227adaf7c3162524ce29",
     "bd_summary.csv": "e3b8c08858afe68dd844ceb0171d01c44d8499d40ee0402b3bec5bb94c5e3e71",
     "usage.csv": "4f2f843f3ec17028fe5caf682d2c2891399df78b453a517978a0423c89bb9897",
-    "report.json": "b265e30269078a8a7a20a2fc634d72057d34d3f60437856cce0b014cb774ec4b",
+    "report.json": "16f93fd4265337ceaaa356d2d777353158786bd32b1b5f1490af9e3e803bf2de",
 }
 # CLI outputs over the tiny fixtures: `analyze-transforms` (mode 0) and
 # `rd-model` (QP 37) on tiny_records and tiny_bank, and `encode` (s3, QP 32)
@@ -56,7 +56,7 @@ EXPERIMENT_OUTPUTS = {
 CLI_OUTPUTS = {
     "compaction.csv": "da83b2388fe6e8223a8d13748296926c6b075b76f9fc59229c570e308eb245a2",
     "decorrelation.csv": "04b27d519314e1754c24ab422d4d8f5034904c68e6b7fb45304a56571f8a6d35",
-    "transforms.json": "1d6b830145fc523753b1a3c86b55689ca0b57fbbb917f6822b87e1dece9bcd1b",
+    "transforms.json": "dbe19538a0e974978b48a3fb19d43a25989ddc1283190ce10b1bf299080a8b26",
     "kappa.csv": "77b13572e08b52bdf6f29f3597f9b8740775b812558d4687bbb4295cf548552e",
     "sigma.csv": "fea5d7793cb677ed44163e31de10a3917ccd78a36a914c4efc8215e8ecf665d9",
     "encode.json": "dbb485a74aea4b7c915bcd8df17363996cc65e0b6d243709fcfeb27194096a4b",

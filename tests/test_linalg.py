@@ -92,16 +92,16 @@ def _golden_matrices():
 # to the solver's operations or their order shows here, and in every bank.
 EIG_DIGESTS = {
     "dense-63": (
-        "c5bb08cf6251caa4a60b350eee43d270b71e2278b0ea90ac09217d400970f524",
-        "04e1d908924d93a89cf77124b4f50e997535aff43f42921e1be90b2d68e5b012",
+        "c8978f76732ecb5b6e71eb490445a40c05509bc3ce8b545ffa2f92ede8489479",
+        "be41631c66328e19a4e258584a24f1b4b2470cea4d360faa629e03b22dd82398",
     ),
     "dense-15": (
-        "91064c0661a93ecf9f4e4338f0e786fb3e95dc48facb0595267b7ae62fcebb80",
-        "a910586028a91137f75d05aea1615912647e1d22494fd19c029153b0975b2ae8",
+        "a8f4131a0f29567e4b08c558cd2b6a7ef786e957c18f9fda379f339fd8556565",
+        "073b57cacbdcba1f32fe1b80a003971773e34889a33ed48edc994810d26909d3",
     ),
     "dense-3": (
-        "1c195b47cdf52145d1820985e6da480c0d2efa2b22da99b67e347e3bf783a7a7",
-        "2ca78c2667f5c3e17bb80b4f729a5b4ddae3ef07c9a70e76573cb5124d1ac435",
+        "06b61f047856fe16e27ef92cbc8bbdb5a7837284e2a0d665654eca53a90eaf98",
+        "2adfcd9dab6a86c6d8dcfd31007312d6e6db6c6047127651ce57a56f2909ee27",
     ),
     "zero": (
         "f5a5fd42d16a20302798ef6ed309979b43003d2320d9f0e8ea9831a92759fb4b",
@@ -112,8 +112,8 @@ EIG_DIGESTS = {
         "b439ad84807818415c773810fc86cadd1c9408a8e3b682cd6ab2f617182dad17",
     ),
     "block-diagonal": (
-        "4d613f8ab6b3b6729f66d65f85632fba4675ccf3c7a7fd9ecb67827ec520cd20",
-        "f99ae34ff9c84b7507833a4bb59325038b1b4fa302b6e7e63af510bf4cb0f785",
+        "1a5d871563e2fa388f8bacea3cd7f5f3bd0667723094c0f5314d2e60d98a7bbc",
+        "445bbae25a9c10e64e0f510448cfd51d7c4c0fbd4690b69ecb4fee6e677fa088",
     ),
 }
 
