@@ -7,7 +7,6 @@ from .kernelio import KernelBank
 from .pipeline import extract_residuals, train_kernel_bank
 from .transforms import (
     SaabKernel,
-    TwoStageSaabKernel,
     dct_forward,
     dct_inverse,
     learn_klt,
@@ -23,7 +22,6 @@ __all__ = [
     "STRATEGIES",
     "SaabCodecError",
     "SaabKernel",
-    "TwoStageSaabKernel",
     "KernelBank",
     "StrategyConfig",
     "dct_forward",

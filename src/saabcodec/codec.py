@@ -337,8 +337,7 @@ def encode_block(original, recon, pos, qp, cfg, matrices):
     """
     frame, bx, by = pos
     n = len(bx)
-    _, h, w = recon.shape
-    refs = build_references(recon, bx, by, w // BLOCK, h // BLOCK, frame=frame)
+    refs = build_references(recon, bx, by, frame=frame)
     preds = predict_all_modes(refs).reshape(n, N_MODES, VEC_LEN)
     pixels = _block_pixels(pos)
     orig = original[pixels].reshape(n, VEC_LEN).astype(np.int32)
@@ -521,7 +520,7 @@ def decode_sequence(data, bank=None):
     recon = np.zeros((n_frames, h, w), dtype=np.uint8)
     for pos, i in _wavefront_batches(n_frames, blocks_w, blocks_h):
         frame, bx, by = pos
-        refs = build_references(recon, bx, by, blocks_w, blocks_h, frame=frame)
+        refs = build_references(recon, bx, by, frame=frame)
         preds = predict_block(refs, modes[i]).reshape(-1, VEC_LEN)
         rec = _reconstruct(preds, levels[i], matrices[cand[i]], q)
         recon[_block_pixels(pos)] = rec.reshape(-1, BLOCK, BLOCK)

@@ -87,10 +87,11 @@ def _scan_sources(has_left, has_top, has_top_right):
 
 
 @functools.lru_cache(maxsize=16)
-def _reference_table(blocks_w, blocks_h, width):
-    """Per-position index table (blocks_h * blocks_w, 33): the flat index,
-    in a frame of row stride `width`, of each scan-line sample after
-    substitution.  Position 0 has no neighbours; its entries are unused."""
+def _reference_table(h, w):
+    """Per-position index table (blocks_h * blocks_w, 33) of an h x w frame:
+    the flat index of each scan-line sample after substitution.  Position 0
+    has no neighbours; its entries are unused."""
+    blocks_h, blocks_w = h // N, w // N
     cases = {}
     table = np.zeros((blocks_h, blocks_w, _SCAN), dtype=np.intp)
     for by in range(blocks_h):
@@ -101,7 +102,7 @@ def _reference_table(blocks_w, blocks_h, width):
                 cases[key] = None if src[0] is None else np.array(src).T
             if cases[key] is not None:
                 dy, dx = cases[key]
-                table[by, bx] = (by * N + dy) * width + bx * N + dx
+                table[by, bx] = (by * N + dy) * w + bx * N + dx
     table.flags.writeable = False  # shared by every caller through the cache
     return table.reshape(-1, _SCAN)
 
@@ -114,7 +115,7 @@ _LEFT_ORDER = np.arange(2 * N, -1, -1)
 _REF_ORDER = np.concatenate([_ABOVE_ORDER, _LEFT_ORDER, _ABOVE_ORDER + _SCAN, _LEFT_ORDER + _SCAN])
 
 
-def build_references(recon, bx, by, blocks_w, blocks_h, frame=0):
+def build_references(recon, bx, by, frame=0):
     """The 68-sample reference vector of the block at grid position (bx, by).
 
     `recon` is the frame-sized reconstruction surface filled in raster block
@@ -123,12 +124,12 @@ def build_references(recon, bx, by, blocks_w, blocks_h, frame=0):
     docstring).  `bx`, `by` and `frame` may be integer arrays of one shape;
     the result then has that shape plus a last axis of 68.
     """
+    h, w = recon.shape[-2:]
     try:
-        pos = np.ravel_multi_index((by, bx), (blocks_h, blocks_w))
+        pos = np.ravel_multi_index((by, bx), (h // N, w // N))
     except ValueError:
         raise InvalidInputError(f"block position ({bx}, {by}) off the grid") from None
-    h, w = recon.shape[-2:]
-    idx = _reference_table(blocks_w, blocks_h, w)[pos] + np.asarray(frame)[..., None] * (h * w)
+    idx = _reference_table(h, w)[pos] + np.asarray(frame)[..., None] * (h * w)
     line = recon.reshape(-1)[idx].astype(np.int32, copy=False)
     line[pos == 0] = 128
 

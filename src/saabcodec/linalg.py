@@ -132,10 +132,13 @@ def eig_symmetric(m):
     """Eigendecomposition of a symmetric matrix, or of each matrix of an
     (..., n, n) stack, with deterministic ordering.
 
-    The input is symmetrized as (m + m^T)/2 before the sweeps.  Eigenvalues
-    come back sorted non-increasing, ties broken by the Jacobi output order;
-    each eigenvector row has its first entry with |entry| > 1e-12 positive.
-    A matrix's result does not depend on the other matrices in its stack.
+    Each matrix is scaled by 2^-e, e the binary exponent of its largest
+    |entry| (0 for an all-zero one), so that its norms neither underflow nor
+    overflow; the scale is exact and the rotations do not depend on it.  It
+    is symmetrized as (m + m^T)/2 before the sweeps.  Eigenvalues come back
+    scaled by 2^e, sorted non-increasing, ties broken by the Jacobi output
+    order; each eigenvector row has its first entry with |entry| > 1e-12
+    positive.  A matrix's result does not depend on the others in its stack.
     """
     a = np.asarray(m, dtype=np.float64)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
@@ -144,7 +147,11 @@ def eig_symmetric(m):
         raise InvalidInputError("non-finite matrix entries")
     lead, n = a.shape[:-2], a.shape[-1]
     a = np.moveaxis(a.reshape(-1, n, n), 0, -1)
+    e = np.frexp(np.max(np.abs(a), axis=(0, 1)))[1]
+    a = np.ldexp(a, -e)
     values, rows = _order_and_sign(*_jacobi_sweeps((a + a.swapaxes(0, 1)) * 0.5))
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        values = np.ldexp(values, e[:, None])
     if not (np.isfinite(values).all() and np.isfinite(rows).all()):
         raise InvalidInputError("non-finite eigenpairs: the entries overflow")
     return EigenResult(

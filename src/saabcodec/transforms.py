@@ -4,7 +4,8 @@ Four transform families share one interface: the fixed orthonormal 2-D
 type-II DCT, a data-learned KLT, the one-stage Saab transform (fixed DC
 kernel, PCA-derived AC kernels, shared positive AC bias), and the cascaded
 two-stage Saab variant (16-dim over 4x4 sub-blocks, then per-channel 4-dim
-over the 2x2 grid of stage-1 outputs).
+over the 2x2 grid of stage-1 outputs).  Each learned transform is one
+`SaabKernel`; the two-stage cascade is composed into one when it is learned.
 
 Every forward and inverse function takes one length-64 vector or any stack
 of them, (..., 64), and returns the same shape; the forward functions also
@@ -77,14 +78,6 @@ def _as_vectors(x, blocks=False):
     return x
 
 
-def _as_sample_matrix(samples):
-    """Stack 8x8 blocks or 64-vectors into a (T, 64) float array."""
-    d = _as_vectors(samples, blocks=True).reshape(-1, VEC_LEN)
-    if not np.all(np.isfinite(d)):
-        raise InvalidInputError("non-finite sample values")
-    return d
-
-
 def _stage_statistics(d):
     """The per-set half of the one-stage Saab construction for K-dim vectors
     (T, K): the samples' second moment projected into the DC-orthogonal
@@ -99,7 +92,7 @@ def _stage_statistics(d):
 
 def _learn_stages(sample_sets):
     """One-stage Saab construction for each (T, K) set of an iterable, all
-    of one K -> list of (matrix, bias).
+    of one K -> list of K-point SaabKernels.
 
     DC kernel fixed at (1/sqrt(K))*1.  AC kernels are eigenvectors of the
     samples' second moment inside the DC-orthogonal complement, so they stay
@@ -120,13 +113,16 @@ def _learn_stages(sample_sets):
         ac_rows = apply_sign_convention(np.einsum("ai,ij->aj", vectors, basis))
         bias = np.full(k, bias_value)
         bias[0] = 0.0
-        out.append((np.vstack([a0, ac_rows]), bias))
+        out.append(SaabKernel(matrix=np.vstack([a0, ac_rows]), bias=bias))
     return out
 
 
 def _training_samples(samples, kind):
-    """`samples` as a (T, 64) float array of at least 64 vectors."""
-    d = _as_sample_matrix(samples)
+    """8x8 blocks or 64-vectors as a (T, 64) float array of at least 64
+    finite vectors."""
+    d = _as_vectors(samples, blocks=True).reshape(-1, VEC_LEN)
+    if not np.all(np.isfinite(d)):
+        raise InvalidInputError("non-finite sample values")
     if d.shape[0] < VEC_LEN:
         raise InsufficientDataError(
             f"{kind} learning needs at least {VEC_LEN} samples, got {d.shape[0]}"
@@ -145,8 +141,7 @@ def learn_saab1(samples, *, stacked=False):
     """
     if not stacked:
         return learn_saab1([samples], stacked=True)[0]
-    pairs = _learn_stages(_training_samples(s, "saab1") for s in samples)
-    return [SaabKernel(matrix=matrix, bias=bias) for matrix, bias in pairs]
+    return _learn_stages(_training_samples(s, "saab1") for s in samples)
 
 
 def learn_klt(samples):
@@ -207,71 +202,29 @@ def _split_subblocks(x64):
     return b.swapaxes(-3, -2).reshape(lead + (_GRID, _SUB_LEN))
 
 
-def _merge_subblocks(subs):
-    """Inverse of _split_subblocks."""
-    lead = subs.shape[:-2]
-    b = subs.reshape(lead + (2, 2, _SUB, _SUB))  # (gy, gx, row, col)
-    return b.swapaxes(-3, -2).reshape(lead + (VEC_LEN,))
-
-
-@dataclass(frozen=True)
-class TwoStageSaabKernel:
-    """Cascade of a 16-dim Saab stage over 4x4 sub-blocks and sixteen 4-dim
-    Saab stages, one per spectral channel, over the 2x2 grid of stage-1
-    outputs.  Output index c*4+j holds stage-2 coefficient j of channel c."""
-
-    stage1_matrix: np.ndarray  # (16, 16)
-    stage1_bias: np.ndarray  # (16,)
-    stage2_matrices: np.ndarray  # (16, 4, 4)
-    stage2_biases: np.ndarray  # (16, 4)
-
-    def orthonormality_error(self):
-        m1, m2 = self.stage1_matrix, self.stage2_matrices
-        return max(
-            np.max(np.abs(m1 @ m1.T - np.eye(_SUB_LEN))),
-            np.max(np.abs(m2 @ m2.swapaxes(-1, -2) - np.eye(_GRID))),
-        )
-
-
 def learn_saab2(samples):
+    """Two-stage Saab kernel learned from (T, 64) vectors or (T, 8, 8) blocks:
+    a 16-dim stage over the 4x4 sub-blocks, then a 4-dim stage per stage-1
+    channel c over its 2x2 grid.  No nonlinearity sits between the stages
+    (the Saab bias stands in for the ReLU), so the cascade is one affine
+    map: row c*4+j is channel c's stage-2 coefficient j, and the bias is
+    the raw cascade's."""
     d = _training_samples(samples, "saab2")
-    subs = _split_subblocks(d).reshape(-1, _SUB_LEN)  # (T*4, 16)
-    ((m1, b1),) = _learn_stages([subs])
+    subs = _split_subblocks(d)  # (T, 4, 16)
+    (k1,) = _learn_stages([subs.reshape(-1, _SUB_LEN)])
     # Stage-2 training inputs are the raw (bias-shifted) stage-1 outputs, as
     # the cascade propagates them in raw mode; the learned AC kernels are
     # invariant to that constant shift.
-    y1 = _split_subblocks(d) @ m1.T + b1  # (T, 4, 16)
-    stage2 = _learn_stages(y1[:, :, c] for c in range(_SUB_LEN))
-    return TwoStageSaabKernel(
-        stage1_matrix=m1,
-        stage1_bias=b1,
-        stage2_matrices=np.array([m for m, _ in stage2]),
-        stage2_biases=np.array([b for _, b in stage2]),
-    )
+    y1 = subs @ k1.matrix.T + k1.bias
+    k2 = _learn_stages(y1[:, :, c] for c in range(_SUB_LEN))
+    m2 = np.array([k.matrix for k in k2])  # (16, 4, 4): [channel, output, sub-block]
+    cols = _split_subblocks(np.arange(VEC_LEN)).reshape(-1)  # raster index of (g, k)
+    matrix = np.empty((VEC_LEN, VEC_LEN))
+    matrix[:, cols] = np.einsum("cjg,ck->cjgk", m2, k1.matrix).reshape(VEC_LEN, VEC_LEN)
+    bias = np.einsum("cjg,c->cj", m2, k1.bias) + np.array([k.bias for k in k2])
+    return SaabKernel(matrix=matrix, bias=bias.reshape(VEC_LEN))
 
 
-def saab2_forward(kernel, block, bias_mode="centered"):
-    """Transform (..., 64) vectors or (..., 8, 8) blocks into (..., 64)
-    coefficient vectors."""
-    _check_bias_mode(bias_mode)
-    y1 = _split_subblocks(_as_vectors(block, blocks=True)) @ kernel.stage1_matrix.T
-    if bias_mode == "raw":
-        y1 += kernel.stage1_bias
-    # stage 2: kernel c maps channel c's four grid values y1[..., :, c]; (..., 16, 4)
-    y2 = np.einsum("cjg,...gc->...cj", kernel.stage2_matrices, y1)
-    if bias_mode == "raw":
-        y2 += kernel.stage2_biases
-    return y2.reshape(y2.shape[:-2] + (VEC_LEN,))
-
-
-def saab2_inverse(kernel, coeffs, bias_mode="centered"):
-    """Invert saab2_forward.  Returns (..., 64) flat block samples."""
-    _check_bias_mode(bias_mode)
-    y = _as_vectors(coeffs)
-    y2 = y.reshape(y.shape[:-1] + (_SUB_LEN, _GRID))
-    if bias_mode == "raw":
-        y2 = y2 - kernel.stage2_biases
-    y1 = np.einsum("cjg,...cj->...gc", kernel.stage2_matrices, y2)
-    if bias_mode == "raw":
-        y1 -= kernel.stage1_bias
-    return _merge_subblocks(y1 @ kernel.stage1_matrix)
+# A composed two-stage kernel is a SaabKernel, applied as any other.
+saab2_forward = saab_forward
+saab2_inverse = saab_inverse

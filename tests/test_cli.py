@@ -363,7 +363,7 @@ def damage_inputs(tmp_path_factory, tiny_bank, tiny_records, tiny_clip):
     return directory, bank, {"stream": stream, "corpus": corpus.read_bytes()}
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     kind=st.sampled_from(["stream", "corpus"]),
     how=st.sampled_from(["random", "truncate", "flip"]),

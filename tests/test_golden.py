@@ -173,7 +173,7 @@ def test_reference_digest():
     for _ in range(N_SETS):
         recon = rng.integers(0, 256, size=(40, 56)).astype(np.int32)
         bx, by = int(rng.integers(0, 7)), int(rng.integers(0, 5))
-        chunks.append(intra.build_references(recon, bx, by, 7, 5))
+        chunks.append(intra.build_references(recon, bx, by))
     assert _sha(chunks) == REFERENCES
 
 

@@ -11,7 +11,7 @@ def _random_surface(rng, h=40, w=56):
 
 def test_no_neighbors_gives_flat_128():
     recon = np.zeros((16, 16), dtype=np.int32)
-    refs = intra.build_references(recon, 0, 0, 2, 2)
+    refs = intra.build_references(recon, 0, 0)
     assert refs.shape == (68,) and refs.dtype == np.int32 and np.all(refs == 128)
     preds = intra.predict_all_modes(refs)
     assert np.all(preds == 128)
@@ -19,7 +19,7 @@ def test_no_neighbors_gives_flat_128():
 
 def test_flat_references_predict_flat():
     recon = np.full((24, 24), 77, dtype=np.int32)
-    refs = intra.build_references(recon, 1, 1, 3, 3)
+    refs = intra.build_references(recon, 1, 1)
     preds = intra.predict_all_modes(refs)
     assert np.all(preds == 77)
 
@@ -28,7 +28,7 @@ def test_predictions_in_range():
     rng = np.random.default_rng(1)
     for _ in range(20):
         recon = _random_surface(rng)
-        refs = intra.build_references(recon, 3, 2, 7, 5)
+        refs = intra.build_references(recon, 3, 2)
         preds = intra.predict_all_modes(refs)
         assert preds.min() >= 0 and preds.max() <= 255
 
@@ -37,7 +37,7 @@ def test_vertical_mode_copies_top_row():
     recon = np.zeros((16, 24), dtype=np.int32)
     recon[7, 8:16] = np.arange(100, 108)
     recon[:, 7] = 50
-    refs = intra.build_references(recon, 1, 1, 3, 2)
+    refs = intra.build_references(recon, 1, 1)
     pred = intra.predict_block(refs, 26)  # pure vertical, angle 0
     # columns 1..7 copy the top reference; column 0 is boundary-filtered
     for x in range(1, 8):
@@ -48,7 +48,7 @@ def test_horizontal_mode_copies_left_column():
     recon = np.zeros((24, 16), dtype=np.int32)
     recon[8:16, 7] = np.arange(60, 68)
     recon[7, :] = 90
-    refs = intra.build_references(recon, 1, 1, 2, 3)
+    refs = intra.build_references(recon, 1, 1)
     pred = intra.predict_block(refs, 10)  # pure horizontal
     for y in range(1, 8):
         assert np.all(pred[y, :] == 60 + y)
@@ -67,7 +67,7 @@ def test_reference_substitution_continuity():
     # only the top row is available: left references inherit the corner value
     recon = np.zeros((16, 16), dtype=np.int32)
     recon[7, :] = 200
-    refs = intra.build_references(recon, 0, 1, 2, 2)
+    refs = intra.build_references(recon, 0, 1)
     above, left = refs[:17], refs[17:34]
     assert np.all(above == 200)
     assert np.all(left == 200)
@@ -76,8 +76,8 @@ def test_reference_substitution_continuity():
 def test_bad_positions_rejected():
     recon = np.zeros((16, 16), dtype=np.int32)
     with pytest.raises(InvalidInputError):
-        intra.build_references(recon, 2, 0, 2, 2)
-    refs = intra.build_references(recon, 0, 0, 2, 2)
+        intra.build_references(recon, 2, 0)
+    refs = intra.build_references(recon, 0, 0)
     with pytest.raises(InvalidInputError):
         intra.predict_block(refs, 35)
 
@@ -89,7 +89,7 @@ def test_predict_block_takes_one_mode_per_block():
     recon = rng.integers(0, 256, size=(3, 40, 56)).astype(np.uint8)
     n = 70
     frame, bx, by = rng.integers(0, 3, n), rng.integers(0, 7, n), rng.integers(0, 5, n)
-    refs = intra.build_references(recon, bx, by, 7, 5, frame=frame)
+    refs = intra.build_references(recon, bx, by, frame=frame)
     modes = rng.permutation(np.resize(np.arange(35), n))  # every mode twice
     got = intra.predict_block(refs, modes)
     assert np.array_equal(got, intra.predict_all_modes(refs)[np.arange(n), modes])

@@ -243,13 +243,44 @@ def test_eig_rejects_non_finite_entries(bad):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_eig_rejects_non_finite_eigenpairs():
-    # finite entries whose symmetrization (m + m^T) / 2 overflows to inf
+    # finite entries whose largest eigenvalue, 3e308, overflows to inf
     big = np.full((3, 3), 1e308)
     with pytest.raises(InvalidInputError, match="non-finite eigenpairs"):
         linalg.eig_symmetric(big)
     stack = np.array([big, np.diag([1.0, 2.0, 3.0])])
     with pytest.raises(InvalidInputError, match="non-finite eigenpairs"):
         linalg.eig_symmetric(stack)
+
+
+def test_tiny_matrices_are_not_read_as_zero():
+    # entries below about 1e-154 square to zero; the solver scales them first
+    got = linalg.eig_symmetric(1e-170 * np.array([[2.0, 1.0], [1.0, 2.0]]))
+    np.testing.assert_allclose(got.eigenvalues, [3e-170, 1e-170], rtol=1e-15, atol=0)
+    r = np.sqrt(0.5)
+    np.testing.assert_allclose(got.eigenvectors, [[r, r], [r, -r]], rtol=0, atol=1e-15)
+    got = linalg.eig_symmetric(np.diag([3e-170, 1e-170]))
+    assert got.eigenvalues.tolist() == [3e-170, 1e-170]
+    assert got.eigenvectors.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("k", [-600, 600])
+def test_power_of_two_scale_moves_no_bit(k):
+    # the solver's own scale is exact, so a power-of-two scaled input gives
+    # the same vectors and exactly scaled values
+    m = _dense_symmetric(15, 5)
+    one, scaled = linalg.eig_symmetric(m), linalg.eig_symmetric(np.ldexp(m, k))
+    assert scaled.eigenvectors.tobytes() == one.eigenvectors.tobytes()
+    assert scaled.eigenvalues.tobytes() == np.ldexp(one.eigenvalues, k).tobytes()
+
+
+def test_tiny_matrix_in_a_stack_keeps_its_solo_bytes():
+    tiny = 1e-170 * _dense_symmetric(15, 5)
+    stack = linalg.eig_symmetric(np.array([tiny, _dense_symmetric(15, 6)]))
+    for i, m in enumerate((tiny, _dense_symmetric(15, 6))):
+        solo = linalg.eig_symmetric(m)
+        assert stack.eigenvalues[i].tobytes() == solo.eigenvalues.tobytes()
+        assert stack.eigenvectors[i].tobytes() == solo.eigenvectors.tobytes()
+    assert np.all(np.abs(stack.eigenvalues[0]) > 0)
 
 
 def test_dc_complement_basis():

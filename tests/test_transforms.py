@@ -104,15 +104,53 @@ def test_round_kernel(saab1):
 
 
 def test_saab2_structure_and_roundtrip(training_data):
+    # a two-stage kernel is one composed SaabKernel, applied as any other
     k2 = tf.learn_saab2(training_data)
-    assert k2.stage1_matrix.shape == (16, 16)
-    assert k2.stage2_matrices.shape == (16, 4, 4)
+    assert isinstance(k2, tf.SaabKernel)
+    assert tf.saab2_forward is tf.saab_forward and tf.saab2_inverse is tf.saab_inverse
+    assert k2.matrix.shape == (64, 64) and k2.bias.shape == (64,)
     assert k2.orthonormality_error() < 1e-10
     x = training_data[1]
     for mode in ("centered", "raw"):
         y = tf.saab2_forward(k2, x, bias_mode=mode)
         assert y.shape == (64,)
         assert np.max(np.abs(tf.saab2_inverse(k2, y, bias_mode=mode) - x)) < 1e-10
+
+
+def _cascade_saab2(d):
+    """Reference two-stage Saab cascade on the same training as learn_saab2:
+    a 16-dim stage over the 4x4 sub-blocks, then per channel c a 4-dim stage
+    over its 2x2 grid, output c*4+j.  Returns (forward, inverse), each taking
+    (T, 64) arrays and whether to apply the biases."""
+    subs = tf._split_subblocks(d)
+    (k1,) = tf._learn_stages([subs.reshape(-1, 16)])
+    k2 = tf._learn_stages((subs @ k1.matrix.T + k1.bias)[:, :, c] for c in range(16))
+    m2, b2 = np.array([k.matrix for k in k2]), np.array([k.bias for k in k2])
+
+    def forward(x, raw):
+        y1 = tf._split_subblocks(x) @ k1.matrix.T + raw * k1.bias
+        return (np.einsum("cjg,tgc->tcj", m2, y1) + raw * b2).reshape(-1, 64)
+
+    def inverse(y, raw):
+        y2 = y.reshape(-1, 16, 4) - raw * b2
+        y1 = np.einsum("cjg,tcj->tgc", m2, y2) - raw * k1.bias
+        # (t, gy, gx, row, col) back to raster (t, gy, row, gx, col)
+        return (y1 @ k1.matrix).reshape(-1, 2, 2, 4, 4).swapaxes(2, 3).reshape(-1, 64)
+
+    return forward, inverse
+
+
+@pytest.mark.parametrize("bias_mode", ["centered", "raw"])
+def test_saab2_matches_the_cascade(training_data, saab2, bias_mode):
+    forward, inverse = _cascade_saab2(training_data)
+    raw = bias_mode == "raw"
+    x = np.random.default_rng(9).normal(0, 25, size=(2000, 64))
+    y = tf.saab2_forward(saab2, x, bias_mode=bias_mode)
+    tol = 1e-12 * np.max(np.abs(y))
+    assert np.max(np.abs(y - forward(x, raw))) < tol
+    assert np.max(np.abs(tf.saab2_inverse(saab2, y, bias_mode=bias_mode) - inverse(y, raw))) < tol
+    # the cascade itself inverts, so the reference is not vacuous
+    assert np.max(np.abs(inverse(forward(x, raw), raw) - x)) < 1e-10
 
 
 def test_saab2_is_energy_preserving(training_data):
