@@ -2,10 +2,12 @@
 
 A strategy is one list of allowed (transform, mode) pairs, the DCT pairs
 first, each transform's in mode order (`StrategyConfig`).  Per block the
-encoder codes the residual with every pair on the list, entropy-codes the
-levels, reconstructs in the pixel domain, and keeps the first candidate with
-the lowest J = SSE + lambda * bits.  The decoder replays the identical
-arithmetic, so its output matches the encoder reconstruction bit-exactly.
+encoder quantizes the residual with every pair on the list and keeps the
+first candidate with the lowest J = D + lambda * bits.  This search is float32
+and not normative; D is the error before rounding, ||M^T Q levels - r||^2 for
+analysis rows M, exact for any kernel.  Only the chosen candidate is
+reconstructed, by `_reconstruct`, whose float64 arithmetic the decoder
+replays, so its output matches the encoder reconstruction bit-exactly.
 
 Both sides work on wavefront batches of up to BATCH_BLOCKS blocks that do
 not reference each other (`_wavefront_batches`), and both reconstruct a
@@ -37,9 +39,10 @@ learned-kernel levels in coefficient order.  A DCT candidate analyses with
 `DCT_SCAN`, the DCT's rows in zigzag order, so one product gives either
 transform's levels in coded order and its transpose synthesizes them.  Level
 magnitudes are below 2**12, and the decoder rejects larger ones: an
-orthonormal transform keeps |coefficient| <= 8 * 255 for an 8x8 residual in
-[-255, 255], and the quantizer step is at least 2**(-2/3) (QP 0), so
-|level| <= 3238.
+analysis row with an L1 norm of at most 8 (an orthonormal row, or a kernel
+row `KernelBank.validate` accepts) keeps |coefficient| <= 8 * 255 for an 8x8
+residual in [-255, 255], and the quantizer step is at least 2**(-2/3) (QP
+0), so |level| <= 3238, or 3239 with the float32 search's rounding.
 """
 
 import struct
@@ -93,13 +96,16 @@ DCT_SCAN = DCT_64[ZIGZAG]  # analysis rows in coded scan order
 
 
 def quantize(coeffs, q_step):
-    """Uniform deadzone quantizer: sign(y) * floor(|y|/Q + DEADZONE)."""
+    """Uniform deadzone quantizer: sign(y) * floor(|y|/Q + DEADZONE), as
+    integer-valued floats, float32 for float32 coefficients and float64
+    otherwise."""
     if q_step <= 0:
         raise InvalidInputError("q_step must be positive")
-    y = np.asarray(coeffs, dtype=np.float64)
-    mag = np.abs(y) / q_step + DEADZONE
+    y = np.asarray(coeffs)
+    y = y if y.dtype == np.float32 else y.astype(np.float64)
+    mag = np.abs(y) / y.dtype.type(q_step) + DEADZONE
     np.floor(mag, out=mag)
-    return np.copysign(mag, y, out=mag).astype(np.int64)
+    return np.copysign(mag, y, out=mag)
 
 
 def dequantize(levels, q_step):
@@ -180,21 +186,19 @@ _POSITIONS_1 = np.arange(1, VEC_LEN + 1, dtype=np.int32)
 
 
 def _bit_lengths(levels_scan):
-    """bit_length(|level|) of (n, 64) levels (frexp's exponent, 0 for a zero
-    level) and each row's last significant position + 1 (0 if none)."""
-    mag = np.abs(levels_scan).astype(np.float64)
-    exp = np.frexp(mag, out=(mag, None))[1]
-    return exp, np.max((exp > 0) * _POSITIONS_1, axis=1)
+    """bit_length(|level|) of (..., 64) integer(-valued) levels (frexp's exponent,
+    0 for a zero level) and each row's last significant position + 1 (0 if none)."""
+    exp = np.frexp(np.abs(levels_scan))[1]
+    return exp, np.max((exp > 0) * _POSITIONS_1, axis=-1)
 
 
 def level_bit_cost(levels_scan):
-    """Exact bit count of encode_levels, vectorized over (n, 64) level arrays:
-    the row sums of its bit lengths, in closed form."""
+    """Exact bit count of encode_levels, vectorized over (..., 64) level
+    arrays: the row sums of its bit lengths, in closed form."""
     arr = np.asarray(levels_scan)
-    single = arr.ndim == 1
-    exp, last_1 = _bit_lengths(np.atleast_2d(arr))
-    cost = np.where(last_1 > 0, 6 + last_1 + 2 * exp.sum(axis=1), 1)
-    return int(cost[0]) if single else cost
+    exp, last_1 = _bit_lengths(arr)
+    cost = np.where(last_1 > 0, 6 + last_1 + 2 * exp.sum(axis=-1), 1)
+    return int(cost) if arr.ndim == 1 else cost
 
 
 # One coded block as both sides know it: mode, `saab` transform flag,
@@ -207,8 +211,8 @@ CODED_DTYPE = np.dtype(
         ("bits", np.int32),
     ]
 )
-# The encoder's block: the coded fields, then what the RD search saw and the
-# chosen mode's residual.
+# The encoder's block: the coded fields, its reconstruction's real pixel SSE,
+# the RD search's J estimates (module docstring) and the chosen mode's residual.
 BLOCK_DTYPE = np.dtype(
     CODED_DTYPE.descr
     + [
@@ -273,14 +277,14 @@ class StrategyConfig:
             raise InvalidInputError(f"strategy {strategy} requires a kernel bank")
         self.bank = None if bank is None else bank.validate()
 
-    def matrices(self):
-        """The candidates' (C, 64, 64) analysis rows in coded scan order:
-        DCT_SCAN for a DCT pair, the mode's learned kernel for a kernel pair.
-        Built per call, once per sequence, so an idle config holds none."""
+    def matrices(self, dtype=np.float64):
+        """The candidates' (C, 64, 64) analysis rows in coded scan order, as
+        `dtype`: DCT_SCAN for a DCT pair, the mode's learned kernel for a kernel
+        pair.  Built per call, once per sequence, so an idle config holds none."""
         if self.bank is None:  # one shared DCT_SCAN: dct_only encodes 7-18% faster than with 35 copies
-            return np.broadcast_to(DCT_SCAN, (N_MODES, VEC_LEN, VEC_LEN))
+            return np.broadcast_to(DCT_SCAN.astype(dtype), (N_MODES, VEC_LEN, VEC_LEN))
         pairs = zip(self.cand_saab, self.cand_mode)
-        return np.stack([self.bank.kernel_for_mode(m).matrix if s else DCT_SCAN for s, m in pairs])
+        return np.stack([self.bank.kernel_for_mode(m).matrix if s else DCT_SCAN for s, m in pairs], dtype=dtype)
 
 
 def _reconstruct(preds, levels, matrices, q_step):
@@ -307,56 +311,46 @@ def _block_pixels(pos):
     return frame[:, None, None], rows, cols
 
 
-def _candidate_costs(preds, orig, q, lam, matrices, head_bits):
-    """Levels, bits and J of C candidates, (C, blocks) first, from their (C, k, 64) predictions,
-    the (k, 64) original, (C, 64, 64) scan-order analysis rows and (C,) mode and flag bits."""
-    res = (orig - preds).astype(np.float64)
+def _candidate_costs(res, q, lam, matrices, head_bits):
+    """Levels, bits and J of C candidates, (C, blocks) first, from their (C, k, 64) float32
+    residuals, (C, 64, 64) float32 scan-order analysis rows and (C,) mode and flag bits.
+    D is the error before rounding, ||M^T deq - r||^2 (module docstring)."""
     lv = quantize(res @ np.swapaxes(matrices, -1, -2), q)
-    xhat = dequantize(lv, q) @ matrices
-    bits = head_bits[:, None] + level_bit_cost(lv.reshape(-1, VEC_LEN)).reshape(lv.shape[:2])
-    # Reconstruction error, in place: the candidate arrays dominate memory.
-    err = xhat
-    err += preds
-    np.rint(err, out=err)
-    np.clip(err, 0, 255, out=err)
-    err -= orig
-    sse = np.sum(np.square(err, out=err), axis=-1)
-    return lv, bits, sse + lam * bits
+    bits = head_bits[:, None] + level_bit_cost(lv)
+    err = (lv * q) @ matrices
+    err -= res
+    return lv, bits, np.einsum("ckj,ckj->ck", err, err) + lam * bits
 
 
-def encode_block(original, recon, pos, qp, cfg, matrices):
+def encode_block(original, recon, pos, qp, cfg, matrices, search):
     """RD-optimal mode and transform choice for a batch of blocks.
 
     `original` and `recon` are (frames, h, w) stacks of source planes and
     uint8 reconstruction surfaces, the latter with every block the batch
     references already filled; `pos` holds (frame, bx, by) index arrays of
-    at most BATCH_BLOCKS blocks that do not reference each other, and
-    `matrices` is `cfg.matrices()`, built once per sequence (built per batch,
-    s3 ran 2.5x slower).  Stores each block's reconstruction in `recon` and
-    returns the batch's BLOCK_DTYPE rows, which the caller serializes.
+    at most BATCH_BLOCKS blocks that do not reference each other.
+    `matrices` is `cfg.matrices()` and `search` its float32 copy for the
+    candidate search, both built once per sequence (built per batch, s3 ran
+    2.5x slower).  Stores each block's reconstruction in `recon` and returns
+    the batch's BLOCK_DTYPE rows, which the caller serializes.
     """
     frame, bx, by = pos
     n = len(bx)
     refs = build_references(recon, bx, by, frame=frame)
-    preds = predict_all_modes(refs).reshape(n, N_MODES, VEC_LEN)
+    preds = predict_all_modes(refs).reshape(n, N_MODES, VEC_LEN).transpose(1, 0, 2)
     pixels = _block_pixels(pos)
     orig = original[pixels].reshape(n, VEC_LEN).astype(np.int32)
 
-    # Costed N_MODES candidates at a time: one call over s3's 70 outgrows the C allocator's
-    # heap trim threshold and faults its pages in anew per batch (41,000 faults per CIF frame).
-    preds = preds[:, cfg.cand_mode].transpose(1, 0, 2)
     q, lam = qp_to_qstep(qp), qp_to_lambda(qp)
-    head_bits = MODE_BITS + cfg.flag[cfg.cand_mode].astype(np.int64)
-    chunks = [slice(c, c + N_MODES) for c in range(0, len(preds), N_MODES)]
-    costs = [_candidate_costs(preds[c], orig, q, lam, matrices[c], head_bits[c]) for c in chunks]
-    lv, bits, j = (np.concatenate(x) for x in zip(*costs))
+    res = np.subtract(orig, preds[cfg.cand_mode], dtype=np.float32)
+    lv, bits, j = _candidate_costs(res, q, lam, search, MODE_BITS + cfg.flag[cfg.cand_mode])
 
     # argmin takes the first minimum, so the candidate order is the tie-break.
     best = np.argmin(j, axis=0)
     mode = cfg.cand_mode[best]
     i = np.arange(n)
     levels = lv[best, i]
-    pred = preds[best, i]
+    pred = preds[mode, i]
     rec = _reconstruct(pred, levels, matrices[best], q)
     recon[pixels] = rec.reshape(n, BLOCK, BLOCK)
     rows = np.empty(n, dtype=BLOCK_DTYPE)
@@ -437,9 +431,9 @@ def encode_sequence(planes, qp, cfg, recon_out=None):
     original = np.stack(planes)
     recon = np.zeros(original.shape, dtype=np.uint8)
     table = np.empty(len(planes) * blocks_h * blocks_w, dtype=BLOCK_DTYPE)
-    matrices = cfg.matrices()
+    matrices, search = cfg.matrices(), cfg.matrices(np.float32)
     for pos, i in _wavefront_batches(len(planes), blocks_w, blocks_h):
-        table[i] = encode_block(original, recon, pos, qp, cfg, matrices)
+        table[i] = encode_block(original, recon, pos, qp, cfg, matrices, search)
 
     values, lengths = encode_levels(table["levels"])
     mode = table["mode"]

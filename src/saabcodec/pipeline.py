@@ -49,6 +49,7 @@ def extract_residuals(clips, qps=DEFAULT_QPS):
     rejects, or a source, frame or block index too large for its field.
     """
     check_qps(qps)
+    groups = {}  # block grid -> the sources of that frame size
     for source, planes in enumerate(clips):
         if not planes:
             raise InvalidInputError(f"clip {source} has no frames")
@@ -57,19 +58,24 @@ def extract_residuals(clips, qps=DEFAULT_QPS):
         for name, value in last.items():
             if value > np.iinfo(RESIDUAL_DTYPE[name]).max:
                 raise InvalidInputError(f"{name} index {value} does not fit a corpus record")
+        groups.setdefault((h // BLOCK_SIZE, w // BLOCK_SIZE), []).append(source)
     cfg = StrategyConfig("dct_only")
-    parts = [np.empty(0, RESIDUAL_DTYPE)]
-    for source, planes in enumerate(clips):
-        grid = (len(planes), *(np.array(planes[0].shape) // BLOCK_SIZE))
+    parts = {}
+    for grid, sources in groups.items():
+        # Frames are independent intra pictures, so the clips of one frame size
+        # are coded together, one call per QP of at most a header's 0xFFFF frames.
+        planes = [p for s in sources for p in clips[s]]
+        ends = np.cumsum([len(clips[s]) for s in sources]) * grid[0] * grid[1]
         for qp in qps:
-            _, stats = encode_sequence(planes, qp, cfg)
-            blocks = np.concatenate([fs.blocks for fs in stats])
-            part = np.empty(len(blocks), dtype=RESIDUAL_DTYPE)
-            part["mode"], part["qp"], part["source"] = blocks["mode"], qp, source
-            part["frame"], part["y"], part["x"] = np.unravel_index(np.arange(len(part)), grid)
-            part["residual"] = blocks["residual"]
-            parts.append(part)
-    return np.concatenate(parts).view(np.recarray)
+            calls = [encode_sequence(planes[i : i + 0xFFFF], qp, cfg)[1] for i in range(0, len(planes), 0xFFFF)]
+            blocks = np.concatenate([fs.blocks for stats in calls for fs in stats])
+            for source, part_blocks in zip(sources, np.split(blocks, ends[:-1])):
+                part = parts[source, qp] = np.empty(len(part_blocks), dtype=RESIDUAL_DTYPE)
+                part["mode"], part["qp"], part["source"] = part_blocks["mode"], qp, source
+                part["frame"], part["y"], part["x"] = np.indices((len(clips[source]), *grid)).reshape(3, -1)
+                part["residual"] = part_blocks["residual"]
+    order = [parts[source, qp] for source in range(len(clips)) for qp in qps]
+    return np.concatenate([np.empty(0, RESIDUAL_DTYPE)] + order).view(np.recarray)
 
 
 def save_residual_corpus(path, records):

@@ -8,17 +8,19 @@ from hypothesis import strategies as st
 from saabcodec import codec
 from saabcodec.bitstream import pack_bits, unpack_bits
 from saabcodec.errors import BitstreamError, InvalidInputError
-from saabcodec.metrics import qp_to_qstep
+from saabcodec.metrics import qp_to_lambda, qp_to_qstep
 from saabcodec.transforms import DCT_64
 from test_bitstream import _BitByBitReader
 
 
-def test_quantizer_deadzone():
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_quantizer_deadzone(dtype):
     q = 10.0
-    y = np.array([0.0, 3.3, 6.7, 9.9, 10.0, -6.7, -13.4, 26.8])
-    # level = sign(y) * floor(|y|/Q + 1/3)
+    y = np.array([0.0, 3.3, 6.7, 9.9, 10.0, -6.7, -13.4, 26.8], dtype=dtype)
+    # level = sign(y) * floor(|y|/Q + 1/3), in the coefficients' precision
     want = np.array([0, 0, 1, 1, 1, -1, -1, 3])
-    assert np.array_equal(codec.quantize(y, q), want)
+    got = codec.quantize(y, q)
+    assert got.dtype == dtype and np.array_equal(got, want)
 
 
 def test_dequantize_reconstruction_levels():
@@ -314,6 +316,52 @@ def test_level_bit_cost_batched():
     costs = codec.level_bit_cost(batch)
     for row, cost in zip(batch, costs):
         assert codec.level_bit_cost(row) == cost
+    # the search costs (candidates, blocks, 64) float32 levels
+    assert np.array_equal(codec.level_bit_cost(batch.reshape(5, 7, 64).astype(np.float32)), costs.reshape(5, 7))
+
+
+@pytest.mark.parametrize("rows", ["rounded-kernel", "dct"])
+def test_search_distortion_is_the_error_before_rounding(rows, tiny_bank):
+    """J - lambda * bits of each candidate is ||M^T deq - r||^2, computed in
+    float64, for the DCT and for a kernel rounded to one decimal digit.  The
+    rounded kernel is far from orthonormal, so Parseval's sum over the
+    coefficients, sum (c - deq)^2, misses its distortion."""
+    matrix = tiny_bank.rounded(1).kernel_for_mode(0).matrix if rows == "rounded-kernel" else codec.DCT_SCAN
+    matrices = np.broadcast_to(matrix.astype(np.float32), (4, 64, 64))
+    res = np.random.default_rng(9).integers(-60, 61, size=(4, 16, 64)).astype(np.float32)
+    q, lam = qp_to_qstep(27), qp_to_lambda(27)
+    lv, bits, j = codec._candidate_costs(res, q, lam, matrices, np.full(4, codec.MODE_BITS))
+    m, deq = matrices.astype(np.float64), lv.astype(np.float64) * q
+    want = np.sum((deq @ m - res) ** 2, axis=-1)
+    assert np.allclose(j - lam * bits, want, rtol=1e-4, atol=0)
+    parseval = np.sum((res @ np.swapaxes(m, -1, -2) - deq) ** 2, axis=-1)
+    if rows == "dct":
+        assert np.allclose(parseval, want, rtol=1e-4, atol=0)
+    else:
+        assert not np.allclose(parseval, want, rtol=1e-4, atol=0)
+
+
+def test_level_bound_holds_in_the_float32_search(monkeypatch, tiny_bank):
+    """The largest level an encoder can emit: a kernel row of +-0.125 (an L1
+    norm of 8, the most validate() allows) meets a +-255 residual aligned
+    with it at QP 0, so the coefficient is 8 * 255.  The float32 search must
+    keep the level below the 2**12 the decoder accepts, and the stream must
+    decode to the encoder's reconstruction."""
+    signs = np.where(np.random.default_rng(3).random(64) < 0.5, -1.0, 1.0)
+    kernel = replace(tiny_bank.kernels[0], matrix=codec.DCT_SCAN * signs)  # row 0: 0.125 * signs
+    bank = replace(tiny_bank, kernels=(kernel,) * 24).validate()
+    # every mode predicts 0 where the sign is + and 255 where it is -, and
+    # the source is the opposite, so every residual is 255 * signs
+    pred = np.where(signs > 0, 0, 255).astype(np.int32).reshape(8, 8)
+    monkeypatch.setattr(codec, "predict_all_modes", lambda refs: np.tile(pred, refs.shape[:-1] + (35, 1, 1)))
+    monkeypatch.setattr(codec, "predict_block", lambda refs, mode: np.tile(pred, refs.shape[:-1] + (1, 1)))
+    plane = np.tile((255 - pred).astype(np.uint8), (2, 3))
+    recon = []
+    stream, (stats,) = codec.encode_sequence([plane], 0, codec.StrategyConfig("s3", bank), recon)
+    assert stats.blocks.saab.all()
+    assert 3238 <= np.abs(stats.blocks.levels).max() <= 3239 < 2**12
+    decoded, _ = codec.decode_sequence(stream, bank)
+    assert np.array_equal(decoded[0], recon[0])
 
 
 @pytest.mark.parametrize("strategy", codec.STRATEGIES)

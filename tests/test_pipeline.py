@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from saabcodec import pipeline
+from saabcodec import codec, pipeline, video
 from saabcodec.errors import InvalidInputError, StarvedGroupError
 from saabcodec.modes import N_KERNELS, TRAIN_GROUPS
 
@@ -101,3 +101,39 @@ def test_index_outside_record_field_rejected_before_encoding(monkeypatch):
 def test_bad_qps_rejected(tiny_clip, qps):
     with pytest.raises(InvalidInputError):
         pipeline.extract_residuals([tiny_clip], qps=qps)
+
+
+def test_batched_extraction_matches_per_clip_loop(tmp_path):
+    # the clips of one frame size are coded in one call per QP; the corpus
+    # must hold the bytes of one call per clip, in (source, QP) order
+    sizes = [(64, 48, 2), (48, 32, 3), (64, 48, 1), (48, 32, 2)]
+    clips = [video.synthesize_luma_clip(w, h, n, seed=40 + i) for i, (w, h, n) in enumerate(sizes)]
+    qps = (37, 22)
+    per_clip = []
+    for source, planes in enumerate(clips):
+        part = pipeline.extract_residuals([planes], qps=qps).copy()
+        part.source = source
+        per_clip.append(part)
+    paths = tmp_path / "batched.bin", tmp_path / "per_clip.bin"
+    pipeline.save_residual_corpus(str(paths[0]), pipeline.extract_residuals(clips, qps=qps))
+    pipeline.save_residual_corpus(str(paths[1]), np.concatenate(per_clip))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_extraction_calls_fit_the_stream_header(monkeypatch):
+    # the clips of one frame size are coded together, in calls of at most
+    # the 0xFFFF frames a stream header can count
+    calls = []
+
+    def encode_sequence(planes, qp, cfg):
+        calls.append(len(planes))
+        blocks = np.zeros((len(planes), 1), dtype=codec.BLOCK_DTYPE).view(np.recarray)
+        return b"", [codec.FrameStats(b) for b in blocks]
+
+    monkeypatch.setattr(pipeline, "encode_sequence", encode_sequence)
+    plane = np.zeros((8, 8), dtype=np.uint8)
+    frames = [40_000, 30_000, 20_000]
+    records = pipeline.extract_residuals([[plane] * n for n in frames], qps=(37,))
+    assert calls == [0xFFFF, sum(frames) - 0xFFFF]
+    assert np.array_equal(records.source, np.repeat([0, 1, 2], frames))
+    assert np.array_equal(records.frame, np.concatenate([np.arange(n) for n in frames]))
