@@ -16,28 +16,28 @@ from saabcodec import cli, codec, intra, pipeline, video
 from saabcodec.analysis import ClipSpec, ExperimentManifest, run_experiment
 
 STREAMS = {
-    ("dct_only", 22): "cf69e2d1a5df785f05b849dbc5cf84243c414ae42a33d0b864ebc257b59e06c0",
-    ("dct_only", 37): "8ff41ffedfc1d00917c466a160abfc6d344e9267f0d6fdd48c977f9d8bb576b7",
-    ("s1", 22): "2e1b3e17d2b8e227dcd1be758e314fcf76a461f29091ac484af86ab06ef3e01b",
-    ("s1", 37): "245108aff329cf2dcb24897f264ff05427556942b4654947211b53ae363d0239",
-    ("s2", 22): "11bd26c20a0936395147e93a3f8c9cbb21f61ace8ae6fb8bdcd667894149f5cd",
-    ("s2", 37): "6b990331c4d8d6ef9fb5a28e3716a8a44c4d5cc1a8861a50b7c4171c78905c34",
-    ("s3", 22): "d4e1b7ad07185ba23daffa854162b9fb52a905ccca31b74f3d4fb77811bc63ee",
-    ("s3", 37): "adaa28da4f1321485b136a2d3b5ecfb4a229518e928d90c4374a499fbd5dbd7e",
+    ("dct_only", 22): "28f3412e0130ceef2dca68a104f80d22210b0ee2a2aef3c4b2a22400de14b47e",
+    ("dct_only", 37): "48613a32a5c41e4f15d66721c2ce0d729011f0f05203833971fb4e2acdb0fc1c",
+    ("s1", 22): "960b43d9cb168c356c37c1166c8eebdf73d7e7827851ea9bf23a4a8fbe03cb0b",
+    ("s1", 37): "aac6ef966fb5959586910686e17047899e0bc9639919de552a0e03281e2b0f2e",
+    ("s2", 22): "4e6f0041aab7faa6e1f65cd4c3dcee4a2fd77f9b6ba42a0708fc34f1fd8e6bf7",
+    ("s2", 37): "58fb06beeb7a90fb59f3e71cf85797a49c821eb428b9d91af371ec840a0f0976",
+    ("s3", 22): "385c687abe5e6616c1e734a3c4eb443196a0e6a90376d8740c5d7b7b91b8df43",
+    ("s3", 37): "0af95833f1f152eb079e093c04c8e33f52949281cd11f0ef6d743a045d574d63",
 }
 # decode_sequence output of each stream above, planes concatenated as uint8.
 DECODED_PLANES = {
-    ("dct_only", 22): "b19b1b8e5bdf5fc479dceaf8a52a15ac7f0e3bb6d7ded1d47e6eeb322dfb7c15",
-    ("dct_only", 37): "4e066869d2eacb8513dbff7600c73ae0166aaee61eb439aff12ffd71dc0c0826",
-    ("s1", 22): "f4e50fe0a1817ed47da224011ec50bdbfe0a4111e2823071757f9bee541fd01c",
-    ("s1", 37): "e74d2e8156ff3970f94597770e25ac2e8e9345d23bcd902e18df0aab88b18b25",
-    ("s2", 22): "70adbe08182806102a0fa3ae25f638a58216305ddf28520bd142270c7bf5b544",
-    ("s2", 37): "e7e42d764202395661ce938599d44c377a87d6216de55cfe39d34faf132d0f80",
-    ("s3", 22): "f1cf93582e5adf03a255bc0ca1881d13154f2c0525a13ba430acf11bd41df975",
-    ("s3", 37): "547f310a6dccc42fb1b47e68a96f90ff913ded5687e5e16fe2c05020394bb330",
+    ("dct_only", 22): "961189ef20ce39293a88a93256bbabdb776ba5a6b87f2d91d7a1de71dca7b541",
+    ("dct_only", 37): "efb77a12acd356016b90e822eb9151b4cdb170bd37da1f82b15a92754a8830a3",
+    ("s1", 22): "69a17d6d249ae8be69e2b987c165251257cba95243f766c30a7a2bcbbb1a1099",
+    ("s1", 37): "2979f5a15338773f8df556cf7cc193c9980e2c824abab3ee8341e01f962b3b47",
+    ("s2", 22): "009fb2af3825ad330f937391c012bed342f2be98f87cc81d0488b3767bd88712",
+    ("s2", 37): "60d7980d45b64df2037b5126aaab0152a8aaee6e886d65c3484ce8a206a2d82b",
+    ("s3", 22): "26e17cc52614591feea0f137c59410fc2b65edd76b9c983537fa818ec898555c",
+    ("s3", 37): "906a9c3ef51cc3d0c6dced4c65fc455a865c06985a74d0555771417179d381ff",
 }
-BANK_DIGEST = "4d92a2a91c9d76f4f23f9e6fc3bfb2f4"
-CORPUS = "00decbe824b83f65ac5a0589eaaf6772af1e89c4a35c81bc51a4543a4f4ccc81"
+BANK_DIGEST = "17a6905d05e8335fae0db3a019b4e7a9"
+CORPUS = "2e2bb4d6871d5f2f508506b032dc223c4a4b7da94a6170e5960d68c39d3021d9"
 REFERENCES = "a9bbaa64d41b07770f50bd72e9e874f0c3f9373c1298f46925b87327b51fccf2"
 # predict_block over every mode of a set equals that set's predict_all_modes
 # output, so both predictor tests pin the same digest.
@@ -45,24 +45,24 @@ PREDICTIONS = "248563641121007eb49004857da3b4e60e94541751457054a4623c87a21c090c"
 # The deterministic outputs of run_experiment over tiny_clip, QPs 22-37,
 # dct_only + s1-s3 (timing.csv holds wall-time ratios).
 EXPERIMENT_OUTPUTS = {
-    "rd_points.csv": "a12509014ca99e15448a70f11b41a2371a904254601e227adaf7c3162524ce29",
-    "bd_summary.csv": "e3b8c08858afe68dd844ceb0171d01c44d8499d40ee0402b3bec5bb94c5e3e71",
-    "usage.csv": "4f2f843f3ec17028fe5caf682d2c2891399df78b453a517978a0423c89bb9897",
-    "report.json": "16f93fd4265337ceaaa356d2d777353158786bd32b1b5f1490af9e3e803bf2de",
+    "rd_points.csv": "b5801f91487599c40be5176b0640f58a9c285101fe3f61b8496179b4edd03ba9",
+    "bd_summary.csv": "599e4db31a37f8d224192fd1ab353c6bdaff8279bbcfc1049d0b83e907abce73",
+    "usage.csv": "f8a700e42ec2605a6326d1accc666a171948b2cf4c8bad80dbda62cd6acea044",
+    "report.json": "15294ccf7fe143fcbd1ae46f0f222de80fab4c40cd92bbacc06461c695193af4",
 }
 # CLI outputs over the tiny fixtures: `analyze-transforms` (mode 0) and
 # `rd-model` (QP 37) on tiny_records and tiny_bank, and `encode` (s3, QP 32)
 # then `decode` of tiny_clip, each with its --stats file and stdout.
 CLI_OUTPUTS = {
-    "compaction.csv": "da83b2388fe6e8223a8d13748296926c6b075b76f9fc59229c570e308eb245a2",
-    "decorrelation.csv": "04b27d519314e1754c24ab422d4d8f5034904c68e6b7fb45304a56571f8a6d35",
-    "transforms.json": "dbe19538a0e974978b48a3fb19d43a25989ddc1283190ce10b1bf299080a8b26",
-    "kappa.csv": "77b13572e08b52bdf6f29f3597f9b8740775b812558d4687bbb4295cf548552e",
+    "compaction.csv": "dfa22c34dfb1591d8cd2cbf33a784d1eac8fee30abc0643818ba5c74364e8448",
+    "decorrelation.csv": "198c8b14504b56b1d3e5aa4d9914354a2b9cdbe8a02ce7702a5b222efdaed62e",
+    "transforms.json": "8b918676f224234cc6e15c460d9a7cb4e2cdb6b17918950a4f2c0184d8b785de",
+    "kappa.csv": "d087c891c0170c012f16699ed1d90e0b32f8b8e37c9bd73e4e94cd86d5d53aa0",
     "sigma.csv": "fea5d7793cb677ed44163e31de10a3917ccd78a36a914c4efc8215e8ecf665d9",
-    "encode.json": "dbb485a74aea4b7c915bcd8df17363996cc65e0b6d243709fcfeb27194096a4b",
-    "encode.stdout": "dd41c00f1d716073209e22af6b28108fd4c2f622571d9acfc118473b193d366b",
-    "decode.json": "7d6c35cf89660272d982144cffb95a3f27272fb125bd7420913031a62fcc297c",
-    "decode.stdout": "af3aee10d212806caaa1688ca057102d57b1ca93980f9b8dac0eef2564d802cc",
+    "encode.json": "f75b6297ef7af01af557a04db7132464a92e091dcfb14139da05939580d98363",
+    "encode.stdout": "e6e047f34e2337c133c24cbdada0c938446e03afad8e0ade39b6cf02f9763bed",
+    "decode.json": "4195487fe3365e5b20888065cec9581f482fd65e32ff7d9fa10f04d39174f3df",
+    "decode.stdout": "418f02599638df0d064f906638f8208994e76a25ae873f8f55b748e2ce8933b4",
 }
 
 N_SETS = 200
