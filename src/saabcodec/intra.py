@@ -9,8 +9,10 @@ Reference layout: one int32 vector of 68 samples per block,
 [above, left, above_f, left_f] with 17 each.  `above` is the corner, 8 top
 and 8 top-right samples; `left` is the corner, 8 left and 8 below-left
 samples; `above_f` and `left_f` are the same after [1 2 1] smoothing.
-Unavailable samples are substituted by scanning from the bottom-left end,
-per the standard.
+The available samples of a block's 33-sample scan line (below-left bottom
+.. corner .. top-right end) always form one run lo..hi: below-left samples
+are never available in raster block order.  The standard's substitution
+repeats the run's ends, so scan sample i reads sample clip(i, lo, hi).
 
 Every mode is one integer weight table row set: a prediction sample is
 (sum of weights x the 68 reference samples + rounding) >> shift, followed
@@ -22,12 +24,15 @@ import functools
 import numpy as np
 
 from .errors import InvalidInputError
+from .linalg import BLOCK_SIZE as N
 from .modes import N_MODES
 
-N = 8
 _LOG2N = 3
 _REF = 2 * N + 1  # samples per part of the reference vector
 _SCAN = 4 * N + 1  # scan line: below-left bottom .. corner .. top-right end
+# (dy, dx) from the block origin of each scan-line sample
+_SCAN_DY = np.concatenate([np.arange(2 * N - 1, -1, -1), np.full(2 * N + 1, -1)])
+_SCAN_DX = np.concatenate([np.full(2 * N + 1, -1), np.arange(2 * N)])
 
 # intraPredAngle for modes 2..34
 _ANGLES = np.array(
@@ -56,55 +61,25 @@ def smoothing_enabled(mode):
     return min(abs(mode - 10), abs(mode - 26)) > 7
 
 
-def _scan_sources(has_left, has_top, has_top_right):
-    """(dy, dx) from the block origin of each scan-line sample after
-    substitution, or None for every sample when no neighbour exists.
-
-    Below-left samples are never coded yet in raster block order, so they
-    are always unavailable.
-    """
-    src = [None] * _SCAN
-    if has_left:
-        for i in range(N, 2 * N):
-            src[i] = (2 * N - 1 - i, -1)
-    if has_left and has_top:
-        src[2 * N] = (-1, -1)
-    if has_top:
-        for i in range(2 * N + 1, 3 * N + 1):
-            src[i] = (-1, i - 2 * N - 1)
-    if has_top_right:
-        for i in range(3 * N + 1, _SCAN):
-            src[i] = (-1, i - 2 * N - 1)
-    first = next((s for s in src if s is not None), None)
-    if first is None:
-        return [None] * _SCAN
-    if src[0] is None:
-        src[0] = first
-    for i in range(1, _SCAN):
-        if src[i] is None:
-            src[i] = src[i - 1]
-    return src
-
-
 @functools.lru_cache(maxsize=16)
 def _reference_table(h, w):
     """Per-position index table (blocks_h * blocks_w, 33) of an h x w frame:
-    the flat index of each scan-line sample after substitution.  Position 0
-    has no neighbours; its entries are unused."""
-    blocks_h, blocks_w = h // N, w // N
-    cases = {}
-    table = np.zeros((blocks_h, blocks_w, _SCAN), dtype=np.intp)
-    for by in range(blocks_h):
-        for bx in range(blocks_w):
-            key = (bx > 0, by > 0, by > 0 and bx + 1 < blocks_w)
-            if key not in cases:
-                src = _scan_sources(*key)
-                cases[key] = None if src[0] is None else np.array(src).T
-            if cases[key] is not None:
-                dy, dx = cases[key]
-                table[by, bx] = (by * N + dy) * w + bx * N + dx
+    the flat index of each scan-line sample after substitution.
+
+    A block's available samples form one run lo..hi of its scan line
+    (below-left is never available): lo is 8 (the left's bottom) if bx > 0,
+    else 17 (the top's first); hi is 32 (the top-right's end) if by > 0 and
+    a block lies to the right, 24 (the top's end) if only by > 0, else 15.
+    Substitution repeats the run's ends: sample i reads clip(i, lo, hi).
+    Position 0 has no neighbours; its row is zero and unused."""
+    by, bx = np.indices((h // N, w // N)).reshape(2, -1, 1)
+    lo = np.where(bx > 0, N, 2 * N + 1)
+    hi = np.where(by > 0, np.where(bx + 1 < w // N, _SCAN - 1, 3 * N), 2 * N - 1)
+    src = np.clip(np.arange(_SCAN), lo, hi)
+    table = (by * N + _SCAN_DY[src]) * w + bx * N + _SCAN_DX[src]
+    table[0] = 0
     table.flags.writeable = False  # shared by every caller through the cache
-    return table.reshape(-1, _SCAN)
+    return table
 
 
 # Scan-line positions, in the [line, smoothed line] pair, of the reference

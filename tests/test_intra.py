@@ -73,6 +73,30 @@ def test_reference_substitution_continuity():
     assert np.all(left == 200)
 
 
+def test_references_of_one_block_wide_and_tall_frames():
+    """Substitution at the frame edges, written out by hand.  In an 8x24
+    frame, block (0, 1) sees only the top row t = 10..80: top-right repeats
+    t[7], and corner, left and below-left repeat t[0].  A 24x8 frame is its
+    transpose: block (1, 0) sees only the left column l = 10..80 (top to
+    bottom): below-left repeats l[7], and corner, top and top-right repeat
+    l[0].  [1 2 1] smoothing moves only the ramp's ends, 10 -> 13, 80 -> 78."""
+    ramp = list(range(10, 90, 10))
+    ramp_f = [13, 20, 30, 40, 50, 60, 70, 78]
+    run = [10, *ramp, *[80] * 8]
+    run_f = [10, *ramp_f, *[80] * 8]
+    flat = [10] * 17
+
+    wide = np.full((24, 8), 250, dtype=np.uint8)
+    wide[:7] = 240
+    wide[7] = ramp
+    assert intra.build_references(wide, 0, 1).tolist() == run + flat + run_f + flat
+
+    tall = np.full((8, 24), 250, dtype=np.uint8)
+    tall[:, :7] = 240
+    tall[:, 7] = ramp
+    assert intra.build_references(tall, 1, 0).tolist() == flat + run + flat + run_f
+
+
 def test_bad_positions_rejected():
     recon = np.zeros((16, 16), dtype=np.int32)
     with pytest.raises(InvalidInputError):
