@@ -225,11 +225,13 @@ class ExperimentManifest:
     timing_runs: int = 3
 
     def __post_init__(self):
-        """Raise InvalidInputError for a field not of its declared type, a clip with negative
-        frames, bad `qps` (check_qps), unknown or repeated strategies, or `timing_runs` below 1."""
+        """Raise InvalidInputError for a field not of its declared type, negative clip frames,
+        repeated clip names, bad `qps` (check_qps), unknown or repeated strategies, or `timing_runs` below 1."""
         _check_types(self)
         if any(clip.frames < 0 for clip in self.clips):
             raise InvalidInputError("manifest clips must not have negative frames")
+        if len({clip.name for clip in self.clips}) != len(self.clips):
+            raise InvalidInputError(f"clip names must be distinct, got {[clip.name for clip in self.clips]}")
         check_qps(self.qps)
         if len(set(STRATEGIES).intersection(self.strategies)) != len(self.strategies):
             raise InvalidInputError(f"strategies must be distinct names of {STRATEGIES}, got {self.strategies}")
@@ -305,8 +307,9 @@ def run_experiment(manifest, output_dir, bank=None, verbose=False):
             dec_times[strategy] = {}
             for qp in manifest.qps:
                 try:
-                    (stream, stats), t_enc = _timed(
-                        lambda: encode_sequence(planes, qp, cfg), manifest.timing_runs
+                    # a fresh recon_out list for each timed run
+                    (stream, stats, recon), t_enc = _timed(
+                        lambda: (*encode_sequence(planes, qp, cfg, recon := []), recon), manifest.timing_runs
                     )
                     (decoded, decoded_stats), t_dec = _timed(
                         lambda: decode_sequence(stream, cfg.bank), manifest.timing_runs
@@ -315,13 +318,7 @@ def run_experiment(manifest, output_dir, bank=None, verbose=False):
                     raise ExperimentStageError(clip.name, qp, strategy, e) from e
                 counts = summarize(decoded_stats, strategy)
                 total_sse = sum(s.sse for s in stats)
-                decoded_sse = float(
-                    sum(
-                        np.sum((o.astype(np.int64) - d.astype(np.int64)) ** 2)
-                        for o, d in zip(planes, decoded)
-                    )
-                )
-                if decoded_sse != total_sse:
+                if not np.array_equal(decoded, recon):
                     raise ExperimentStageError(
                         clip.name, qp, strategy, "decoder does not match encoder reconstruction"
                     )

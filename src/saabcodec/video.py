@@ -23,6 +23,11 @@ def crop_to_block_grid(plane):
     return plane[: h - h % BLOCK, : w - w % BLOCK]
 
 
+def _frame_bytes(width, height):
+    """Bytes of one 4:2:0 frame: luma and two ceil(width/2) x ceil(height/2) chroma planes."""
+    return width * height + 2 * (-(-width // 2)) * (-(-height // 2))
+
+
 def read_yuv(path, width, height, frames=0):
     """Read the luma planes of an 8-bit planar 4:2:0 file.
 
@@ -34,7 +39,7 @@ def read_yuv(path, width, height, frames=0):
     _check_frame_size(width, height)
     if frames < 0:
         raise InvalidInputError(f"frame count {frames} is negative")
-    frame_bytes = width * height * 3 // 2
+    frame_bytes = _frame_bytes(width, height)
     size = os.path.getsize(path)
     if size == 0 or size % frame_bytes != 0:
         raise InvalidInputError(
@@ -61,7 +66,7 @@ def write_yuv(path, planes):
         for y in planes:
             h, w = y.shape
             f.write(np.asarray(y, dtype=np.uint8).tobytes())
-            f.write(np.full(h * w // 2, 128, dtype=np.uint8).tobytes())
+            f.write(np.full(_frame_bytes(w, h) - h * w, 128, dtype=np.uint8).tobytes())
 
 
 def synthesize_luma_clip(width, height, frames, seed=0):

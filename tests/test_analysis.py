@@ -1,9 +1,13 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from saabcodec import analysis
-from saabcodec.errors import InsufficientDataError, InvalidInputError, NoOverlapError
+from saabcodec import analysis, video
+from saabcodec.errors import ExperimentStageError, InsufficientDataError, InvalidInputError, NoOverlapError
+
+_CLIP = analysis.ClipSpec(name="c", path="/c.yuv", width=16, height=16)
 
 BASE = [analysis.RDPoint(qp=37 - 5 * k, rate=1000.0 * 2**k, psnr=30.0 + 2 * k) for k in range(4)]
 
@@ -121,14 +125,41 @@ def test_manifest_json_roundtrip(tmp_path):
         pytest.param({"qps": (22, 27, 99)}, 0, id="qp-99-last"),
         pytest.param({}, -1, id="negative-frames"),
         pytest.param({"strategies": ("s9",)}, 0, id="unknown-strategy"),
+        pytest.param({"clips": (_CLIP, replace(_CLIP, path="/d.yuv"))}, 0, id="repeated-clip-name"),
     ],
 )
 def test_manifest_checked_where_built(fields, frames):
     """A manifest built in code is checked as it is built, so no bad one
     reaches run_experiment to code or write anything."""
-    clip = analysis.ClipSpec(name="c", path="/c.yuv", width=16, height=16, frames=frames)
+    clip = replace(_CLIP, frames=frames)
     with pytest.raises(InvalidInputError):
-        analysis.ExperimentManifest(clips=(clip,), **{"strategies": (), **fields})
+        analysis.ExperimentManifest(**{"clips": (clip,), "strategies": (), **fields})
+
+
+def test_experiment_checks_decoded_planes(tmp_path, monkeypatch):
+    """The experiment compares the decoded planes with the encoder's, not
+    their SSE: a decode mirrored about the original, 2*orig - recon, has the
+    encoder's SSE and is still rejected."""
+    rng = np.random.default_rng(7)
+    planes = [rng.integers(100, 156, size=(32, 32)).astype(np.uint8) for _ in range(2)]
+    path = str(tmp_path / "grey.yuv")
+    video.write_yuv(path, planes)
+    clip = analysis.ClipSpec(name="grey", path=path, width=32, height=32)
+    manifest = analysis.ExperimentManifest(clips=(clip,), qps=(37,), strategies=(), timing_runs=2)
+    analysis.run_experiment(manifest, str(tmp_path / "ok"))
+
+    decode = analysis.decode_sequence
+
+    def mirrored(stream, bank):
+        decoded, stats = decode(stream, bank)
+        mirror = [2 * o.astype(np.int32) - d for o, d in zip(planes, decoded)]
+        assert all(m.min() >= 0 and m.max() <= 255 for m in mirror)  # no clipping
+        assert any(not np.array_equal(m, d) for m, d in zip(mirror, decoded))
+        return [m.astype(np.uint8) for m in mirror], stats
+
+    monkeypatch.setattr(analysis, "decode_sequence", mirrored)
+    with pytest.raises(ExperimentStageError):
+        analysis.run_experiment(manifest, str(tmp_path / "mirrored"))
 
 
 def test_experiment_outputs(experiment_report):

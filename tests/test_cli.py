@@ -297,6 +297,10 @@ BAD_INPUTS = {
         },
         _EXPERIMENT,
     ),
+    "manifest-repeated-clip-name": (
+        {"a.yuv": _ONE_FRAME, "m.json": f'{{"clips": [{_CLIP}}}, {_CLIP}}}], "strategies": []}}'},
+        _EXPERIMENT,
+    ),
     "manifest-numeric-bank-path": (
         {
             "a.yuv": _ONE_FRAME,

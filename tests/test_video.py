@@ -44,6 +44,22 @@ def test_read_crops_odd_dimensions(tmp_path):
     assert back[0].shape == (16, 16)
 
 
+def test_odd_width_and_height_frame_size(tmp_path):
+    """A 17x9 4:2:0 frame is 153 luma bytes and two 9x5 chroma planes."""
+    rng = np.random.default_rng(4)
+    luma = rng.integers(0, 256, size=(3, 9, 17), dtype=np.uint8)
+    chroma = rng.integers(0, 256, size=(3, 2 * 9 * 5), dtype=np.uint8)
+    path = tmp_path / "odd.yuv"
+    path.write_bytes(np.concatenate([luma.reshape(3, -1), chroma], axis=1).tobytes())
+    back = video.read_yuv(str(path), 17, 9)
+    assert len(back) == 3
+    for y, b in zip(luma, back):
+        assert np.array_equal(b, y[:8, :16])
+    video.write_yuv(str(path), list(luma))
+    assert path.stat().st_size == 3 * 243
+    assert all(np.array_equal(b, y[:8, :16]) for y, b in zip(luma, video.read_yuv(str(path), 17, 9)))
+
+
 def test_size_mismatch_rejected(tmp_path):
     path = tmp_path / "bad.yuv"
     path.write_bytes(b"\x00" * 100)
