@@ -75,8 +75,7 @@ def _reference_table(h, w):
     by, bx = np.indices((h // N, w // N)).reshape(2, -1, 1)
     lo = np.where(bx > 0, N, 2 * N + 1)
     hi = np.where(by > 0, np.where(bx + 1 < w // N, _SCAN - 1, 3 * N), 2 * N - 1)
-    src = np.clip(np.arange(_SCAN), lo, hi)
-    table = (by * N + _SCAN_DY[src]) * w + bx * N + _SCAN_DX[src]
+    table = (_SCAN_DY * w + _SCAN_DX)[np.clip(np.arange(_SCAN), lo, hi)] + (by * w + bx) * N
     table[0] = 0
     table.flags.writeable = False  # shared by every caller through the cache
     return table
