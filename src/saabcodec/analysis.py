@@ -23,7 +23,8 @@ from .errors import (
     NoOverlapError,
 )
 from .kernelio import KernelBank
-from .metrics import RDModelParams, coeff_stats, compare_transforms
+from .metrics import RDModelParams, coeff_stats, compare_transforms, decorrelation_cost
+from .metrics import energy_compaction, residual_sample_variance
 from .transforms import dct_forward, learn_klt, learn_saab1, learn_saab2, saab2_forward, saab_forward
 from .video import read_yuv
 
@@ -135,8 +136,6 @@ def transform_comparison_report(train_blocks, eval_blocks):
     Transforms are learned on train_blocks and evaluated on eval_blocks.
     Returns per-transform compaction curves and decorrelation costs.
     """
-    from .metrics import decorrelation_cost, energy_compaction, residual_sample_variance
-
     train = np.asarray(train_blocks, dtype=np.float64)
     ev = np.asarray(eval_blocks, dtype=np.float64)
     forwards = {
@@ -226,7 +225,8 @@ class ExperimentManifest:
 
     def __post_init__(self):
         """Raise InvalidInputError for a field not of its declared type, negative clip frames,
-        repeated clip names, bad `qps` (check_qps), unknown or repeated strategies, or `timing_runs` below 1."""
+        repeated clip names, bad `qps` (check_qps), unknown or repeated strategies, a Saab
+        strategy without `bank_path`, or `timing_runs` below 1."""
         _check_types(self)
         if any(clip.frames < 0 for clip in self.clips):
             raise InvalidInputError("manifest clips must not have negative frames")
@@ -235,6 +235,8 @@ class ExperimentManifest:
         check_qps(self.qps)
         if len(set(STRATEGIES).intersection(self.strategies)) != len(self.strategies):
             raise InvalidInputError(f"strategies must be distinct names of {STRATEGIES}, got {self.strategies}")
+        if set(self.strategies) - {"dct_only"} and not self.bank_path:
+            raise InvalidInputError(f"strategies {self.strategies} need a bank_path")
         if self.timing_runs < 1:
             raise InvalidInputError(f"timing_runs must be at least 1, got {self.timing_runs}")
 
@@ -270,18 +272,15 @@ def _timed(fn, runs):
     return result, statistics.median(times)
 
 
-def run_experiment(manifest, output_dir, bank=None, verbose=False):
+def run_experiment(manifest, output_dir, verbose=False):
     """Encode every (clip, strategy, qp) cell, decode to verify, and produce
     RD points, Bjontegaard deltas vs the DCT-only anchor, Saab usage, and
     runtime ratios.  Writes CSV tables plus report.json under output_dir;
     timing lives only in timing.csv so the other outputs are deterministic.
+    The kernel bank is read from the manifest's `bank_path`.
     """
     strategies = ["dct_only"] + [s for s in manifest.strategies if s != "dct_only"]
-
-    if bank is None and any(s != "dct_only" for s in strategies):
-        if not manifest.bank_path:
-            raise InvalidInputError("manifest needs bank_path for Saab strategies")
-        bank = KernelBank.load(manifest.bank_path)
+    bank = KernelBank.load(manifest.bank_path) if len(strategies) > 1 else None
 
     os.makedirs(output_dir, exist_ok=True)
     report = {
@@ -355,7 +354,6 @@ def run_experiment(manifest, output_dir, bank=None, verbose=False):
         report["clips"][clip.name] = clip_out
 
     _write_outputs(report, timing_rows, output_dir)
-    report["timing"] = timing_rows
     return report
 
 

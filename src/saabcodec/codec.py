@@ -11,12 +11,13 @@ replays, so its output matches the encoder reconstruction bit-exactly.
 
 Both sides work on wavefront batches of up to BATCH_BLOCKS blocks that do
 not reference each other (`_wavefront_batches`), and both reconstruct a
-batch through one `_reconstruct` call.  The decoder runs two passes: a
-parse pass walks the payload, unpacked once by `unpack_bits` into a string
-of '0'/'1' bytes, with one bit position, and reads every block's mode,
-transform flag and 64 levels (`decode_levels`) into arrays; then a
-reconstruct pass predicts each batch with one `predict_block` call, each
-block with its own mode, and reconstructs it.
+batch through one `_reconstruct` call; blocks are read and stored through
+the (frames, h/8, 8, w/8, 8) view of a (frames, h, w) stack (`_blocks`).
+The decoder runs two passes: a parse pass walks the payload, unpacked once
+by `unpack_bits` into a string of '0'/'1' bytes, with one bit position, and
+reads every block's mode, transform flag and 64 levels (`decode_levels`)
+into arrays; then a reconstruct pass predicts each batch with one
+`predict_block` call, each block with its own mode, and reconstructs it.
 
 Strategies:
   dct_only  anchor; every mode uses DCT, no flags.
@@ -302,13 +303,13 @@ def _reconstruct(preds, levels, matrices, q_step):
     return np.clip(np.rint(xhat), 0, 255).astype(np.int32)
 
 
-def _block_pixels(pos):
-    """Index arrays that select the (k, 8, 8) pixels of the blocks at
-    (frame, bx, by) positions `pos` from a (frames, h, w) stack."""
-    frame, bx, by = pos
-    rows = (by * BLOCK)[:, None, None] + np.arange(BLOCK)[:, None]
-    cols = (bx * BLOCK)[:, None, None] + np.arange(BLOCK)
-    return frame[:, None, None], rows, cols
+def _blocks(planes):
+    """The (frames, h/8, 8, w/8, 8) view of a (frames, h, w) stack, whose
+    [frame, by, :, bx, :] are the (k, 8, 8) blocks at (frame, bx, by) index
+    arrays.  Both sides create their stacks C-contiguous, so the reshape is a
+    view and a store through it reaches the stack, never a copy."""
+    f, h, w = planes.shape
+    return planes.reshape(f, h // BLOCK, BLOCK, w // BLOCK, BLOCK)
 
 
 def _candidate_costs(res, q, lam, matrices, head_bits):
@@ -325,9 +326,9 @@ def _candidate_costs(res, q, lam, matrices, head_bits):
 def encode_block(original, recon, pos, qp, cfg, matrices, search):
     """RD-optimal mode and transform choice for a batch of blocks.
 
-    `original` and `recon` are (frames, h, w) stacks of source planes and
-    uint8 reconstruction surfaces, the latter with every block the batch
-    references already filled; `pos` holds (frame, bx, by) index arrays of
+    `original` and `recon` are C-contiguous (frames, h, w) stacks of source
+    planes and uint8 reconstruction surfaces, the latter with every block the
+    batch references already filled; `pos` holds (frame, bx, by) index arrays of
     at most BATCH_BLOCKS blocks that do not reference each other.
     `matrices` is `cfg.matrices()` and `search` its float32 copy for the
     candidate search, both built once per sequence (built per batch, s3 ran
@@ -338,8 +339,7 @@ def encode_block(original, recon, pos, qp, cfg, matrices, search):
     n = len(bx)
     refs = build_references(recon, bx, by, frame=frame)
     preds = predict_all_modes(refs).reshape(n, N_MODES, VEC_LEN).transpose(1, 0, 2)
-    pixels = _block_pixels(pos)
-    orig = original[pixels].reshape(n, VEC_LEN).astype(np.int32)
+    orig = _blocks(original)[frame, by, :, bx, :].reshape(n, VEC_LEN).astype(np.int32)
 
     q, lam = qp_to_qstep(qp), qp_to_lambda(qp)
     res = np.subtract(orig, preds[cfg.cand_mode], dtype=np.float32)
@@ -352,7 +352,7 @@ def encode_block(original, recon, pos, qp, cfg, matrices, search):
     levels = lv[best, i]
     pred = preds[mode, i]
     rec = _reconstruct(pred, levels, matrices[best], q)
-    recon[pixels] = rec.reshape(n, BLOCK, BLOCK)
+    _blocks(recon)[frame, by, :, bx, :] = rec.reshape(n, BLOCK, BLOCK)
     rows = np.empty(n, dtype=BLOCK_DTYPE)
     rows["mode"] = mode
     rows["saab"] = cfg.cand_saab[best]
@@ -512,12 +512,12 @@ def decode_sequence(data, bank=None):
     matrices = cfg.matrices()
     cand = cfg.cand_index[uses_saab.astype(np.intp), modes]
     recon = np.zeros((n_frames, h, w), dtype=np.uint8)
-    for pos, i in _wavefront_batches(n_frames, blocks_w, blocks_h):
-        frame, bx, by = pos
+    recon_blocks = _blocks(recon)
+    for (frame, bx, by), i in _wavefront_batches(n_frames, blocks_w, blocks_h):
         refs = build_references(recon, bx, by, frame=frame)
         preds = predict_block(refs, modes[i]).reshape(-1, VEC_LEN)
         rec = _reconstruct(preds, levels[i], matrices[cand[i]], q)
-        recon[_block_pixels(pos)] = rec.reshape(-1, BLOCK, BLOCK)
+        recon_blocks[frame, by, :, bx, :] = rec.reshape(-1, BLOCK, BLOCK)
     return list(recon), [FrameStats(blocks) for blocks in table.view(np.recarray).reshape(n_frames, -1)]
 
 

@@ -89,9 +89,13 @@ def bank_bytes_with_table():
     return build
 
 
+def make_tiny_clip():
+    return video.synthesize_luma_clip(64, 48, 3, seed=22)
+
+
 @pytest.fixture(scope="session")
 def tiny_clip():
-    return video.synthesize_luma_clip(64, 48, 3, seed=22)
+    return make_tiny_clip()
 
 
 @pytest.fixture(scope="session")
@@ -118,7 +122,7 @@ def bank_file(tmp_path_factory, bank):
 
 
 @pytest.fixture(scope="session")
-def experiment_report(tmp_path_factory, clip_files, bank_file, bank):
+def experiment_report(tmp_path_factory, clip_files, bank_file):
     manifest = ExperimentManifest(
         clips=tuple(clip_files.values()),
         qps=QPS,
@@ -127,7 +131,7 @@ def experiment_report(tmp_path_factory, clip_files, bank_file, bank):
         timing_runs=1,
     )
     out = str(tmp_path_factory.mktemp("experiment"))
-    report = run_experiment(manifest, out, bank=bank)
+    report = run_experiment(manifest, out)
     report["output_dir"] = out
     return report
 

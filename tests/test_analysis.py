@@ -109,10 +109,10 @@ def test_manifest_json_roundtrip(tmp_path):
         '"bank_path": "/bank.skb", "timing_runs": 1}'
     )
     assert analysis.ExperimentManifest.from_json(str(path)) == m
-    # keys left out keep the dataclass defaults
-    path.write_text(f'{{"clips": [{clip}]}}')
+    # keys left out keep the dataclass defaults; the default Saab strategies need a bank_path
+    path.write_text(f'{{"clips": [{clip}], "bank_path": "/bank.skb"}}')
     assert analysis.ExperimentManifest.from_json(str(path)) == analysis.ExperimentManifest(
-        clips=m.clips
+        clips=m.clips, bank_path="/bank.skb"
     )
 
 
@@ -126,6 +126,7 @@ def test_manifest_json_roundtrip(tmp_path):
         pytest.param({}, -1, id="negative-frames"),
         pytest.param({"strategies": ("s9",)}, 0, id="unknown-strategy"),
         pytest.param({"clips": (_CLIP, replace(_CLIP, path="/d.yuv"))}, 0, id="repeated-clip-name"),
+        pytest.param({"strategies": ("dct_only", "s3")}, 0, id="saab-without-bank-path"),
     ],
 )
 def test_manifest_checked_where_built(fields, frames):

@@ -1,11 +1,15 @@
-"""The same bank, KLT and decoded planes under every OpenBLAS kernel.
+"""The same bank, KLT, streams and decoded planes under every OpenBLAS
+kernel and under numpy's baseline SIMD dispatch.
 
 numpy's OpenBLAS, when built with DYNAMIC_ARCH, picks its kernels for the
-CPU at load time, and OPENBLAS_CORETYPE overrides the pick.  Each check
-runs in a child process with the variable set in that child's environment
-only: it trains the tiny bank, learns a KLT on the same residuals and
-decodes the pinned golden streams, and the results must equal this
-process's, whose kernels are the library's default.
+CPU at load time, and OPENBLAS_CORETYPE overrides the pick.  numpy's own
+loops dispatch to the best SIMD level the CPU has, and
+NPY_DISABLE_CPU_FEATURES turns levels off.  Each check runs in a child
+process with the variable set in that child's environment only: it trains
+the tiny bank, learns a KLT on the same residuals, encodes the tiny clip
+for every golden stream and decodes the pinned golden streams, and the
+results must equal this process's, whose kernels are the library's
+default, and the goldens.
 """
 
 import hashlib
@@ -22,15 +26,34 @@ import saabcodec
 from saabcodec import codec, transforms
 from test_golden import BANK_DIGEST, DECODED_PLANES, STREAMS
 
-# argv: the saved tiny bank, then the stream files; prints the child's results as JSON
+# argv: the saved tiny bank, then the stream files; prints the child's results
+# as JSON, or {"skip": reason} when numpy rejects a feature name it was asked
+# to disable
 _CHILD = """
-import hashlib, json, sys
-import numpy as np
-from conftest import make_tiny_bank, make_tiny_records
+import hashlib, json, sys, warnings
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    import numpy as np
+rejected = [str(w.message) for w in caught if "NPY_DISABLE_CPU_FEATURES" in str(w.message)]
+if rejected:
+    print(json.dumps({"skip": rejected[0]}))
+    sys.exit()
+from conftest import make_tiny_bank, make_tiny_clip, make_tiny_records
 from saabcodec import codec, kernelio, transforms
+from test_golden import STREAMS
 
+try:
+    from numpy.lib.introspect import opt_func_info  # numpy >= 2.0
+    dispatch = sorted({t["current"] for t in opt_func_info("add", "float32")["add"].values()})
+except ImportError:
+    dispatch = None
 records = make_tiny_records()
 bank = kernelio.KernelBank.load(sys.argv[1])
+clip = make_tiny_clip()
+streams = {}
+for strategy, qp in sorted(STREAMS):
+    stream, _ = codec.encode_sequence(clip, qp, codec.StrategyConfig(strategy, bank))
+    streams[f"{strategy}-{qp}"] = hashlib.sha256(stream).hexdigest()
 planes = {}
 for path in sys.argv[2:]:
     with open(path, "rb") as f:
@@ -39,9 +62,13 @@ for path in sys.argv[2:]:
 print(json.dumps({
     "bank": make_tiny_bank(records).digest().hex(),
     "klt": transforms.learn_klt(records["residual"]).matrix.tobytes().hex(),
+    "streams": streams,
     "planes": planes,
+    "dispatch": dispatch,
 }))
 """
+# numpy's dispatch levels above the X86_V2 baseline (numpy 2.4's names)
+_ABOVE_BASELINE = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
 
 
 def _skip_reason():
@@ -64,11 +91,9 @@ def _has_avx2():
         return False
 
 
-@pytest.mark.skipif(_SKIP_REASON is not None, reason=str(_SKIP_REASON))
-@pytest.mark.parametrize("core", ["Prescott", "Haswell"])
-def test_same_results_under_each_blas_kernel(core, tmp_path, tiny_records, tiny_bank, tiny_clip):
-    if core == "Haswell" and not _has_avx2():
-        pytest.skip("the Haswell kernels need AVX2, which this CPU lacks")
+def _check_child(env_vars, tmp_path, tiny_records, tiny_bank, tiny_clip):
+    """Encode the golden streams here, then run the child with `env_vars`
+    added to its environment and check its results; returns them."""
     bank_path = tmp_path / "bank.skb"
     tiny_bank.save(str(bank_path))
     paths = {}
@@ -80,7 +105,7 @@ def test_same_results_under_each_blas_kernel(core, tmp_path, tiny_records, tiny_
             f.write(stream)
     # the child imports saabcodec from where this process does, and conftest from here
     path = [os.path.dirname(os.path.dirname(saabcodec.__file__)), os.path.dirname(__file__)]
-    env = dict(os.environ, OPENBLAS_CORETYPE=core)
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(path + [env.get("PYTHONPATH", "")])
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, str(bank_path), *paths.values()],
@@ -88,7 +113,29 @@ def test_same_results_under_each_blas_kernel(core, tmp_path, tiny_records, tiny_
     )
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
+    if "skip" in got:
+        pytest.skip(f"numpy rejects {env_vars}: {got['skip']}")
     assert got["bank"] == BANK_DIGEST
     assert bytes.fromhex(got["klt"]) == transforms.learn_klt(tiny_records["residual"]).matrix.tobytes()
     for key, p in paths.items():
         assert got["planes"][p] == DECODED_PLANES[key], key
+    for (strategy, qp), digest in STREAMS.items():
+        assert got["streams"][f"{strategy}-{qp}"] == digest, (strategy, qp)
+    return got
+
+
+@pytest.mark.skipif(_SKIP_REASON is not None, reason=str(_SKIP_REASON))
+@pytest.mark.parametrize("core", ["Prescott", "Haswell"])
+def test_same_results_under_each_blas_kernel(core, tmp_path, tiny_records, tiny_bank, tiny_clip):
+    if core == "Haswell" and not _has_avx2():
+        pytest.skip("the Haswell kernels need AVX2, which this CPU lacks")
+    _check_child({"OPENBLAS_CORETYPE": core}, tmp_path, tiny_records, tiny_bank, tiny_clip)
+
+
+def test_same_results_under_numpy_baseline_simd(tmp_path, tiny_records, tiny_bank, tiny_clip):
+    # the RD search is float32 and not normative, so a SIMD loop that rounds
+    # differently could move a choice at a quantizer boundary
+    got = _check_child(
+        {"NPY_DISABLE_CPU_FEATURES": _ABOVE_BASELINE}, tmp_path, tiny_records, tiny_bank, tiny_clip
+    )
+    assert got["dispatch"] and all(t.startswith("baseline") for t in got["dispatch"]), got["dispatch"]

@@ -301,6 +301,10 @@ BAD_INPUTS = {
         {"a.yuv": _ONE_FRAME, "m.json": f'{{"clips": [{_CLIP}}}, {_CLIP}}}], "strategies": []}}'},
         _EXPERIMENT,
     ),
+    "manifest-saab-without-bank-path": (
+        {"a.yuv": _ONE_FRAME, "m.json": f'{{"clips": [{_CLIP}}}], "strategies": ["s3"]}}'},
+        _EXPERIMENT,
+    ),
     "manifest-numeric-bank-path": (
         {
             "a.yuv": _ONE_FRAME,

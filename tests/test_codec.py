@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from saabcodec import codec
+from saabcodec import codec, video
 from saabcodec.bitstream import pack_bits, unpack_bits
 from saabcodec.errors import BitstreamError, InvalidInputError
 from saabcodec.metrics import qp_to_lambda, qp_to_qstep
@@ -367,21 +367,25 @@ def test_level_bound_holds_in_the_float32_search(monkeypatch, tiny_bank):
 @pytest.mark.parametrize("strategy", codec.STRATEGIES)
 def test_encode_decode_mirror(strategy, tiny_bank, tiny_clip):
     cfg = codec.StrategyConfig(strategy, tiny_bank)
-    stream, stats = codec.encode_sequence(tiny_clip, 32, cfg)
-    decoded, dec_stats = codec.decode_sequence(stream, cfg.bank)
-    sse_dec = sum(
-        float(np.sum((o.astype(np.int64) - d.astype(np.int64)) ** 2))
-        for o, d in zip(tiny_clip, decoded)
-    )
-    assert sse_dec == sum(s.sse for s in stats)
-    summary = codec.summarize(stats, strategy)
-    assert codec.summarize(dec_stats, strategy) == summary
-    assert summary["blocks"] == sum(s.n_total for s in stats) == len(tiny_clip) * (64 // 8) * (48 // 8)
-    assert summary["saab_blocks"] == sum(s.n_saab for s in stats)
-    if strategy == "s3":  # every mode signals its transform
-        assert summary["flag_bits"] == summary["blocks"]
-    # the cost model's bits are exactly what the writer wrote
-    assert (summary["total_bits"] + 7) // 8 == len(stream) - codec._HEADER.size
+    # tiny_clip, then 3-frame stacks one block wide (8x24) and one block tall (24x8)
+    clips = [tiny_clip] + [video.synthesize_luma_clip(w, h, 3, seed=23) for w, h in ((8, 24), (24, 8))]
+    for planes in clips:
+        recon = []
+        stream, stats = codec.encode_sequence(planes, 32, cfg, recon)
+        decoded, dec_stats = codec.decode_sequence(stream, cfg.bank)
+        assert all(map(np.array_equal, decoded, recon))
+        # each frame's SSE against the stored reconstruction: a store into a
+        # copy of the stack would leave zeros that both sides agree on
+        sse = [float(np.sum((o.astype(np.int64) - r) ** 2)) for o, r in zip(planes, recon)]
+        assert [s.sse for s in stats] == sse
+        summary = codec.summarize(stats, strategy)
+        assert codec.summarize(dec_stats, strategy) == summary
+        assert summary["blocks"] == sum(s.n_total for s in stats) == sum(p.size for p in planes) // 64
+        assert summary["saab_blocks"] == sum(s.n_saab for s in stats)
+        if strategy == "s3":  # every mode signals its transform
+            assert summary["flag_bits"] == summary["blocks"]
+        # the cost model's bits are exactly what the writer wrote
+        assert (summary["total_bits"] + 7) // 8 == len(stream) - codec._HEADER.size
 
 
 def test_s1_never_signals_flag(tiny_bank, tiny_clip):

@@ -91,14 +91,17 @@ def experiment_dir(tmp_path_factory, tiny_clip, tiny_bank):
     out = tmp_path_factory.mktemp("tiny_experiment")
     clip_path = str(out / "tiny.yuv")
     video.write_yuv(clip_path, tiny_clip)
+    bank_path = str(out / "tiny.skb")
+    tiny_bank.save(bank_path)
     h, w = tiny_clip[0].shape
     manifest = ExperimentManifest(
         clips=(ClipSpec(name="tiny", path=clip_path, width=w, height=h),),
         qps=(22, 27, 32, 37),
         strategies=("s1", "s2", "s3"),
+        bank_path=bank_path,
         timing_runs=1,
     )
-    run_experiment(manifest, str(out), bank=tiny_bank)
+    run_experiment(manifest, str(out))
     return out
 
 
