@@ -5,7 +5,8 @@ first, each transform's in mode order (`StrategyConfig`).  Per block the
 encoder quantizes the residual with every pair on the list and keeps the
 first candidate with the lowest J = D + lambda * bits.  This search is float32
 and not normative; D is the error before rounding, ||M^T Q levels - r||^2 for
-analysis rows M, exact for any kernel.  Only the chosen candidate is
+analysis rows M, exact for any kernel, and its levels and bit counts are exact
+(`quantize`, `level_bit_cost` on float32 bits).  Only the chosen candidate is
 reconstructed, by `_reconstruct`, whose float64 arithmetic the decoder
 replays, so its output matches the encoder reconstruction bit-exactly.
 
@@ -97,16 +98,18 @@ DCT_SCAN = DCT_64[ZIGZAG]  # analysis rows in coded scan order
 
 
 def quantize(coeffs, q_step):
-    """Uniform deadzone quantizer: sign(y) * floor(|y|/Q + DEADZONE), as
-    integer-valued floats, float32 for float32 coefficients and float64
-    otherwise."""
+    """Uniform deadzone quantizer: sign(y) * floor(|y|/Q + DEADZONE), as integer-valued
+    floats, float32 for float32 coefficients and float64 otherwise.  The sign is y's sign
+    bit OR-ed into the magnitude's bits: np.copysign's result (-0.0 for a small negative y)."""
     if q_step <= 0:
         raise InvalidInputError("q_step must be positive")
     y = np.asarray(coeffs)
     y = y if y.dtype == np.float32 else y.astype(np.float64)
     mag = np.abs(y) / y.dtype.type(q_step) + DEADZONE
     np.floor(mag, out=mag)
-    return np.copysign(mag, y, out=mag)
+    uint = np.dtype(f"u{y.itemsize}").type
+    np.bitwise_or(mag.view(uint), y.view(uint) & uint(1 << 8 * y.itemsize - 1), out=mag.view(uint))
+    return mag
 
 
 def dequantize(levels, q_step):
@@ -129,7 +132,7 @@ def encode_levels(levels_scan):
     values[:, 0] = np.where(last_1 > 0, 1 << 6 | last_1 - 1, 0)
     lengths[:, 0] = np.where(last_1 > 0, 7, 1)
     values[:, 1::2] = levels != 0
-    lengths[:, 1::2] = _POSITIONS_1[::-1] < last_1[:, None]
+    lengths[:, 1::2] = np.arange(VEC_LEN, 0, -1) < last_1[:, None]
     values[:, 2::2] = np.abs(levels) << 1 | (levels < 0)
     lengths[:, 2::2] = 2 * exp[:, ::-1]
     return values, lengths
@@ -183,23 +186,29 @@ def decode_levels(bits, p):
         p = one + 1
 
 
-_POSITIONS_1 = np.arange(1, VEC_LEN + 1, dtype=np.int32)
+_TWOS = np.full(VEC_LEN, 2, dtype=np.float32)
+_POWERS_OF_4 = np.ldexp(np.float32(1), 2 * np.arange(VEC_LEN))  # 4**63 = 2**126 fits float32
 
 
 def _bit_lengths(levels_scan):
-    """bit_length(|level|) of (..., 64) integer(-valued) levels (frexp's exponent,
-    0 for a zero level) and each row's last significant position + 1 (0 if none)."""
-    exp = np.frexp(np.abs(levels_scan))[1]
-    return exp, np.max((exp > 0) * _POSITIONS_1, axis=-1)
+    """bit_length(|level|) of (..., 64) integer(-valued) levels, as float32, and each row's
+    last significant position + 1 (0 if none).  In float32, exact below 2**12, a bit length
+    is the exponent field - 126 (0 for a zero level), and a row's sum of 4**position over its
+    nonzero levels stays in [4**last, 2 * 4**last) in any summation order: frexp gives 2 * last + 1."""
+    levels = np.asarray(levels_scan, dtype=np.float32)
+    exp = levels.view(np.int32) >> 23
+    exp &= 0xFF  # the exponent field
+    exp = np.subtract(np.maximum(exp, 126, out=exp), 126, dtype=np.float32)
+    last = np.frexp((levels != 0).astype(np.float32) @ _POWERS_OF_4)[1]
+    return exp, (last + 1) >> 1
 
 
 def level_bit_cost(levels_scan):
-    """Exact bit count of encode_levels, vectorized over (..., 64) level
-    arrays: the row sums of its bit lengths, in closed form."""
-    arr = np.asarray(levels_scan)
-    exp, last_1 = _bit_lengths(arr)
-    cost = np.where(last_1 > 0, 6 + last_1 + 2 * exp.sum(axis=-1), 1)
-    return int(cost) if arr.ndim == 1 else cost
+    """Exact bit count of encode_levels, vectorized over (..., 64) level arrays of any
+    dtype: the row sums of its bit lengths in closed form, 2 * sum as one float32 product."""
+    exp, last_1 = _bit_lengths(levels_scan)
+    cost = np.where(last_1 > 0, 6 + last_1 + (exp @ _TWOS).astype(np.int32), 1)
+    return int(cost) if cost.ndim == 0 else cost
 
 
 # One coded block as both sides know it: mode, `saab` transform flag,
@@ -315,7 +324,8 @@ def _blocks(planes):
 def _candidate_costs(res, q, lam, matrices, head_bits):
     """Levels, bits and J of C candidates, (C, blocks) first, from their (C, k, 64) float32
     residuals, (C, 64, 64) float32 scan-order analysis rows and (C,) mode and flag bits.
-    D is the error before rounding, ||M^T deq - r||^2 (module docstring)."""
+    D is the error before rounding, ||M^T deq - r||^2 (module docstring).  The analysis takes
+    the rows' transposed view: a C-contiguous copy is faster but rounds differently (docs/FORMATS.md)."""
     lv = quantize(res @ np.swapaxes(matrices, -1, -2), q)
     bits = head_bits[:, None] + level_bit_cost(lv)
     err = (lv * q) @ matrices
@@ -342,7 +352,7 @@ def encode_block(original, recon, pos, qp, cfg, matrices, search):
     orig = _blocks(original)[frame, by, :, bx, :].reshape(n, VEC_LEN).astype(np.int32)
 
     q, lam = qp_to_qstep(qp), qp_to_lambda(qp)
-    res = np.subtract(orig, preds[cfg.cand_mode], dtype=np.float32)
+    res = np.subtract(orig, preds, dtype=np.float32)[cfg.cand_mode]  # each mode once, then gathered
     lv, bits, j = _candidate_costs(res, q, lam, search, MODE_BITS + cfg.flag[cfg.cand_mode])
 
     # argmin takes the first minimum, so the candidate order is the tie-break.

@@ -16,7 +16,8 @@ repeats the run's ends, so scan sample i reads sample clip(i, lo, hi).
 
 Every mode is one integer weight table row set: a prediction sample is
 (sum of weights x the 68 reference samples + rounding) >> shift, followed
-by the DC and mode-10/26 edge fix-ups, which read `above` and `left`.
+by the DC and mode-10/26 edge fix-ups, which read `above` and `left`.  The
+table is stored scaled by 2**-shift, so a sample is floor(refs @ table + 0.5).
 """
 
 import functools
@@ -131,14 +132,13 @@ def _angular_taps(mode):
 
 def _build_weights():
     """Weights (68, 35 * 64): column mode * 64 + pixel holds that prediction
-    sample's integer weights on the 68 reference samples; plus
-    per-mode rounding offsets and shifts (35, 1).
-
-    Every product and partial sum is an integer below 2**24, so applying
-    the table as a float32 matmul is exact, in any summation order.
+    sample's integer weights on the 68 reference samples, scaled by 2**-shift
+    (shift 4 for planar and DC, 5 for angular), so (sum + 2**(shift-1)) >> shift
+    is floor(scaled sum + 0.5).  On references in [0, 255] every scaled product
+    and partial sum is a non-negative multiple of 2**-5 below 2**8, so a float32
+    matmul is exact in any order, and truncation (astype) is the floor.
     """
     w = np.zeros((4 * _REF, N_MODES, N, N), dtype=np.float32)
-    shift = np.full((N_MODES, 1), 5, dtype=np.int32)
     # Planar on the smoothed references.
     for y in range(N):
         for x in range(N):
@@ -146,11 +146,10 @@ def _build_weights():
             w[_ABOVE_F + N + 1, 0, y, x] += x + 1
             w[_ABOVE_F + 1 + x, 0, y, x] += N - 1 - y
             w[_LEFT_F + N + 1, 0, y, x] += y + 1
-    shift[0] = _LOG2N + 1
     # DC interior value; the edge samples are fixed up afterwards.
     w[_ABOVE + 1 : _ABOVE + N + 1, 1] = 1
     w[_LEFT + 1 : _LEFT + N + 1, 1] = 1
-    shift[1] = _LOG2N + 1
+    w[:, :2] /= 1 << (_LOG2N + 1)
     # Angular: two-tap 1/32-pel interpolation along the extended reference,
     # rows stepping along the angle in main-direction coordinates, which are
     # transposed for the horizontal modes 2..17.
@@ -162,13 +161,13 @@ def _build_weights():
             for x in range(N):
                 pixel = (mode, y, x) if mode >= 18 else (mode, x, y)
                 base = x + (pos >> 5) + 1 + N
-                w[(taps[base],) + pixel] += 32 - fact
+                w[(taps[base],) + pixel] += (32 - fact) / 32
                 if fact:
-                    w[(taps[base + 1],) + pixel] += fact
-    return w.reshape(4 * _REF, -1), (1 << shift) >> 1, shift
+                    w[(taps[base + 1],) + pixel] += fact / 32
+    return w.reshape(4 * _REF, -1)
 
 
-_WEIGHTS, _ROUND, _SHIFT = _build_weights()
+_WEIGHTS = _build_weights()
 
 
 def _dc_edges(pred, above, left):
@@ -200,9 +199,9 @@ def predict_all_modes(refs):
     leading batch axes; the result then has the same leading axes.  Used by
     the encoder's candidate search.
     """
-    acc = (refs.astype(np.float32) @ _WEIGHTS).astype(np.int32)
-    acc = acc.reshape(acc.shape[:-1] + (N_MODES, N * N))
-    preds = ((acc + _ROUND) >> _SHIFT).reshape(acc.shape[:-1] + (N, N))
+    acc = refs.astype(np.float32) @ _WEIGHTS
+    acc += 0.5
+    preds = acc.astype(np.int32).reshape(refs.shape[:-1] + (N_MODES, N, N))
     above, left = refs[..., _ABOVE:_LEFT], refs[..., _LEFT:_ABOVE_F]
     for mode, fix in _EDGE_FIXUPS.items():
         fix(preds[..., mode, :, :], above, left)
@@ -223,7 +222,8 @@ def predict_block(refs, mode):
     # (k, 68, 64): each block's table columns
     weights = _WEIGHTS.reshape(4 * _REF, N_MODES, N * N)[:, mode].transpose(1, 0, 2)
     acc = (refs.astype(np.float32)[:, None, :] @ weights)[:, 0, :]
-    preds = ((acc.astype(np.int32) + _ROUND[mode]) >> _SHIFT[mode]).reshape(-1, N, N)
+    acc += 0.5
+    preds = acc.astype(np.int32).reshape(-1, N, N)
     for m, fix in _EDGE_FIXUPS.items():
         at = np.flatnonzero(mode == m)
         if at.size:

@@ -21,6 +21,20 @@ def test_quantizer_deadzone():
         y = np.array([0.0, 3.3, 6.7, 9.9, 10.0, -6.7, -13.4, 26.8], dtype=dtype)
         got = codec.quantize(y, q)
         assert got.dtype == dtype and np.array_equal(got, want)
+    # +-0.0, each deadzone boundary |y|/Q + 1/3 = k for k = 1..3239 (the
+    # largest level) with its float neighbours, and 3239 * Q itself
+    for qp in (0, 22, 51):
+        q = qp_to_qstep(qp)
+        bounds = (np.arange(1, 3240) - 1 / 3) * q
+        for dtype in (np.float64, np.float32):
+            mags = np.concatenate([[0.0, 3239 * q], bounds]).astype(dtype)
+            mags = np.concatenate([mags, np.nextafter(mags, 0), np.nextafter(mags, np.inf)])
+            y = np.concatenate([mags, -mags])
+            got = codec.quantize(y, q)
+            want = np.sign(y) * np.floor(np.abs(y) / dtype(q) + dtype(codec.DEADZONE))
+            assert got.dtype == dtype and np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(y))  # -0.0 for a negative y, as copysign
+            assert np.abs(got).max() == 3239
 
 
 def test_dequantize_reconstruction_levels():
@@ -68,13 +82,20 @@ def _level_rows(draw):
 @settings(max_examples=200, deadline=None)
 @given(rows=st.lists(_level_rows(), min_size=1, max_size=4))
 @example(rows=[np.zeros(64, dtype=np.int64), np.tile([4095, -4095], 32)])
+@example(rows=[np.full(64, -4095)])  # the largest sum of 4**position
+@example(rows=[np.eye(64, dtype=np.int64)[63]])
+@example(rows=[np.eye(64, dtype=np.int64)[0], -np.eye(64, dtype=np.int64)[0]])
 def test_level_coding_roundtrip_and_cost(rows):
-    """The one level coder, stated as a derivation: the batched
-    level_bit_cost equals the per-row cost, which equals the row sum of the
-    bit lengths encode_levels gives, which equals the bits decode_levels
+    """The one level coder, stated as a derivation: the search's batched
+    level_bit_cost of (C, k, 64) float32 levels equals the integer batch's,
+    which equals the per-row cost, which equals the row sum of the bit
+    lengths encode_levels gives, which equals the bits decode_levels
     consumes from the packed rows, and decode_levels returns the levels."""
     batch = np.array(rows)
     per_row = [codec.level_bit_cost(levels) for levels in batch]
+    levels32 = batch.astype(np.float32)
+    search = np.stack([levels32, -levels32])  # -0.0 for a zero level, as quantize gives
+    assert codec.level_bit_cost(search).tolist() == [per_row, per_row]
     assert codec.level_bit_cost(batch).tolist() == per_row
     values, lengths = codec.encode_levels(batch)
     assert lengths.sum(axis=1).tolist() == per_row

@@ -17,11 +17,13 @@ def test_no_neighbors_gives_flat_128():
     assert np.all(preds == 128)
 
 
-def test_flat_references_predict_flat():
-    recon = np.full((24, 24), 77, dtype=np.int32)
+@pytest.mark.parametrize("value", [0, 77, 255])  # 255: the largest sums
+def test_flat_references_predict_flat(value):
+    recon = np.full((24, 24), value, dtype=np.int32)
     refs = intra.build_references(recon, 1, 1)
     preds = intra.predict_all_modes(refs)
-    assert np.all(preds == 77)
+    assert np.all(preds == value)
+    assert np.all(intra.predict_block(np.tile(refs, (35, 1)), np.arange(35)) == value)
 
 
 def test_predictions_in_range():
@@ -121,3 +123,27 @@ def test_predict_block_takes_one_mode_per_block():
         assert np.array_equal(got[i], intra.predict_block(refs[i], modes[i]))
     with pytest.raises(InvalidInputError):
         intra.predict_block(refs, np.where(np.arange(n) == 5, 35, modes))
+
+
+def test_scaled_table_equals_the_integer_table():
+    """The float32 table, scaled by 2**-shift, predicts what the standard's
+    integer table does in int64: (W . refs + 2**(shift-1)) >> shift, with
+    shift 4 for planar and DC and 5 for the angular modes, then the edge
+    fix-ups.  Surfaces of 0s and 255s give the largest partial sums."""
+    shift = np.where(np.arange(35) < 2, 4, 5)[:, None]
+    table = intra._WEIGHTS.reshape(68, 35, 64) * 2.0**shift
+    assert np.array_equal(table, np.round(table))
+    table = table.astype(np.int64)
+    rng = np.random.default_rng(4)
+    surfaces = [rng.integers(0, 256, size=(40, 56)), 255 * rng.integers(0, 2, size=(40, 56))]
+    recon = np.stack(surfaces + [np.full((40, 56), 255)]).astype(np.uint8)
+    n = 300
+    frame, bx, by = rng.integers(0, 3, n), rng.integers(0, 7, n), rng.integers(0, 5, n)
+    refs = intra.build_references(recon, bx, by, frame=frame)
+    want = (np.einsum("kr,rmp->kmp", refs.astype(np.int64), table) + (1 << shift >> 1)) >> shift
+    want = want.reshape(n, 35, 8, 8)
+    for mode, fix in intra._EDGE_FIXUPS.items():
+        fix(want[:, mode], refs[:, :17], refs[:, 17:34])
+    assert np.array_equal(intra.predict_all_modes(refs), want)
+    modes = rng.integers(0, 35, n)
+    assert np.array_equal(intra.predict_block(refs, modes), want[np.arange(n), modes])
