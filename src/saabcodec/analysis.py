@@ -23,7 +23,7 @@ from .errors import (
     NoOverlapError,
 )
 from .kernelio import KernelBank
-from .metrics import RDModelParams, coeff_stats, compare_transforms, decorrelation_cost
+from .metrics import coeff_stats, compare_transforms, decorrelation_cost
 from .metrics import energy_compaction, residual_sample_variance
 from .transforms import dct_forward, learn_klt, learn_saab1, learn_saab2, saab2_forward, saab_forward
 from .video import read_yuv
@@ -167,14 +167,13 @@ def rd_model_report(records, bank, qp):
     residuals are skipped.  InvalidInputError for a QP outside 0..MAX_QP.
     """
     check_qp(qp)
-    params = RDModelParams.from_qp(qp)
     modes = records.mode
     per_mode = {}
     for mode in np.flatnonzero(np.bincount(modes) >= 2).tolist():
         # one mode's blocks and one transform's coefficients alive at a time
         blocks = records.residual[modes == mode]
         saab = coeff_stats(saab_forward(bank.kernel_for_mode(mode), blocks))
-        per_mode[mode] = compare_transforms(saab, coeff_stats(dct_forward(blocks)), params)
+        per_mode[mode] = compare_transforms(saab, coeff_stats(dct_forward(blocks)), qp)
     if not per_mode:
         raise InsufficientDataError("no mode had at least 2 residuals")
     return {

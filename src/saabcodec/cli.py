@@ -28,6 +28,7 @@ from .errors import (
     StarvedGroupError,
 )
 from .kernelio import KernelBank
+from .modes import N_MODES
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -147,6 +148,8 @@ def cmd_analyze_transforms(args):
     records = pipeline.load_residual_corpus(args.corpus)
     if not 0.0 < args.train_frac < 1.0:
         raise InvalidInputError(f"--train-frac must be between 0 and 1, got {args.train_frac}")
+    if not 0 <= args.mode < N_MODES:
+        raise InvalidInputError(f"--mode must be between 0 and {N_MODES - 1}, got {args.mode}")
     blocks = records.residual[records.mode == args.mode].astype(np.float64)
     if len(blocks) < 4:
         raise InsufficientDataError(f"only {len(blocks)} residuals with mode {args.mode}")

@@ -83,6 +83,7 @@ _FLAGGED.flags.writeable = False
 STREAM_MAGIC = b"SBVC"
 STREAM_VERSION = 1
 _HEADER = struct.Struct("<4sBBBBHHH16s")
+HEADER_U16_MAX = 0xFFFF  # the header's width, height and frame count are u16
 
 
 def _zigzag_order(n):
@@ -433,7 +434,7 @@ def encode_sequence(planes, qp, cfg, recon_out=None):
     h, w = planes[0].shape
     if not h or not w or h % BLOCK or w % BLOCK:
         raise InvalidInputError("plane dimensions must be positive multiples of 8")
-    if max(w, h, len(planes)) > 0xFFFF:
+    if max(w, h, len(planes)) > HEADER_U16_MAX:
         raise InvalidInputError(f"{w}x{h} by {len(planes)} frames does not fit the header's u16 fields")
     if any(plane.shape != (h, w) or plane.dtype != np.uint8 for plane in planes):
         raise InvalidInputError("all frames must be uint8 planes of one size")

@@ -72,12 +72,11 @@ class KernelBank:
             raise InvalidInputError(f"expected {N_KERNELS} kernels, got {len(self.kernels)}")
         meta = dict(self.meta, **_STORED_TABLE)
         meta_bytes = json.dumps(meta, sort_keys=True).encode()
-        out = BANK_MAGIC + _BANK_HEADER.pack(BANK_VERSION, len(self.kernels), len(meta_bytes))
-        out += meta_bytes
+        parts = [BANK_MAGIC, _BANK_HEADER.pack(BANK_VERSION, len(self.kernels), len(meta_bytes)), meta_bytes]
         digits = self.meta.get("decimal_digits")
         for k, kernel in enumerate(self.kernels):
-            out += _record_head(k, digits) + np.vstack([kernel.matrix, kernel.bias]).astype("<f8").tobytes()
-        return out
+            parts += [_record_head(k, digits), np.vstack([kernel.matrix, kernel.bias]).astype("<f8").tobytes()]
+        return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, buf):

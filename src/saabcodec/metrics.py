@@ -2,6 +2,9 @@
 
 Conventions pinned here:
   * QP -> quantization step: Q = 2**((QP-4)/6); lambda = 0.57 * 2**((QP-12)/3).
+  * kappa(sigma, Q, lambda) takes a coefficient's standard deviation, the
+    step and the multiplier; compare_transforms derives Q and lambda from
+    the QP once.
   * Rate is measured in bits, so logs are base 2.
   * Energy compaction normalizes by 64 * (per-sample variance of the input
     residual set), so the curve ends near 1 for mean-free data, and ranks
@@ -27,21 +30,10 @@ def qp_to_lambda(qp):
     return 0.57 * 2.0 ** ((qp - 12) / 3.0)
 
 
-@dataclass(frozen=True)
-class RDModelParams:
-    qp: int
-    q_step: float
-    lam: float
-
-    @classmethod
-    def from_qp(cls, qp):
-        return cls(qp=qp, q_step=qp_to_qstep(qp), lam=qp_to_lambda(qp))
-
-
-def _as_coeff_matrix(coeff_sets, width=VEC_LEN):
+def _as_coeff_matrix(coeff_sets):
     y = np.asarray(coeff_sets, dtype=np.float64)
-    if y.ndim != 2 or (width is not None and y.shape[1] != width):
-        raise InvalidInputError(f"expected (n, {width}) coefficient array, got {y.shape}")
+    if y.ndim != 2 or y.shape[1] != VEC_LEN:
+        raise InvalidInputError(f"expected (n, {VEC_LEN}) coefficient array, got {y.shape}")
     return y
 
 
@@ -74,10 +66,7 @@ def energy_compaction(coeff_sets, input_variance):
 
 def decorrelation_cost(coeff_sets):
     """Sum of |E[y_i * y_j]| over i != j, with the means taken as zero."""
-    y = _as_coeff_matrix(coeff_sets, width=None)
-    if y.shape[0] < 2:
-        raise InsufficientDataError("need at least 2 coefficient blocks")
-    m = y.T @ y / y.shape[0]
+    m = covariance(coeff_sets)
     return float(np.sum(np.abs(m)) - np.sum(np.abs(np.diag(m))))
 
 
@@ -96,7 +85,7 @@ def coeff_stats(coeff_sets):
     return CoeffStats(variance=np.diag(cov).copy(), sample_count=y.shape[0])
 
 
-def kappa(sigma_y, params):
+def kappa(sigma_y, q_step, lam):
     """Closed-form RD cost of a Laplacian coefficient under uniform quantization.
 
     Distortion term sigma^2 Q^2 / (12 sigma^2 + Q^2) always; the rate term
@@ -106,11 +95,10 @@ def kappa(sigma_y, params):
         raise InvalidInputError("sigma must be non-negative")
     if sigma_y == 0.0:
         return 0.0
-    q = params.q_step
     s2 = sigma_y * sigma_y
-    d = s2 * q * q / (12.0 * s2 + q * q)
-    if sigma_y > q / SQRT2_E:
-        return d + params.lam * math.log2(SQRT2_E * sigma_y / q)
+    d = s2 * q_step * q_step / (12.0 * s2 + q_step * q_step)
+    if sigma_y > q_step / SQRT2_E:
+        return d + lam * math.log2(SQRT2_E * sigma_y / q_step)
     return d
 
 
@@ -122,15 +110,17 @@ class TransformComparison:
     kappa_dct: float
 
 
-def compare_transforms(stats_saab, stats_dct, params):
-    """Aggregate kappa and variance differences; negative values favor Saab.
+def compare_transforms(stats_saab, stats_dct, qp):
+    """Aggregate kappa and variance differences at one QP; negative values
+    favor Saab.
 
     Aggregates are arithmetic means over the 64 coefficient positions.
     """
     if stats_saab.sample_count != stats_dct.sample_count:
         raise InvalidInputError("mismatched sample counts between transform stats")
-    k_saab = np.array([kappa(math.sqrt(v), params) for v in stats_saab.variance])
-    k_dct = np.array([kappa(math.sqrt(v), params) for v in stats_dct.variance])
+    q, lam = qp_to_qstep(qp), qp_to_lambda(qp)
+    k_saab = np.array([kappa(math.sqrt(v), q, lam) for v in stats_saab.variance])
+    k_dct = np.array([kappa(math.sqrt(v), q, lam) for v in stats_dct.variance])
     d_sigma2 = stats_saab.variance - stats_dct.variance
     return TransformComparison(
         delta_kappa=float(k_saab.mean() - k_dct.mean()),

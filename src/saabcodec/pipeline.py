@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 
-from .codec import StrategyConfig, check_qps, encode_sequence
+from .codec import HEADER_U16_MAX, StrategyConfig, check_qps, encode_sequence
 from .errors import InvalidInputError, StarvedGroupError
 from .kernelio import KernelBank, check_digits
 from .linalg import BLOCK_SIZE
@@ -63,11 +63,12 @@ def extract_residuals(clips, qps=DEFAULT_QPS):
     parts = {}
     for grid, sources in groups.items():
         # Frames are independent intra pictures, so the clips of one frame size
-        # are coded together, one call per QP of at most a header's 0xFFFF frames.
+        # are coded together, one call per QP of at most a header's u16 frame count.
         planes = [p for s in sources for p in clips[s]]
         ends = np.cumsum([len(clips[s]) for s in sources]) * grid[0] * grid[1]
         for qp in qps:
-            calls = [encode_sequence(planes[i : i + 0xFFFF], qp, cfg)[1] for i in range(0, len(planes), 0xFFFF)]
+            chunks = range(0, len(planes), HEADER_U16_MAX)
+            calls = [encode_sequence(planes[i : i + HEADER_U16_MAX], qp, cfg)[1] for i in chunks]
             blocks = np.concatenate([fs.blocks for stats in calls for fs in stats])
             for source, part_blocks in zip(sources, np.split(blocks, ends[:-1])):
                 part = parts[source, qp] = np.empty(len(part_blocks), dtype=RESIDUAL_DTYPE)

@@ -12,7 +12,6 @@ import pytest
 
 from saabcodec import analysis, codec, metrics, pipeline, transforms as tf, video
 from saabcodec.bitstream import pack_bits, unpack_bits
-from saabcodec.metrics import RDModelParams
 
 QPS = (22, 27, 32, 37)
 
@@ -176,8 +175,8 @@ def test_criterion_05_rd_model_monotone():
     cells = 0
     violations = 0
     for qp in QPS:
-        params = RDModelParams.from_qp(qp)
-        k = np.array([metrics.kappa(s, params) for s in sigmas])
+        q, lam = metrics.qp_to_qstep(qp), metrics.qp_to_lambda(qp)
+        k = np.array([metrics.kappa(s, q, lam) for s in sigmas])
         diffs = np.diff(k)
         cells += diffs.size
         violations += int(np.sum(diffs <= 0))
@@ -187,8 +186,7 @@ def test_criterion_05_rd_model_monotone():
 
 
 def test_criterion_06_kappa_branch_value():
-    params = RDModelParams(qp=0, q_step=10.0, lam=1.0)
-    got = metrics.kappa(1.0, params)
+    got = metrics.kappa(1.0, 10.0, 1.0)
     err = abs(got - 100.0 / 112.0)
     _report(6, "kappa(sigma=1, Q=10) = 100/112", err < KAPPA_BRANCH_TOL, f"err {err:.2e}")
 

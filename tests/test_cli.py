@@ -135,6 +135,14 @@ def test_exit_codes(workdir, capsys):
     repeated = workdir / "repeated.csv"
     repeated.write_text("qp,rate,psnr\n22,1000,40\n22,1000,40\n27,500,38\n32,250,36\n")
     assert run(["bdrate", "--anchor", repeated, "--test", repeated]) == cli.EXIT_DATA
+    # all-zero residuals have no variance to compact -> data error, no output
+    flat = workdir / "flat.bin"
+    pipeline.save_residual_corpus(str(flat), np.zeros(100, dtype=pipeline.RESIDUAL_DTYPE))
+    capsys.readouterr()
+    assert run(["analyze-transforms", "--corpus", flat, "--mode", 0,
+                "--output-dir", workdir / "flat-out"]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == "error: input variance must be positive\n"
+    assert not (workdir / "flat-out").exists()
     # missing file -> config error
     assert run(["ingest", "--input", workdir / "nope.yuv",
                 "--width", 64, "--height", 48]) == cli.EXIT_CONFIG
@@ -205,6 +213,9 @@ BAD_INPUTS = {
         {"c.bin": TRAINABLE_CORPUS},
         _ANALYZE + ["--train-frac", "nan"],
     ),
+    # an intra mode is one of 0..34
+    "analyze-transforms-mode-35": ({"c.bin": TRAINABLE_CORPUS}, _ANALYZE + ["--mode", 35]),
+    "analyze-transforms-negative-mode": ({"c.bin": TRAINABLE_CORPUS}, _ANALYZE + ["--mode", -1]),
     "train-bank-negative-samples": (
         {"c.bin": TRAINABLE_CORPUS},
         _TRAIN + ["--samples-per-kernel", -5],

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from saabcodec import metrics
-from saabcodec.errors import InvalidInputError
+from saabcodec.errors import DegenerateInputError, InvalidInputError
 
 
 def test_qp_to_qstep():
@@ -19,22 +19,20 @@ def test_qp_to_lambda():
 
 
 def test_kappa_low_sigma_branch_exact():
-    params = metrics.RDModelParams(qp=0, q_step=10.0, lam=1.0)
-    assert abs(metrics.kappa(1.0, params) - 100.0 / 112.0) < 1e-12
+    assert abs(metrics.kappa(1.0, 10.0, 1.0) - 100.0 / 112.0) < 1e-12
 
 
 def test_kappa_zero_sigma():
-    params = metrics.RDModelParams.from_qp(32)
-    assert metrics.kappa(0.0, params) == 0.0
+    q, lam = metrics.qp_to_qstep(32), metrics.qp_to_lambda(32)
+    assert metrics.kappa(0.0, q, lam) == 0.0
     with pytest.raises(InvalidInputError):
-        metrics.kappa(-1.0, params)
+        metrics.kappa(-1.0, q, lam)
 
 
 def test_kappa_rate_term_joins_continuously():
-    params = metrics.RDModelParams(qp=0, q_step=1.0, lam=0.5)
     thresh = 1.0 / metrics.SQRT2_E
-    below = metrics.kappa(thresh * (1 - 1e-9), params)
-    above = metrics.kappa(thresh * (1 + 1e-9), params)
+    below = metrics.kappa(thresh * (1 - 1e-9), 1.0, 0.5)
+    above = metrics.kappa(thresh * (1 + 1e-9), 1.0, 0.5)
     assert abs(above - below) < 1e-6
 
 
@@ -60,11 +58,25 @@ def test_decorrelation_cost_ordering():
     assert metrics.decorrelation_cost(indep) < metrics.decorrelation_cost(mix)
 
 
+def test_decorrelation_cost_rejects_non_finite_values():
+    y = np.random.default_rng(1).normal(size=(100, 64))
+    y[7] = np.nan
+    with pytest.raises(InvalidInputError):
+        metrics.decorrelation_cost(y)
+
+
+def test_energy_compaction_rejects_non_positive_input_variance():
+    y = np.zeros((10, 64))
+    for var in (0.0, -1.0):
+        with pytest.raises(DegenerateInputError):
+            metrics.energy_compaction(y, var)
+
+
 def test_compare_transforms_zero_for_identical_stats():
     rng = np.random.default_rng(3)
     y = rng.normal(size=(200, 64))
     stats = metrics.coeff_stats(y)
-    cmp_ = metrics.compare_transforms(stats, stats, metrics.RDModelParams.from_qp(37))
+    cmp_ = metrics.compare_transforms(stats, stats, 37)
     assert cmp_.delta_kappa == 0.0
     assert cmp_.delta_sigma2 == 0.0
 
@@ -74,7 +86,7 @@ def test_compare_transforms_sample_count_mismatch():
     a = metrics.coeff_stats(rng.normal(size=(100, 64)))
     b = metrics.coeff_stats(rng.normal(size=(101, 64)))
     with pytest.raises(InvalidInputError):
-        metrics.compare_transforms(a, b, metrics.RDModelParams.from_qp(22))
+        metrics.compare_transforms(a, b, 22)
 
 
 def test_residual_sample_variance():
