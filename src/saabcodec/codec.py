@@ -10,10 +10,13 @@ analysis rows M, exact for any kernel, and its levels and bit counts are exact
 reconstructed, by `_reconstruct`, whose float64 arithmetic the decoder
 replays, so its output matches the encoder reconstruction bit-exactly.
 
-Both sides work on wavefront batches of up to BATCH_BLOCKS blocks that do
-not reference each other (`_wavefront_batches`), and both reconstruct a
-batch through one `_reconstruct` call; blocks are read and stored through
-the (frames, h/8, 8, w/8, 8) view of a (frames, h, w) stack (`_blocks`).
+Both sides work on wavefront batches of blocks that do not reference each
+other (`_wavefront_batches`), and both reconstruct a batch through one
+`_reconstruct` call; blocks are read and stored through the (frames, h/8,
+8, w/8, 8) view of a (frames, h, w) stack (`_blocks`).  The encoder keeps
+BATCH_BLOCKS: its float32 search's BLAS products may round differently at
+another row count, moving the J estimates.  The decoder's batches are wider
+(DECODE_BATCH_BLOCKS): its prediction and synthesis are exact at any size.
 The decoder runs two passes: a parse pass walks the payload, unpacked once
 by `unpack_bits` into a string of '0'/'1' bytes, with one bit position, and
 reads every block's mode, transform flag and 64 levels (`decode_levels`)
@@ -65,9 +68,11 @@ MAX_QP = 51
 _LEVEL_LIMIT = 1 << 12  # |level| < 2**12, see the module docstring
 _MIN_BLOCK_BITS = MODE_BITS + 1  # mode and coded-block flag
 DEADZONE = 1.0 / 3.0
-# Blocks per encode_block call.  Fixed: it bounds the memory of the
-# batch's candidate arrays, and batching never changes the output.
+# Blocks per encode_block call: fixed (module docstring); bounds its candidate arrays.
 BATCH_BLOCKS = 16
+# Blocks per decoder batch: bounds its per-block temporaries, about 32 KB of
+# float64 synthesis rows and 17 KB of prediction table slice (1.6 MB in all).
+DECODE_BATCH_BLOCKS = 32
 
 STRATEGIES = ("dct_only", "s1", "s2", "s3")
 
@@ -147,10 +152,10 @@ def decode_levels(bits, p):
     """Parse one block's 64 scan-order levels from `bits`, an `unpack_bits`
     string, at bit position p; returns (levels, the position after them).
 
-    Each significant level costs two find() calls, for its exp-Golomb
-    prefix and for the run of zero significance bits after it, and one
-    int().  A code cut off by the end, a prefix of more than 64 zeros and a
-    magnitude of 2**12 or more raise BitstreamError.
+    A |level| 1 code and a significance 1 right after a level cost one bit
+    test each; another level costs a find() and an int(), and a run of zero
+    significance bits one find().  A code cut off by the end, a prefix of
+    more than 64 zeros and a magnitude of 2**12 or more raise BitstreamError.
     """
     n = len(bits)
     levels = np.zeros(VEC_LEN, dtype=np.int64)
@@ -164,19 +169,25 @@ def decode_levels(bits, p):
     pos = int(bits[p - 6 : p], 2)  # the last significant position
     while True:
         # ue(|level| - 1) is b - 1 zeros, then |level| in b bits; then the sign
-        one = bits.find(b"1", p, p + 65)
-        end = 2 * one - p + 1
-        if one < 0 and p + 65 <= n:
-            raise BitstreamError("runaway exp-Golomb prefix", bit_offset=p + 65)
-        if one < 0 or end > n:
-            raise _past_end(bits)
-        mag = int(bits[one:end], 2)
-        if mag >= _LEVEL_LIMIT:
-            raise BitstreamError(f"level magnitude {mag} out of range", bit_offset=end)
+        if p < n and bits[p] & 1:  # |level| 1: the code is one 1
+            mag, end = 1, p + 1
+        else:
+            one = bits.find(b"1", p, p + 65)
+            end = 2 * one - p + 1
+            if one < 0 and p + 65 <= n:
+                raise BitstreamError("runaway exp-Golomb prefix", bit_offset=p + 65)
+            if one < 0 or end > n:
+                raise _past_end(bits)
+            mag = int(bits[one:end], 2)
+            if mag >= _LEVEL_LIMIT:
+                raise BitstreamError(f"level magnitude {mag} out of range", bit_offset=end)
         if end == n:  # no sign bit
             raise _past_end(bits)
         levels[pos] = -mag if bits[end] & 1 else mag
         p = end + 1
+        if pos and p < n and bits[p] & 1:  # the next position is significant
+            pos, p = pos - 1, p + 1
+            continue
         # significance bits of the positions below, up to the next set one
         one = bits.find(b"1", p, p + pos)
         if one < 0:  # all clear
@@ -349,7 +360,7 @@ def encode_block(original, recon, pos, qp, cfg, matrices, search):
     frame, bx, by = pos
     n = len(bx)
     refs = build_references(recon, bx, by, frame=frame)
-    preds = predict_all_modes(refs).reshape(n, N_MODES, VEC_LEN).transpose(1, 0, 2)
+    preds = np.moveaxis(predict_all_modes(refs), -3, 0).reshape(N_MODES, n, VEC_LEN)
     orig = _blocks(original)[frame, by, :, bx, :].reshape(n, VEC_LEN).astype(np.int32)
 
     q, lam = qp_to_qstep(qp), qp_to_lambda(qp)
@@ -379,9 +390,9 @@ def encode_block(original, recon, pos, qp, cfg, matrices, search):
     return rows
 
 
-def _wavefront_batches(n_frames, blocks_w, blocks_h):
+def _wavefront_batches(n_frames, blocks_w, blocks_h, size):
     """Yield ((frame, bx, by) index arrays, stream-order indices) of at most
-    BATCH_BLOCKS blocks each.
+    `size` blocks each.
 
     Blocks of one wave w = bx + 2 * by reference only blocks of earlier
     waves (left, top-left, top and top-right neighbours), and frames are
@@ -395,8 +406,8 @@ def _wavefront_batches(n_frames, blocks_w, blocks_h):
         bx, by = bx[on_grid], by[on_grid]
         frame = np.repeat(np.arange(n_frames), bx.size)
         bx, by = np.tile(bx, n_frames), np.tile(by, n_frames)
-        for start in range(0, frame.size, BATCH_BLOCKS):
-            batch = slice(start, start + BATCH_BLOCKS)
+        for start in range(0, frame.size, size):
+            batch = slice(start, start + size)
             f, x, y = frame[batch], bx[batch], by[batch]
             yield (f, x, y), (f * blocks_h + y) * blocks_w + x
 
@@ -443,7 +454,7 @@ def encode_sequence(planes, qp, cfg, recon_out=None):
     recon = np.zeros(original.shape, dtype=np.uint8)
     table = np.empty(len(planes) * blocks_h * blocks_w, dtype=BLOCK_DTYPE)
     matrices, search = cfg.matrices(), cfg.matrices(np.float32)
-    for pos, i in _wavefront_batches(len(planes), blocks_w, blocks_h):
+    for pos, i in _wavefront_batches(len(planes), blocks_w, blocks_h, BATCH_BLOCKS):
         table[i] = encode_block(original, recon, pos, qp, cfg, matrices, search)
 
     values, lengths = encode_levels(table["levels"])
@@ -524,7 +535,7 @@ def decode_sequence(data, bank=None):
     cand = cfg.cand_index[uses_saab.astype(np.intp), modes]
     recon = np.zeros((n_frames, h, w), dtype=np.uint8)
     recon_blocks = _blocks(recon)
-    for (frame, bx, by), i in _wavefront_batches(n_frames, blocks_w, blocks_h):
+    for (frame, bx, by), i in _wavefront_batches(n_frames, blocks_w, blocks_h, DECODE_BATCH_BLOCKS):
         refs = build_references(recon, bx, by, frame=frame)
         preds = predict_block(refs, modes[i]).reshape(-1, VEC_LEN)
         rec = _reconstruct(preds, levels[i], matrices[cand[i]], q)

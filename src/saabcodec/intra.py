@@ -17,7 +17,10 @@ repeats the run's ends, so scan sample i reads sample clip(i, lo, hi).
 Every mode is one integer weight table row set: a prediction sample is
 (sum of weights x the 68 reference samples + rounding) >> shift, followed
 by the DC and mode-10/26 edge fix-ups, which read `above` and `left`.  The
-table is stored scaled by 2**-shift, so a sample is floor(refs @ table + 0.5).
+table is stored scaled by 2**-shift, so a sample is floor(refs @ table + 0.5),
+and mode-major as one C-contiguous (35, 68, 64) array: `predict_all_modes` is
+one stacked product over it, and `predict_block` gathers each block's
+contiguous (68, 64) slice.
 """
 
 import functools
@@ -131,25 +134,25 @@ def _angular_taps(mode):
 
 
 def _build_weights():
-    """Weights (68, 35 * 64): column mode * 64 + pixel holds that prediction
-    sample's integer weights on the 68 reference samples, scaled by 2**-shift
-    (shift 4 for planar and DC, 5 for angular), so (sum + 2**(shift-1)) >> shift
-    is floor(scaled sum + 0.5).  On references in [0, 255] every scaled product
-    and partial sum is a non-negative multiple of 2**-5 below 2**8, so a float32
-    matmul is exact in any order, and truncation (astype) is the floor.
+    """Weights (35, 68, 64), C-contiguous and mode-major: [mode, r, pixel] is
+    that prediction sample's integer weight on reference sample r, scaled by
+    2**-shift (shift 4 for planar and DC, 5 for angular), so (sum + 2**(shift-1))
+    >> shift is floor(scaled sum + 0.5).  On references in [0, 255] every scaled
+    product and partial sum is a non-negative multiple of 2**-5 below 2**8, so a
+    float32 matmul is exact in any order, and truncation (astype) is the floor.
     """
-    w = np.zeros((4 * _REF, N_MODES, N, N), dtype=np.float32)
+    w = np.zeros((N_MODES, 4 * _REF, N, N), dtype=np.float32)
     # Planar on the smoothed references.
     for y in range(N):
         for x in range(N):
-            w[_LEFT_F + 1 + y, 0, y, x] += N - 1 - x
-            w[_ABOVE_F + N + 1, 0, y, x] += x + 1
-            w[_ABOVE_F + 1 + x, 0, y, x] += N - 1 - y
-            w[_LEFT_F + N + 1, 0, y, x] += y + 1
+            w[0, _LEFT_F + 1 + y, y, x] += N - 1 - x
+            w[0, _ABOVE_F + N + 1, y, x] += x + 1
+            w[0, _ABOVE_F + 1 + x, y, x] += N - 1 - y
+            w[0, _LEFT_F + N + 1, y, x] += y + 1
     # DC interior value; the edge samples are fixed up afterwards.
-    w[_ABOVE + 1 : _ABOVE + N + 1, 1] = 1
-    w[_LEFT + 1 : _LEFT + N + 1, 1] = 1
-    w[:, :2] /= 1 << (_LOG2N + 1)
+    w[1, _ABOVE + 1 : _ABOVE + N + 1] = 1
+    w[1, _LEFT + 1 : _LEFT + N + 1] = 1
+    w[:2] /= 1 << (_LOG2N + 1)
     # Angular: two-tap 1/32-pel interpolation along the extended reference,
     # rows stepping along the angle in main-direction coordinates, which are
     # transposed for the horizontal modes 2..17.
@@ -159,12 +162,12 @@ def _build_weights():
             pos = (y + 1) * _mode_angle(mode)
             fact = pos & 31
             for x in range(N):
-                pixel = (mode, y, x) if mode >= 18 else (mode, x, y)
+                pixel = (y, x) if mode >= 18 else (x, y)
                 base = x + (pos >> 5) + 1 + N
-                w[(taps[base],) + pixel] += (32 - fact) / 32
+                w[(mode, taps[base]) + pixel] += (32 - fact) / 32
                 if fact:
-                    w[(taps[base + 1],) + pixel] += fact / 32
-    return w.reshape(4 * _REF, -1)
+                    w[(mode, taps[base + 1]) + pixel] += fact / 32
+    return w.reshape(N_MODES, 4 * _REF, N * N)
 
 
 _WEIGHTS = _build_weights()
@@ -196,16 +199,17 @@ def predict_all_modes(refs):
     """All 35 predictions at once as a (35, 8, 8) int32 array.
 
     `refs` is a reference vector as build_references returns it, with any
-    leading batch axes; the result then has the same leading axes.  Used by
-    the encoder's candidate search.
+    leading batch axes; the result then has the same leading axes, and is a
+    view of the mode-major (35, ..., 8, 8) array of one stacked product.
+    Used by the encoder's candidate search.
     """
-    acc = refs.astype(np.float32) @ _WEIGHTS
+    acc = refs.reshape(-1, 4 * _REF).astype(np.float32) @ _WEIGHTS
     acc += 0.5
-    preds = acc.astype(np.int32).reshape(refs.shape[:-1] + (N_MODES, N, N))
+    preds = acc.astype(np.int32).reshape((N_MODES,) + refs.shape[:-1] + (N, N))
     above, left = refs[..., _ABOVE:_LEFT], refs[..., _LEFT:_ABOVE_F]
     for mode, fix in _EDGE_FIXUPS.items():
-        fix(preds[..., mode, :, :], above, left)
-    return preds
+        fix(preds[mode], above, left)
+    return np.moveaxis(preds, 0, -3)
 
 
 def predict_block(refs, mode):
@@ -219,9 +223,8 @@ def predict_block(refs, mode):
     if np.any((mode < 0) | (mode >= N_MODES)):
         raise InvalidInputError(f"intra mode {mode} out of range")
     refs = refs.reshape(-1, 4 * _REF)
-    # (k, 68, 64): each block's table columns
-    weights = _WEIGHTS.reshape(4 * _REF, N_MODES, N * N)[:, mode].transpose(1, 0, 2)
-    acc = (refs.astype(np.float32)[:, None, :] @ weights)[:, 0, :]
+    # (k, 68, 64): each block's contiguous table slice
+    acc = (refs.astype(np.float32)[:, None, :] @ _WEIGHTS[mode])[:, 0, :]
     acc += 0.5
     preds = acc.astype(np.int32).reshape(-1, N, N)
     for m, fix in _EDGE_FIXUPS.items():

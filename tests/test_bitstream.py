@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from saabcodec import bitstream
 from saabcodec.bitstream import pack_bits, unpack_bits
 from saabcodec.errors import BitstreamError
 
@@ -106,3 +107,37 @@ def test_pack_bits_matches_bit_by_bit_reference(fields):
     reference = _BitByBitReader(data)
     assert [reference.read_bits(n) for _, n in fields] == [v for v, _ in fields]
     assert reference.read_bits(8 * len(data) - total) == 0
+
+
+def _pack_bits_reference(values, lengths):
+    """Reference packer: every field written one bit at a time, MSB first."""
+    out, bit = bytearray(), 0
+    for v, n in zip(values.tolist(), lengths.tolist()):
+        for shift in range(n - 1, -1, -1):
+            if bit % 8 == 0:
+                out.append(0)
+            out[-1] |= (v >> shift & 1) << (7 - bit % 8)
+            bit += 1
+    return bytes(out)
+
+
+_CHUNK = bitstream._CHUNK_FIELDS
+
+
+@pytest.mark.parametrize("count", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+@pytest.mark.parametrize("zeros", ["none", "chunk_edge", "first_chunk"])
+def test_pack_bits_chunks_match_bit_by_bit_reference(count, zeros):
+    """Field counts around the chunk size, zero-length fields at a chunk
+    edge or filling a whole chunk, and a total that is not a multiple of 8:
+    the bytes a chunk leaves unfinished carry into the next one."""
+    rng = np.random.default_rng(count)
+    lengths = rng.integers(0, 32, size=count).astype(np.uint8)
+    if zeros == "chunk_edge":
+        lengths[_CHUNK - 3 : _CHUNK + 3] = 0
+    elif zeros == "first_chunk":
+        lengths[:_CHUNK] = 0
+    lengths[-1] = 8 + (5 - int(lengths[:-1].sum())) % 8  # 5 bits past the last whole byte
+    values = rng.integers(0, 1 << lengths.astype(np.int64)).astype(np.int32)
+    data = pack_bits(values, lengths)
+    assert int(lengths.sum()) % 8 == 5
+    assert data == _pack_bits_reference(values, lengths)

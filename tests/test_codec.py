@@ -153,6 +153,15 @@ def _level_payloads(draw):
 @example(data=b"\x40" + bytes(9))
 @example(data=b"\x40" + bytes(8) + b"\x80" + bytes(8))
 @example(data=b"\x40" + bytes(8) + b"\x80" + bytes(7))
+# The one-bit paths: a |level| 1 code as the last bit, its sign cut off
+# (cbf, last position 0, then 1); a significance 1 as the last bit (last
+# position 4 holds -2, position 3 +1, position 1's level is cut off); a sign
+# as the last bit above position 0 (position 5 holds +4, position 4 -1); and
+# 64 consecutive +-1 levels.
+@example(data=b"\x81")
+@example(data=b"\x88\xb9")
+@example(data=b"\x8a\x47")
+@example(data=pack_bits(*codec.encode_levels(np.where(np.arange(64) % 3, 1, -1)[None])))
 @given(data=_level_payloads())
 def test_level_parser_matches_reference(data):
     """decode_levels over a run of 6 coded blocks, intact or damaged,
@@ -316,6 +325,21 @@ def test_batched_reconstruction_matches_per_block_formula():
             batch = slice(start, start + codec.BATCH_BLOCKS)
             got = codec._reconstruct(preds[batch], levels[batch], matrices[batch], q)
             assert got.tobytes() == want[batch].tobytes()
+
+
+@pytest.mark.parametrize("strategy", ["s3", "s1"])
+def test_decode_batch_size_changes_nothing(strategy, monkeypatch, tiny_bank, tiny_clip):
+    """A 3-frame stream decodes to the encoder's planes and to one coded-block
+    table with the decoder's batch bound at 1, 7, 16 or a whole wave."""
+    recon = []
+    stream, stats = codec.encode_sequence(tiny_clip, 22, codec.StrategyConfig(strategy, tiny_bank), recon)
+    tables = []
+    for bound in (1, 7, 16, sum(s.n_total for s in stats)):  # the last: every wave whole
+        monkeypatch.setattr(codec, "DECODE_BATCH_BLOCKS", bound)
+        planes, decoded = codec.decode_sequence(stream, tiny_bank)
+        assert all(map(np.array_equal, planes, recon))
+        tables.append(np.concatenate([s.blocks for s in decoded]).tobytes())
+    assert tables == tables[:1] * 4
 
 
 def test_all_zero_block_costs_one_bit():

@@ -131,7 +131,7 @@ def test_scaled_table_equals_the_integer_table():
     shift 4 for planar and DC and 5 for the angular modes, then the edge
     fix-ups.  Surfaces of 0s and 255s give the largest partial sums."""
     shift = np.where(np.arange(35) < 2, 4, 5)[:, None]
-    table = intra._WEIGHTS.reshape(68, 35, 64) * 2.0**shift
+    table = intra._WEIGHTS * 2.0**shift[:, None]  # (35, 68, 64), mode-major
     assert np.array_equal(table, np.round(table))
     table = table.astype(np.int64)
     rng = np.random.default_rng(4)
@@ -140,7 +140,7 @@ def test_scaled_table_equals_the_integer_table():
     n = 300
     frame, bx, by = rng.integers(0, 3, n), rng.integers(0, 7, n), rng.integers(0, 5, n)
     refs = intra.build_references(recon, bx, by, frame=frame)
-    want = (np.einsum("kr,rmp->kmp", refs.astype(np.int64), table) + (1 << shift >> 1)) >> shift
+    want = (np.einsum("kr,mrp->kmp", refs.astype(np.int64), table) + (1 << shift >> 1)) >> shift
     want = want.reshape(n, 35, 8, 8)
     for mode, fix in intra._EDGE_FIXUPS.items():
         fix(want[:, mode], refs[:, :17], refs[:, 17:34])
