@@ -1,26 +1,27 @@
 """35-mode intra prediction for 8x8 blocks, following the HEVC process.
 
 Planar, DC with edge filtering, and angular modes with 1/32-pel
-interpolation and the [1 2 1] reference smoothing rule for 8x8 blocks.
-All arithmetic is integer, so encoder and decoder predictions are
-bit-identical by construction.
+interpolation, the [1 2 1] reference smoothing rule for 8x8 blocks and the
+mode-10/26 edge filters.  All arithmetic is exact, so encoder and decoder
+predictions are bit-identical by construction.
 
-Reference layout: one int32 vector of 68 samples per block,
-[above, left, above_f, left_f] with 17 each.  `above` is the corner, 8 top
-and 8 top-right samples; `left` is the corner, 8 left and 8 below-left
-samples; `above_f` and `left_f` are the same after [1 2 1] smoothing.
+Reference layout: one int32 vector of 70 samples per block,
+[above, left, above_f, left_f, dc, 1].  `above` is the corner, 8 top and 8
+top-right samples; `left` is the corner, 8 left and 8 below-left samples;
+`above_f` and `left_f` are the same after [1 2 1] smoothing; `dc` is the DC
+value (8 top + 8 left + 8) >> 4, the process's one nonlinear step.
 The available samples of a block's 33-sample scan line (below-left bottom
 .. corner .. top-right end) always form one run lo..hi: below-left samples
 are never available in raster block order.  The standard's substitution
 repeats the run's ends, so scan sample i reads sample clip(i, lo, hi).
 
-Every mode is one integer weight table row set: a prediction sample is
-(sum of weights x the 68 reference samples + rounding) >> shift, followed
-by the DC and mode-10/26 edge fix-ups, which read `above` and `left`.  The
-table is stored scaled by 2**-shift, so a sample is floor(refs @ table + 0.5),
-and mode-major as one C-contiguous (35, 68, 64) array: `predict_all_modes` is
-one stacked product over it, and `predict_block` gathers each block's
-contiguous (68, 64) slice.
+Every mode is one weight table row set: a prediction sample is
+floor(clip(refs @ table, 0, 255)).  The table holds the standard's integer
+weights and rounding offsets (on the constant 1) scaled by 2**-shift, and the
+DC and mode-10/26 edge filters as weights on `dc`, `above` and `left`.  It is
+stored mode-major as one C-contiguous (35, 70, 64) array: `predict_all_modes`
+is one stacked product over it, and `predict_block` gathers each block's
+contiguous (70, 64) slice.
 """
 
 import functools
@@ -48,8 +49,9 @@ _ANGLES = np.array(
 _INV_ANGLES = {-2: -4096, -5: -1638, -9: -910, -13: -630, -17: -482,
                -21: -390, -26: -315, -32: -256}
 
-# Offsets of the four parts of the 68-sample reference vector.
-_ABOVE, _LEFT, _ABOVE_F, _LEFT_F = 0, _REF, 2 * _REF, 3 * _REF
+# Offsets of the parts of the 70-sample reference vector.
+_ABOVE, _LEFT, _ABOVE_F, _LEFT_F, _DC, _ONE = 0, _REF, 2 * _REF, 3 * _REF, 4 * _REF, 4 * _REF + 1
+_LEN = 4 * _REF + 2
 
 
 def _mode_angle(mode):
@@ -85,35 +87,44 @@ def _reference_table(h, w):
     return table
 
 
-# Scan-line positions, in the [line, smoothed line] pair, of the reference
-# vector [above, left, above_f, left_f]: `above` is corner, top, top-right;
+# Positions, in [line, smoothed line, dc, 1], of the reference vector
+# [above, left, above_f, left_f, dc, 1]: `above` is corner, top, top-right;
 # `left` is corner, left, below-left.
 _ABOVE_ORDER = np.arange(2 * N, _SCAN)
 _LEFT_ORDER = np.arange(2 * N, -1, -1)
-_REF_ORDER = np.concatenate([_ABOVE_ORDER, _LEFT_ORDER, _ABOVE_ORDER + _SCAN, _LEFT_ORDER + _SCAN])
+_REF_ORDER = np.concatenate([_ABOVE_ORDER, _LEFT_ORDER, _ABOVE_ORDER + _SCAN, _LEFT_ORDER + _SCAN,
+                             [2 * _SCAN, 2 * _SCAN + 1]])
+# Scan-line samples the DC value sums, by run: below-left, left, corner, top, top-right.
+_DC_TAPS = np.repeat(np.int32([0, 1, 0, 1, 0]), [N, N, 1, N, N])
 
 
 def build_references(recon, bx, by, frame=0):
-    """The 68-sample reference vector of the block at grid position (bx, by).
+    """The 70-sample reference vector of the block at grid position (bx, by).
 
     `recon` is the frame-sized reconstruction surface filled in raster block
     order, or a (frames, h, w) stack of them with `frame` selecting one.
-    Returns the int32 vector [above, left, above_f, left_f] (module
+    Returns the int32 vector [above, left, above_f, left_f, dc, 1] (module
     docstring).  `bx`, `by` and `frame` may be integer arrays of one shape;
-    the result then has that shape plus a last axis of 68.
+    the result then has that shape plus a last axis of 70.
     """
     h, w = recon.shape[-2:]
+    grid = (recon.shape[0] if recon.ndim == 3 else 1, h // N, w // N)
     try:
-        pos = np.ravel_multi_index((by, bx), (h // N, w // N))
+        at = np.ravel_multi_index((frame, by, bx), grid)
     except ValueError:
-        raise InvalidInputError(f"block position ({bx}, {by}) off the grid") from None
-    idx = _reference_table(h, w)[pos] + np.asarray(frame)[..., None] * (h * w)
+        raise InvalidInputError(f"block position ({bx}, {by}) of frame {frame} off the grid") from None
+    frame, pos = np.divmod(at, grid[1] * grid[2])
+    idx = _reference_table(h, w)[pos] + frame[..., None] * (h * w)
     line = recon.reshape(-1)[idx].astype(np.int32, copy=False)
     line[pos == 0] = 128
 
-    sm = line.copy()
-    sm[..., 1:-1] = (line[..., :-2] + 2 * line[..., 1:-1] + line[..., 2:] + 2) >> 2
-    return np.concatenate([line, sm], axis=-1)[..., _REF_ORDER]
+    # [line, smoothed line, dc, 1]
+    ext = np.empty(line.shape[:-1] + (2 * _SCAN + 2,), dtype=np.int32)
+    ext[..., :_SCAN] = ext[..., _SCAN : 2 * _SCAN] = line
+    ext[..., _SCAN + 1 : 2 * _SCAN - 1] = (line[..., :-2] + 2 * line[..., 1:-1] + line[..., 2:] + 2) >> 2
+    ext[..., -2] = (line @ _DC_TAPS + N) >> (_LOG2N + 1)
+    ext[..., -1] = 1
+    return ext[..., _REF_ORDER]
 
 
 def _angular_taps(mode):
@@ -134,14 +145,16 @@ def _angular_taps(mode):
 
 
 def _build_weights():
-    """Weights (35, 68, 64), C-contiguous and mode-major: [mode, r, pixel] is
-    that prediction sample's integer weight on reference sample r, scaled by
-    2**-shift (shift 4 for planar and DC, 5 for angular), so (sum + 2**(shift-1))
-    >> shift is floor(scaled sum + 0.5).  On references in [0, 255] every scaled
-    product and partial sum is a non-negative multiple of 2**-5 below 2**8, so a
-    float32 matmul is exact in any order, and truncation (astype) is the floor.
+    """Weights (35, 70, 64), C-contiguous and mode-major: [mode, r, pixel] is
+    that prediction sample's integer weight on reference sample r, rounding
+    offset 2**(shift-1) on the constant included, scaled by 2**-shift (shift 4
+    for planar and DC, 5 for angular), so the floor of a sum is the standard's
+    >> shift.  On references in [0, 255] every product and partial sum is a
+    multiple of 2**-5 below 2**10 in magnitude, so a float32 product is exact
+    in any order; after the clip to [0, 255] truncation (astype) is the floor.
     """
-    w = np.zeros((N_MODES, 4 * _REF, N, N), dtype=np.float32)
+    w = np.zeros((N_MODES, _LEN, N, N), dtype=np.float32)
+    i = np.arange(N)
     # Planar on the smoothed references.
     for y in range(N):
         for x in range(N):
@@ -149,10 +162,13 @@ def _build_weights():
             w[0, _ABOVE_F + N + 1, y, x] += x + 1
             w[0, _ABOVE_F + 1 + x, y, x] += N - 1 - y
             w[0, _LEFT_F + N + 1, y, x] += y + 1
-    # DC interior value; the edge samples are fixed up afterwards.
-    w[1, _ABOVE + 1 : _ABOVE + N + 1] = 1
-    w[1, _LEFT + 1 : _LEFT + N + 1] = 1
-    w[:2] /= 1 << (_LOG2N + 1)
+    w[0] /= 1 << (_LOG2N + 1)
+    # DC: the value dc inside, (t + 3 dc + 2) >> 2 on the top and left edges
+    # and (l + 2 dc + t + 2) >> 2 at the corner.
+    w[1, _DC] = 1
+    w[1, _DC, 0, :] = w[1, _DC, :, 0] = 3 / 4
+    w[1, _DC, 0, 0] = 1 / 2
+    w[1, _ABOVE + 1 + i, 0, i] = w[1, _LEFT + 1 + i, i, 0] = 1 / 4
     # Angular: two-tap 1/32-pel interpolation along the extended reference,
     # rows stepping along the angle in main-direction coordinates, which are
     # transposed for the horizontal modes 2..17.
@@ -167,32 +183,23 @@ def _build_weights():
                 w[(mode, taps[base]) + pixel] += (32 - fact) / 32
                 if fact:
                     w[(mode, taps[base + 1]) + pixel] += fact / 32
-    return w.reshape(N_MODES, 4 * _REF, N * N)
+    w[:, _ONE] = 1 / 2
+    # Modes 10 and 26 filter their first row and column to
+    # side[1] + (main[1 + i] - corner) >> 1, clipped, with no rounding offset.
+    for edge, main, side in ((w[10, :, 0, :], _ABOVE, _LEFT), (w[26, :, :, 0], _LEFT, _ABOVE)):
+        edge[:] = 0
+        edge[side + 1] = 1
+        edge[_ABOVE] = -1 / 2  # the corner
+        edge[main + 1 + i, i] = 1 / 2
+    return w.reshape(N_MODES, _LEN, N * N)
 
 
 _WEIGHTS = _build_weights()
 
 
-def _dc_edges(pred, above, left):
-    dc = pred[..., 1, 1:2].copy()
-    t = above[..., 1 : N + 1]
-    l = left[..., 1 : N + 1]
-    pred[..., 0, 1:] = (t[..., 1:] + 3 * dc + 2) >> 2
-    pred[..., 1:, 0] = (l[..., 1:] + 3 * dc + 2) >> 2
-    pred[..., 0, 0] = (l[..., 0] + 2 * dc[..., 0] + t[..., 0] + 2) >> 2
-
-
-def _horizontal_edge(pred, above, left):
-    row = left[..., 1:2] + ((above[..., 1 : N + 1] - above[..., :1]) >> 1)
-    pred[..., 0, :] = np.clip(row, 0, 255)
-
-
-def _vertical_edge(pred, above, left):
-    col = above[..., 1:2] + ((left[..., 1 : N + 1] - above[..., :1]) >> 1)
-    pred[..., :, 0] = np.clip(col, 0, 255)
-
-
-_EDGE_FIXUPS = {1: _dc_edges, 10: _horizontal_edge, 26: _vertical_edge}
+def _check_length(refs):
+    if refs.shape[-1:] != (_LEN,):
+        raise InvalidInputError(f"reference vectors have {_LEN} samples, got shape {refs.shape}")
 
 
 def predict_all_modes(refs):
@@ -203,13 +210,10 @@ def predict_all_modes(refs):
     view of the mode-major (35, ..., 8, 8) array of one stacked product.
     Used by the encoder's candidate search.
     """
-    acc = refs.reshape(-1, 4 * _REF).astype(np.float32) @ _WEIGHTS
-    acc += 0.5
-    preds = acc.astype(np.int32).reshape((N_MODES,) + refs.shape[:-1] + (N, N))
-    above, left = refs[..., _ABOVE:_LEFT], refs[..., _LEFT:_ABOVE_F]
-    for mode, fix in _EDGE_FIXUPS.items():
-        fix(preds[mode], above, left)
-    return np.moveaxis(preds, 0, -3)
+    _check_length(refs)
+    acc = refs.reshape(-1, _LEN).astype(np.float32) @ _WEIGHTS
+    preds = np.clip(acc, 0, 255, out=acc).astype(np.int32)
+    return np.moveaxis(preds.reshape((N_MODES,) + refs.shape[:-1] + (N, N)), 0, -3)
 
 
 def predict_block(refs, mode):
@@ -218,19 +222,14 @@ def predict_block(refs, mode):
     build_references; `mode` is one intra mode or an integer array of one
     mode per block, shaped as the vector's leading axes, and the result is
     those axes plus (8, 8)."""
+    _check_length(refs)
     batch = refs.shape[:-1]
     mode = np.broadcast_to(mode, batch).reshape(-1)
-    if np.any((mode < 0) | (mode >= N_MODES)):
-        raise InvalidInputError(f"intra mode {mode} out of range")
-    refs = refs.reshape(-1, 4 * _REF)
-    # (k, 68, 64): each block's contiguous table slice
-    acc = (refs.astype(np.float32)[:, None, :] @ _WEIGHTS[mode])[:, 0, :]
-    acc += 0.5
-    preds = acc.astype(np.int32).reshape(-1, N, N)
-    for m, fix in _EDGE_FIXUPS.items():
-        at = np.flatnonzero(mode == m)
-        if at.size:
-            sub = preds[at]
-            fix(sub, refs[at, _ABOVE:_LEFT], refs[at, _LEFT:_ABOVE_F])
-            preds[at] = sub
-    return preds.reshape(batch + (N, N))
+    if mode.dtype.kind not in "iu":
+        raise InvalidInputError(f"intra modes must be integers, got {mode.dtype}")
+    bad = np.flatnonzero((mode < 0) | (mode >= N_MODES))
+    if bad.size:
+        raise InvalidInputError(f"intra mode {mode[bad[0]]} of block {bad[0]} out of range")
+    # (k, 70, 64): each block's contiguous table slice
+    acc = (refs.reshape(-1, 1, _LEN).astype(np.float32) @ _WEIGHTS[mode])[:, 0]
+    return np.clip(acc, 0, 255, out=acc).astype(np.int32).reshape(batch + (N, N))

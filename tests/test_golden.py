@@ -78,12 +78,14 @@ def _sha(chunks):
 def _random_reference_sets():
     """Reference vectors of four independent random 17-sample parts, so
     every table entry of the predictor (both corner copies included) is
-    exercised."""
+    exercised, then [dc, 1] as build_references appends them."""
     rng = np.random.default_rng(2024)
-    return [
-        np.concatenate([rng.integers(0, 256, size=17).astype(np.int32) for _ in range(4)])
-        for _ in range(N_SETS)
-    ]
+    sets = []
+    for _ in range(N_SETS):
+        refs = np.concatenate([rng.integers(0, 256, size=17).astype(np.int32) for _ in range(4)])
+        dc = (refs[1:9].sum() + refs[18:26].sum() + 8) >> 4  # above[1:9], left[1:9]
+        sets.append(np.append(refs, np.int32([dc, 1])))
+    return sets
 
 
 @pytest.fixture(scope="module")
@@ -171,12 +173,16 @@ def test_corpus_digest(tmp_path, tiny_records):
 
 
 def test_reference_digest():
+    """REFERENCES pins the 68 samples [above, left, above_f, left_f]; the
+    appended [dc, 1] are checked against their formula."""
     rng = np.random.default_rng(2025)
     chunks = []
     for _ in range(N_SETS):
         recon = rng.integers(0, 256, size=(40, 56)).astype(np.int32)
         bx, by = int(rng.integers(0, 7)), int(rng.integers(0, 5))
-        chunks.append(intra.build_references(recon, bx, by))
+        refs = intra.build_references(recon, bx, by)
+        assert refs[68:].tolist() == [(refs[1:9].sum() + refs[18:26].sum() + 8) >> 4, 1]
+        chunks.append(refs[:68])
     assert _sha(chunks) == REFERENCES
 
 
