@@ -10,7 +10,6 @@ import os
 import statistics
 import time
 from dataclasses import dataclass, fields
-from functools import partial
 
 import numpy as np
 
@@ -23,9 +22,12 @@ from .errors import (
     NoOverlapError,
 )
 from .kernelio import KernelBank
+from .linalg import VEC_LEN, covariance, transform_moment
 from .metrics import coeff_stats, compare_transforms, decorrelation_cost
 from .metrics import energy_compaction, residual_sample_variance
-from .transforms import dct_forward, learn_klt, learn_saab1, learn_saab2, saab2_forward, saab_forward
+from .transforms import DCT_64, learn_klt, learn_saab1, learn_saab2
+# Unused here: bench/spans.py's WRAP_POINTS patch these names in this module.
+from .transforms import dct_forward, saab2_forward, saab_forward  # noqa: F401
 from .video import read_yuv
 
 PEAK = 255.0
@@ -133,47 +135,50 @@ def timing_ratio(test_seconds, anchor_seconds):
 def transform_comparison_report(train_blocks, eval_blocks):
     """Energy compaction and decorrelation of DCT vs KLT vs one/two-stage Saab.
 
-    Transforms are learned on train_blocks and evaluated on eval_blocks.
-    Returns per-transform compaction curves and decorrelation costs.
+    Transforms are learned on train_blocks and evaluated on eval_blocks,
+    (n, 8, 8) or (n, 64), through the set's second moment C: transform M's
+    coefficients have the moment M C M^T.  Returns per-transform compaction
+    curves and decorrelation costs.
     """
     train = np.asarray(train_blocks, dtype=np.float64)
     ev = np.asarray(eval_blocks, dtype=np.float64)
-    forwards = {
-        "dct": dct_forward,
-        "klt": partial(saab_forward, learn_klt(train)),
-        "saab1": partial(saab_forward, learn_saab1(train)),
-        "saab2": partial(saab2_forward, learn_saab2(train)),
-    }
+    if ev.shape[1:] not in ((VEC_LEN,), (8, 8)):
+        raise InvalidInputError(f"expected (n, 64) vectors or (n, 8, 8) blocks, got shape {ev.shape}")
+    moment = covariance(ev.reshape(-1, VEC_LEN))
+    matrices = {"dct": DCT_64, "klt": learn_klt(train).matrix, "saab1": learn_saab1(train).matrix,
+                "saab2": learn_saab2(train).matrix}
     var = residual_sample_variance(ev)
     report = {"input_variance": var, "sample_count": int(ev.shape[0]), "transforms": {}}
-    for name, forward in forwards.items():
-        y = forward(ev)
-        curve = energy_compaction(y, var)
+    for name, matrix in matrices.items():
+        y_moment = transform_moment(matrix, moment)
+        curve = energy_compaction(y_moment, var)
         report["transforms"][name] = {
             "compaction": curve.values,
             "position_order": curve.position_order,
-            "decorrelation_cost": decorrelation_cost(y),
+            "decorrelation_cost": decorrelation_cost(y_moment),
         }
-        del y  # one transform's coefficients alive at a time
     return report
 
 
 def rd_model_report(records, bank, qp):
     """Closed-form RD comparison of mode-dependent Saab kernels against DCT.
 
-    Groups residual records by intra mode, computes coefficient statistics
-    under both transforms, and evaluates the per-position kappa model at the
-    given QP.  Mode averages are unweighted; modes with fewer than two
-    residuals are skipped.  InvalidInputError for a QP outside 0..MAX_QP.
+    Groups residual records by intra mode, takes both transforms' coefficient
+    variances from each mode's moment about its mean (the exact moment less
+    s s^T / n^2 for column sums s), and evaluates the per-position kappa
+    model at the given QP.  Mode averages are unweighted; modes with fewer
+    than two residuals are skipped.  InvalidInputError for a QP outside
+    0..MAX_QP.
     """
     check_qp(qp)
     modes = records.mode
     per_mode = {}
     for mode in np.flatnonzero(np.bincount(modes) >= 2).tolist():
-        # one mode's blocks and one transform's coefficients alive at a time
-        blocks = records.residual[modes == mode]
-        saab = coeff_stats(saab_forward(bank.kernel_for_mode(mode), blocks))
-        per_mode[mode] = compare_transforms(saab, coeff_stats(dct_forward(blocks)), qp)
+        blocks = records.residual[modes == mode].reshape(-1, VEC_LEN).astype(np.float64)
+        s, n = blocks.sum(axis=0), len(blocks)
+        moment = covariance(blocks) - np.outer(s, s) / (n * n)
+        saab = coeff_stats(bank.kernel_for_mode(mode).matrix, moment)
+        per_mode[mode] = compare_transforms(saab, coeff_stats(DCT_64, moment), qp)
     if not per_mode:
         raise InsufficientDataError("no mode had at least 2 residuals")
     return {

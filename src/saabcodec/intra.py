@@ -111,8 +111,15 @@ def build_references(recon, bx, by, frame=0):
     grid = (recon.shape[0] if recon.ndim == 3 else 1, h // N, w // N)
     try:
         at = np.ravel_multi_index((frame, by, bx), grid)
-    except ValueError:
-        raise InvalidInputError(f"block position ({bx}, {by}) of frame {frame} off the grid") from None
+    except (TypeError, ValueError):  # name the fault: kind, shapes, then range
+        where = f"block position ({bx}, {by}) of frame {frame}"
+        if not all(np.issubdtype(np.asarray(v).dtype, np.integer) for v in (bx, by, frame)):
+            raise InvalidInputError(f"{where}: positions and frames must be integers") from None
+        try:
+            np.broadcast_shapes(np.shape(bx), np.shape(by), np.shape(frame))
+        except ValueError:
+            raise InvalidInputError(f"{where}: the position arrays do not broadcast") from None
+        raise InvalidInputError(f"{where} off the grid") from None
     frame, pos = np.divmod(at, grid[1] * grid[2])
     idx = _reference_table(h, w)[pos] + frame[..., None] * (h * w)
     line = recon.reshape(-1)[idx].astype(np.int32, copy=False)

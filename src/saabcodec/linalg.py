@@ -44,6 +44,12 @@ def covariance(samples):
     return 0.5 * (c + c.T)
 
 
+def transform_moment(m, c):
+    """m c m^T, the second moment of m z for z of second moment c, by two
+    fixed-order two-operand einsums: the same under every BLAS kernel."""
+    return np.einsum("aj,bj->ab", np.einsum("ai,ij->aj", m, c), m)
+
+
 @dataclass(frozen=True)
 class EigenResult:
     """Eigenvalues in non-increasing order; row k of `eigenvectors` is the

@@ -6,9 +6,11 @@ Conventions pinned here:
     step and the multiplier; compare_transforms derives Q and lambda from
     the QP once.
   * Rate is measured in bits, so logs are base 2.
-  * Energy compaction normalizes by 64 * (per-sample variance of the input
-    residual set), so the curve ends near 1 for mean-free data, and ranks
-    coefficient positions per transform by average energy, descending.
+  * Set statistics are read off a transform M's coefficient moment M C M^T
+    for the set's moment C, not off coefficients: compaction ranks positions
+    by its diagonal, descending, and normalizes by n * (per-sample variance
+    of the input set) for an n x n moment, so it ends near 1 for mean-free
+    data; decorrelation sums its off-diagonal.
 """
 
 import math
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, InsufficientDataError, InvalidInputError
-from .linalg import VEC_LEN, covariance
+from .errors import DegenerateInputError, InvalidInputError
+from .linalg import transform_moment
 
 SQRT2_E = math.sqrt(2.0) * math.e
 
@@ -30,11 +32,14 @@ def qp_to_lambda(qp):
     return 0.57 * 2.0 ** ((qp - 12) / 3.0)
 
 
-def _as_coeff_matrix(coeff_sets):
-    y = np.asarray(coeff_sets, dtype=np.float64)
-    if y.ndim != 2 or y.shape[1] != VEC_LEN:
-        raise InvalidInputError(f"expected (n, {VEC_LEN}) coefficient array, got {y.shape}")
-    return y
+def _as_moment(moment):
+    """`moment` as a finite square float64 matrix; InvalidInputError otherwise."""
+    m = np.asarray(moment, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise InvalidInputError(f"expected a square second-moment matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise InvalidInputError("non-finite second-moment entries")
+    return m
 
 
 @dataclass(frozen=True)
@@ -52,37 +57,27 @@ def residual_sample_variance(blocks):
     return float(x.var())
 
 
-def energy_compaction(coeff_sets, input_variance):
-    y = _as_coeff_matrix(coeff_sets)
-    if y.shape[0] == 0:
-        raise InsufficientDataError("empty coefficient set")
+def energy_compaction(moment, input_variance):
+    """Compaction curve of coefficients whose second moment is `moment`."""
+    mean_energy = np.diag(_as_moment(moment))
     if input_variance <= 0:
         raise DegenerateInputError("input variance must be positive")
-    mean_energy = np.mean(y * y, axis=0)
     order = np.argsort(-mean_energy, kind="stable")
-    curve = np.cumsum(mean_energy[order]) / (VEC_LEN * input_variance)
+    curve = np.cumsum(mean_energy[order]) / (len(mean_energy) * input_variance)
     return CompactionCurve(values=curve, position_order=order)
 
 
-def decorrelation_cost(coeff_sets):
-    """Sum of |E[y_i * y_j]| over i != j, with the means taken as zero."""
-    m = covariance(coeff_sets)
+def decorrelation_cost(moment):
+    """Sum of |E[y_i * y_j]| over i != j of a coefficient second moment."""
+    m = _as_moment(moment)
     return float(np.sum(np.abs(m)) - np.sum(np.abs(np.diag(m))))
 
 
-@dataclass(frozen=True)
-class CoeffStats:
-    variance: np.ndarray
-    sample_count: int
-
-
-def coeff_stats(coeff_sets):
-    y = _as_coeff_matrix(coeff_sets)
-    if y.shape[0] < 2:
-        raise InsufficientDataError("need at least 2 coefficient blocks")
-    mean = y.mean(axis=0)
-    cov = covariance(y - mean)
-    return CoeffStats(variance=np.diag(cov).copy(), sample_count=y.shape[0])
+def coeff_stats(matrix, moment):
+    """Variances of the coefficients `matrix` z of a set whose vectors z
+    have the second moment `moment` about their mean: diag(M C M^T), with
+    the rounding of a zero variance (down to -1e-30 or so) clipped to 0."""
+    return np.maximum(np.diag(transform_moment(matrix, _as_moment(moment))), 0.0)
 
 
 def kappa(sigma_y, q_step, lam):
@@ -110,21 +105,12 @@ class TransformComparison:
     kappa_dct: float
 
 
-def compare_transforms(stats_saab, stats_dct, qp):
-    """Aggregate kappa and variance differences at one QP; negative values
-    favor Saab.
-
-    Aggregates are arithmetic means over the 64 coefficient positions.
-    """
-    if stats_saab.sample_count != stats_dct.sample_count:
-        raise InvalidInputError("mismatched sample counts between transform stats")
+def compare_transforms(var_saab, var_dct, qp):
+    """Kappa and variance differences at one QP between two transforms'
+    coefficient variances (coeff_stats) over one set, each the arithmetic
+    mean over the 64 positions; negative values favor Saab."""
     q, lam = qp_to_qstep(qp), qp_to_lambda(qp)
-    k_saab = np.array([kappa(math.sqrt(v), q, lam) for v in stats_saab.variance])
-    k_dct = np.array([kappa(math.sqrt(v), q, lam) for v in stats_dct.variance])
-    d_sigma2 = stats_saab.variance - stats_dct.variance
-    return TransformComparison(
-        delta_kappa=float(k_saab.mean() - k_dct.mean()),
-        delta_sigma2=float(d_sigma2.mean()),
-        kappa_saab=float(k_saab.mean()),
-        kappa_dct=float(k_dct.mean()),
-    )
+    k_saab, k_dct = (float(np.mean([kappa(math.sqrt(v), q, lam) for v in x])) for x in (var_saab, var_dct))
+    d_sigma2 = float(np.mean(var_saab - var_dct))
+    return TransformComparison(delta_kappa=k_saab - k_dct, delta_sigma2=d_sigma2, kappa_saab=k_saab,
+                               kappa_dct=k_dct)

@@ -29,6 +29,7 @@ from .linalg import (
     covariance,
     dc_complement_basis,
     eig_symmetric,
+    transform_moment,
 )
 
 BIAS_MODES = ("raw", "centered")
@@ -79,33 +80,24 @@ def _as_vectors(x, blocks=False):
 
 
 def _stage_statistics(d):
-    """The per-set half of the one-stage Saab construction for K-dim vectors
-    (T, K): the samples' second moment projected into the DC-orthogonal
-    complement, (K-1, K-1), and the shared AC bias max ||d||_2.  The moment
-    of integer samples is exact and the einsums sum in a fixed order, so the
-    matrix does not depend on the BLAS kernel."""
-    bias_value = float(np.sqrt(np.max(np.sum(d * d, axis=1))))
-    basis = dc_complement_basis(d.shape[1])
-    moment = np.einsum("ai,ij->aj", basis, covariance(d))
-    return np.einsum("aj,bj->ab", moment, basis), bias_value
+    """A (T, K) sample set's second moment, exact for integer samples, and
+    its shared AC bias max ||d||_2: the input `_learn_stages` takes."""
+    return covariance(d), float(np.sqrt(np.max(np.sum(d * d, axis=1))))
 
 
-def _learn_stages(sample_sets):
-    """One-stage Saab construction for each (T, K) set of an iterable, all
-    of one K -> list of K-point SaabKernels.
+def _learn_stages(stats):
+    """One-stage Saab construction for each (second moment (K, K), shared AC
+    bias) pair of an iterable, all of one K -> list of K-point SaabKernels.
 
     DC kernel fixed at (1/sqrt(K))*1.  AC kernels are eigenvectors of the
-    samples' second moment inside the DC-orthogonal complement, so they stay
-    exactly orthogonal to DC even when it is rank-deficient.  Each set is
-    reduced to its matrix as it is drawn, so only the small matrices outlive
-    their sets, and one stacked eigensolve serves them all.
+    moment projected into the DC-orthogonal complement (transform_moment, so
+    the projection does not depend on the BLAS kernel), so they stay exactly
+    orthogonal to DC even when it is rank-deficient.  Each moment is
+    projected as it is drawn, and one stacked eigensolve serves them all.
     """
-    stats = [_stage_statistics(d) for d in sample_sets]
-    biases = [b for _, b in stats]
-    covs = np.array([c for c, _ in stats])
-    del stats  # only the stacked copy of the matrices stays alive through the solve
-    k = covs.shape[-1] + 1
-    eig = eig_symmetric(covs)
+    covs, biases = zip(*((transform_moment(dc_complement_basis(len(m)), m), b) for m, b in stats))
+    k = len(covs[0]) + 1
+    eig = eig_symmetric(np.array(covs))
     basis = dc_complement_basis(k)
     a0 = np.full(k, 1.0 / np.sqrt(k))
     out = []
@@ -141,7 +133,7 @@ def learn_saab1(samples, *, stacked=False):
     """
     if not stacked:
         return learn_saab1([samples], stacked=True)[0]
-    return _learn_stages(_training_samples(s, "saab1") for s in samples)
+    return _learn_stages(_stage_statistics(_training_samples(s, "saab1")) for s in samples)
 
 
 def learn_klt(samples):
@@ -211,12 +203,15 @@ def learn_saab2(samples):
     the raw cascade's."""
     d = _training_samples(samples, "saab2")
     subs = _split_subblocks(d)  # (T, 4, 16)
-    (k1,) = _learn_stages([subs.reshape(-1, _SUB_LEN)])
-    # Stage-2 training inputs are the raw (bias-shifted) stage-1 outputs, as
-    # the cascade propagates them in raw mode; the learned AC kernels are
-    # invariant to that constant shift.
-    y1 = subs @ k1.matrix.T + k1.bias
-    k2 = _learn_stages(y1[:, :, c] for c in range(_SUB_LEN))
+    (k1,) = _learn_stages([_stage_statistics(subs.reshape(-1, _SUB_LEN))])
+    # Stage 2 trains on each channel's raw outputs y = m1 x + b1 over its 2x2
+    # grid.  Its AC kernels see their moment only projected off DC, where the
+    # shift by b1 cancels, so that moment is m1 contracted with the sub-blocks'
+    # exact cross moments r[g, k, h, l] = E[x_gk x_hl]; only the bias reads y.
+    r = covariance(subs.reshape(-1, VEC_LEN)).reshape(_GRID, _SUB_LEN, _GRID, _SUB_LEN)
+    moments = np.einsum("ck,cgkh->cgh", k1.matrix, np.einsum("gkhl,cl->cgkh", r, k1.matrix))
+    y1 = np.einsum("tgk,ck->tcg", subs, k1.matrix) + k1.bias[:, None]
+    k2 = _learn_stages(zip(moments, np.sqrt(np.max(np.sum(y1 * y1, axis=2), axis=0))))
     m2 = np.array([k.matrix for k in k2])  # (16, 4, 4): [channel, output, sub-block]
     cols = _split_subblocks(np.arange(VEC_LEN)).reshape(-1)  # raster index of (g, k)
     matrix = np.empty((VEC_LEN, VEC_LEN))

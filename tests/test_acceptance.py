@@ -12,6 +12,7 @@ import pytest
 
 from saabcodec import analysis, codec, metrics, pipeline, transforms as tf, video
 from saabcodec.bitstream import pack_bits, unpack_bits
+from saabcodec.linalg import covariance
 
 QPS = (22, 27, 32, 37)
 
@@ -123,10 +124,10 @@ def test_criterion_03_klt_optimality(planar_residuals):
     y_klt = xc @ klt.matrix.T
     y_dct = xc @ tf.DCT_64.T
     total_var = float(np.sum(np.var(y_klt, axis=0)))
-    rel_cost = metrics.decorrelation_cost(y_klt) / total_var
+    rel_cost = metrics.decorrelation_cost(covariance(y_klt)) / total_var
     var = float(xc.var())
-    c_klt = metrics.energy_compaction(y_klt, var).values
-    c_dct = metrics.energy_compaction(y_dct, var).values
+    c_klt = metrics.energy_compaction(covariance(y_klt), var).values
+    c_dct = metrics.energy_compaction(covariance(y_dct), var).values
     dominates = bool(np.all(c_klt >= c_dct - 1e-12))
     ok = rel_cost < DECORR_REL_TOL and dominates
     _report(3, "KLT optimality: ~zero decorrelation cost and compaction dominance",
@@ -142,19 +143,19 @@ def test_criterion_04_saab_vs_dct_compaction(planar_residuals, eval_settings):
     y_saab = held_out @ saab1.matrix.T
     y_dct = held_out @ tf.DCT_64.T
     y_klt = (held_out - train.mean(axis=0)) @ klt.matrix.T
-    c_saab = metrics.energy_compaction(y_saab, var).values
-    c_dct = metrics.energy_compaction(y_dct, var).values
+    c_saab = metrics.energy_compaction(covariance(y_saab), var).values
+    c_dct = metrics.energy_compaction(covariance(y_dct), var).values
     win_frac = float(np.mean(c_saab >= c_dct - 1e-12))
 
-    cost_klt = metrics.decorrelation_cost(y_klt)
-    cost_saab = metrics.decorrelation_cost(y_saab)
+    cost_klt = metrics.decorrelation_cost(covariance(y_klt))
+    cost_saab = metrics.decorrelation_cost(covariance(y_saab))
     costs = []
     for (name, qp), blocks in eval_settings.items():
         assert blocks.shape[0] >= 50, f"too few planar residuals for {name} qp {qp}"
         costs.append(
             (
-                metrics.decorrelation_cost(blocks @ saab1.matrix.T),
-                metrics.decorrelation_cost(blocks @ tf.DCT_64.T),
+                metrics.decorrelation_cost(covariance(blocks @ saab1.matrix.T)),
+                metrics.decorrelation_cost(covariance(blocks @ tf.DCT_64.T)),
             )
         )
     avg_saab = float(np.mean([c[0] for c in costs]))

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from saabcodec import analysis, video
+from saabcodec import analysis, metrics, transforms as tf, video
 from saabcodec.errors import ExperimentStageError, InsufficientDataError, InvalidInputError, NoOverlapError
 
 _CLIP = analysis.ClipSpec(name="c", path="/c.yuv", width=16, height=16)
@@ -179,6 +179,39 @@ def test_experiment_outputs(experiment_report):
             if strategy == "s1":
                 # substitution strategy codes every eligible-mode block with Saab
                 assert entry["usage"]["average"] > 0.0
+
+
+def test_reports_from_moments_match_the_coefficients(monkeypatch, tiny_records, tiny_bank):
+    """The reports read every statistic off a residual set's second moment;
+    on integer residuals each equals its formula over the coefficients."""
+    blocks = tiny_records.residual[tiny_records.mode == 0].reshape(-1, 64).astype(np.float64)
+    train, ev = blocks[: len(blocks) // 2], blocks[len(blocks) // 2 :]
+    report = analysis.transform_comparison_report(train, ev)
+    learned = {"klt": tf.learn_klt, "saab1": tf.learn_saab1, "saab2": tf.learn_saab2}
+    for name, t in report["transforms"].items():
+        y = ev @ (tf.DCT_64 if name == "dct" else learned[name](train).matrix).T
+        energy = np.mean(y * y, axis=0)[t["position_order"]]
+        assert np.all(np.diff(energy) <= 1e-9 * energy[0]), name
+        want = np.cumsum(energy) / (64 * report["input_variance"])
+        np.testing.assert_allclose(t["compaction"], want, rtol=1e-9, atol=0)
+        moment = y.T @ y / len(y)
+        want = np.sum(np.abs(moment)) - np.sum(np.abs(np.diag(moment)))
+        assert t["decorrelation_cost"] == pytest.approx(want, rel=1e-9), name
+
+    calls = []
+
+    def coeff_stats(matrix, moment):
+        calls.append((matrix, metrics.coeff_stats(matrix, moment)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(analysis, "coeff_stats", coeff_stats)
+    modes = sorted(analysis.rd_model_report(tiny_records, tiny_bank, 37)["per_mode"])
+    assert len(calls) == 2 * len(modes)
+    for mode, saab, dct in zip(modes, calls[::2], calls[1::2]):
+        assert saab[0] is tiny_bank.kernel_for_mode(mode).matrix and dct[0] is tf.DCT_64
+        x = tiny_records.residual[tiny_records.mode == mode].reshape(-1, 64).astype(np.float64)
+        for matrix, variance in (saab, dct):
+            np.testing.assert_allclose(variance, (x @ matrix.T).var(axis=0), rtol=1e-9, atol=0)
 
 
 def test_rd_model_report(residual_records, bank):

@@ -1,5 +1,5 @@
-"""The same bank, KLT, streams and decoded planes under every OpenBLAS
-kernel and under numpy's baseline SIMD dispatch.
+"""The same bank, KLT, streams, decoded planes and analysis reports under
+every OpenBLAS kernel and under numpy's baseline SIMD dispatch.
 
 numpy's OpenBLAS, when built with DYNAMIC_ARCH, picks its kernels for the
 CPU at load time, and OPENBLAS_CORETYPE overrides the pick.  numpy's own
@@ -7,7 +7,8 @@ loops dispatch to the best SIMD level the CPU has, and
 NPY_DISABLE_CPU_FEATURES turns levels off.  Each check runs in a child
 process with the variable set in that child's environment only: it trains
 the tiny bank, learns a KLT on the same residuals, encodes the tiny clip
-for every golden stream and decodes the pinned golden streams, and the
+for every golden stream, decodes the pinned golden streams and writes the
+`analyze-transforms` and `rd-model` outputs of the CLI goldens, and the
 results must equal this process's, whose kernels are the library's
 default, and the goldens.
 """
@@ -23,14 +24,17 @@ import numpy as np
 import pytest
 
 import saabcodec
-from saabcodec import codec, transforms
-from test_golden import BANK_DIGEST, DECODED_PLANES, STREAMS
+from saabcodec import codec, pipeline, transforms
+from test_golden import BANK_DIGEST, CLI_OUTPUTS, DECODED_PLANES, STREAMS
 
-# argv: the saved tiny bank, then the stream files; prints the child's results
-# as JSON, or {"skip": reason} when numpy rejects a feature name it was asked
-# to disable
+# the outputs of `analyze-transforms` and `rd-model` among the CLI goldens
+_ANALYSIS_OUTPUTS = ("compaction.csv", "decorrelation.csv", "transforms.json", "kappa.csv", "sigma.csv")
+
+# argv: the saved tiny bank, the saved tiny corpus, an output directory, then
+# the stream files; prints the child's results as JSON, or {"skip": reason}
+# when numpy rejects a feature name it was asked to disable
 _CHILD = """
-import hashlib, json, sys, warnings
+import contextlib, hashlib, io, json, os, sys, warnings
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
     import numpy as np
@@ -39,7 +43,7 @@ if rejected:
     print(json.dumps({"skip": rejected[0]}))
     sys.exit()
 from conftest import make_tiny_bank, make_tiny_clip, make_tiny_records
-from saabcodec import codec, kernelio, transforms
+from saabcodec import cli, codec, kernelio, transforms
 from test_golden import STREAMS
 
 try:
@@ -48,22 +52,31 @@ try:
 except ImportError:
     dispatch = None
 records = make_tiny_records()
-bank = kernelio.KernelBank.load(sys.argv[1])
+bank_path, corpus, out = sys.argv[1:4]
+bank = kernelio.KernelBank.load(bank_path)
 clip = make_tiny_clip()
 streams = {}
 for strategy, qp in sorted(STREAMS):
     stream, _ = codec.encode_sequence(clip, qp, codec.StrategyConfig(strategy, bank))
     streams[f"{strategy}-{qp}"] = hashlib.sha256(stream).hexdigest()
 planes = {}
-for path in sys.argv[2:]:
+for path in sys.argv[4:]:
     with open(path, "rb") as f:
         decoded, _ = codec.decode_sequence(f.read(), bank)
     planes[path] = hashlib.sha256(np.ascontiguousarray(decoded, dtype=np.uint8).tobytes()).hexdigest()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["analyze-transforms", "--corpus", corpus, "--mode", "0", "--output-dir", out]) == 0
+    assert cli.main(["rd-model", "--corpus", corpus, "--bank", bank_path, "--qp", "37", "--output-dir", out]) == 0
+analysis = {}
+for name in sorted(os.listdir(out)):
+    with open(os.path.join(out, name), "rb") as f:
+        analysis[name] = hashlib.sha256(f.read()).hexdigest()
 print(json.dumps({
     "bank": make_tiny_bank(records).digest().hex(),
     "klt": transforms.learn_klt(records["residual"]).matrix.tobytes().hex(),
     "streams": streams,
     "planes": planes,
+    "analysis": analysis,
     "dispatch": dispatch,
 }))
 """
@@ -94,8 +107,10 @@ def _has_avx2():
 def _check_child(env_vars, tmp_path, tiny_records, tiny_bank, tiny_clip):
     """Encode the golden streams here, then run the child with `env_vars`
     added to its environment and check its results; returns them."""
-    bank_path = tmp_path / "bank.skb"
+    bank_path, corpus, out = tmp_path / "bank.skb", tmp_path / "corpus.bin", tmp_path / "analysis"
     tiny_bank.save(str(bank_path))
+    pipeline.save_residual_corpus(str(corpus), tiny_records)
+    out.mkdir()
     paths = {}
     for strategy, qp in sorted(STREAMS):
         stream, _ = codec.encode_sequence(tiny_clip, qp, codec.StrategyConfig(strategy, tiny_bank))
@@ -108,7 +123,7 @@ def _check_child(env_vars, tmp_path, tiny_records, tiny_bank, tiny_clip):
     env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(path + [env.get("PYTHONPATH", "")])
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(bank_path), *paths.values()],
+        [sys.executable, "-c", _CHILD, str(bank_path), str(corpus), str(out), *paths.values()],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -121,6 +136,7 @@ def _check_child(env_vars, tmp_path, tiny_records, tiny_bank, tiny_clip):
         assert got["planes"][p] == DECODED_PLANES[key], key
     for (strategy, qp), digest in STREAMS.items():
         assert got["streams"][f"{strategy}-{qp}"] == digest, (strategy, qp)
+    assert got["analysis"] == {name: CLI_OUTPUTS[name] for name in _ANALYSIS_OUTPUTS}
     return got
 
 

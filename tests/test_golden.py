@@ -12,7 +12,7 @@ import io
 import numpy as np
 import pytest
 
-from saabcodec import cli, codec, intra, pipeline, video
+from saabcodec import cli, codec, intra, pipeline, transforms, video
 from saabcodec.analysis import ClipSpec, ExperimentManifest, run_experiment
 
 STREAMS = {
@@ -36,6 +36,11 @@ DECODED_PLANES = {
     ("s3", 22): "26e17cc52614591feea0f137c59410fc2b65edd76b9c983537fa818ec898555c",
     ("s3", 37): "906a9c3ef51cc3d0c6dced4c65fc455a865c06985a74d0555771417179d381ff",
 }
+# The DCT rows' bits are part of the format, since the decoder synthesizes
+# with them in float64, and the analysis reports contract moments with them;
+# ZIGZAG is the coded scan order.  Hashed as little-endian float64 and int64.
+DCT_64_DIGEST = "fcf1af5e8dd937de72f2c10bf371293d0d698c364e0e0d0bcc4186aa6b87e943"
+ZIGZAG_DIGEST = "2ccc86788f3137ad7beeea86e65141c843b24ec59ecfa944359789cd8bb748cc"
 BANK_DIGEST = "17a6905d05e8335fae0db3a019b4e7a9"
 CORPUS = "2e2bb4d6871d5f2f508506b032dc223c4a4b7da94a6170e5960d68c39d3021d9"
 REFERENCES = "a9bbaa64d41b07770f50bd72e9e874f0c3f9373c1298f46925b87327b51fccf2"
@@ -160,6 +165,16 @@ def test_decoder_table_matches_encoder(strategy, qp, tiny_bank, tiny_clip):
         assert d.blocks.dtype.names == ("mode", "saab", "levels", "bits")
         for name in d.blocks.dtype.names:
             assert np.array_equal(d.blocks[name], e.blocks[name]), name
+
+
+def test_dct_matrix_digest():
+    assert transforms.DCT_64.shape == (64, 64)
+    assert hashlib.sha256(transforms.DCT_64.astype("<f8").tobytes()).hexdigest() == DCT_64_DIGEST
+
+
+def test_zigzag_digest():
+    assert sorted(codec.ZIGZAG.tolist()) == list(range(64))
+    assert hashlib.sha256(codec.ZIGZAG.astype("<i8").tobytes()).hexdigest() == ZIGZAG_DIGEST
 
 
 def test_bank_digest(tiny_bank):

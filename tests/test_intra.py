@@ -118,6 +118,25 @@ def test_bad_positions_rejected():
                           intra.build_references(stack[2], 1, 1))
 
 
+@pytest.mark.parametrize(
+    "bx,by,frame",
+    [(1.5, 0, 0), (0, 1.0, 0), (0, 0, 0.5), (np.array([0.0, 1.0]), np.array([0, 1]), 0), ("1", 0, 0)],
+)
+def test_non_integer_positions_rejected(bx, by, frame):
+    stack = np.zeros((3, 16, 16), dtype=np.uint8)
+    with pytest.raises(InvalidInputError, match="must be integers"):
+        intra.build_references(stack, bx, by, frame=frame)
+
+
+@pytest.mark.parametrize("bx,by,frame", [([1, 1], [1], [0, 1, 1]), ([1, 1], [1, 1, 1], 0)])
+def test_non_broadcasting_positions_rejected(bx, by, frame):
+    stack = np.zeros((3, 16, 16), dtype=np.uint8)
+    with pytest.raises(InvalidInputError, match="do not broadcast"):
+        intra.build_references(stack, bx, by, frame=frame)
+    # one-element arrays broadcast by numpy's rule, as scalars do
+    assert intra.build_references(stack, [1, 1], [1], frame=[2]).shape == (2, 70)
+
+
 @pytest.mark.parametrize("length", [60, 68])
 def test_predictors_reject_other_reference_lengths(length):
     """68 is the layout without [dc, 1], which must not reach the product."""
