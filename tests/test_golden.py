@@ -61,7 +61,7 @@ EXPERIMENT_OUTPUTS = {
 CLI_OUTPUTS = {
     "compaction.csv": "dfa22c34dfb1591d8cd2cbf33a784d1eac8fee30abc0643818ba5c74364e8448",
     "decorrelation.csv": "198c8b14504b56b1d3e5aa4d9914354a2b9cdbe8a02ce7702a5b222efdaed62e",
-    "transforms.json": "8b918676f224234cc6e15c460d9a7cb4e2cdb6b17918950a4f2c0184d8b785de",
+    "transforms.json": "884457a497aacefcd6099d997617f1483be554e826fbc499cd62d3eb42a040ea",
     "kappa.csv": "d087c891c0170c012f16699ed1d90e0b32f8b8e37c9bd73e4e94cd86d5d53aa0",
     "sigma.csv": "fea5d7793cb677ed44163e31de10a3917ccd78a36a914c4efc8215e8ecf665d9",
     "encode.json": "f75b6297ef7af01af557a04db7132464a92e091dcfb14139da05939580d98363",
