@@ -95,13 +95,13 @@ def _learn_stages(stats):
     orthogonal to DC even when it is rank-deficient.  Each moment is
     projected as it is drawn, and one stacked eigensolve serves them all.
     """
-    covs, biases = zip(*((transform_moment(dc_complement_basis(len(m)), m), b) for m, b in stats))
-    k = len(covs[0]) + 1
-    eig = eig_symmetric(np.array(covs))
+    stats = [(transform_moment(dc_complement_basis(len(m)), m), b) for m, b in stats]
+    eig = eig_symmetric(np.array([c for c, _ in stats]))
+    k = eig.eigenvectors.shape[-1] + 1
     basis = dc_complement_basis(k)
     a0 = np.full(k, 1.0 / np.sqrt(k))
     out = []
-    for vectors, bias_value in zip(eig.eigenvectors, biases):
+    for vectors, (_, bias_value) in zip(eig.eigenvectors, stats):
         ac_rows = apply_sign_convention(np.einsum("ai,ij->aj", vectors, basis))
         bias = np.full(k, bias_value)
         bias[0] = 0.0
