@@ -58,6 +58,7 @@ import numpy as np
 from .bitstream import pack_bits, unpack_bits
 from .errors import BitstreamError, InvalidInputError
 from .intra import build_references, predict_all_modes, predict_block
+from .kernelio import KernelBank
 from .linalg import BLOCK_SIZE as BLOCK, VEC_LEN
 from .metrics import qp_to_lambda, qp_to_qstep
 from .modes import DCT_ONLY_MODES, N_MODES
@@ -279,13 +280,15 @@ class StrategyConfig:
     `cand_saab` and `cand_mode` list the pairs of the (dct_ok, saab_ok)
     masks in the RD search's tie-break order, DCT first, each in mode order;
     `cand_index[saab, mode]` is a pair's place on the list (-1: not
-    allowed).  A strategy that allows no learned kernel drops the bank; any
-    other requires one that validates.
+    allowed).  The bank is a KernelBank or None.  A strategy that allows no
+    learned kernel drops it; any other requires one that validates.
     """
 
     def __init__(self, strategy, bank=None):
         if strategy not in STRATEGIES:
             raise InvalidInputError(f"unknown strategy {strategy!r}")
+        if not (bank is None or isinstance(bank, KernelBank)):
+            raise InvalidInputError(f"a kernel bank is a KernelBank or None, not {type(bank).__name__}")
         self.strategy = strategy
         allowed = _CANDIDATES[STRATEGIES.index(strategy)]
         self.dct_ok, self.saab_ok = allowed
@@ -546,10 +549,13 @@ def decode_sequence(data, bank=None):
 def stream_info(data):
     """Parse the header of a bitstream without decoding the payload.
 
-    Raises BitstreamError when the data is not a saabcodec stream or names
-    a version, strategy, QP, frame size or frame count the codec cannot have
-    written, or has a nonzero pad byte or, for dct_only, bank digest.
+    Raises InvalidInputError when the data is not bytes-like, and
+    BitstreamError when it is not a saabcodec stream or names a version,
+    strategy, QP, frame size or frame count the codec cannot have written,
+    or has a nonzero pad byte or, for dct_only, bank digest.
     """
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise InvalidInputError(f"a bitstream is bytes, bytearray or memoryview, not {type(data).__name__}")
     if len(data) < _HEADER.size or data[:4] != STREAM_MAGIC:
         raise BitstreamError("not a saabcodec bitstream")
     magic, version, strategy_code, qp, pad, w, h, n_frames, digest = _HEADER.unpack_from(data)

@@ -4,9 +4,9 @@ Everything here is plain float64 numpy with a fixed operation order, so the
 same input bytes always produce the same output bytes.  The eigensolver is
 a round-robin Jacobi (Brent and Luk, 1985) rather than LAPACK: slower, but
 reproducible across platforms and easy to reason about for 64x64 symmetric
-matrices.  Each round's disjoint rotations are one elementwise step over a
-whole stack of matrices, and a matrix's result does not depend on what
-else is in the stack.
+matrices.  Each round's disjoint rotations are one elementwise step over
+the stack's live matrices, written directly unless some pair must keep its
+entries, and a matrix's result does not depend on what else is in the stack.
 """
 
 from dataclasses import dataclass
@@ -77,12 +77,14 @@ def _jacobi_sweeps(a):
     The matrices are padded to e = n + n % 2 with a zero last row and
     column when n is odd, and rotated together with eigenvector rows that
     start as the identity.  A sweep is the e - 1 rounds of
-    `_round_robin(e)`; a round rotates, for all e/2 pairs at once, columns
-    p and q of the matrices, rows p and q of the eigenvectors, then rows p
-    and q of the matrices.  A matrix's entries are written back unchanged
-    where its a[p, q] == 0 and once it stops (see _TOL_FACTOR, checked
-    before each sweep), so its result does not depend on the rest of the
-    stack.  Returns (diagonals (m, n), eigenvector rows (m, n, n)).
+    `_round_robin(e)` less the padding index's pair, which never rotates; a
+    round rotates, for all its pairs at once, columns p and q of the
+    matrices, rows p and q of the eigenvectors, then rows p and q of the
+    matrices.  Only live matrices rotate (see _TOL_FACTOR, checked before
+    each sweep), and a round writes its rows directly unless a live matrix
+    has an a[p, q] == 0, whose entries np.where then keeps, -0.0 included,
+    so a matrix's result does not depend on the rest of the stack.
+    Returns (diagonals (m, n), eigenvector rows (m, n, n)).
     """
     n, e = len(a), len(a) + len(a) % 2
     a = np.pad(a, ((0, e - n), (0, e - n), (0, 0)))
@@ -91,6 +93,8 @@ def _jacobi_sweeps(a):
     fro = np.array([np.sqrt(np.sum(x * x)) for x in np.moveaxis(a, -1, 0)])
     live = fro != 0.0
     ps, qs = _round_robin(e)
+    keep = qs != n  # odd n: the padding index n never rotates
+    ps, qs = ps[keep].reshape(e - 1, -1), qs[keep].reshape(e - 1, -1)
     # lanes with a[p, q] == 0 divide by zero; np.where discards them
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for _ in range(_MAX_SWEEPS):
@@ -99,18 +103,28 @@ def _jacobi_sweeps(a):
                 live[i] = not off < _TOL_FACTOR * fro[i]
             if not live.any():
                 break
+            lanes = None if live.all() else np.flatnonzero(live)  # None: all, in place
+            al, vl = (a, vt) if lanes is None else (np.take(x, lanes, axis=-1) for x in (a, vt))
             for p, q in zip(ps, qs):
-                rot = (a[p, q] != 0.0) & live  # (e/2, m)
-                theta = (a[q, q] - a[p, p]) / (2.0 * a[p, q])
+                apq = al[p, q]  # (pairs, lanes)
+                theta = (al[q, q] - al[p, p]) / (2.0 * apq)
                 # t = sign(theta) / (|theta| + sqrt(theta^2 + 1)), and 1 where theta == 0
                 t = np.sign(theta) + (theta == 0.0)
                 t /= np.abs(theta) + np.sqrt(theta * theta + 1.0)
                 c = 1.0 / np.sqrt(t * t + 1.0)
-                rot, c, s = rot[:, None], c[:, None], (t * c)[:, None]
-                for x in (a.swapaxes(0, 1), vt, a):  # matrix columns, eigenvectors, rows
-                    x_p, x_q = x[p], x[q]
-                    x[p] = np.where(rot, c * x_p - s * x_q, x_p)
-                    x[q] = np.where(rot, s * x_p + c * x_q, x_q)
+                rot = None if apq.all() else (apq != 0.0)[:, None]
+                # c and s at the rows' full shape, which numpy multiplies faster than a broadcast
+                c, s = (np.broadcast_to(x[:, None], (len(p),) + al.shape[1:]).copy() for x in (c, t * c))
+                for x in (al.swapaxes(0, 1), vl, al):  # matrix columns, eigenvectors, rows
+                    x_p, x_q = x[p], x[q]  # copies
+                    sq, sp = s * x_q, s * x_p
+                    if rot is None:  # c x_p - s x_q and s x_p + c x_q, in the copies
+                        x[p] = np.subtract(np.multiply(c, x_p, out=x_p), sq, out=x_p)
+                        x[q] = np.add(sp, np.multiply(c, x_q, out=x_q), out=x_q)
+                    else:
+                        x[p], x[q] = np.where(rot, c * x_p - sq, x_p), np.where(rot, sp + c * x_q, x_q)
+            if lanes is not None:
+                a[..., lanes], vt[..., lanes] = al, vl
     # an all-zero matrix may hold -0.0
     values = np.where(fro[:, None] == 0.0, 0.0, np.diagonal(a)[:, :n])
     return values, np.moveaxis(vt[:n, :n], -1, 0)

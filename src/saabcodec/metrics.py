@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
-from .linalg import transform_moment
 
 SQRT2_E = math.sqrt(2.0) * math.e
 
@@ -75,9 +74,9 @@ def decorrelation_cost(moment):
 
 def coeff_stats(matrix, moment):
     """Variances of the coefficients `matrix` z of a set whose vectors z
-    have the second moment `moment` about their mean: diag(M C M^T), with
-    the rounding of a zero variance (down to -1e-30 or so) clipped to 0."""
-    return np.maximum(np.diag(transform_moment(matrix, _as_moment(moment))), 0.0)
+    have the second moment `moment` about their mean: diag(M C M^T), the
+    diagonal alone, with a rounded zero variance (-1e-30 or so) clipped to 0."""
+    return np.maximum(np.einsum("aj,aj->a", np.einsum("ai,ij->aj", matrix, _as_moment(moment)), matrix), 0.0)
 
 
 def kappa(sigma_y, q_step, lam):

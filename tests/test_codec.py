@@ -281,6 +281,35 @@ def test_bad_in_memory_bank_rejected(case, tiny_bank):
         codec.StrategyConfig("s3", replace(tiny_bank, kernels=kernels))
 
 
+@pytest.mark.parametrize("bank", ["x", 0, b"SKB1", ()], ids=["str", "int", "bytes", "tuple"])
+def test_bank_of_another_kind_rejected(bank, tiny_clip):
+    for strategy in codec.STRATEGIES:  # dct_only too, though it drops its bank
+        with pytest.raises(InvalidInputError, match="KernelBank or None"):
+            codec.StrategyConfig(strategy, bank)
+    stream, _ = codec.encode_sequence(tiny_clip[:1], 37, codec.StrategyConfig("dct_only"))
+    with pytest.raises(InvalidInputError, match="KernelBank or None"):
+        codec.decode_sequence(stream, bank)
+
+
+@pytest.mark.parametrize(
+    "data", [None, "SBVC", 40, [83, 66, 86, 67], np.zeros(64, np.uint8)],
+    ids=["None", "str", "int", "list", "ndarray"],
+)
+def test_stream_of_another_kind_rejected(data):
+    for parse in (codec.stream_info, codec.decode_sequence):
+        with pytest.raises(InvalidInputError, match="bytes, bytearray or memoryview"):
+            parse(data)
+
+
+def test_every_bytes_like_stream_decodes(tiny_clip):
+    stream, _ = codec.encode_sequence(tiny_clip[:1], 37, codec.StrategyConfig("dct_only"))
+    want, _ = codec.decode_sequence(stream)
+    for data in (bytearray(stream), memoryview(stream)):
+        assert codec.stream_info(data) == codec.stream_info(stream)
+        got, _ = codec.decode_sequence(data)
+        assert got[0].tobytes() == want[0].tobytes()
+
+
 def _reconstruct_reference(preds, levels_scan, matrices, q_step):
     """Reference: the normative reconstruction of each block, every sample a
     sequential sum over the 64 scan positions of (analysis row entry) x

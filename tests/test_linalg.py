@@ -202,6 +202,36 @@ def test_stacked_call_matches_one_matrix_calls(n, sweeps, monkeypatch):
     assert grid.eigenvectors.shape == (2, 3, n, n)
 
 
+def test_padded_stack_matches_one_matrix_calls(monkeypatch):
+    # n = 63, the bench's size, is padded to 64.  The block-diagonal and the
+    # signed-zero matrix keep exact-zero pairs, so their rounds take the
+    # np.where path; their -0.0 sits at index 62, the q of each of its pairs
+    n = 63
+    blocks = np.zeros((n, n))
+    blocks[:20, :20] = _dense_symmetric(20, 11)
+    blocks[20:, 20:] = _dense_symmetric(43, 11)
+    signed_zero = np.zeros((n, n))
+    signed_zero[:62, :62] = _dense_symmetric(62, 13)
+    signed_zero[62, 62] = -0.0
+    stack = np.array([
+        _dense_symmetric(n, 7),
+        blocks,
+        np.diag(np.arange(float(n)) % 5),
+        np.zeros((n, n)),
+        signed_zero,
+        np.diag(np.arange(1.0, n + 1.0)) + 1e-3 * _dense_symmetric(n, 6),
+    ])
+    assert [_sweeps_taken(m, monkeypatch) for m in stack] == [8, 7, 0, 0, 8, 2]
+    got = linalg.eig_symmetric(stack)
+    for m, values, vectors in zip(stack, got.eigenvalues, got.eigenvectors):
+        one = linalg.eig_symmetric(m)
+        assert values.tobytes() == one.eigenvalues.tobytes()
+        assert vectors.tobytes() == one.eigenvectors.tobytes()
+    assert _digests(linalg.EigenResult(got.eigenvalues[0], got.eigenvectors[0])) == EIG_DIGESTS["dense-63"]
+    zero = got.eigenvalues[4][got.eigenvalues[4] == 0.0]
+    assert np.signbit(zero).tolist() == [True]  # the -0.0 kept its sign
+
+
 @pytest.mark.parametrize("value", [-2.5, 0.0, 3.0])
 def test_one_by_one_and_diagonal_two_by_two_are_exact(value):
     one = linalg.eig_symmetric(np.array([[value]]))
