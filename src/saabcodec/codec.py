@@ -108,7 +108,7 @@ def quantize(coeffs, q_step):
     """Uniform deadzone quantizer: sign(y) * floor(|y|/Q + DEADZONE), as integer-valued
     floats, float32 for float32 coefficients and float64 otherwise.  The sign is y's sign
     bit OR-ed into the magnitude's bits: np.copysign's result (-0.0 for a small negative y)."""
-    if q_step <= 0:
+    if not q_step > 0:  # NaN too
         raise InvalidInputError("q_step must be positive")
     y = np.asarray(coeffs)
     y = y if y.dtype == np.float32 else y.astype(np.float64)
@@ -120,7 +120,7 @@ def quantize(coeffs, q_step):
 
 
 def dequantize(levels, q_step):
-    if q_step <= 0:
+    if not q_step > 0:  # NaN too
         raise InvalidInputError("q_step must be positive")
     return np.asarray(levels, dtype=np.float64) * q_step
 

@@ -5,8 +5,8 @@ same input bytes always produce the same output bytes.  The eigensolver is
 a round-robin Jacobi (Brent and Luk, 1985) rather than LAPACK: slower, but
 reproducible across platforms and easy to reason about for 64x64 symmetric
 matrices.  Each round's disjoint rotations are one elementwise step over
-the stack's live matrices, written directly unless some pair must keep its
-entries, and a matrix's result does not depend on what else is in the stack.
+the stack's live matrices, whose writes leave each pair with a[p, q] == 0
+untouched, so a matrix's result does not depend on what else is in the stack.
 """
 
 from dataclasses import dataclass
@@ -27,12 +27,20 @@ _SIGN_EPS = 1e-12
 _TOL_FACTOR, _MAX_SWEEPS = 1e-12, 100
 
 
+def as_float64(x):
+    """`x` as a float64 array; InvalidInputError for ragged or non-numeric input."""
+    try:
+        return np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise InvalidInputError(f"not a numeric array: {e}") from e
+
+
 def covariance(samples):
     """Second-moment matrix C = (1/T) * sum(z z^T) over the sample vectors,
     without mean subtraction.  For integer-valued samples with T * max|z|^2
     < 2**53 every partial sum of z^T z is an exact integer, so C does not
     depend on the summation order, and so not on the BLAS kernel."""
-    z = np.asarray(samples, dtype=np.float64)
+    z = as_float64(samples)
     if z.ndim != 2:
         raise InvalidInputError(f"expected a 2-D sample array, got shape {z.shape}")
     t = z.shape[0]
@@ -61,33 +69,32 @@ class EigenResult:
 
 def _round_robin(e):
     """Brent and Luk's schedule for an even e: (e - 1, e/2) index arrays
-    p < q whose row r is round r, e/2 disjoint pairs, such that the e - 1
-    rounds hold every pair once.  Seat i meets seat e-1-i; index 0 keeps
-    seat 0 while the others move one seat per round."""
+    p < q, stacked, whose row r is round r, e/2 disjoint pairs, such that the
+    e - 1 rounds hold every pair once.  Seat i meets seat e-1-i; index 0
+    keeps seat 0 while the others move one seat per round."""
     r = np.arange(e - 1)
     seats = np.insert(1 + (r - r[:, None]) % (e - 1), 0, 0, axis=1)
-    pairs = np.sort([seats[:, : e // 2], seats[:, : e // 2 - 1 : -1]], axis=0)
-    return pairs[0], pairs[1]
+    return np.sort([seats[:, : e // 2], seats[:, : e // 2 - 1 : -1]], axis=0)
 
 
 def _jacobi_sweeps(a):
-    """Round-robin Jacobi diagonalization of the m symmetric n x n matrices
-    of `a`, (n, n, m), matrix index last.
+    """Round-robin Jacobi diagonalization of the m n x n matrices of `a`,
+    (n, n, m), matrix index last, symmetrized as (a + a^T)/2.
 
-    The matrices are padded to e = n + n % 2 with a zero last row and
-    column when n is odd, and rotated together with eigenvector rows that
-    start as the identity.  A sweep is the e - 1 rounds of
-    `_round_robin(e)` less the padding index's pair, which never rotates; a
-    round rotates, for all its pairs at once, columns p and q of the
-    matrices, rows p and q of the eigenvectors, then rows p and q of the
-    matrices.  Only live matrices rotate (see _TOL_FACTOR, checked before
-    each sweep), and a round writes its rows directly unless a live matrix
-    has an a[p, q] == 0, whose entries np.where then keeps, -0.0 included,
-    so a matrix's result does not depend on the rest of the stack.
-    Returns (diagonals (m, n), eigenvector rows (m, n, n)).
+    They are padded to e = n + n % 2 with a zero last row and column when
+    n is odd, and rotated together with eigenvector rows that start as the
+    identity.  A sweep is the e - 1 rounds of `_round_robin(e)` less the
+    padding index's pair, which never rotates; a round rotates, for all its
+    pairs at once, columns p and q of the matrices, rows p and q of the
+    eigenvectors, then rows p and q of the matrices.  Only live matrices
+    rotate (see _TOL_FACTOR, checked before each sweep), and every write is
+    masked (`where=`) to the pairs with a[p, q] != 0, so the others keep
+    their entries, -0.0 included, and a matrix's result does not depend on
+    the rest of the stack.  Returns (diagonals (m, n), eigenvector rows
+    (m, n, n)).
     """
     n, e = len(a), len(a) + len(a) % 2
-    a = np.pad(a, ((0, e - n), (0, e - n), (0, 0)))
+    a = np.pad((a + a.swapaxes(0, 1)) * 0.5, ((0, e - n), (0, e - n), (0, 0)))
     vt = np.broadcast_to(np.eye(e)[..., None], a.shape).copy()
     # fro and off are reduced one contiguous matrix at a time, as for one matrix
     fro = np.array([np.sqrt(np.sum(x * x)) for x in np.moveaxis(a, -1, 0)])
@@ -95,7 +102,7 @@ def _jacobi_sweeps(a):
     ps, qs = _round_robin(e)
     keep = qs != n  # odd n: the padding index n never rotates
     ps, qs = ps[keep].reshape(e - 1, -1), qs[keep].reshape(e - 1, -1)
-    # lanes with a[p, q] == 0 divide by zero; np.where discards them
+    # lanes with a[p, q] == 0 divide by zero; the masked writes skip them
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for _ in range(_MAX_SWEEPS):
             for i in np.flatnonzero(live):
@@ -112,17 +119,14 @@ def _jacobi_sweeps(a):
                 t = np.sign(theta) + (theta == 0.0)
                 t /= np.abs(theta) + np.sqrt(theta * theta + 1.0)
                 c = 1.0 / np.sqrt(t * t + 1.0)
-                rot = None if apq.all() else (apq != 0.0)[:, None]
+                rot = True if apq.all() else (apq != 0.0)[:, None]  # the entries to rotate
                 # c and s at the rows' full shape, which numpy multiplies faster than a broadcast
                 c, s = (np.broadcast_to(x[:, None], (len(p),) + al.shape[1:]).copy() for x in (c, t * c))
                 for x in (al.swapaxes(0, 1), vl, al):  # matrix columns, eigenvectors, rows
-                    x_p, x_q = x[p], x[q]  # copies
+                    x_p, x_q = x[p], x[q]  # copies, to hold c x_p - s x_q and s x_p + c x_q
                     sq, sp = s * x_q, s * x_p
-                    if rot is None:  # c x_p - s x_q and s x_p + c x_q, in the copies
-                        x[p] = np.subtract(np.multiply(c, x_p, out=x_p), sq, out=x_p)
-                        x[q] = np.add(sp, np.multiply(c, x_q, out=x_q), out=x_q)
-                    else:
-                        x[p], x[q] = np.where(rot, c * x_p - sq, x_p), np.where(rot, sp + c * x_q, x_q)
+                    x[p] = np.subtract(np.multiply(c, x_p, out=x_p, where=rot), sq, out=x_p, where=rot)
+                    x[q] = np.add(sp, np.multiply(c, x_q, out=x_q, where=rot), out=x_q, where=rot)
             if lanes is not None:
                 a[..., lanes], vt[..., lanes] = al, vl
     # an all-zero matrix may hold -0.0
@@ -154,13 +158,13 @@ def eig_symmetric(m):
 
     Each matrix is scaled by 2^-e, e the binary exponent of its largest
     |entry| (0 for an all-zero one), so that its norms neither underflow nor
-    overflow; the scale is exact and the rotations do not depend on it.  It
-    is symmetrized as (m + m^T)/2 before the sweeps.  Eigenvalues come back
+    overflow; the scale is exact and the rotations do not depend on it.  The
+    sweeps symmetrize it as (m + m^T)/2.  Eigenvalues come back
     scaled by 2^e, sorted non-increasing, ties broken by the Jacobi output
     order; each eigenvector row has its first entry with |entry| > 1e-12
     positive.  A matrix's result does not depend on the others in its stack.
     """
-    a = np.asarray(m, dtype=np.float64)
+    a = as_float64(m)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
         raise InvalidInputError(f"expected square matrices, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -168,8 +172,7 @@ def eig_symmetric(m):
     lead, n = a.shape[:-2], a.shape[-1]
     a = np.moveaxis(a.reshape(-1, n, n), 0, -1)
     e = np.frexp(np.max(np.abs(a), axis=(0, 1)))[1]
-    a = np.ldexp(a, -e)
-    values, rows = _order_and_sign(*_jacobi_sweeps((a + a.swapaxes(0, 1)) * 0.5))
+    values, rows = _order_and_sign(*_jacobi_sweeps(np.ldexp(a, -e)))
     with np.errstate(over="ignore"):  # an overflow is reported just below
         values = np.ldexp(values, e[:, None])
     if not (np.isfinite(values).all() and np.isfinite(rows).all()):

@@ -26,6 +26,7 @@ from .linalg import (
     BLOCK_SIZE,
     VEC_LEN,
     apply_sign_convention,
+    as_float64,
     covariance,
     dc_complement_basis,
     eig_symmetric,
@@ -67,10 +68,7 @@ class SaabKernel:
 def _as_vectors(x, blocks=False):
     """`x` as a float64 (..., 64) array; with `blocks`, trailing 8x8 block
     axes are flattened in raster order first."""
-    try:
-        x = np.asarray(x, dtype=np.float64)
-    except (TypeError, ValueError) as e:  # ragged or non-numeric input
-        raise InvalidInputError(f"not a numeric array: {e}") from e
+    x = as_float64(x)
     if blocks and x.shape[-2:] == (BLOCK_SIZE, BLOCK_SIZE):
         x = x.reshape(x.shape[:-2] + (VEC_LEN,))
     if x.ndim == 0 or x.shape[-1] != VEC_LEN:
@@ -93,20 +91,16 @@ def _learn_stages(stats):
     moment projected into the DC-orthogonal complement (transform_moment, so
     the projection does not depend on the BLAS kernel), so they stay exactly
     orthogonal to DC even when it is rank-deficient.  Each moment is
-    projected as it is drawn, and one stacked eigensolve serves them all.
+    projected as it is drawn; one stacked eigensolve serves them all, and one
+    product maps every stack of eigenvectors back to K points.
     """
     stats = [(transform_moment(dc_complement_basis(len(m)), m), b) for m, b in stats]
-    eig = eig_symmetric(np.array([c for c, _ in stats]))
-    k = eig.eigenvectors.shape[-1] + 1
-    basis = dc_complement_basis(k)
-    a0 = np.full(k, 1.0 / np.sqrt(k))
-    out = []
-    for vectors, (_, bias_value) in zip(eig.eigenvectors, stats):
-        ac_rows = apply_sign_convention(np.einsum("ai,ij->aj", vectors, basis))
-        bias = np.full(k, bias_value)
-        bias[0] = 0.0
-        out.append(SaabKernel(matrix=np.vstack([a0, ac_rows]), bias=bias))
-    return out
+    vectors = eig_symmetric(np.array([c for c, _ in stats])).eigenvectors
+    k = vectors.shape[-1] + 1
+    ac = apply_sign_convention(np.einsum("mai,ij->maj", vectors, dc_complement_basis(k)))
+    matrices = np.concatenate([np.full((len(ac), 1, k), 1.0 / np.sqrt(k)), ac], axis=1)
+    biases = np.outer([b for _, b in stats], np.arange(k) > 0)  # 0 on DC
+    return [SaabKernel(matrix=m, bias=b) for m, b in zip(matrices, biases)]
 
 
 def _training_samples(samples, kind):
@@ -148,7 +142,7 @@ def learn_klt(samples):
 def saab_forward(kernel, block, bias_mode="centered"):
     """Transform (..., 64) vectors or (..., 8, 8) blocks into (..., 64)
     coefficient vectors."""
-    _check_bias_mode(bias_mode)
+    _check_args(kernel, bias_mode)
     y = _as_vectors(block, blocks=True) @ kernel.matrix.T
     if bias_mode == "raw":
         y += kernel.bias
@@ -157,14 +151,16 @@ def saab_forward(kernel, block, bias_mode="centered"):
 
 def saab_inverse(kernel, coeffs, bias_mode="centered"):
     """Invert saab_forward.  Returns (..., 64) flat block samples."""
-    _check_bias_mode(bias_mode)
+    _check_args(kernel, bias_mode)
     y = _as_vectors(coeffs)
     if bias_mode == "raw":
         y = y - kernel.bias
     return y @ kernel.matrix
 
 
-def _check_bias_mode(bias_mode):
+def _check_args(kernel, bias_mode):
+    if not isinstance(kernel, SaabKernel):
+        raise InvalidInputError(f"expected a SaabKernel, got {type(kernel).__name__}")
     if bias_mode not in BIAS_MODES:
         raise InvalidInputError(f"unknown bias mode {bias_mode!r}")
 

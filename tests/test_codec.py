@@ -37,6 +37,13 @@ def test_quantizer_deadzone():
             assert np.abs(got).max() == 3239
 
 
+@pytest.mark.parametrize("q_step", [0.0, -4.0, float("nan")])
+def test_quantizer_rejects_a_step_that_is_not_positive(q_step):
+    for call in (codec.quantize, codec.dequantize):
+        with pytest.raises(InvalidInputError, match="q_step"):
+            call(np.ones(3), q_step)
+
+
 def test_dequantize_reconstruction_levels():
     lv = np.array([0, 1, -2, 5])
     assert np.allclose(codec.dequantize(lv, 4.0), [0.0, 4.0, -8.0, 20.0])

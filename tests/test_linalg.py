@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from saabcodec import linalg
-from saabcodec.errors import InvalidInputError
+from saabcodec.errors import InsufficientDataError, InvalidInputError
 
 
 def char_poly_eigenvalues(m):
@@ -131,8 +131,9 @@ def test_eig_golden_digest(case):
 
 
 def test_eig_rejects_nonsquare():
-    with pytest.raises(InvalidInputError):
-        linalg.eig_symmetric(np.zeros((3, 4)))
+    for bad in (np.zeros((3, 4)), "abc", [[1, 2], [3]]):  # also non-numeric and ragged
+        with pytest.raises(InvalidInputError):
+            linalg.eig_symmetric(bad)
 
 
 def _mixed_stack(n=15):
@@ -319,6 +320,17 @@ def test_dc_complement_basis():
         assert b.shape == (k - 1, k)
         assert np.max(np.abs(b @ b.T - np.eye(k - 1))) < 1e-12
         assert np.max(np.abs(b @ np.ones(k))) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [("x", InvalidInputError), ([[1, 2], [3]], InvalidInputError), (np.zeros(5), InvalidInputError),
+     ([[1.0, np.nan]] * 2, InvalidInputError), (np.zeros((1, 4)), InsufficientDataError)],
+    ids=["non-numeric", "ragged", "1-D", "nan", "one-sample"],
+)
+def test_covariance_rejects_bad_samples(bad, error):
+    with pytest.raises(error):
+        linalg.covariance(bad)
 
 
 def test_covariance_no_mean_subtraction():

@@ -204,3 +204,10 @@ def test_batched_calls_match_single_block_calls(kind, saab1, saab2):
             inv(bad)
     with pytest.raises(InvalidInputError):
         inv(blocks)  # inverses take coefficient vectors only
+
+
+@pytest.mark.parametrize("kernel", [None, np.eye(64), {"matrix": np.eye(64), "bias": np.zeros(64)}])
+def test_saab_transforms_reject_a_kernel_of_another_kind(kernel):
+    for call in (tf.saab_forward, tf.saab_inverse):
+        with pytest.raises(InvalidInputError, match="SaabKernel"):
+            call(kernel, np.zeros(64))
