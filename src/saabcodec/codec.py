@@ -11,17 +11,18 @@ reconstructed, by `_reconstruct`, whose float64 arithmetic the decoder
 replays, so its output matches the encoder reconstruction bit-exactly.
 
 Both sides work on wavefront batches of blocks that do not reference each
-other (`_wavefront_batches`), and both reconstruct a batch through one
-`_reconstruct` call; blocks are read and stored through the (frames, h/8,
-8, w/8, 8) view of a (frames, h, w) stack (`_blocks`).  The encoder keeps
-BATCH_BLOCKS: its float32 search's BLAS products may round differently at
-another row count, moving the J estimates.  The decoder's batches are wider
-(DECODE_BATCH_BLOCKS): its prediction and synthesis are exact at any size.
-The decoder runs two passes: a parse pass walks the payload, unpacked once
-by `unpack_bits` into a string of '0'/'1' bytes, with one bit position, and
-reads every block's mode, transform flag and 64 levels (`decode_levels`)
-into arrays; then a reconstruct pass predicts each batch with one
-`predict_block` call, each block with its own mode, and reconstructs it.
+other (`_wavefront_batches`, one read-only schedule per geometry), and both
+reconstruct a batch through one `_reconstruct` call; blocks are read and
+stored through the (frames, h/8, 8, w/8, 8) view of a (frames, h, w) stack
+(`_blocks`).  The encoder keeps BATCH_BLOCKS: its float32 search's BLAS
+products may round differently at another row count, moving the J
+estimates.  The decoder's batches are wider (DECODE_BATCH_BLOCKS): its
+prediction and synthesis are exact at any size.  The decoder runs two
+passes: a parse pass walks the payload, unpacked once by `unpack_bits` into
+a string of '0'/'1' bytes, with one bit position, writes each block's
+levels into its row of one zeroed buffer (`decode_levels`) and fills the
+coded-block table once; a reconstruct pass predicts each batch with one
+`predict_block` call, each block with its own mode.
 
 Strategies:
   dct_only  anchor; every mode uses DCT, no flags.
@@ -50,8 +51,10 @@ residual in [-255, 255], and the quantizer step is at least 2**(-2/3) (QP
 0), so |level| <= 3238, or 3239 with the float32 search's rounding.
 """
 
+import functools
 import struct
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -108,8 +111,8 @@ def quantize(coeffs, q_step):
     """Uniform deadzone quantizer: sign(y) * floor(|y|/Q + DEADZONE), as integer-valued
     floats, float32 for float32 coefficients and float64 otherwise.  The sign is y's sign
     bit OR-ed into the magnitude's bits: np.copysign's result (-0.0 for a small negative y)."""
-    if not q_step > 0:  # NaN too
-        raise InvalidInputError("q_step must be positive")
+    if not (isinstance(q_step, Real) and q_step > 0):  # NaN too
+        raise InvalidInputError(f"q_step must be a positive number, got {q_step!r}")
     y = np.asarray(coeffs)
     y = y if y.dtype == np.float32 else y.astype(np.float64)
     mag = np.abs(y) / y.dtype.type(q_step) + DEADZONE
@@ -120,8 +123,8 @@ def quantize(coeffs, q_step):
 
 
 def dequantize(levels, q_step):
-    if not q_step > 0:  # NaN too
-        raise InvalidInputError("q_step must be positive")
+    if not (isinstance(q_step, Real) and q_step > 0):  # NaN too
+        raise InvalidInputError(f"q_step must be a positive number, got {q_step!r}")
     return np.asarray(levels, dtype=np.float64) * q_step
 
 
@@ -149,9 +152,10 @@ def _past_end(bits):
     return BitstreamError("read past end of stream", bit_offset=len(bits))
 
 
-def decode_levels(bits, p):
+def decode_levels(bits, p, out):
     """Parse one block's 64 scan-order levels from `bits`, an `unpack_bits`
-    string, at bit position p; returns (levels, the position after them).
+    string, at bit position p into `out`, a zeroed row of 64 (the decoder's:
+    a memoryview slice of one int16 buffer); returns the position after them.
 
     A |level| 1 code and a significance 1 right after a level cost one bit
     test each; another level costs a find() and an int(), and a run of zero
@@ -159,11 +163,10 @@ def decode_levels(bits, p):
     more than 64 zeros and a magnitude of 2**12 or more raise BitstreamError.
     """
     n = len(bits)
-    levels = np.zeros(VEC_LEN, dtype=np.int64)
     if p >= n:
         raise _past_end(bits)
     if not bits[p] & 1:  # coded-block flag clear
-        return levels, p + 1
+        return p + 1
     p += 7
     if p > n:
         raise _past_end(bits)
@@ -184,7 +187,7 @@ def decode_levels(bits, p):
                 raise BitstreamError(f"level magnitude {mag} out of range", bit_offset=end)
         if end == n:  # no sign bit
             raise _past_end(bits)
-        levels[pos] = -mag if bits[end] & 1 else mag
+        out[pos] = -mag if bits[end] & 1 else mag
         p = end + 1
         if pos and p < n and bits[p] & 1:  # the next position is significant
             pos, p = pos - 1, p + 1
@@ -194,7 +197,7 @@ def decode_levels(bits, p):
         if one < 0:  # all clear
             if p + pos > n:
                 raise _past_end(bits)
-            return levels, p + pos
+            return p + pos
         pos -= one + 1 - p
         p = one + 1
 
@@ -393,15 +396,17 @@ def encode_block(original, recon, pos, qp, cfg, matrices, search):
     return rows
 
 
+@functools.lru_cache(maxsize=8)
 def _wavefront_batches(n_frames, blocks_w, blocks_h, size):
-    """Yield ((frame, bx, by) index arrays, stream-order indices) of at most
-    `size` blocks each.
+    """((frame, bx, by) index arrays, stream-order indices) of each batch of
+    at most `size` blocks, in coding order: one read-only tuple per geometry.
 
     Blocks of one wave w = bx + 2 * by reference only blocks of earlier
     waves (left, top-left, top and top-right neighbours), and frames are
     independent intra pictures, so a wave of all frames can be coded as
     one set once the earlier waves are reconstructed.
     """
+    batches = []
     for wave in range(blocks_w + 2 * (blocks_h - 1)):
         by = np.arange(blocks_h)
         bx = wave - 2 * by
@@ -409,10 +414,10 @@ def _wavefront_batches(n_frames, blocks_w, blocks_h, size):
         bx, by = bx[on_grid], by[on_grid]
         frame = np.repeat(np.arange(n_frames), bx.size)
         bx, by = np.tile(bx, n_frames), np.tile(by, n_frames)
-        for start in range(0, frame.size, size):
-            batch = slice(start, start + size)
-            f, x, y = frame[batch], bx[batch], by[batch]
-            yield (f, x, y), (f * blocks_h + y) * blocks_w + x
+        wave_pos = np.stack([frame, bx, by, (frame * blocks_h + by) * blocks_w + bx])
+        wave_pos.flags.writeable = False  # and so every batch's view of it
+        batches += [(tuple(wave_pos[:3, s : s + size]), wave_pos[3, s : s + size]) for s in range(0, bx.size, size)]
+    return tuple(batches)
 
 
 def check_qp(qp):
@@ -506,31 +511,36 @@ def decode_sequence(data, bank=None):
     payload = unpack_bits(data[_HEADER.size :])
     n = len(payload)
     flagged, saab_only = cfg.flag.tolist(), (~cfg.dct_ok).tolist()
-    table = np.empty(n_blocks, dtype=CODED_DTYPE)
-    modes, uses_saab, levels, sizes = (table[name] for name in CODED_DTYPE.names)
+    levels = np.zeros((n_blocks, VEC_LEN), dtype=np.int16)
+    rows = memoryview(levels.reshape(-1))
+    modes, uses_saab, sizes = [], [], []
     p = 0
-    for i in range(n_blocks):
+    for row in range(0, n_blocks * VEC_LEN, VEC_LEN):
         start, p = p, p + MODE_BITS
         if p > n:
             raise _past_end(payload)
         mode = int(payload[start:p], 2)
         if mode >= N_MODES:
             raise BitstreamError(f"invalid mode {mode}", bit_offset=p)
-        modes[i] = mode
+        modes.append(mode)
         if flagged[mode]:
             if p >= n:
                 raise _past_end(payload)
-            uses_saab[i] = payload[p] & 1
+            uses_saab.append(payload[p] & 1)
             p += 1
         else:
-            uses_saab[i] = saab_only[mode]
-        levels[i], p = decode_levels(payload, p)
-        sizes[i] = p - start
+            uses_saab.append(saab_only[mode])
+        p = decode_levels(payload, p, rows[row : row + VEC_LEN])
+        sizes.append(p - start)
     if len(data) - _HEADER.size != (p + 7) // 8:
         raise BitstreamError("trailing bytes after the last block", bit_offset=p)
     pad_mask = (1 << -p % 8) - 1  # the last byte's padding bits
     if data[-1] & pad_mask:
         raise BitstreamError("nonzero padding bits after the last block", bit_offset=p)
+
+    table = np.empty(n_blocks, dtype=CODED_DTYPE)
+    table["mode"], table["saab"], table["levels"], table["bits"] = modes, uses_saab, levels, sizes
+    modes, uses_saab = table["mode"], table["saab"]
 
     # Reconstruct pass over the encoder's wavefront batches.
     q = qp_to_qstep(qp)

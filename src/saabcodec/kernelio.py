@@ -5,7 +5,8 @@ deterministic (little-endian float64, sorted JSON metadata), so a training
 run with a fixed seed produces a bitwise-identical bank file.  The bank is
 the one place that writes and checks a kernel record's head: it follows
 from the kernel's index in the fixed mode table and the metadata's
-`decimal_digits`, and a reader requires it byte for byte.
+`decimal_digits`, and a reader requires it byte for byte.  A bank's kernel
+arrays are its own and read-only, so its digest and validation run once.
 """
 
 import hashlib
@@ -64,6 +65,13 @@ class KernelBank:
     kernels: tuple
     meta: dict
 
+    def __post_init__(self):
+        # copies no other view can change, read-only, so digest() and validate() run once
+        kernels = tuple(replace(k, matrix=np.array(k.matrix), bias=np.array(k.bias)) for k in self.kernels)
+        for k in kernels:
+            k.matrix.flags.writeable = k.bias.flags.writeable = False
+        object.__setattr__(self, "kernels", kernels)
+
     def kernel_for_mode(self, mode):
         return self.kernels[APPLY_MAP[mode]]
 
@@ -107,7 +115,7 @@ class KernelBank:
             if len(buf) < offset:
                 raise InvalidInputError("truncated kernel record")
             rows = np.frombuffer(buf[offset - _KERNEL_BODY_BYTES : offset], "<f8").reshape(-1, VEC_LEN)
-            kernels.append(SaabKernel(matrix=rows[:-1].copy(), bias=rows[-1].copy()))
+            kernels.append(SaabKernel(matrix=rows[:-1], bias=rows[-1]))  # the bank copies them
         if offset != len(buf):
             raise InvalidInputError(f"{len(buf) - offset} bytes after the last kernel record")
         if {key: meta.pop(key, None) for key in _STORED_TABLE} != _STORED_TABLE:
@@ -115,8 +123,11 @@ class KernelBank:
         return cls(kernels=tuple(kernels), meta=meta)
 
     def digest(self):
-        """16-byte content digest; the bitstream header pins this."""
-        return hashlib.sha256(self.to_bytes()).digest()[:16]
+        """16-byte content digest the bitstream header pins, hashed once per metadata."""
+        meta = json.dumps(self.meta, sort_keys=True)
+        if self.__dict__.get("_digest", (None,))[0] != meta:
+            object.__setattr__(self, "_digest", (meta, hashlib.sha256(self.to_bytes()).digest()[:16]))
+        return self._digest[1]
 
     def save(self, path):
         data = self.to_bytes()  # before the file exists, so a failure leaves none
@@ -147,6 +158,8 @@ class KernelBank:
     def validate(self):
         """Return self, or raise InvalidInputError unless the bank has 24
         64x64 kernels whose rows are nonzero with an L1 norm of at most 8."""
+        if "_valid" in self.__dict__:  # checked before
+            return self
         if len(self.kernels) != N_KERNELS:
             raise InvalidInputError(f"expected {N_KERNELS} kernels, got {len(self.kernels)}")
         for i, k in enumerate(self.kernels):
@@ -155,4 +168,5 @@ class KernelBank:
             l1 = np.abs(k.matrix).sum(axis=1)
             if not np.all((l1 > 0) & (l1 <= _ROW_L1_BOUND)):  # NaN fails both
                 raise InvalidInputError(f"kernel {i} has a row that is zero or has an L1 norm above 8")
+        object.__setattr__(self, "_valid", True)
         return self

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
+from .linalg import as_float64
 
 SQRT2_E = math.sqrt(2.0) * math.e
 
@@ -33,7 +34,7 @@ def qp_to_lambda(qp):
 
 def _as_moment(moment):
     """`moment` as a finite square float64 matrix; InvalidInputError otherwise."""
-    m = np.asarray(moment, dtype=np.float64)
+    m = as_float64(moment)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise InvalidInputError(f"expected a square second-moment matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -52,7 +53,7 @@ class CompactionCurve:
 
 def residual_sample_variance(blocks):
     """Population variance of all residual samples in the set (scalar)."""
-    x = np.asarray(blocks, dtype=np.float64).reshape(-1)
+    x = as_float64(blocks).reshape(-1)
     return float(x.var())
 
 
@@ -84,9 +85,10 @@ def kappa(sigma_y, q_step, lam):
 
     Distortion term sigma^2 Q^2 / (12 sigma^2 + Q^2) always; the rate term
     lambda * log2(sqrt(2) e sigma / Q) joins when sigma exceeds Q/(sqrt(2) e).
+    A negative or NaN sigma and a NaN Q or lambda raise InvalidInputError.
     """
-    if sigma_y < 0:
-        raise InvalidInputError("sigma must be non-negative")
+    if not sigma_y >= 0 or math.isnan(q_step) or math.isnan(lam):
+        raise InvalidInputError(f"kappa needs sigma >= 0 and numbers, got {sigma_y}, {q_step}, {lam}")
     if sigma_y == 0.0:
         return 0.0
     s2 = sigma_y * sigma_y

@@ -226,7 +226,8 @@ def test_criterion_07_codec_mirror_and_fuzz(bank, clip_a_planes, clip_b_planes):
     row_bits = lengths.sum(axis=1)
     bits, p = unpack_bits(pack_bits(values, lengths)), 0
     for levels, nbits in zip(rows, row_bits.tolist()):
-        out, end = codec.decode_levels(bits, p)
+        out = np.zeros(64, dtype=np.int64)
+        end = codec.decode_levels(bits, p, out)
         if not np.array_equal(out, levels) or end - p != nbits:
             fuzz_fail += 1
         p = end

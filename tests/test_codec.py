@@ -37,7 +37,7 @@ def test_quantizer_deadzone():
             assert np.abs(got).max() == 3239
 
 
-@pytest.mark.parametrize("q_step", [0.0, -4.0, float("nan")])
+@pytest.mark.parametrize("q_step", [0.0, -4.0, float("nan"), "a", None])
 def test_quantizer_rejects_a_step_that_is_not_positive(q_step):
     for call in (codec.quantize, codec.dequantize):
         with pytest.raises(InvalidInputError, match="q_step"):
@@ -62,7 +62,8 @@ def test_zigzag_is_permutation():
 
 def _roundtrip_levels(levels):
     values, lengths = codec.encode_levels(levels[None])
-    out, end = codec.decode_levels(unpack_bits(pack_bits(values, lengths)), 0)
+    out = np.zeros(64, dtype=np.int64)
+    end = codec.decode_levels(unpack_bits(pack_bits(values, lengths)), 0, out)
     assert end == int(lengths.sum())
     return out, end
 
@@ -107,9 +108,11 @@ def test_level_coding_roundtrip_and_cost(rows):
     values, lengths = codec.encode_levels(batch)
     assert lengths.sum(axis=1).tolist() == per_row
     bits, p = unpack_bits(pack_bits(values, lengths)), 0
-    for levels, cost in zip(batch, per_row):
-        out, end = codec.decode_levels(bits, p)
-        assert np.array_equal(out, levels)
+    out = np.zeros(batch.shape, dtype=np.int16)  # one buffer, as the decoder's
+    rows = memoryview(out.reshape(-1))
+    for k, (levels, cost) in enumerate(zip(batch, per_row)):
+        end = codec.decode_levels(bits, p, rows[64 * k : 64 * k + 64])
+        assert np.array_equal(out[k], levels)
         assert end - p == cost
         p = end
 
@@ -180,10 +183,11 @@ def test_level_parser_matches_reference(data):
             want = _decode_levels_reference(reference)
         except BitstreamError as e:
             with pytest.raises(BitstreamError) as got:
-                codec.decode_levels(bits, p)
+                codec.decode_levels(bits, p, np.zeros(64, dtype=np.int64))
             assert (str(got.value), got.value.bit_offset) == (str(e), e.bit_offset)
             return
-        got, p = codec.decode_levels(bits, p)
+        got = np.zeros(64, dtype=np.int64)
+        p = codec.decode_levels(bits, p, got)
         assert np.array_equal(got, want)
         assert p == reference.position
 
@@ -284,8 +288,10 @@ def test_bad_in_memory_bank_rejected(case, tiny_bank):
         "25-kernels": kernels + kernels[:1],
         "63x64-matrix": (replace(kernels[0], matrix=kernels[0].matrix[:63]),) + kernels[1:],
     }[case]
-    with pytest.raises(InvalidInputError):
-        codec.StrategyConfig("s3", replace(tiny_bank, kernels=kernels))
+    bad = replace(tiny_bank, kernels=kernels)
+    for _ in range(2):  # a failed check is not cached as a pass
+        with pytest.raises(InvalidInputError):
+            codec.StrategyConfig("s3", bad)
 
 
 @pytest.mark.parametrize("bank", ["x", 0, b"SKB1", ()], ids=["str", "int", "bytes", "tuple"])
@@ -361,6 +367,41 @@ def test_batched_reconstruction_matches_per_block_formula():
             batch = slice(start, start + codec.BATCH_BLOCKS)
             got = codec._reconstruct(preds[batch], levels[batch], matrices[batch], q)
             assert got.tobytes() == want[batch].tobytes()
+
+
+def _wavefront_reference(n_frames, blocks_w, blocks_h, size):
+    """The schedule as a generator built it per call: each wave's blocks of
+    every frame in (frame, by) order, cut into batches of `size`."""
+    for wave in range(blocks_w + 2 * (blocks_h - 1)):
+        by = np.arange(blocks_h)
+        bx = wave - 2 * by
+        on_grid = (bx >= 0) & (bx < blocks_w)
+        bx, by = bx[on_grid], by[on_grid]
+        frame = np.repeat(np.arange(n_frames), bx.size)
+        bx, by = np.tile(bx, n_frames), np.tile(by, n_frames)
+        for start in range(0, frame.size, size):
+            batch = slice(start, start + size)
+            f, x, y = frame[batch], bx[batch], by[batch]
+            yield (f, x, y), (f * blocks_h + y) * blocks_w + x
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [(8, 16, 12, 16), (8, 16, 12, 32), (1, 44, 36, 16), (1, 44, 36, 32), (8, 22, 18, 16)],
+    ids=lambda g: "x".join(map(str, g)),
+)
+def test_wavefront_schedule_is_cached_and_read_only(geometry):
+    batches = codec._wavefront_batches(*geometry)
+    assert codec._wavefront_batches(*geometry) is batches
+    want = list(_wavefront_reference(*geometry))
+    assert len(batches) == len(want)
+    for ((f, x, y), i), ((wf, wx, wy), wi) in zip(batches, want):
+        for got, ref in ((f, wf), (x, wx), (y, wy), (i, wi)):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 0
+    n_frames, blocks_w, blocks_h, _ = geometry
+    assert np.array_equal(np.sort(np.concatenate([i for _, i in batches])), np.arange(n_frames * blocks_w * blocks_h))
 
 
 @pytest.mark.parametrize("strategy", ["s3", "s1"])

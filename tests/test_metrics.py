@@ -31,6 +31,14 @@ def test_kappa_zero_sigma():
         metrics.kappa(-1.0, q, lam)
 
 
+@pytest.mark.parametrize("nan_at", [0, 1, 2], ids=["sigma", "q_step", "lam"])
+def test_kappa_rejects_nan(nan_at):
+    args = [1.0, 1.0, 0.5]
+    args[nan_at] = math.nan
+    with pytest.raises(InvalidInputError):
+        metrics.kappa(*args)
+
+
 def test_kappa_rate_term_joins_continuously():
     thresh = 1.0 / metrics.SQRT2_E
     below = metrics.kappa(thresh * (1 - 1e-9), 1.0, 0.5)
@@ -76,6 +84,20 @@ def test_moment_metrics_reject_non_square_moments(shape):
                  lambda m: metrics.coeff_stats(DCT_64, m)):
         with pytest.raises(InvalidInputError, match="square second-moment"):
             call(np.ones(shape))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: metrics.decorrelation_cost("x"),
+        lambda: metrics.energy_compaction([[1, 2], [3]], 1.0),
+        lambda: metrics.residual_sample_variance("x"),
+    ],
+    ids=["decorrelation-str", "compaction-ragged", "variance-str"],
+)
+def test_metrics_reject_non_numeric_input(call):
+    with pytest.raises(InvalidInputError, match="not a numeric array"):
+        call()
 
 
 def test_energy_compaction_rejects_non_positive_input_variance():
