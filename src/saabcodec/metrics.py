@@ -88,7 +88,7 @@ def kappa(sigma_y, q_step, lam):
     A negative or NaN sigma and a NaN Q or lambda raise InvalidInputError.
     """
     if not sigma_y >= 0 or math.isnan(q_step) or math.isnan(lam):
-        raise InvalidInputError(f"kappa needs sigma >= 0 and numbers, got {sigma_y}, {q_step}, {lam}")
+        raise InvalidInputError(f"kappa needs sigma >= 0 and no NaN, got {sigma_y}, {q_step}, {lam}")
     if sigma_y == 0.0:
         return 0.0
     s2 = sigma_y * sigma_y
