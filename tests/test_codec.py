@@ -370,8 +370,8 @@ def test_batched_reconstruction_matches_per_block_formula():
 
 
 def _wavefront_reference(n_frames, blocks_w, blocks_h, size):
-    """The schedule as a generator built it per call: each wave's blocks of
-    every frame in (frame, by) order, cut into batches of `size`."""
+    """Reference schedule, rebuilt on every call: each wave's blocks of every
+    frame in (frame, by) order, cut into batches of `size`."""
     for wave in range(blocks_w + 2 * (blocks_h - 1)):
         by = np.arange(blocks_h)
         bx = wave - 2 * by
