@@ -6,9 +6,13 @@ encoder quantizes the residual with every pair on the list and keeps the
 first candidate with the lowest J = D + lambda * bits.  This search is float32
 and not normative; D is the error before rounding, ||M^T Q levels - r||^2 for
 analysis rows M, exact for any kernel, and its levels and bit counts are exact
-(`quantize`, `level_bit_cost` on float32 bits).  Only the chosen candidate is
-reconstructed, by `_reconstruct`, whose float64 arithmetic the decoder
-replays, so its output matches the encoder reconstruction bit-exactly.
+(`quantize`, `level_bit_cost` on float32 bits).  Its DCT pairs share one
+float32 DCT_SCAN and its kernel pairs have their own rows (the config's
+`search` runs), per pair the same BLAS call as a stack of every pair's rows.
+`_search_sequence` fills one block table in stream order and the
+reconstruction, which encode_sequence packs and extract_residuals reads.
+Only the chosen candidate is reconstructed, by `_reconstruct`, whose float64
+arithmetic the decoder replays, so its output matches the encoder's bit-exactly.
 
 Both sides work on wavefront batches of blocks that do not reference each
 other (`_wavefront_batches`, one read-only schedule per geometry), and both
@@ -64,7 +68,7 @@ from .intra import build_references, predict_all_modes, predict_block
 from .kernelio import KernelBank
 from .linalg import BLOCK_SIZE as BLOCK, VEC_LEN
 from .metrics import qp_to_lambda, qp_to_qstep
-from .modes import DCT_ONLY_MODES, N_MODES
+from .modes import APPLY_MAP, DCT_ONLY_MODES, N_MODES
 from .transforms import DCT_64
 
 MODE_BITS = 6
@@ -105,20 +109,25 @@ def _zigzag_order(n):
 
 ZIGZAG = _zigzag_order(BLOCK)
 DCT_SCAN = DCT_64[ZIGZAG]  # analysis rows in coded scan order
+DCT_SCAN.flags.writeable = False
 
 
 def quantize(coeffs, q_step):
     """Uniform deadzone quantizer: sign(y) * floor(|y|/Q + DEADZONE), as integer-valued
     floats, float32 for float32 coefficients and float64 otherwise.  The sign is y's sign
-    bit OR-ed into the magnitude's bits: np.copysign's result (-0.0 for a small negative y)."""
+    bit, taken first and OR-ed into the magnitude's bits: np.copysign's result (-0.0 for a
+    small negative y).  Two new arrays: the sign, and |y|, which the later steps update."""
     if not (isinstance(q_step, Real) and q_step > 0):  # NaN too
         raise InvalidInputError(f"q_step must be a positive number, got {q_step!r}")
     y = np.asarray(coeffs)
     y = y if y.dtype == np.float32 else y.astype(np.float64)
-    mag = np.abs(y) / y.dtype.type(q_step) + DEADZONE
-    np.floor(mag, out=mag)
     uint = np.dtype(f"u{y.itemsize}").type
-    np.bitwise_or(mag.view(uint), y.view(uint) & uint(1 << 8 * y.itemsize - 1), out=mag.view(uint))
+    sign = y.view(uint) & uint(1 << 8 * y.itemsize - 1)
+    mag = np.abs(y)
+    mag /= y.dtype.type(q_step)
+    mag += DEADZONE
+    np.floor(mag, out=mag)
+    np.bitwise_or(mag.view(uint), sign, out=mag.view(uint))
     return mag
 
 
@@ -208,15 +217,14 @@ _POWERS_OF_4 = np.ldexp(np.float32(1), 2 * np.arange(VEC_LEN))  # 4**63 = 2**126
 
 def _bit_lengths(levels_scan):
     """bit_length(|level|) of (..., 64) integer(-valued) levels, as float32, and each row's
-    last significant position + 1 (0 if none).  In float32, exact below 2**12, a bit length
-    is the exponent field - 126 (0 for a zero level), and a row's sum of 4**position over its
-    nonzero levels stays in [4**last, 2 * 4**last) in any summation order: frexp gives 2 * last + 1."""
-    levels = np.asarray(levels_scan, dtype=np.float32)
-    exp = levels.view(np.int32) >> 23
-    exp &= 0xFF  # the exponent field
-    exp = np.subtract(np.maximum(exp, 126, out=exp), 126, dtype=np.float32)
-    last = np.frexp((levels != 0).astype(np.float32) @ _POWERS_OF_4)[1]
-    return exp, (last + 1) >> 1
+    last significant position + 1 (0 if none).  A level below 2**12 is exact in float32,
+    and np.frexp's exponent is its bit length (0 for +-0.0).  min(length, 1) flags the
+    nonzero levels, whose row sum of 4**position stays in [4**last, 2 * 4**last) in any
+    summation order: frexp gives 2 * last + 1."""
+    mantissas, exponents = np.frexp(np.asarray(levels_scan, dtype=np.float32))
+    lengths = exponents.astype(np.float32)
+    last = np.frexp(np.minimum(lengths, 1, out=mantissas) @ _POWERS_OF_4)[1]
+    return lengths, (last + 1) >> 1
 
 
 def level_bit_cost(levels_scan):
@@ -283,8 +291,9 @@ class StrategyConfig:
     `cand_saab` and `cand_mode` list the pairs of the (dct_ok, saab_ok)
     masks in the RD search's tie-break order, DCT first, each in mode order;
     `cand_index[saab, mode]` is a pair's place on the list (-1: not
-    allowed).  The bank is a KernelBank or None.  A strategy that allows no
-    learned kernel drops it; any other requires one that validates.
+    allowed) and `rows[cand_rows]` its analysis rows (`gather`).  The bank is a
+    KernelBank or None.  A strategy that allows no learned kernel drops it;
+    any other requires one that validates.
     """
 
     def __init__(self, strategy, bank=None):
@@ -299,20 +308,31 @@ class StrategyConfig:
         self.cand_saab, self.cand_mode = np.nonzero(allowed)
         self.cand_index = np.full(allowed.shape, -1)
         self.cand_index[allowed] = np.arange(len(self.cand_mode))
+        self.cand_rows = np.where(self.cand_saab, 1 + np.take(APPLY_MAP, self.cand_mode), 0)
+        self.head_bits = MODE_BITS + self.flag[self.cand_mode]  # each pair's mode and flag bits
         if not self.saab_ok.any():
             bank = None
         elif bank is None:
             raise InvalidInputError(f"strategy {strategy} requires a kernel bank")
         self.bank = None if bank is None else bank.validate()
+        # the distinct analysis rows, read-only and not copied: DCT_SCAN, then the bank's kernels
+        self.rows = (DCT_SCAN,) + tuple(k.matrix for k in (self.bank.kernels if self.bank else ()))
 
-    def matrices(self, dtype=np.float64):
-        """The candidates' (C, 64, 64) analysis rows in coded scan order, as
-        `dtype`: DCT_SCAN for a DCT pair, the mode's learned kernel for a kernel
-        pair.  Built per call, once per sequence, so an idle config holds none."""
-        if self.bank is None:  # one shared DCT_SCAN: dct_only encodes 7-18% faster than with 35 copies
-            return np.broadcast_to(DCT_SCAN.astype(dtype), (N_MODES, VEC_LEN, VEC_LEN))
-        pairs = zip(self.cand_saab, self.cand_mode)
-        return np.stack([self.bank.kernel_for_mode(m).matrix if s else DCT_SCAN for s, m in pairs], dtype=dtype)
+    def gather(self, cand):
+        """The (k, 64, 64) float64 analysis rows of the candidates `cand` on the list."""
+        return np.array([self.rows[r] for r in self.cand_rows[cand].tolist()])
+
+    @functools.cached_property
+    def search(self):
+        """The RD search's runs of the list, (candidates, their modes or None for all 35 in
+        order, read-only (c, 64, 64) float32 analysis rows): one DCT_SCAN (stride 0) for the
+        DCT pairs, the kernel pairs' own rows for the rest."""
+        n = int(np.count_nonzero(self.dct_ok))  # the DCT pairs lead the list
+        dct = np.broadcast_to(DCT_SCAN.astype(np.float32), (n, VEC_LEN, VEC_LEN))
+        kernels = np.array(self.rows, dtype=np.float32)[self.cand_rows[n:]]
+        kernels.flags.writeable = False
+        runs = [(c, self.cand_mode[c], rows) for c, rows in ((slice(n), dct), (slice(n, None), kernels)) if len(rows)]
+        return tuple((c, None if np.array_equal(m, np.arange(N_MODES)) else m, rows) for c, m, rows in runs)
 
 
 def _reconstruct(preds, levels, matrices, q_step):
@@ -339,30 +359,35 @@ def _blocks(planes):
     return planes.reshape(f, h // BLOCK, BLOCK, w // BLOCK, BLOCK)
 
 
-def _candidate_costs(res, q, lam, matrices, head_bits):
-    """Levels, bits and J of C candidates, (C, blocks) first, from their (C, k, 64) float32
-    residuals, (C, 64, 64) float32 scan-order analysis rows and (C,) mode and flag bits.
-    D is the error before rounding, ||M^T deq - r||^2 (module docstring).  The analysis takes
-    the rows' transposed view: a C-contiguous copy is faster but rounds differently (docs/FORMATS.md)."""
-    lv = quantize(res @ np.swapaxes(matrices, -1, -2), q)
+def _candidate_costs(res, q, lam, search, head_bits):
+    """Levels, bits and J of C candidates, (C, blocks) first, from the (35, k, 64) float32
+    residuals of the modes, the StrategyConfig.search runs and the (C,) mode and flag bits.
+    Each product is one np.matmul per run into one (C, k, 64) buffer: per candidate the call
+    a per-candidate (C, 64, 64) stack makes, so the same bits.  D is the error before rounding,
+    ||M^T deq - r||^2 (module docstring).  The analysis takes the rows' transposed view: a
+    C-contiguous copy rounds differently (docs/FORMATS.md)."""
+    runs = [(c, res if modes is None else res[modes], rows) for c, modes, rows in search]
+    prod = np.empty((len(head_bits),) + res.shape[1:], dtype=np.float32)
+    for c, r, rows in runs:
+        np.matmul(r, np.swapaxes(rows, -1, -2), out=prod[c])
+    lv = quantize(prod, q)
     bits = head_bits[:, None] + level_bit_cost(lv)
-    err = (lv * q) @ matrices
-    err -= res
-    return lv, bits, np.einsum("ckj,ckj->ck", err, err) + lam * bits
+    deq = lv * q
+    for c, r, rows in runs:
+        np.subtract(np.matmul(deq[c], rows, out=prod[c]), r, out=prod[c])
+    return lv, bits, np.einsum("ckj,ckj->ck", prod, prod) + lam * bits
 
 
-def encode_block(original, recon, pos, qp, cfg, matrices, search):
+def encode_block(original, recon, pos, i, qp, cfg, table, cand, pred):
     """RD-optimal mode and transform choice for a batch of blocks.
 
     `original` and `recon` are C-contiguous (frames, h, w) stacks of source
     planes and uint8 reconstruction surfaces, the latter with every block the
     batch references already filled; `pos` holds (frame, bx, by) index arrays of
-    at most BATCH_BLOCKS blocks that do not reference each other.
-    `matrices` is `cfg.matrices()` and `search` its float32 copy for the
-    candidate search, both built once per sequence (built per batch, s3 ran
-    2.5x slower).  Stores each block's reconstruction in `recon` and returns
-    the batch's BLOCK_DTYPE rows, which the caller serializes.
-    """
+    at most BATCH_BLOCKS blocks that do not reference each other, `i` their
+    stream-order indices.  Stores each block's reconstruction in `recon`, its
+    levels, bits and J in the BLOCK_DTYPE `table`, its candidate in `cand` and
+    its chosen prediction in `pred`, which `_search_sequence` reads once."""
     frame, bx, by = pos
     n = len(bx)
     refs = build_references(recon, bx, by, frame=frame)
@@ -370,30 +395,19 @@ def encode_block(original, recon, pos, qp, cfg, matrices, search):
     orig = _blocks(original)[frame, by, :, bx, :].reshape(n, VEC_LEN).astype(np.int32)
 
     q, lam = qp_to_qstep(qp), qp_to_lambda(qp)
-    res = np.subtract(orig, preds, dtype=np.float32)[cfg.cand_mode]  # each mode once, then gathered
-    lv, bits, j = _candidate_costs(res, q, lam, search, MODE_BITS + cfg.flag[cfg.cand_mode])
+    res = np.subtract(orig, preds, dtype=np.float32)  # each mode once
+    lv, bits, j = _candidate_costs(res, q, lam, cfg.search, cfg.head_bits)
 
     # argmin takes the first minimum, so the candidate order is the tie-break.
     best = np.argmin(j, axis=0)
-    mode = cfg.cand_mode[best]
-    i = np.arange(n)
-    levels = lv[best, i]
-    pred = preds[mode, i]
-    rec = _reconstruct(pred, levels, matrices[best], q)
+    mode, k = cfg.cand_mode[best], np.arange(n)
+    levels, chosen = lv[best, k], preds[mode, k]
+    rec = _reconstruct(chosen, levels, cfg.gather(best), q)
     _blocks(recon)[frame, by, :, bx, :] = rec.reshape(n, BLOCK, BLOCK)
-    rows = np.empty(n, dtype=BLOCK_DTYPE)
-    rows["mode"] = mode
-    rows["saab"] = cfg.cand_saab[best]
-    rows["levels"] = levels
-    rows["bits"] = bits[best, i]
-    rows["sse"] = np.sum((orig - rec) ** 2, axis=1)
-    # j_chosen and j_dct (the DCT candidate of the same mode, same pass)
-    # are exposed for dominance checks.
-    rows["j_chosen"] = j[best, i]
-    dct = cfg.cand_index[0, mode]
-    rows["j_dct"] = np.where(dct >= 0, j[dct, i], np.inf)  # inf where the mode allows no DCT
-    rows["residual"] = (orig - pred).reshape(n, BLOCK, BLOCK)
-    return rows
+    cand[i], pred[i] = best, chosen
+    table["levels"][i], table["bits"][i], table["j_chosen"][i] = levels, bits[best, k], j[best, k]
+    dct = cfg.cand_index[0, mode]  # j_dct: the mode's DCT candidate, for dominance checks
+    table["j_dct"][i] = np.where(dct >= 0, j[dct, k], np.inf)  # inf where the mode allows no DCT
 
 
 @functools.lru_cache(maxsize=8)
@@ -434,19 +448,11 @@ def check_qps(qps):
         raise InvalidInputError(f"QPs must be a nonempty list without repeats, got {list(qps)}")
 
 
-def encode_sequence(planes, qp, cfg, recon_out=None):
-    """Encode luma planes into one self-describing bitstream.
-
-    Returns (stream bytes, list of FrameStats), one per frame, whose
-    `blocks` rows hold each coded block's choices and its prediction
-    residual (used by the training pipeline).  When `recon_out` is a list,
-    the encoder's own reconstruction planes are appended (uint8), which
-    must match the decoder output bit-exactly.
-
-    The RD search runs over wavefront batches of all frames into one table
-    of blocks in stream order (raster order per frame), which is then
-    packed as field columns in one pass.
-    """
+def _search_sequence(planes, qp, cfg):
+    """Check the planes and QP, then run the RD search over wavefront batches
+    of all frames: returns the BLOCK_DTYPE table of the blocks in stream order
+    (raster order per frame) and the (frames, h, w) uint8 reconstruction.
+    encode_sequence packs the table; extract_residuals reads its residuals."""
     if not planes:
         raise InvalidInputError("no frames to encode")
     check_qp(qp)
@@ -457,32 +463,41 @@ def encode_sequence(planes, qp, cfg, recon_out=None):
         raise InvalidInputError(f"{w}x{h} by {len(planes)} frames does not fit the header's u16 fields")
     if any(plane.shape != (h, w) or plane.dtype != np.uint8 for plane in planes):
         raise InvalidInputError("all frames must be uint8 planes of one size")
-    blocks_w, blocks_h = w // BLOCK, h // BLOCK
     original = np.stack(planes)
     recon = np.zeros(original.shape, dtype=np.uint8)
-    table = np.empty(len(planes) * blocks_h * blocks_w, dtype=BLOCK_DTYPE)
-    matrices, search = cfg.matrices(), cfg.matrices(np.float32)
-    for pos, i in _wavefront_batches(len(planes), blocks_w, blocks_h, BATCH_BLOCKS):
-        table[i] = encode_block(original, recon, pos, qp, cfg, matrices, search)
+    n = original.size // VEC_LEN
+    table = np.empty(n, dtype=BLOCK_DTYPE)
+    cand, pred = np.empty(n, dtype=np.intp), np.empty((n, VEC_LEN), dtype=np.uint8)
+    for pos, i in _wavefront_batches(len(planes), w // BLOCK, h // BLOCK, BATCH_BLOCKS):
+        encode_block(original, recon, pos, i, qp, cfg, table, cand, pred)
+    table["mode"], table["saab"] = cfg.cand_mode[cand], cfg.cand_saab[cand]
+    orig, rec = (_blocks(p).swapaxes(2, 3).reshape(n, VEC_LEN).astype(np.int32) for p in (original, recon))
+    table["sse"] = np.sum((orig - rec) ** 2, axis=1)
+    table["residual"] = (orig - pred).reshape(n, BLOCK, BLOCK)
+    return table, recon
 
+
+def encode_sequence(planes, qp, cfg, recon_out=None):
+    """Encode luma planes into one self-describing bitstream.
+
+    Returns (stream bytes, list of FrameStats), one per frame, whose
+    `blocks` rows hold each coded block's choices and its prediction
+    residual (used by the training pipeline).  When `recon_out` is a list,
+    the encoder's own reconstruction planes are appended (uint8), which
+    must match the decoder output bit-exactly.  The block table of the RD
+    search (`_search_sequence`) is packed as field columns in one pass.
+    """
+    table, recon = _search_sequence(planes, qp, cfg)
     values, lengths = encode_levels(table["levels"])
     mode = table["mode"]
     values = np.column_stack([mode, table["saab"], values])
     lengths = np.column_stack([np.full(mode.shape, MODE_BITS, np.uint8), cfg.flag[mode], lengths])
-    stats_list = [FrameStats(blocks) for blocks in table.view(np.recarray).reshape(len(planes), -1)]
+    stats_list = [FrameStats(blocks) for blocks in table.view(np.recarray).reshape(len(recon), -1)]
     if recon_out is not None:
         recon_out.extend(recon)
-    header = _HEADER.pack(
-        STREAM_MAGIC,
-        STREAM_VERSION,
-        STRATEGIES.index(cfg.strategy),
-        qp,
-        0,
-        w,
-        h,
-        len(planes),
-        cfg.bank.digest() if cfg.bank is not None else bytes(16),
-    )
+    n_frames, h, w = recon.shape
+    digest = cfg.bank.digest() if cfg.bank is not None else bytes(16)
+    header = _HEADER.pack(STREAM_MAGIC, STREAM_VERSION, STRATEGIES.index(cfg.strategy), qp, 0, w, h, n_frames, digest)
     return header + pack_bits(values, lengths), stats_list
 
 
@@ -544,14 +559,13 @@ def decode_sequence(data, bank=None):
 
     # Reconstruct pass over the encoder's wavefront batches.
     q = qp_to_qstep(qp)
-    matrices = cfg.matrices()
     cand = cfg.cand_index[uses_saab.astype(np.intp), modes]
     recon = np.zeros((n_frames, h, w), dtype=np.uint8)
     recon_blocks = _blocks(recon)
     for (frame, bx, by), i in _wavefront_batches(n_frames, blocks_w, blocks_h, DECODE_BATCH_BLOCKS):
         refs = build_references(recon, bx, by, frame=frame)
         preds = predict_block(refs, modes[i]).reshape(-1, VEC_LEN)
-        rec = _reconstruct(preds, levels[i], matrices[cand[i]], q)
+        rec = _reconstruct(preds, levels[i], cfg.gather(cand[i]), q)
         recon_blocks[frame, by, :, bx, :] = rec.reshape(-1, BLOCK, BLOCK)
     return list(recon), [FrameStats(blocks) for blocks in table.view(np.recarray).reshape(n_frames, -1)]
 

@@ -10,7 +10,8 @@ import struct
 
 import numpy as np
 
-from .codec import HEADER_U16_MAX, StrategyConfig, check_qps, encode_sequence
+# encode_sequence is unused here: bench/spans.py's WRAP_POINTS patch the name in this module.
+from .codec import HEADER_U16_MAX, StrategyConfig, _search_sequence, check_qps, encode_sequence  # noqa: F401
 from .errors import InvalidInputError, StarvedGroupError
 from .kernelio import KernelBank, check_digits
 from .linalg import BLOCK_SIZE
@@ -40,7 +41,7 @@ RESIDUAL_DTYPE = np.dtype(
 
 
 def extract_residuals(clips, qps=DEFAULT_QPS):
-    """Run the DCT-only encoder over luma clips and collect labelled residuals.
+    """Run the DCT-only encoder's RD search over luma clips and collect labelled residuals.
 
     `clips` is a list of frame lists (as from read_yuv); a record's source
     is its clip's index.  Returns a np.recarray of RESIDUAL_DTYPE rows, one
@@ -68,8 +69,7 @@ def extract_residuals(clips, qps=DEFAULT_QPS):
         ends = np.cumsum([len(clips[s]) for s in sources]) * grid[0] * grid[1]
         for qp in qps:
             chunks = range(0, len(planes), HEADER_U16_MAX)
-            calls = [encode_sequence(planes[i : i + HEADER_U16_MAX], qp, cfg)[1] for i in chunks]
-            blocks = np.concatenate([fs.blocks for stats in calls for fs in stats])
+            blocks = np.concatenate([_search_sequence(planes[i : i + HEADER_U16_MAX], qp, cfg)[0] for i in chunks])
             for source, part_blocks in zip(sources, np.split(blocks, ends[:-1])):
                 part = parts[source, qp] = np.empty(len(part_blocks), dtype=RESIDUAL_DTYPE)
                 part["mode"], part["qp"], part["source"] = part_blocks["mode"], qp, source

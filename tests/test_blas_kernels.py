@@ -10,7 +10,12 @@ the tiny bank, learns a KLT on the same residuals, encodes the tiny clip
 for every golden stream, decodes the pinned golden streams and writes the
 `analyze-transforms` and `rd-model` outputs of the CLI goldens, and the
 results must equal this process's, whose kernels are the library's
-default, and the goldens.
+default, and the goldens.  Each golden encode is run again with the
+stacked reference search (tests/reference_search.py) in place of the
+codec's: its blocks' levels, bits and J must be the same, and so must the
+coefficients, levels, bits and J of the codec's search, run beside it on
+each batch.  Neither the J estimates nor the coefficients are in any
+stream, so an operand layout that rounds differently shows only here.
 """
 
 import hashlib
@@ -44,6 +49,7 @@ if rejected:
     sys.exit()
 from conftest import make_tiny_bank, make_tiny_clip, make_tiny_records
 from saabcodec import cli, codec, kernelio, transforms
+import reference_search
 from test_golden import STREAMS
 
 try:
@@ -55,10 +61,29 @@ records = make_tiny_records()
 bank_path, corpus, out = sys.argv[1:4]
 bank = kernelio.KernelBank.load(bank_path)
 clip = make_tiny_clip()
-streams = {}
+def table_digest(stats):
+    fields = ("levels", "bits", "j_chosen", "j_dct")
+    data = b"".join(np.ascontiguousarray(s.blocks[f]).tobytes() for f in fields for s in stats)
+    return hashlib.sha256(data).hexdigest()
+streams, tables, searches = {}, {}, {}
+search = codec._candidate_costs
 for strategy, qp in sorted(STREAMS):
-    stream, _ = codec.encode_sequence(clip, qp, codec.StrategyConfig(strategy, bank))
-    streams[f"{strategy}-{qp}"] = hashlib.sha256(stream).hexdigest()
+    cfg, key = codec.StrategyConfig(strategy, bank), f"{strategy}-{qp}"
+    stream, stats = codec.encode_sequence(clip, qp, cfg)
+    streams[key] = hashlib.sha256(stream).hexdigest()
+    # the same encode with the stacked reference in place of the codec's search,
+    # which runs on every batch too: the names of the outputs that differ
+    differ = searches[key] = []
+    def reference(res, q, lam, runs, head_bits):
+        want, names = reference_search.differences(search, res, q, lam, cfg)
+        differ.extend(names)
+        return want
+    codec._candidate_costs = reference
+    try:
+        _, ref_stats = codec.encode_sequence(clip, qp, cfg)
+    finally:
+        codec._candidate_costs = search
+    tables[key] = [table_digest(stats), table_digest(ref_stats)]
 planes = {}
 for path in sys.argv[4:]:
     with open(path, "rb") as f:
@@ -75,6 +100,8 @@ print(json.dumps({
     "bank": make_tiny_bank(records).digest().hex(),
     "klt": transforms.learn_klt(records["residual"]).matrix.tobytes().hex(),
     "streams": streams,
+    "tables": tables,
+    "searches": searches,
     "planes": planes,
     "analysis": analysis,
     "dispatch": dispatch,
@@ -136,6 +163,9 @@ def _check_child(env_vars, tmp_path, tiny_records, tiny_bank, tiny_clip):
         assert got["planes"][p] == DECODED_PLANES[key], key
     for (strategy, qp), digest in STREAMS.items():
         assert got["streams"][f"{strategy}-{qp}"] == digest, (strategy, qp)
+        # the stacked reference search's blocks and outputs, batch by batch
+        table, reference = got["tables"][f"{strategy}-{qp}"]
+        assert table == reference and got["searches"][f"{strategy}-{qp}"] == [], (strategy, qp)
     assert got["analysis"] == {name: CLI_OUTPUTS[name] for name in _ANALYSIS_OUTPUTS}
     return got
 

@@ -10,6 +10,7 @@ from saabcodec.bitstream import pack_bits, unpack_bits
 from saabcodec.errors import BitstreamError, InvalidInputError
 from saabcodec.metrics import qp_to_lambda, qp_to_qstep
 from saabcodec.transforms import DCT_64
+import reference_search
 from test_bitstream import _BitByBitReader
 
 
@@ -262,7 +263,8 @@ def test_stream_parser_matches_reference(how, damage, s3_stream, tiny_bank):
 def test_candidate_list(strategy, count, tiny_bank):
     """A strategy's candidates are the (transform, mode) pairs its masks
     allow, DCT first and each transform's in mode order; cand_index inverts
-    the list and matrices() gives each pair's analysis rows."""
+    the list, rows[cand_rows] gives each pair's analysis rows, read-only, and
+    the search's kernel rows are the kernel pairs' rows in float32."""
     cfg = codec.StrategyConfig(strategy, tiny_bank)
     allowed = np.array([cfg.dct_ok, cfg.saab_ok])
     saab, mode = np.nonzero(allowed)
@@ -272,12 +274,21 @@ def test_candidate_list(strategy, count, tiny_bank):
     assert len(cfg.cand_mode) == count == int(cfg.dct_ok.sum() + cfg.saab_ok.sum())
     assert np.array_equal(cfg.cand_index == -1, ~allowed)
     assert np.array_equal(cfg.cand_index[saab, mode], np.arange(count))
-    matrices = cfg.matrices()
+    matrices = cfg.gather(np.arange(count))
     assert matrices.shape == (count, 64, 64)
     for matrix, s, m in zip(matrices, saab, mode):
         assert np.array_equal(matrix, tiny_bank.kernel_for_mode(m).matrix if s else codec.DCT_SCAN)
+    # the search's runs: one DCT_SCAN for the DCT pairs, then the kernel pairs' rows, in float32
+    assert not any(rows.flags.writeable for rows in cfg.rows + tuple(rows for _, _, rows in cfg.search))
+    assert len(cfg.rows) == (1 if strategy == "dct_only" else 25) and cfg.rows[0] is codec.DCT_SCAN
+    assert np.array_equal(np.concatenate([rows for _, _, rows in cfg.search]), matrices.astype(np.float32))
+    n_dct = np.count_nonzero(saab == 0)
+    assert [c for c, _, _ in cfg.search] == [slice(n_dct), slice(n_dct, None)][: len(cfg.search)]
+    assert cfg.search[0][2].strides[0] == 0  # one DCT_SCAN
+    for c, modes, _ in cfg.search:  # None: the 35 modes in order
+        assert np.array_equal(cfg.cand_mode[c], np.arange(35) if modes is None else modes)
     if strategy == "dct_only":  # needs no bank
-        assert np.array_equal(codec.StrategyConfig(strategy).matrices(), matrices)
+        assert np.array_equal(codec.StrategyConfig(strategy).gather(np.arange(count)), matrices)
 
 
 @pytest.mark.parametrize("case", ["23-kernels", "25-kernels", "63x64-matrix"])
@@ -432,6 +443,50 @@ def test_single_dc_level_costs_nine_bits():
     assert codec.level_bit_cost(levels) == 9
 
 
+def test_bit_lengths_are_the_exponent_field_rule():
+    """_bit_lengths gives bit_length(|l|) for every codable magnitude (below
+    2**12) of either sign and for +-0.0, which is the float32 exponent field
+    - 126 (0 for a zero), and each row's last significant position + 1."""
+    mags = np.arange(4096, dtype=np.float32)
+    levels = np.concatenate([mags, -mags])  # +0.0 and -0.0 lead the halves
+    lengths, last_1 = codec._bit_lengths(levels.reshape(-1, 64))
+    field = (levels.view(np.int32) >> 23) & 0xFF
+    assert np.array_equal(lengths.ravel(), np.maximum(field - 126, 0))
+    assert lengths.ravel().tolist() == [int(abs(level)).bit_length() for level in levels]
+    assert np.all(last_1 == 64)
+    # one level at each position over +-0.0, and rows of +-0.0 alone
+    rows = np.where(np.eye(64, dtype=bool), np.float32(-4095), np.float32(-0.0))
+    rows = np.concatenate([rows, -rows, np.zeros((1, 64), np.float32), np.full((1, 64), -0.0, np.float32)])
+    lengths, last_1 = codec._bit_lengths(rows)
+    assert last_1.tolist() == 2 * list(range(1, 65)) + [0, 0]
+    assert np.array_equal(lengths, np.concatenate([12 * np.eye(64), 12 * np.eye(64), np.zeros((2, 64))]))
+    assert np.array_equal(codec.level_bit_cost(rows), reference_search.level_bit_cost(rows))
+
+
+@pytest.mark.parametrize("strategy", codec.STRATEGIES)
+def test_search_matches_the_stacked_reference(strategy, tiny_bank, tiny_clip):
+    """The search's runs (one shared DCT_SCAN for the DCT pairs, the kernel
+    pairs' rows, no residual gather for a run of the 35 modes in order), the
+    quantizer and the frexp bit lengths give the coefficients, levels, bits
+    and J of one stacked product over the full per-candidate (C, 64, 64)
+    stack, byte for byte (tests/reference_search.py): a full 16-block batch
+    and a remainder batch of 6 at QPs 0, 22, 37 and 51.  Levels move only at
+    a quantizer boundary, so the coefficients are what shows a product that
+    rounds differently."""
+    cfg = codec.StrategyConfig(strategy, tiny_bank)
+    planes = np.stack(tiny_clip)
+    frame, by, bx = np.unravel_index(np.arange(0, 144, 9), (3, 6, 8))  # 16 blocks over the clip
+    preds = codec.predict_all_modes(codec.build_references(planes, bx, by, frame=frame))
+    preds = np.moveaxis(preds, -3, 0).reshape(35, 16, 64)
+    orig = codec._blocks(planes)[frame, by, :, bx, :].reshape(16, 64).astype(np.int32)
+    for k in (16, 6):
+        res = np.subtract(orig[:k], preds[:, :k], dtype=np.float32)
+        for qp in (0, 22, 37, 51):
+            q, lam = qp_to_qstep(qp), qp_to_lambda(qp)
+            _, differ = reference_search.differences(codec._candidate_costs, res, q, lam, cfg)
+            assert differ == [], (k, qp)
+
+
 def test_level_bit_cost_batched():
     rng = np.random.default_rng(1)
     batch = rng.integers(-5, 6, size=(35, 64)).astype(np.int64)
@@ -452,7 +507,7 @@ def test_search_distortion_is_the_error_before_rounding(rows, tiny_bank):
     matrices = np.broadcast_to(matrix.astype(np.float32), (4, 64, 64))
     res = np.random.default_rng(9).integers(-60, 61, size=(4, 16, 64)).astype(np.float32)
     q, lam = qp_to_qstep(27), qp_to_lambda(27)
-    lv, bits, j = codec._candidate_costs(res, q, lam, matrices, np.full(4, codec.MODE_BITS))
+    lv, bits, j = codec._candidate_costs(res, q, lam, ((slice(4), None, matrices),), np.full(4, codec.MODE_BITS))
     m, deq = matrices.astype(np.float64), lv.astype(np.float64) * q
     want = np.sum((deq @ m - res) ** 2, axis=-1)
     assert np.allclose(j - lam * bits, want, rtol=1e-4, atol=0)

@@ -120,17 +120,30 @@ def test_batched_extraction_matches_per_clip_loop(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_extraction_runs_only_the_search(monkeypatch, tiny_clip):
+    # extract_residuals reads the RD search's block table: no stream is
+    # serialized, packed or given a header for the records it keeps
+    want = pipeline.extract_residuals([tiny_clip], qps=(37, 22))
+
+    def pack(*args, **kwargs):
+        raise AssertionError("a stream was packed")
+
+    for owner, name in ((codec, "pack_bits"), (codec, "encode_levels"), (pipeline, "encode_sequence")):
+        monkeypatch.setattr(owner, name, pack)
+    got = pipeline.extract_residuals([tiny_clip], qps=(37, 22))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_extraction_calls_fit_the_stream_header(monkeypatch):
     # the clips of one frame size are coded together, in calls of at most
     # the 0xFFFF frames a stream header can count
     calls = []
 
-    def encode_sequence(planes, qp, cfg):
+    def search_sequence(planes, qp, cfg):
         calls.append(len(planes))
-        blocks = np.zeros((len(planes), 1), dtype=codec.BLOCK_DTYPE).view(np.recarray)
-        return b"", [codec.FrameStats(b) for b in blocks]
+        return np.zeros(len(planes), dtype=codec.BLOCK_DTYPE), None  # one block a frame
 
-    monkeypatch.setattr(pipeline, "encode_sequence", encode_sequence)
+    monkeypatch.setattr(pipeline, "_search_sequence", search_sequence)
     plane = np.zeros((8, 8), dtype=np.uint8)
     frames = [40_000, 30_000, 20_000]
     records = pipeline.extract_residuals([[plane] * n for n in frames], qps=(37,))
