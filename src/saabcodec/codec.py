@@ -291,9 +291,9 @@ class StrategyConfig:
     `cand_saab` and `cand_mode` list the pairs of the (dct_ok, saab_ok)
     masks in the RD search's tie-break order, DCT first, each in mode order;
     `cand_index[saab, mode]` is a pair's place on the list (-1: not
-    allowed) and `rows[cand_rows]` its analysis rows (`gather`).  The bank is a
-    KernelBank or None.  A strategy that allows no learned kernel drops it;
-    any other requires one that validates.
+    allowed) and `rows[cand_rows[i]]` pair i's analysis rows (`gather`).  The
+    bank is a KernelBank or None.  A strategy that allows no learned kernel
+    drops it; any other requires one that validates.
     """
 
     def __init__(self, strategy, bank=None):
