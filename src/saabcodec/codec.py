@@ -16,17 +16,19 @@ arithmetic the decoder replays, so its output matches the encoder's bit-exactly.
 
 Both sides work on wavefront batches of blocks that do not reference each
 other (`_wavefront_batches`, one read-only schedule per geometry), and both
-reconstruct a batch through one `_reconstruct` call; blocks are read and
-stored through the (frames, h/8, 8, w/8, 8) view of a (frames, h, w) stack
-(`_blocks`).  The encoder keeps BATCH_BLOCKS: its float32 search's BLAS
-products may round differently at another row count, moving the J
-estimates.  The decoder's batches are wider (DECODE_BATCH_BLOCKS): its
-prediction and synthesis are exact at any size.  The decoder runs two
-passes: a parse pass walks the payload, unpacked once by `unpack_bits` into
-a string of '0'/'1' bytes, with one bit position, writes each block's
-levels into its row of one zeroed buffer (`decode_levels`) and fills the
-coded-block table once; a reconstruct pass predicts each batch with one
-`predict_block` call, each block with its own mode.
+reconstruct a batch through one `_reconstruct` call on one np.take of the
+bank's row stack, or on DCT_SCAN with stride 0 if all its blocks are DCT
+(`StrategyConfig.gather`); blocks are read and stored through the (frames,
+h/8, 8, w/8, 8) view of a (frames, h, w) stack (`_blocks`).  The encoder
+keeps BATCH_BLOCKS: its float32 search's BLAS products may round differently
+at another row count, moving the J estimates.  The decoder's batches are
+wider (DECODE_BATCH_BLOCKS): its prediction and synthesis are exact at any
+size.  The decoder runs two passes: a parse pass walks the payload, unpacked
+once by `unpack_bits` into a string of '0'/'1' bytes, with one bit position,
+writes each block's levels into its row of one zeroed buffer
+(`decode_levels`) and fills the coded-block table once; a reconstruct pass
+predicts each batch with one `predict_block` call, each block with its own
+mode.
 
 Strategies:
   dct_only  anchor; every mode uses DCT, no flags.
@@ -69,7 +71,7 @@ from .kernelio import KernelBank
 from .linalg import BLOCK_SIZE as BLOCK, VEC_LEN
 from .metrics import qp_to_lambda, qp_to_qstep
 from .modes import APPLY_MAP, DCT_ONLY_MODES, N_MODES
-from .transforms import DCT_64
+from .transforms import DCT_SCAN, ZIGZAG  # noqa: F401 (codec.ZIGZAG: the coded scan order)
 
 MODE_BITS = 6
 MAX_QP = 51
@@ -78,8 +80,8 @@ _MIN_BLOCK_BITS = MODE_BITS + 1  # mode and coded-block flag
 DEADZONE = 1.0 / 3.0
 # Blocks per encode_block call: fixed (module docstring); bounds its candidate arrays.
 BATCH_BLOCKS = 16
-# Blocks per decoder batch: bounds its per-block temporaries, about 32 KB of
-# float64 synthesis rows and 17 KB of prediction table slice (1.6 MB in all).
+# Blocks per decoder batch: bounds its per-block temporaries, about 32 KB of float64 synthesis
+# rows (none for a batch of DCT blocks only) and 17 KB of prediction table slice (1.6 MB in all).
 DECODE_BATCH_BLOCKS = 32
 
 STRATEGIES = ("dct_only", "s1", "s2", "s3")
@@ -97,19 +99,6 @@ STREAM_MAGIC = b"SBVC"
 STREAM_VERSION = 1
 _HEADER = struct.Struct("<4sBBBBHHH16s")
 HEADER_U16_MAX = 0xFFFF  # the header's width, height and frame count are u16
-
-
-def _zigzag_order(n):
-    order = sorted(
-        ((r, c) for r in range(n) for c in range(n)),
-        key=lambda rc: (rc[0] + rc[1], rc[1] if (rc[0] + rc[1]) % 2 else rc[0]),
-    )
-    return np.array([r * n + c for r, c in order], dtype=np.int64)
-
-
-ZIGZAG = _zigzag_order(BLOCK)
-DCT_SCAN = DCT_64[ZIGZAG]  # analysis rows in coded scan order
-DCT_SCAN.flags.writeable = False
 
 
 def quantize(coeffs, q_step):
@@ -291,9 +280,10 @@ class StrategyConfig:
     `cand_saab` and `cand_mode` list the pairs of the (dct_ok, saab_ok)
     masks in the RD search's tie-break order, DCT first, each in mode order;
     `cand_index[saab, mode]` is a pair's place on the list (-1: not
-    allowed) and `rows[cand_rows[i]]` pair i's analysis rows (`gather`).  The
-    bank is a KernelBank or None.  A strategy that allows no learned kernel
-    drops it; any other requires one that validates.
+    allowed) and `rows[cand_rows[i]]` pair i's analysis rows (`gather`), of
+    the bank's read-only rows (KernelBank.rows), or DCT_SCAN[None].  The bank
+    is a KernelBank or None.  A strategy that allows no learned kernel drops
+    it; any other requires one that validates.
     """
 
     def __init__(self, strategy, bank=None):
@@ -315,12 +305,13 @@ class StrategyConfig:
         elif bank is None:
             raise InvalidInputError(f"strategy {strategy} requires a kernel bank")
         self.bank = None if bank is None else bank.validate()
-        # the distinct analysis rows, read-only and not copied: DCT_SCAN, then the bank's kernels
-        self.rows = (DCT_SCAN,) + tuple(k.matrix for k in (self.bank.kernels if self.bank else ()))
+        self.rows = DCT_SCAN[None] if self.bank is None else self.bank.rows
 
     def gather(self, cand):
-        """The (k, 64, 64) float64 analysis rows of the candidates `cand` on the list."""
-        return np.array([self.rows[r] for r in self.cand_rows[cand].tolist()])
+        """The (k, 64, 64) float64 analysis rows of the candidates `cand` on the list: one
+        read-only DCT_SCAN (stride 0) when all are DCT pairs, else one np.take of `rows`."""
+        r = self.cand_rows[cand]  # 0: DCT_SCAN
+        return np.take(self.rows, r, axis=0) if r.any() else np.broadcast_to(DCT_SCAN, (len(r), VEC_LEN, VEC_LEN))
 
     @functools.cached_property
     def search(self):
@@ -329,7 +320,7 @@ class StrategyConfig:
         DCT pairs, the kernel pairs' own rows for the rest."""
         n = int(np.count_nonzero(self.dct_ok))  # the DCT pairs lead the list
         dct = np.broadcast_to(DCT_SCAN.astype(np.float32), (n, VEC_LEN, VEC_LEN))
-        kernels = np.array(self.rows, dtype=np.float32)[self.cand_rows[n:]]
+        kernels = self.rows[self.cand_rows[n:]].astype(np.float32)
         kernels.flags.writeable = False
         runs = [(c, self.cand_mode[c], rows) for c, rows in ((slice(n), dct), (slice(n, None), kernels)) if len(rows)]
         return tuple((c, None if np.array_equal(m, np.arange(N_MODES)) else m, rows) for c, m, rows in runs)
@@ -448,27 +439,35 @@ def check_qps(qps):
         raise InvalidInputError(f"QPs must be a nonempty list without repeats, got {list(qps)}")
 
 
-def _search_sequence(planes, qp, cfg):
-    """Check the planes and QP, then run the RD search over wavefront batches
-    of all frames: returns the BLOCK_DTYPE table of the blocks in stream order
-    (raster order per frame) and the (frames, h, w) uint8 reconstruction.
-    encode_sequence packs the table; extract_residuals reads its residuals."""
-    if not planes:
-        raise InvalidInputError("no frames to encode")
-    check_qp(qp)
-    h, w = planes[0].shape
-    if not h or not w or h % BLOCK or w % BLOCK:
-        raise InvalidInputError("plane dimensions must be positive multiples of 8")
-    if max(w, h, len(planes)) > HEADER_U16_MAX:
-        raise InvalidInputError(f"{w}x{h} by {len(planes)} frames does not fit the header's u16 fields")
-    if any(plane.shape != (h, w) or plane.dtype != np.uint8 for plane in planes):
+def check_planes(planes):
+    """The (frames, h, w) of `planes`: a nonempty (frames, h, w) uint8 array or sequence of 2-D
+    uint8 arrays of one size, whose sides are positive multiples of 8; else InvalidInputError."""
+    if not (isinstance(planes, (list, tuple)) or getattr(planes, "ndim", 0) == 3) or not len(planes):
+        raise InvalidInputError("frames are a nonempty (frames, h, w) array or sequence of 2-D planes")
+    if not all(isinstance(p, np.ndarray) and p.shape == planes[0].shape and p.dtype == np.uint8 for p in planes):
         raise InvalidInputError("all frames must be uint8 planes of one size")
+    h, w = planes[0].shape if planes[0].ndim == 2 else (0, 0)  # 0: not a plane
+    if not h or not w or h % BLOCK or w % BLOCK:
+        raise InvalidInputError("frames must be 2-D, with sides that are positive multiples of 8")
+    return len(planes), h, w
+
+
+def _search_sequence(planes, qp, cfg):
+    """Check the planes (check_planes), QP and config, then run the RD search over wavefront
+    batches of all frames: returns the BLOCK_DTYPE table of the blocks in stream order (raster
+    order per frame), which encode_sequence packs, and the (frames, h, w) uint8 reconstruction."""
+    n_frames, h, w = check_planes(planes)
+    check_qp(qp)
+    if not isinstance(cfg, StrategyConfig):
+        raise InvalidInputError(f"a strategy config is a StrategyConfig, not {type(cfg).__name__}")
+    if max(w, h, n_frames) > HEADER_U16_MAX:
+        raise InvalidInputError(f"{w}x{h} by {n_frames} frames does not fit the header's u16 fields")
     original = np.stack(planes)
     recon = np.zeros(original.shape, dtype=np.uint8)
     n = original.size // VEC_LEN
     table = np.empty(n, dtype=BLOCK_DTYPE)
     cand, pred = np.empty(n, dtype=np.intp), np.empty((n, VEC_LEN), dtype=np.uint8)
-    for pos, i in _wavefront_batches(len(planes), w // BLOCK, h // BLOCK, BATCH_BLOCKS):
+    for pos, i in _wavefront_batches(n_frames, w // BLOCK, h // BLOCK, BATCH_BLOCKS):
         encode_block(original, recon, pos, i, qp, cfg, table, cand, pred)
     table["mode"], table["saab"] = cfg.cand_mode[cand], cfg.cand_saab[cand]
     orig, rec = (_blocks(p).swapaxes(2, 3).reshape(n, VEC_LEN).astype(np.int32) for p in (original, recon))

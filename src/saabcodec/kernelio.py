@@ -6,7 +6,8 @@ run with a fixed seed produces a bitwise-identical bank file.  The bank is
 the one place that writes and checks a kernel record's head: it follows
 from the kernel's index in the fixed mode table and the metadata's
 `decimal_digits`, and a reader requires it byte for byte.  A bank's kernel
-arrays are its own and read-only, so its digest and validation run once.
+arrays are its own and read-only, so its digest and validation run once;
+its matrices are rows 1.. of its float64 `rows` stack, whose row 0 is DCT_SCAN.
 """
 
 import hashlib
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .linalg import VEC_LEN
 from .modes import APPLY_MAP, N_KERNELS, TRAIN_GROUPS
-from .transforms import SaabKernel
+from .transforms import DCT_SCAN, SaabKernel
 
 BANK_MAGIC = b"SBNK"
 KERNEL_MAGIC = b"SKRN"
@@ -66,11 +67,15 @@ class KernelBank:
     meta: dict
 
     def __post_init__(self):
-        # copies no other view can change, read-only, so digest() and validate() run once
-        kernels = tuple(replace(k, matrix=np.array(k.matrix), bias=np.array(k.bias)) for k in self.kernels)
+        # one read-only float64 stack, DCT_SCAN then the matrices (now views of it), and bias copies
+        if any(np.shape(k.matrix) != (VEC_LEN, VEC_LEN) for k in self.kernels):
+            raise InvalidInputError("bad kernel matrix shape")
+        rows = np.array((DCT_SCAN,) + tuple(k.matrix for k in self.kernels), dtype=np.float64)
+        rows.flags.writeable = False
+        kernels = tuple(replace(k, matrix=rows[1 + i], bias=np.array(k.bias)) for i, k in enumerate(self.kernels))
         for k in kernels:
-            k.matrix.flags.writeable = k.bias.flags.writeable = False
-        object.__setattr__(self, "kernels", kernels)
+            k.bias.flags.writeable = False
+        self.__dict__.update(kernels=kernels, rows=rows)
 
     def kernel_for_mode(self, mode):
         return self.kernels[APPLY_MAP[mode]]
@@ -149,10 +154,8 @@ class KernelBank:
             # beyond float64 precision rounding is a no-op; np.round's scale-and-
             # unscale would actually perturb the last bits here
             return replace(self, meta=meta)
-        kernels = tuple(
-            replace(k, matrix=np.round(k.matrix, decimal_digits), bias=np.round(k.bias, decimal_digits))
-            for k in self.kernels
-        )
+        matrices = np.round(self.rows[1:], decimal_digits)  # elementwise: as each matrix alone
+        kernels = tuple(SaabKernel(m, np.round(k.bias, decimal_digits)) for m, k in zip(matrices, self.kernels))
         return replace(self, kernels=kernels, meta=meta)
 
     def validate(self):
@@ -162,11 +165,9 @@ class KernelBank:
             return self
         if len(self.kernels) != N_KERNELS:
             raise InvalidInputError(f"expected {N_KERNELS} kernels, got {len(self.kernels)}")
-        for i, k in enumerate(self.kernels):
-            if k.matrix.shape != (VEC_LEN, VEC_LEN):
-                raise InvalidInputError("bad kernel matrix shape")
-            l1 = np.abs(k.matrix).sum(axis=1)
-            if not np.all((l1 > 0) & (l1 <= _ROW_L1_BOUND)):  # NaN fails both
-                raise InvalidInputError(f"kernel {i} has a row that is zero or has an L1 norm above 8")
+        l1 = np.abs(self.rows[1:]).sum(axis=2)
+        bad = np.flatnonzero(~np.all((l1 > 0) & (l1 <= _ROW_L1_BOUND), axis=1))  # NaN fails both
+        if bad.size:
+            raise InvalidInputError(f"kernel {bad[0]} has a row that is zero or has an L1 norm above 8")
         object.__setattr__(self, "_valid", True)
         return self

@@ -11,7 +11,7 @@ import struct
 import numpy as np
 
 # encode_sequence is unused here: bench/spans.py's WRAP_POINTS patch the name in this module.
-from .codec import HEADER_U16_MAX, StrategyConfig, _search_sequence, check_qps, encode_sequence  # noqa: F401
+from .codec import HEADER_U16_MAX, StrategyConfig, _search_sequence, check_planes, check_qps, encode_sequence  # noqa
 from .errors import InvalidInputError, StarvedGroupError
 from .kernelio import KernelBank, check_digits
 from .linalg import BLOCK_SIZE
@@ -43,19 +43,17 @@ RESIDUAL_DTYPE = np.dtype(
 def extract_residuals(clips, qps=DEFAULT_QPS):
     """Run the DCT-only encoder's RD search over luma clips and collect labelled residuals.
 
-    `clips` is a list of frame lists (as from read_yuv); a record's source
-    is its clip's index.  Returns a np.recarray of RESIDUAL_DTYPE rows, one
-    per coded block per QP, in raster order per frame.  Raises
-    InvalidInputError, before encoding, for an empty clip, QPs check_qps
-    rejects, or a source, frame or block index too large for its field.
+    `clips` lists frame lists (as from read_yuv) or (frames, h, w) stacks; a
+    record's source is its clip's index.  Returns a np.recarray of
+    RESIDUAL_DTYPE rows, one per coded block per QP, in raster order per
+    frame.  Raises InvalidInputError, before encoding, for a clip check_planes
+    or QPs check_qps rejects, or a source, frame or block index too large.
     """
     check_qps(qps)
     groups = {}  # block grid -> the sources of that frame size
     for source, planes in enumerate(clips):
-        if not planes:
-            raise InvalidInputError(f"clip {source} has no frames")
-        h, w = planes[0].shape
-        last = dict(source=source, frame=len(planes) - 1, y=h // BLOCK_SIZE - 1, x=w // BLOCK_SIZE - 1)
+        n_frames, h, w = check_planes(planes)
+        last = dict(source=source, frame=n_frames - 1, y=h // BLOCK_SIZE - 1, x=w // BLOCK_SIZE - 1)
         for name, value in last.items():
             if value > np.iinfo(RESIDUAL_DTYPE[name]).max:
                 raise InvalidInputError(f"{name} index {value} does not fit a corpus record")
@@ -79,16 +77,20 @@ def extract_residuals(clips, qps=DEFAULT_QPS):
     return np.concatenate([np.empty(0, RESIDUAL_DTYPE)] + order).view(np.recarray)
 
 
-def save_residual_corpus(path, records):
-    """Write RESIDUAL_DTYPE records, an array or a list of its rows, as a
-    corpus file; InvalidInputError for any other dtype, which a cast would
-    wrap rather than range-check."""
+def _as_records(records):
+    """A 1-D array or list of RESIDUAL_DTYPE rows as an array, else InvalidInputError: a cast would wrap."""
     try:
         records = np.asarray(records)
     except ValueError as e:
         raise InvalidInputError(f"corpus records are not RESIDUAL_DTYPE rows: {e}") from None
-    if records.dtype != RESIDUAL_DTYPE:
-        raise InvalidInputError(f"corpus records have dtype {records.dtype}, not RESIDUAL_DTYPE")
+    if records.dtype != RESIDUAL_DTYPE or records.ndim != 1:
+        raise InvalidInputError(f"{records.ndim}-D records of dtype {records.dtype} are not RESIDUAL_DTYPE rows")
+    return records
+
+
+def save_residual_corpus(path, records):
+    """Write RESIDUAL_DTYPE records (_as_records) as a corpus file."""
+    records = _as_records(records)
     with open(path, "wb") as f:
         f.write(CORPUS_MAGIC + struct.pack("<II", CORPUS_VERSION, len(records)))
         f.write(records.tobytes())
@@ -122,9 +124,10 @@ def train_kernel_bank(
     Each kernel trains on residuals whose intra mode falls in its group of
     the codec's fixed table, subsampled deterministically to
     `samples_per_kernel`.  Raises StarvedGroupError listing every group
-    with fewer than 64 residuals, and InvalidInputError for fewer than one
-    sample per kernel, a negative `seed`, `decimal_digits` that check_digits
-    rejects, or a rounded bank that KernelBank.validate rejects.
+    with fewer than 64 residuals, and InvalidInputError for records that
+    _as_records rejects, fewer than one sample per kernel, a negative `seed`,
+    `decimal_digits` that check_digits rejects, or a rounded bank that
+    KernelBank.validate rejects.
     """
     if samples_per_kernel < 1:
         raise InvalidInputError(f"samples per kernel must be 1 or more, got {samples_per_kernel}")
@@ -132,7 +135,8 @@ def train_kernel_bank(
         raise InvalidInputError(f"seed {seed} is negative")
     if decimal_digits is not None:
         check_digits(decimal_digits)
-    modes = records.mode
+    records = _as_records(records)
+    modes = records["mode"]
     starved = {
         k: group
         for k, group in enumerate(TRAIN_GROUPS)
@@ -144,7 +148,7 @@ def train_kernel_bank(
     def pools():
         for k, group in enumerate(TRAIN_GROUPS):
             # the mask keeps record order, which the seeded subsample depends on
-            pool = records.residual[np.isin(modes, group)]  # int16, as recorded
+            pool = records["residual"][np.isin(modes, group)]  # int16, as recorded
             if pool.shape[0] > samples_per_kernel:
                 rng = np.random.default_rng([seed, k])
                 idx = np.sort(rng.choice(pool.shape[0], size=samples_per_kernel, replace=False))

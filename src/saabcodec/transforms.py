@@ -49,6 +49,19 @@ def dct_matrix(n):
 DCT_64 = np.kron(dct_matrix(BLOCK_SIZE), dct_matrix(BLOCK_SIZE))
 
 
+def _zigzag_order(n):
+    order = sorted(
+        ((r, c) for r in range(n) for c in range(n)),
+        key=lambda rc: (rc[0] + rc[1], rc[1] if (rc[0] + rc[1]) % 2 else rc[0]),
+    )
+    return np.array([r * n + c for r, c in order], dtype=np.int64)
+
+
+ZIGZAG = _zigzag_order(BLOCK_SIZE)
+DCT_SCAN = DCT_64[ZIGZAG]  # analysis rows in coded scan order
+DCT_SCAN.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class SaabKernel:
     """One 64-point transform: row k of `matrix` is kernel k, index 0 = DC.

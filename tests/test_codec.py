@@ -278,9 +278,13 @@ def test_candidate_list(strategy, count, tiny_bank):
     assert matrices.shape == (count, 64, 64)
     for matrix, s, m in zip(matrices, saab, mode):
         assert np.array_equal(matrix, tiny_bank.kernel_for_mode(m).matrix if s else codec.DCT_SCAN)
-    # the search's runs: one DCT_SCAN for the DCT pairs, then the kernel pairs' rows, in float32
-    assert not any(rows.flags.writeable for rows in cfg.rows + tuple(rows for _, _, rows in cfg.search))
-    assert len(cfg.rows) == (1 if strategy == "dct_only" else 25) and cfg.rows[0] is codec.DCT_SCAN
+    # rows: one read-only stack, DCT_SCAN then the bank's kernels; an all-DCT gather is one
+    # DCT_SCAN (stride 0); the search's runs: one DCT_SCAN for the DCT pairs, then the kernel
+    # pairs' rows, in float32
+    assert not any(rows.flags.writeable for rows in (cfg.rows,) + tuple(rows for _, _, rows in cfg.search))
+    assert cfg.rows.shape == (1 if strategy == "dct_only" else 25, 64, 64)
+    assert np.array_equal(cfg.rows[0], codec.DCT_SCAN) and cfg.rows.dtype == np.float64
+    assert (matrices.strides[0] == 0) == (strategy == "dct_only")
     assert np.array_equal(np.concatenate([rows for _, _, rows in cfg.search]), matrices.astype(np.float32))
     n_dct = np.count_nonzero(saab == 0)
     assert [c for c, _, _ in cfg.search] == [slice(n_dct), slice(n_dct, None)][: len(cfg.search)]
@@ -299,10 +303,9 @@ def test_bad_in_memory_bank_rejected(case, tiny_bank):
         "25-kernels": kernels + kernels[:1],
         "63x64-matrix": (replace(kernels[0], matrix=kernels[0].matrix[:63]),) + kernels[1:],
     }[case]
-    bad = replace(tiny_bank, kernels=kernels)
     for _ in range(2):  # a failed check is not cached as a pass
         with pytest.raises(InvalidInputError):
-            codec.StrategyConfig("s3", bad)
+            codec.StrategyConfig("s3", replace(tiny_bank, kernels=kernels))
 
 
 @pytest.mark.parametrize("bank", ["x", 0, b"SKB1", ()], ids=["str", "int", "bytes", "tuple"])
@@ -485,6 +488,32 @@ def test_search_matches_the_stacked_reference(strategy, tiny_bank, tiny_clip):
             q, lam = qp_to_qstep(qp), qp_to_lambda(qp)
             _, differ = reference_search.differences(codec._candidate_costs, res, q, lam, cfg)
             assert differ == [], (k, qp)
+
+
+def test_stride_zero_synthesis_matches_the_gathered_rows():
+    """An all-DCT batch synthesizes from one DCT_SCAN broadcast with stride 0
+    (StrategyConfig.gather), and _reconstruct gives the same bytes from it as
+    from a gathered (k, 64, 64) copy, and as the normative sequential sum,
+    over random levels at k = 1..32 and QPs 0, 22, 37 and 51.  Half of each
+    batch has a DC level of 2**45 and a prediction that cancels it, so a
+    change in summation order shows in the bytes."""
+    rng = np.random.default_rng(31)
+    cfg = codec.StrategyConfig("dct_only")
+    for k in range(1, 33):
+        shared = cfg.gather(rng.integers(0, 35, size=k))  # every candidate is a DCT pair
+        assert shared.strides[0] == 0 and not shared.flags.writeable
+        gathered = np.array(shared)
+        assert gathered.strides[0] != 0 and np.array_equal(gathered, np.broadcast_to(codec.DCT_SCAN, (k, 64, 64)))
+        for qp in (0, 22, 37, 51):
+            q = qp_to_qstep(qp)
+            top = max(1, int(200 / q))
+            levels = rng.integers(-top, top + 1, size=(k, 64)) * (rng.random((k, 64)) < 0.25)
+            preds = rng.integers(0, 256, size=(k, 64))
+            levels[k // 2 :, 0] = 2**45
+            preds[k // 2 :] -= np.int64(2**42 * q)
+            got = codec._reconstruct(preds, levels, shared, q).tobytes()
+            assert got == codec._reconstruct(preds, levels, gathered, q).tobytes(), (k, qp)
+            assert got == _reconstruct_reference(preds, levels, gathered, q).tobytes(), (k, qp)
 
 
 def test_level_bit_cost_batched():
@@ -678,6 +707,23 @@ def test_unstorable_input_rejected_before_encoding(monkeypatch, case):
     }[case]
     with pytest.raises(InvalidInputError):
         codec.encode_sequence(planes, 22, codec.StrategyConfig("dct_only"))
+
+
+@pytest.mark.parametrize("cfg", [None, "s3", codec.StrategyConfig], ids=["None", "str", "class"])
+def test_config_of_another_kind_rejected(cfg, tiny_clip):
+    with pytest.raises(InvalidInputError, match="StrategyConfig"):
+        codec.encode_sequence(tiny_clip[:1], 22, cfg)
+
+
+def test_stack_of_planes_encodes_as_its_list(tiny_bank, tiny_clip):
+    # a (frames, h, w) stack, a reversed view of one too, codes as the list of its planes
+    stacks = [np.zeros((2, 16, 16), np.uint8), np.stack(tiny_clip), np.stack(tiny_clip)[::-1]]
+    for stack in stacks:
+        for strategy in ("dct_only", "s3"):
+            cfg, recon = codec.StrategyConfig(strategy, tiny_bank), []
+            stream, _ = codec.encode_sequence(stack, 22, cfg, recon)
+            assert stream == codec.encode_sequence(list(stack), 22, cfg)[0]
+            assert np.array_equal(codec.decode_sequence(stream, tiny_bank)[0], recon)
 
 
 @pytest.mark.parametrize("zeros", [12, 64])

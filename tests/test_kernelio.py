@@ -48,7 +48,9 @@ def test_bank_kernels_are_read_only(tmp_path, bank):
             for array in (kernel.matrix, kernel.bias):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 1.0
-                assert array.base is None  # no other view can change it
+            # no other view can change them: the bias is a copy, the matrix a row of the bank's stack
+            assert kernel.bias.base is None and kernel.matrix.base is built.rows and built.rows.base is None
+            assert not built.rows.flags.writeable
 
 
 def test_cached_digest_is_the_bytes_digest(bank):

@@ -150,3 +150,57 @@ def test_extraction_calls_fit_the_stream_header(monkeypatch):
     assert calls == [0xFFFF, sum(frames) - 0xFFFF]
     assert np.array_equal(records.source, np.repeat([0, 1, 2], frames))
     assert np.array_equal(records.frame, np.concatenate([np.arange(n) for n in frames]))
+
+
+# (frames, h, w) arrays and sequences of 2-D uint8 arrays only: each raised an
+# untyped error or encoded nothing before the shared plane check
+_NOT_PLANES = {
+    "1-D-stack": np.zeros(64, np.uint8),
+    "1-D-plane": [np.zeros(64, np.uint8)],
+    "list-of-lists": [[0] * 8] * 8,
+    "one-plane": np.zeros((8, 8), np.uint8),
+    "no-frames": [],
+    "no-frames-stack": np.zeros((0, 8, 8), np.uint8),
+    "int16-stack": np.zeros((2, 8, 8), np.int16),
+    "two-sizes": [np.zeros((8, 8), np.uint8), np.zeros((8, 16), np.uint8)],
+    "str": "planes",
+    "None": None,
+}
+
+
+@pytest.mark.parametrize("planes", _NOT_PLANES.values(), ids=_NOT_PLANES.keys())
+def test_planes_of_another_kind_rejected(planes):
+    with pytest.raises(InvalidInputError):
+        codec.encode_sequence(planes, 22, codec.StrategyConfig("dct_only"))
+    with pytest.raises(InvalidInputError):
+        pipeline.extract_residuals([planes], qps=(22,))
+
+
+def test_stack_clip_extracts_as_its_list(tiny_clip):
+    stack = np.stack(tiny_clip)
+    want = pipeline.extract_residuals([tiny_clip, tiny_clip[:1]], qps=(37, 22))
+    got = pipeline.extract_residuals([stack, stack[:1]], qps=(37, 22))
+    assert got.tobytes() == want.tobytes()
+    assert pipeline.extract_residuals([np.zeros((2, 16, 16), np.uint8)], qps=(22,)).shape == (8,)
+
+
+@pytest.mark.parametrize(
+    "records",
+    [[1, 2, 3], None, "corpus", np.zeros((4, 70), np.int16), [(0, 22, 0, 0, 0, 0, np.zeros((8, 8)))]],
+    ids=["ints", "None", "str", "int16", "tuples"],
+)
+def test_training_takes_only_residual_records(records):
+    with pytest.raises(InvalidInputError):
+        pipeline.train_kernel_bank(records)
+
+
+def test_records_are_one_axis_of_rows(tmp_path, tiny_records, tiny_bank):
+    # a list of rows trains the bank the array does; a 2-D block of rows is
+    # rejected, where the writer counted only its first axis
+    bank = pipeline.train_kernel_bank(list(tiny_records), samples_per_kernel=300, seed=1)
+    assert bank.digest() == tiny_bank.digest()
+    square = tiny_records[:4].reshape(2, 2)
+    with pytest.raises(InvalidInputError):
+        pipeline.train_kernel_bank(square)
+    with pytest.raises(InvalidInputError):
+        pipeline.save_residual_corpus(str(tmp_path / "corpus.bin"), square)
