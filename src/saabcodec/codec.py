@@ -17,11 +17,11 @@ arithmetic the decoder replays, so its output matches the encoder's bit-exactly.
 Both sides work on wavefront batches of blocks that do not reference each
 other (`_wavefront_batches`, one read-only schedule per geometry), and both
 reconstruct a batch through one `_reconstruct` call on one np.take of the
-bank's row stack, or on DCT_SCAN with stride 0 if all its blocks are DCT
-(`StrategyConfig.gather`); blocks are read and stored through the (frames,
-h/8, 8, w/8, 8) view of a (frames, h, w) stack (`_blocks`).  The encoder
-keeps BATCH_BLOCKS: its float32 search's BLAS products may round differently
-at another row count, moving the J estimates.  The decoder's batches are
+bank's row stack (`StrategyConfig.gather`); blocks are read and stored
+through the (frames, h/8, 8, w/8, 8) view of a (frames, h, w) stack
+(`_blocks`).  The encoder keeps BATCH_BLOCKS: its float32 search's BLAS
+products may round differently at another row count, moving the J
+estimates.  The decoder's batches are
 wider (DECODE_BATCH_BLOCKS): its prediction and synthesis are exact at any
 size.  The decoder runs two passes: a parse pass walks the payload, unpacked
 once by `unpack_bits` into a string of '0'/'1' bytes, with one bit position,
@@ -67,10 +67,10 @@ import numpy as np
 from .bitstream import pack_bits, unpack_bits
 from .errors import BitstreamError, InvalidInputError
 from .intra import build_references, predict_all_modes, predict_block
-from .kernelio import KernelBank
+from .kernelio import KernelBank, stack_rows
 from .linalg import BLOCK_SIZE as BLOCK, VEC_LEN
 from .metrics import qp_to_lambda, qp_to_qstep
-from .modes import APPLY_MAP, DCT_ONLY_MODES, N_MODES
+from .modes import DCT_ONLY_MODES, N_MODES
 from .transforms import DCT_SCAN, ZIGZAG  # noqa: F401 (codec.ZIGZAG: the coded scan order)
 
 MODE_BITS = 6
@@ -80,8 +80,8 @@ _MIN_BLOCK_BITS = MODE_BITS + 1  # mode and coded-block flag
 DEADZONE = 1.0 / 3.0
 # Blocks per encode_block call: fixed (module docstring); bounds its candidate arrays.
 BATCH_BLOCKS = 16
-# Blocks per decoder batch: bounds its per-block temporaries, about 32 KB of float64 synthesis
-# rows (none for a batch of DCT blocks only) and 17 KB of prediction table slice (1.6 MB in all).
+# Blocks per decoder batch: bounds its per-block temporaries, about 32 KB of
+# float64 synthesis rows and 17 KB of prediction table slice (1.6 MB in all).
 DECODE_BATCH_BLOCKS = 32
 
 STRATEGIES = ("dct_only", "s1", "s2", "s3")
@@ -280,8 +280,8 @@ class StrategyConfig:
     `cand_saab` and `cand_mode` list the pairs of the (dct_ok, saab_ok)
     masks in the RD search's tie-break order, DCT first, each in mode order;
     `cand_index[saab, mode]` is a pair's place on the list (-1: not
-    allowed) and `rows[cand_rows[i]]` pair i's analysis rows (`gather`), of
-    the bank's read-only rows (KernelBank.rows), or DCT_SCAN[None].  The bank
+    allowed) and `rows[cand_rows[i]]` pair i's analysis rows (`gather`), of the
+    bank's read-only rows (KernelBank.rows, by stack_rows) or DCT_SCAN[None].  The bank
     is a KernelBank or None.  A strategy that allows no learned kernel drops
     it; any other requires one that validates.
     """
@@ -298,7 +298,7 @@ class StrategyConfig:
         self.cand_saab, self.cand_mode = np.nonzero(allowed)
         self.cand_index = np.full(allowed.shape, -1)
         self.cand_index[allowed] = np.arange(len(self.cand_mode))
-        self.cand_rows = np.where(self.cand_saab, 1 + np.take(APPLY_MAP, self.cand_mode), 0)
+        self.cand_rows = stack_rows(self.cand_saab, self.cand_mode)
         self.head_bits = MODE_BITS + self.flag[self.cand_mode]  # each pair's mode and flag bits
         if not self.saab_ok.any():
             bank = None
@@ -308,10 +308,8 @@ class StrategyConfig:
         self.rows = DCT_SCAN[None] if self.bank is None else self.bank.rows
 
     def gather(self, cand):
-        """The (k, 64, 64) float64 analysis rows of the candidates `cand` on the list: one
-        read-only DCT_SCAN (stride 0) when all are DCT pairs, else one np.take of `rows`."""
-        r = self.cand_rows[cand]  # 0: DCT_SCAN
-        return np.take(self.rows, r, axis=0) if r.any() else np.broadcast_to(DCT_SCAN, (len(r), VEC_LEN, VEC_LEN))
+        """The (k, 64, 64) float64 analysis rows of the candidates `cand` on the list: one np.take of `rows`."""
+        return np.take(self.rows, self.cand_rows[cand], axis=0)
 
     @functools.cached_property
     def search(self):

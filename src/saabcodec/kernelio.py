@@ -7,7 +7,7 @@ the one place that writes and checks a kernel record's head: it follows
 from the kernel's index in the fixed mode table and the metadata's
 `decimal_digits`, and a reader requires it byte for byte.  A bank's kernel
 arrays are its own and read-only, so its digest and validation run once;
-its matrices are rows 1.. of its float64 `rows` stack, whose row 0 is DCT_SCAN.
+its matrices are views of its float64 `rows` stack, laid out as `stack_rows` says.
 """
 
 import hashlib
@@ -42,6 +42,11 @@ _STORED_TABLE = {"apply_map": list(APPLY_MAP), "train_groups": [list(g) for g in
 _ROW_L1_BOUND = 8 + 1e-9
 
 
+def stack_rows(saab, mode):
+    """Each (saab, mode) pair's row in a bank's `rows`: DCT_SCAN (saab 0) is row 0, kernel k 1 + k."""
+    return np.where(saab, 1 + np.take(APPLY_MAP, mode), 0)
+
+
 def check_digits(decimal_digits):
     """Raise InvalidInputError unless a kernel record can store
     `decimal_digits`: an int in 0..MAX_DECIMAL_DIGITS."""
@@ -67,7 +72,7 @@ class KernelBank:
     meta: dict
 
     def __post_init__(self):
-        # one read-only float64 stack, DCT_SCAN then the matrices (now views of it), and bias copies
+        # one read-only float64 stack in stack_rows' order, the matrices now views of it, and bias copies
         if any(np.shape(k.matrix) != (VEC_LEN, VEC_LEN) for k in self.kernels):
             raise InvalidInputError("bad kernel matrix shape")
         rows = np.array((DCT_SCAN,) + tuple(k.matrix for k in self.kernels), dtype=np.float64)
