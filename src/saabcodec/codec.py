@@ -21,14 +21,13 @@ bank's row stack (`StrategyConfig.gather`); blocks are read and stored
 through the (frames, h/8, 8, w/8, 8) view of a (frames, h, w) stack
 (`_blocks`).  The encoder keeps BATCH_BLOCKS: its float32 search's BLAS
 products may round differently at another row count, moving the J
-estimates.  The decoder's batches are
-wider (DECODE_BATCH_BLOCKS): its prediction and synthesis are exact at any
-size.  The decoder runs two passes: a parse pass walks the payload, unpacked
-once by `unpack_bits` into a string of '0'/'1' bytes, with one bit position,
-writes each block's levels into its row of one zeroed buffer
-(`decode_levels`) and fills the coded-block table once; a reconstruct pass
-predicts each batch with one `predict_block` call, each block with its own
-mode.
+estimates.  The decoder's batches are wider (DECODE_BATCH_BLOCKS): its
+prediction and synthesis are exact at any size.  The decoder runs two
+passes: a parse pass walks the payload, unpacked once by `unpack_bits` into
+a string of '0'/'1' bytes, with one bit position, writes each block's
+levels into its row of one zeroed buffer (`decode_levels`) and fills the
+coded-block table once; a reconstruct pass predicts each batch with one
+`predict_block` call, each block with its own mode.
 
 Strategies:
   dct_only  anchor; every mode uses DCT, no flags.
@@ -280,10 +279,10 @@ class StrategyConfig:
     `cand_saab` and `cand_mode` list the pairs of the (dct_ok, saab_ok)
     masks in the RD search's tie-break order, DCT first, each in mode order;
     `cand_index[saab, mode]` is a pair's place on the list (-1: not
-    allowed) and `rows[cand_rows[i]]` pair i's analysis rows (`gather`), of the
-    bank's read-only rows (KernelBank.rows, by stack_rows) or DCT_SCAN[None].  The bank
-    is a KernelBank or None.  A strategy that allows no learned kernel drops
-    it; any other requires one that validates.
+    allowed) and `rows[cand_rows[i]]` pair i's analysis rows (`gather`): the
+    bank's KernelBank.rows (kernelio.stack_rows), or DCT_SCAN[None] without one.
+    The bank is a KernelBank or None; a strategy that allows no learned kernel
+    drops it, any other requires one that validates.
     """
 
     def __init__(self, strategy, bank=None):
